@@ -55,7 +55,11 @@ class Reader:
         return struct.unpack("<d", self.take(8))[0]
 
     def text(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"corrupt {self.what} (string is not valid UTF-8: {exc})") from exc
 
     def tensor(self) -> np.ndarray:
         ndim = self.u32()

@@ -13,8 +13,9 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import Callable, get_type_hints
 
 from . import evaluation, fofe, lm, synthetic, wsd
 from .corpus import read_labeled_corpus, read_sense_inventory, tokenize_line
@@ -27,81 +28,42 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Every pipeline setting; all fields default except the file paths."""
-
-    alpha: float = 0.7
-    order: int = 3
-    embed_dim: int = 32
-    hidden_dims: tuple[int, ...] = (64, 64)
-    max_vocab: int = 100_000
-    window_cap: int = 0
-    optimizer: str = "adam"
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    epochs: int = 20
-    seed: int = 0
-    k: int = 8
-    workers: int = 1
-    corpus: str | None = None
-    train: str | None = None
-    test: str | None = None
-    inventory: str | None = None
-    checkpoint: str | None = None
-    store: str | None = None
-    predictions: str | None = None
-    report: str | None = None
-
-    def lm_config(self) -> lm.LmConfig:
-        return lm.LmConfig(
-            fofe=fofe.FofeConfig(alpha=self.alpha, order=self.order),
-            embed_dim=self.embed_dim,
-            hidden_dims=self.hidden_dims,
-            max_vocab=self.max_vocab,
-            window_cap=self.window_cap,
-            optimizer=self.optimizer,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            seed=self.seed,
-        )
-
-
 def _parse_hidden_dims(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"bad hidden_dims value {text!r} (expected comma-separated integers)")
+    """Comma-separated integers; raises ValueError on anything else."""
+    return tuple(int(p) for p in text.split(",") if p.strip())
 
 
+def _setting_parsers(cls: type) -> dict[str, Callable[[str], object]]:
+    """Setting name -> value parser for each scalar field of a config dataclass."""
+    hints = get_type_hints(cls)
+    return {
+        f.name: _parse_hidden_dims if hints[f.name] == tuple[int, ...] else hints[f.name]
+        for f in fields(cls)
+        if not is_dataclass(hints[f.name])
+    }
+
+
+# The library dataclasses are the schema: their fields are the config keys
+# and flags, their defaults the defaults, their __post_init__ the validation.
+_FOFE_SETTINGS = _setting_parsers(fofe.FofeConfig)
+_LM_SETTINGS = _setting_parsers(lm.LmConfig)
+_CLASSIFIER_SETTINGS = _setting_parsers(wsd.ClassifierConfig)
 _PATH_KEYS = ("corpus", "train", "test", "inventory", "checkpoint", "store", "predictions", "report")
 _VALUE_PARSERS = {
-    "alpha": float,
-    "order": int,
-    "embed_dim": int,
-    "hidden_dims": _parse_hidden_dims,
-    "max_vocab": int,
-    "window_cap": int,
-    "optimizer": str,
-    "learning_rate": float,
-    "batch_size": int,
-    "epochs": int,
-    "seed": int,
-    "k": int,
-    "workers": int,
-    **{key: str for key in _PATH_KEYS},
+    **_FOFE_SETTINGS,
+    **_LM_SETTINGS,
+    **_CLASSIFIER_SETTINGS,
+    **dict.fromkeys(_PATH_KEYS, str),
 }
 
 
 def _read_config_file(path: str) -> dict:
-    values: dict = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+        lines = _read_lines(path, "config file")
+    except DataError as exc:
+        raise UsageError(str(exc)) from exc
+    values: dict = {}
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -114,54 +76,44 @@ def _read_config_file(path: str) -> dict:
             raise UsageError(f"{path}: unknown config key {key!r} (line {lineno})")
         try:
             values[key] = _VALUE_PARSERS[key](value)
-        except UsageError:
-            raise
         except ValueError:
             raise UsageError(f"{path}: bad value for {key!r}: {value!r} (line {lineno})")
     return values
 
 
-def _validate(cfg: RunConfig) -> None:
-    if not 0.0 < cfg.alpha < 1.0:
-        raise UsageError(f"alpha must be in (0, 1), got {cfg.alpha}")
-    if cfg.order < 1:
-        raise UsageError(f"order must be >= 1, got {cfg.order}")
-    if cfg.embed_dim < 1 or any(d < 1 for d in cfg.hidden_dims):
-        raise UsageError("embed_dim and hidden_dims entries must be >= 1")
-    if cfg.max_vocab < 2:
-        raise UsageError(f"max_vocab must be >= 2, got {cfg.max_vocab}")
-    if cfg.window_cap < 0:
-        raise UsageError(f"window_cap must be >= 0, got {cfg.window_cap}")
-    if cfg.optimizer not in ("adam", "sgd"):
-        raise UsageError(f"optimizer must be 'adam' or 'sgd', got {cfg.optimizer!r}")
-    if cfg.learning_rate <= 0:
-        raise UsageError(f"learning_rate must be positive, got {cfg.learning_rate}")
-    if cfg.batch_size < 1 or cfg.epochs < 0 or cfg.k < 1 or cfg.workers < 1:
-        raise UsageError("batch_size, k, workers must be >= 1 and epochs >= 0")
+def _given(values: dict, keys) -> dict:
+    """The entries of ``values`` under ``keys`` that are set (not None)."""
+    return {key: values[key] for key in keys if values.get(key) is not None}
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    merged: dict = {}
-    if getattr(args, "config", None):
-        merged.update(_read_config_file(args.config))
-    for f in fields(RunConfig):
-        flag_value = getattr(args, f.name, None)
-        if flag_value is not None:
-            merged[f.name] = flag_value
-    for key, value in merged.items():
-        setattr(cfg, key, value)
-    _validate(cfg)
-    return cfg
+def _run_config(
+    args: argparse.Namespace,
+) -> tuple[lm.LmConfig, wsd.ClassifierConfig, dict[str, str]]:
+    """Library defaults, overridden by the config file, then by flags."""
+    values = _read_config_file(args.config) if args.config else {}
+    values.update(_given(vars(args), _VALUE_PARSERS))
+    defaults = lm.LmConfig()
+    try:
+        lm_config = replace(
+            defaults,
+            fofe=replace(defaults.fofe, **_given(values, _FOFE_SETTINGS)),
+            **_given(values, _LM_SETTINGS),
+        )
+        classifier_config = replace(wsd.ClassifierConfig(), **_given(values, _CLASSIFIER_SETTINGS))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return lm_config, classifier_config, _given(values, _PATH_KEYS)
 
 
-def _require(cfg: RunConfig, *names: str) -> None:
-    missing = [n for n in names if getattr(cfg, n) is None]
+def _require(paths: dict[str, str], *names: str) -> list[str]:
+    """The named paths in order; a UsageError lists every one that is unset."""
+    missing = [n for n in names if n not in paths]
     if missing:
         raise UsageError(
             "missing required path setting(s): " + ", ".join(missing)
-            + " (set in the config file or with --" + ", --".join(m.replace('_', '-') for m in missing) + ")"
+            + " (set in the config file or with --" + ", --".join(missing) + ")"
         )
+    return [paths[n] for n in names]
 
 
 def _read_lines(path: str, what: str) -> list[str]:
@@ -180,28 +132,29 @@ def _read_lines(path: str, what: str) -> list[str]:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise UsageError(f"alpha must be in (0, 1), got {args.alpha}")
-    if args.order < 1:
-        raise UsageError(f"order must be >= 1, got {args.order}")
+    # Defaults: the language model's forgetting factor, at FofeConfig's default order.
+    defaults = fofe.FofeConfig(alpha=lm.LmConfig().fofe.alpha)
+    try:
+        cfg = replace(defaults, **_given(vars(args), _FOFE_SETTINGS))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     tokens = tokenize_line(args.tokens)
     vocabulary = sorted(set(tokens))
     ids = [vocabulary.index(t) for t in tokens]
-    cfg = fofe.FofeConfig(alpha=args.alpha, order=args.order)
     code = fofe.encode_order(ids, cfg, len(vocabulary), args.direction)
     print(" ".join(f"{v:.12g}" for v in code))
     return 0
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    _require(cfg, "corpus", "checkpoint")
-    lines = _read_lines(cfg.corpus, "corpus")
+    lm_config, _, paths = _run_config(args)
+    corpus, checkpoint = _require(paths, "corpus", "checkpoint")
+    lines = _read_lines(corpus, "corpus")
     model = None
     if args.resume:
-        model = lm.load_checkpoint(cfg.checkpoint)
-        log.info("resuming from %s (vocabulary %d)", cfg.checkpoint, len(model.vocab))
-    log_path = Path(str(cfg.checkpoint) + ".log")
+        model = lm.load_checkpoint(checkpoint)
+        log.info("resuming from %s (vocabulary %d)", checkpoint, len(model.vocab))
+    log_path = Path(checkpoint + ".log")
     with open(log_path, "a" if args.resume else "w", encoding="utf-8", newline="\n") as epoch_log:
         if args.resume:
             epoch_log.write("# resumed\n")
@@ -211,28 +164,28 @@ def _cmd_train(args: argparse.Namespace) -> int:
             epoch_log.flush()
             log.info("epoch %d mean loss %.6f", epoch, mean_loss)
 
-        model = lm.train_lm(
-            lines, cfg.lm_config(), model=model, progress=progress, workers=cfg.workers
-        )
-    lm.save_checkpoint(model, cfg.checkpoint)
-    print(f"checkpoint written to {cfg.checkpoint} (vocabulary {len(model.vocab)})")
+        model = lm.train_lm(lines, lm_config, model=model, progress=progress)
+    lm.save_checkpoint(model, checkpoint)
+    print(f"checkpoint written to {checkpoint} (vocabulary {len(model.vocab)})")
     return 0
 
 
-def _load_model(cfg: RunConfig) -> lm.LmModel:
-    model = lm.load_checkpoint(cfg.checkpoint)
+def _load_model(checkpoint: str, window_cap: int) -> lm.LmModel:
+    model = lm.load_checkpoint(checkpoint)
     # The context window is a run setting, not model state; apply it so
     # embeddings match the training-time windows when the same config is used.
-    model.config = replace(model.config, window_cap=cfg.window_cap)
+    model.config = replace(model.config, window_cap=window_cap)
     return model
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    _require(cfg, "checkpoint", "train", "inventory", "store")
-    model = _load_model(cfg)
-    inventory = read_sense_inventory(cfg.inventory)
-    instances = read_labeled_corpus(cfg.train)
+    lm_config, _, paths = _run_config(args)
+    checkpoint, train, inventory_path, store_path = _require(
+        paths, "checkpoint", "train", "inventory", "store"
+    )
+    model = _load_model(checkpoint, lm_config.window_cap)
+    inventory = read_sense_inventory(inventory_path)
+    instances = read_labeled_corpus(train)
     for inst in instances:
         if inst.lemma not in inventory:
             raise DataError(f"lemma {inst.lemma!r} not in inventory (instance {inst.instance_id})")
@@ -244,8 +197,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
                 f"(instance {inst.instance_id})"
             )
     if not instances:
-        log.warning("labeled corpus %s has no instances; writing an empty store", cfg.train)
-    store = wsd.build_classifier_store(model, instances, workers=cfg.workers)
+        log.warning("labeled corpus %s has no instances; writing an empty store", train)
+    store = wsd.build_classifier_store(model, instances)
     for lemma in store.pairs:
         counts = store.sense_counts(lemma)
         log.info(
@@ -254,38 +207,39 @@ def _cmd_build(args: argparse.Namespace) -> int:
             sum(counts.values()),
             ", ".join(f"{sense}={n}" for sense, n in sorted(counts.items())),
         )
-    wsd.save_store(store, cfg.store)
-    print(f"classifier store written to {cfg.store} ({len(store.pairs)} lemmas)")
+    wsd.save_store(store, store_path)
+    print(f"classifier store written to {store_path} ({len(store.pairs)} lemmas)")
     return 0
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    _require(cfg, "checkpoint", "store", "test", "inventory", "predictions")
-    model = _load_model(cfg)
-    store = wsd.load_store(cfg.store)
-    inventory = read_sense_inventory(cfg.inventory)
-    instances = read_labeled_corpus(cfg.test)
+    lm_config, classifier_config, paths = _run_config(args)
+    checkpoint, store_path, test, inventory_path, predictions = _require(
+        paths, "checkpoint", "store", "test", "inventory", "predictions"
+    )
+    model = _load_model(checkpoint, lm_config.window_cap)
+    store = wsd.load_store(store_path)
+    inventory = read_sense_inventory(inventory_path)
+    instances = read_labeled_corpus(test)
     unknown = [inst.instance_id for inst in instances if inst.lemma not in inventory]
     if unknown:
         raise DataError("lemma not in inventory for instance(s): " + ", ".join(unknown))
-    classifier_cfg = wsd.ClassifierConfig(k=cfg.k)
     rows = [
-        (inst.instance_id, wsd.predict_with_backoff(store, inventory, model, classifier_cfg, inst))
+        (inst.instance_id, wsd.predict_with_backoff(store, inventory, model, classifier_config, inst))
         for inst in instances
     ]
-    wsd.write_predictions(rows, cfg.predictions)
-    print(f"predictions written to {cfg.predictions} ({len(rows)} instances)")
+    wsd.write_predictions(rows, predictions)
+    print(f"predictions written to {predictions} ({len(rows)} instances)")
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    _require(cfg, "predictions", "test", "report")
-    predictions = wsd.read_predictions(cfg.predictions)
-    gold = read_labeled_corpus(cfg.test)
+    _, _, paths = _run_config(args)
+    predictions_path, test, report_path = _require(paths, "predictions", "test", "report")
+    predictions = wsd.read_predictions(predictions_path)
+    gold = read_labeled_corpus(test)
     report = evaluation.score(predictions, gold)
-    evaluation.write_report(report, cfg.report)
+    evaluation.write_report(report, report_path)
     print(f"micro_f1 {report.micro_f1:.4f}")
     return 0
 
@@ -308,23 +262,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
+def _add_setting_flags(parser: argparse.ArgumentParser, parsers: dict) -> None:
+    for key, parse in parsers.items():
+        metavar = "PATH" if key in _PATH_KEYS else None
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=parse, metavar=metavar)
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-c", "--config", metavar="FILE", help="key = value settings file")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--order", type=int)
-    parser.add_argument("--embed-dim", dest="embed_dim", type=int)
-    parser.add_argument("--hidden-dims", dest="hidden_dims", type=_parse_hidden_dims, metavar="N,N,...")
-    parser.add_argument("--max-vocab", dest="max_vocab", type=int)
-    parser.add_argument("--window-cap", dest="window_cap", type=int)
-    parser.add_argument("--optimizer", choices=("adam", "sgd"))
-    parser.add_argument("--learning-rate", dest="learning_rate", type=float)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--workers", type=int)
-    for key in _PATH_KEYS:
-        parser.add_argument(f"--{key}", metavar="PATH")
+    _add_setting_flags(parser, _VALUE_PARSERS)
 
 
 def _build_parser() -> _Parser:
@@ -333,9 +279,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("encode", help="print the vocab-space code of a token string")
     p.add_argument("--tokens", required=True, help="whitespace-separated tokens (may be empty)")
-    p.add_argument("--alpha", type=float, default=0.7)
     p.add_argument("--direction", choices=("left", "right"), default="left")
-    p.add_argument("--order", type=int, default=1)
+    _add_setting_flags(p, _FOFE_SETTINGS)
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("train", help="train the language model on an unlabelled corpus")
@@ -357,9 +302,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen-synthetic", help="generate a seeded pseudoword benchmark")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-n", dest="train_n", type=int, default=200)
-    p.add_argument("--test-n", dest="test_n", type=int, default=100)
+    synthetic_defaults = synthetic.SyntheticConfig()
+    p.add_argument("--seed", type=int, default=synthetic_defaults.seed)
+    p.add_argument("--train-n", dest="train_n", type=int, default=synthetic_defaults.n_train)
+    p.add_argument("--test-n", dest="test_n", type=int, default=synthetic_defaults.n_test)
     p.set_defaults(func=_cmd_gen_synthetic)
 
     return parser

@@ -18,7 +18,6 @@ u64 checksum (byte sum of everything before it, mod 2**64).
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -64,6 +63,10 @@ class LmConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
     @property
     def input_dim(self) -> int:
@@ -110,52 +113,22 @@ def context_embedding(model: LmModel, tokens: Sequence[str], target_index: int) 
     return nn.forward(model.params, x).held_out
 
 
-def _shard_bounds(n: int, shards: int) -> list[tuple[int, int]]:
-    step = (n + shards - 1) // shards
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
 def _train_step(
-    model: LmModel,
-    batch: list[tuple[Sequence[int], int]],
-    state: nn.OptimizerState,
-    pool: ThreadPoolExecutor | None,
-    workers: int,
+    model: LmModel, batch: list[tuple[Sequence[int], int]], state: nn.OptimizerState
 ) -> float:
     params = model.params
     cfg = model.config.fofe
     n = len(batch)
     x = np.empty((n, model.config.input_dim))
-
-    def encode_rows(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            ids, t = batch[i]
-            x[i] = fofe.context_code(ids, t, cfg, params.embedding)
-
-    if pool is None:
-        encode_rows(0, n)
-    else:
-        bounds = _shard_bounds(n, workers)
-        list(pool.map(lambda b: encode_rows(*b), bounds))
+    for i, (ids, t) in enumerate(batch):
+        x[i] = fofe.context_code(ids, t, cfg, params.embedding)
 
     targets = np.fromiter((ids[t] for ids, t in batch), dtype=np.intp, count=n)
     trace = nn.forward(params, x)
     loss = nn.loss_softmax_xent(trace.logits, targets)
     grads = nn.backward(params, trace, targets)
-
-    def scatter_rows(lo: int, hi: int, out: np.ndarray) -> None:
-        for i in range(lo, hi):
-            ids, t = batch[i]
-            fofe.context_backward(ids, t, cfg, grads.input[i], out)
-
-    if pool is None:
-        scatter_rows(0, n, grads.embedding)
-    else:
-        bounds = _shard_bounds(n, workers)
-        buffers = [np.zeros_like(grads.embedding) for _ in bounds]
-        list(pool.map(lambda ib: scatter_rows(ib[1][0], ib[1][1], buffers[ib[0]]), enumerate(bounds)))
-        for buf in buffers:  # fixed shard order keeps the sum deterministic
-            grads.embedding += buf
+    for i, (ids, t) in enumerate(batch):
+        fofe.context_backward(ids, t, cfg, grads.input[i], grads.embedding)
 
     nn.apply_update(params, grads, state)
     return loss
@@ -167,19 +140,13 @@ def train_lm(
     *,
     model: LmModel | None = None,
     progress: Callable[[int, float], None] | None = None,
-    workers: int = 1,
 ) -> LmModel:
     """Train on unlabelled sentences (one per line), deterministically per seed.
 
     Pass an existing ``model`` to continue training it (its vocabulary and
     architecture are kept; optimizer moments restart). ``progress`` receives
-    (epoch number, mean training loss) once per epoch. With ``workers`` > 1,
-    example encoding and gradient scatter shard across threads; results stay
-    deterministic for a fixed worker count, and bit-identical to the serial
-    path at 1.
+    (epoch number, mean training loss) once per epoch.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     lines = corpus if isinstance(corpus, list) else list(corpus)
     init_seed, shuffle_seed = np.random.SeedSequence(config.seed).spawn(2)
     if model is None:
@@ -209,25 +176,20 @@ def train_lm(
 
     state = nn.OptimizerState(rule=config.optimizer, learning_rate=config.learning_rate)
     shuffle_rng = np.random.default_rng(shuffle_seed)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for epoch in range(1, config.epochs + 1):
-            order = shuffle_rng.permutation(len(examples))
-            epoch_loss = 0.0
-            for start in range(0, len(examples), config.batch_size):
-                batch = [examples[i] for i in order[start : start + config.batch_size]]
-                loss = _train_step(model, batch, state, pool, workers)
-                if not np.isfinite(loss):
-                    raise NumericalError(
-                        f"non-finite training loss ({loss}) at epoch {epoch}, "
-                        f"batch starting at example {start}; try a smaller learning rate"
-                    )
-                epoch_loss += loss * len(batch)
-            if progress is not None:
-                progress(epoch, epoch_loss / len(examples))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for epoch in range(1, config.epochs + 1):
+        order = shuffle_rng.permutation(len(examples))
+        epoch_loss = 0.0
+        for start in range(0, len(examples), config.batch_size):
+            batch = [examples[i] for i in order[start : start + config.batch_size]]
+            loss = _train_step(model, batch, state)
+            if not np.isfinite(loss):
+                raise NumericalError(
+                    f"non-finite training loss ({loss}) at epoch {epoch}, "
+                    f"batch starting at example {start}; try a smaller learning rate"
+                )
+            epoch_loss += loss * len(batch)
+        if progress is not None:
+            progress(epoch, epoch_loss / len(examples))
     return model
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -71,38 +70,17 @@ class SenseEmbeddings:
     means: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
 
 
-def build_classifier_store(
-    model: LmModel, instances: Sequence[LabeledInstance], workers: int = 1
-) -> ClassifierStore:
+def build_classifier_store(model: LmModel, instances: Sequence[LabeledInstance]) -> ClassifierStore:
     """Embed every labeled instance and group the pairs by lemma.
 
     A multi-gold instance contributes one pair per gold sense key (keys in
     sorted order), all sharing the same embedding. Pair order follows
-    instance order regardless of worker count.
+    instance order.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     dim = model.config.hidden_dims[-1] if model.config.hidden_dims else model.config.input_dim
     store = ClassifierStore(dim=dim)
-    if not instances:
-        return store
-
-    embeddings: list[np.ndarray | None] = [None] * len(instances)
-
-    def embed_range(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            inst = instances[i]
-            embeddings[i] = context_embedding(model, inst.tokens, inst.target_index)
-
-    if workers == 1:
-        embed_range(0, len(instances))
-    else:
-        step = (len(instances) + workers - 1) // workers
-        bounds = [(lo, min(lo + step, len(instances))) for lo in range(0, len(instances), step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: embed_range(*b), bounds))
-
-    for inst, emb in zip(instances, embeddings):
+    for inst in instances:
+        emb = context_embedding(model, inst.tokens, inst.target_index)
         for sense in sorted(inst.sense_keys):
             store.add(inst.lemma, sense, emb)
     return store
@@ -220,6 +198,8 @@ def read_predictions(path: str | Path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read predictions {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"predictions {path} is not valid UTF-8: {exc}") from exc
     predictions: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):

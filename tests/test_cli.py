@@ -1,10 +1,16 @@
+import argparse
+import dataclasses
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from fofe_wsd import lm, wsd
+import fofe_wsd
+from fofe_wsd import cli, lm, wsd
 from fofe_wsd.cli import main
+from fofe_wsd.fofe import FofeConfig
 
 
 def _write(path, text):
@@ -86,6 +92,9 @@ class TestConfigHandling:
     def test_malformed_line(self, tmp_path, capsys):
         config = _write(tmp_path / "c.conf", "alpha 0.7\n")
         assert main(["train", "-c", str(config)]) == 1
+        config.write_bytes(b"alpha = 0.7\xff\n")
+        assert main(["train", "-c", str(config)]) == 1
+        assert "not valid UTF-8" in capsys.readouterr().err
 
     def test_missing_paths_reported_before_compute(self, capsys):
         assert main(["train", "--epochs", "1"]) == 1
@@ -102,6 +111,58 @@ class TestConfigHandling:
         config = _write(tmp_path / "c.conf", "# comment\n\nalpha = 0.7\n")
         assert main(["train", "-c", str(config)]) == 1  # still missing paths
         assert "missing required path" in capsys.readouterr().err
+
+    def test_keys_and_flags_are_the_dataclass_fields(self, tmp_path, capsys):
+        schema = (FofeConfig, lm.LmConfig, wsd.ClassifierConfig)
+        fields = {f.name for cls in schema for f in dataclasses.fields(cls)} - {"fofe"}
+        expected = fields | set(cli._PATH_KEYS)
+        assert len(expected) == 12 + 8
+        defaults = {**vars(lm.LmConfig().fofe), **vars(lm.LmConfig()), **vars(wsd.ClassifierConfig())}
+        settings = {key: defaults.get(key, f"/data/{key}") for key in expected}
+        config = _write(
+            tmp_path / "all.conf",
+            "".join(
+                f"{key} = {','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+                for key, v in settings.items()
+            ),
+        )
+        assert cli._read_config_file(str(config)) == settings
+
+        subparsers = next(
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        train_flags = {
+            a.dest: a.option_strings
+            for a in subparsers.choices["train"]._actions
+            if a.dest not in ("help", "config", "resume")
+        }
+        assert train_flags == {key: ["--" + key.replace("_", "-")] for key in expected}
+
+        _write(tmp_path / "workers.conf", "workers = 1\n")
+        assert main(["train", "-c", str(tmp_path / "workers.conf")]) == 1
+        assert "unknown config key 'workers'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cls, key, value, text",
+        [
+            (lm.LmConfig, "optimizer", "foo", "foo"),
+            (lm.LmConfig, "learning_rate", 0.0, "0"),
+            (lm.LmConfig, "batch_size", 0, "0"),
+            (wsd.ClassifierConfig, "k", 0, "0"),
+            (FofeConfig, "alpha", 1.5, "1.5"),
+            (FofeConfig, "order", 0, "0"),
+            (lm.LmConfig, "window_cap", -1, "-1"),
+            (lm.LmConfig, "hidden_dims", (0,), "0"),
+        ],
+    )
+    def test_invalid_setting_rejected(self, workspace, capsys, cls, key, value, text):
+        required = {"alpha": 0.7} if cls is FofeConfig else {}
+        with pytest.raises(ValueError):
+            cls(**{**required, key: value})
+        tmp_path, config = workspace
+        assert main(["train", "-c", str(config), "--" + key.replace("_", "-"), text]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "model.fofe").exists()
 
 
 class TestTrainCommand:
@@ -235,6 +296,9 @@ class TestBuildPredictEval:
         tmp_path, config = workspace
         assert main(["eval", "-c", str(config)]) == 2
         assert "cannot read predictions" in capsys.readouterr().err
+        (tmp_path / "pred.tsv").write_bytes(b"q1\tblick%1\xff\n")
+        assert main(["eval", "-c", str(config)]) == 2
+        assert "not valid UTF-8" in capsys.readouterr().err
 
     def test_eval_perfect_score(self, workspace, capsys):
         tmp_path, config = workspace
@@ -289,10 +353,15 @@ class TestEntryPoints:
         assert main(["--help"]) == 0
 
     def test_module_invocation(self):
+        # run the package under test, wherever it was imported from
+        src = str(Path(fofe_wsd.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run(
             [sys.executable, "-m", "fofe_wsd", "encode", "--tokens", "a b c", "--alpha", "0.7"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.49 0.7 1"

@@ -64,17 +64,6 @@ class TestBuildClassifierStore:
         assert [sense for sense, _ in pairs] == ["w%1", "w%2"]  # sorted key order
         assert pairs[0][1] is pairs[1][1]
 
-    def test_workers_do_not_change_output(self, tiny_model):
-        words = tiny_model.vocab.tokens[1:8]
-        instances = [
-            _instance(f"i{j}", words, j % len(words), "w", {"w%1"}) for j in range(7)
-        ]
-        serial = build_classifier_store(tiny_model, instances)
-        threaded = build_classifier_store(tiny_model, instances, workers=3)
-        for (s1, e1), (s2, e2) in zip(serial.pairs["w"], threaded.pairs["w"]):
-            assert s1 == s2
-            assert_array_equal(e1, e2)
-
 
 class TestPredictKnn:
     def test_majority_of_three_nearest(self):
@@ -308,11 +297,14 @@ class TestStorePersistence:
         store = _store(2, [("w", "A", (0.5, 0.5))])
         path = tmp_path / "s.fwsd"
         save_store(store, path)
-        raw = bytearray(path.read_bytes())
-        raw[-3] ^= 0x01
-        path.write_bytes(raw)
-        with pytest.raises(DataError, match="checksum|corrupt"):
-            load_store(path)
+        good = path.read_bytes()
+        # an embedding byte, and the lemma name's only byte (made invalid UTF-8)
+        for at, flip in ((-3, 0x01), (good.index(b"\x01\x00\x00\x00w") + 4, 0xFF)):
+            raw = bytearray(good)
+            raw[at] ^= flip
+            path.write_bytes(raw)
+            with pytest.raises(DataError, match="checksum|corrupt"):
+                load_store(path)
 
 
 class TestPredictionsFile:
