@@ -12,6 +12,16 @@ instead of one-hot vectors yields the dense code actually fed to the
 network; the two agree through the embedding matrix because the code is
 linear in the e_t.
 
+The network's codes are computed a batch at a time. ``context_ids`` lays
+the n contexts of a batch out as one (2n, W) id matrix: the left contexts,
+then the right contexts reversed, each row left-padded with -1 so that the
+token next to the target is in the last column. ``encode_contexts`` steps
+the recursion down the columns for all rows at once and ``contexts_backward``
+runs its adjoint the same way, then adds every token's gradient in one
+``np.add.at``, in the order a per-token loop would (example by example,
+left side before right, nearest token first). Both therefore give the same
+floats, bit for bit, as the recursion run token by token.
+
 For alpha < 0.5 a code is exactly invertible: the residual mass of all
 older positions is bounded by alpha/(1-alpha) < 1, so the latest token is
 always the unique dominant component. ``decode`` exploits this as a
@@ -93,89 +103,117 @@ def encode_order(
     return np.concatenate(slabs)
 
 
-def encode_embedded(
-    ids: Sequence[int], cfg: FofeConfig, direction: str, embeddings: np.ndarray
+def context_ids(
+    sentences: np.ndarray, targets: np.ndarray, order: int, window_cap: int = 0
 ) -> np.ndarray:
-    """Run the recursion over embedding rows; returns ``order * d`` values.
+    """Padded batch layout of the contexts of ``targets`` in ``sentences``.
 
-    Equals ``encode_order(...) @ block_diag(embeddings)`` slab by slab, up to
-    float accumulation order.
+    ``sentences`` is an (n, L) id matrix, one sentence per row, right-padded
+    with -1; ``targets`` holds each row's target position. Row i of the
+    result is the left context of example i and row n + i its right context
+    reversed, both left-padded with -1, so the token next to the target sits
+    in the last column. At most ``window_cap`` tokens per side are kept (0
+    keeps them all); the width is max(order, longest side).
     """
-    _check_direction(direction)
-    vocab_size, dim = embeddings.shape
-    _check_ids(ids, vocab_size)
-    seq = list(ids) if direction == "left" else list(ids)[::-1]
-    history: list[np.ndarray] = []
-    z = np.zeros(dim)
-    for i in seq:
-        z = cfg.alpha * z + embeddings[i]
-        history.append(z)
-    slabs = []
-    for j in range(cfg.order):
-        t = len(seq) - cfg.order + 1 + j
-        slabs.append(history[t - 1] if t >= 1 else np.zeros(dim))
-    return np.concatenate(slabs)
+    targets = np.asarray(targets, dtype=np.intp)
+    n = len(sentences)
+    sides = np.concatenate([targets, np.count_nonzero(sentences >= 0, axis=1) - 1 - targets])
+    if window_cap > 0:
+        sides = np.minimum(sides, window_cap)
+    width = max(order, int(sides.max(initial=0)))
+    distance = np.arange(width, 0, -1)  # column c is this many tokens from the target
+    positions = np.concatenate([targets[:, None] - distance, targets[:, None] + distance])
+    # With ``width`` more -1 columns, every position read is padding or a
+    # token: a negative one (left of the sentence) wraps into the new columns.
+    wide = np.concatenate([sentences, np.full((n, width), -1, dtype=sentences.dtype)], axis=1)
+    ids = wide[np.arange(2 * n)[:, None] % n, positions]
+    if 0 < window_cap < width:  # order > window_cap: the first columns are beyond the cap
+        ids[:, : width - window_cap] = -1
+    return ids
 
 
-def embedded_backward(
-    ids: Sequence[int],
-    cfg: FofeConfig,
-    direction: str,
-    grad: np.ndarray,
-    embed_grad: np.ndarray,
+def encode_contexts(ids: np.ndarray, cfg: FofeConfig, embeddings: np.ndarray) -> np.ndarray:
+    """Context codes of a ``context_ids`` layout; returns (n, 2 * order * d).
+
+    Runs z = alpha * z + e over the layout column by column for all rows at
+    once; a row stays exactly 0 until its context starts, so every row gets
+    the same floats as the recursion over its own tokens. The slabs are the
+    last ``order`` columns. Row i is [left slabs, right slabs] of example i.
+    """
+    rows, width = ids.shape
+    n, dim = rows // 2, embeddings.shape[1]
+    steps = embeddings.take(ids.T, axis=0)  # (width, 2n, d): only the rows used
+    steps[ids.T < 0] = 0.0
+    z = np.zeros((rows, dim))
+    slabs = np.empty((cfg.order, rows, dim))
+    for c in range(width):
+        z = cfg.alpha * z + steps[c]
+        if c >= width - cfg.order:
+            slabs[c - (width - cfg.order)] = z
+    return slabs.reshape(cfg.order, 2, n, dim).transpose(2, 1, 0, 3).reshape(n, 2 * cfg.order * dim)
+
+
+def contexts_backward(
+    ids: np.ndarray, cfg: FofeConfig, grad: np.ndarray, embed_grad: np.ndarray
 ) -> None:
-    """Accumulate d(loss)/d(embeddings) for one ``encode_embedded`` call.
+    """Accumulate d(loss)/d(embeddings) for one ``encode_contexts`` call.
 
-    ``grad`` is the loss gradient w.r.t. the ``order * d`` output. The code is
-    linear in the embedding rows, so each row receives the slab gradients
-    scaled by that occurrence's forgetting coefficient; the accumulation runs
-    the recursion's adjoint: lam_t = alpha * lam_{t+1} + g_t, then row(w_t)
-    += lam_t.
+    ``grad`` is the loss gradient w.r.t. the (n, 2 * order * d) codes. The
+    codes are linear in the embedding rows, so the adjoint runs column by
+    column from the last: lam = alpha * lam, plus the slab gradient in the
+    last ``order`` columns; each token's row then receives its lam. One
+    ``np.add.at`` adds them example by example, the left side before the
+    right, nearest token first: the order of a per-token loop, and so the
+    same floats.
     """
-    _check_direction(direction)
-    dim = embed_grad.shape[1]
-    if grad.shape != (cfg.order * dim,):
-        raise ValueError(f"gradient has shape {grad.shape}, expected ({cfg.order * dim},)")
-    seq = list(ids) if direction == "left" else list(ids)[::-1]
-    T = len(seq)
-    slab_of_t = {T - cfg.order + 1 + j: j for j in range(cfg.order)}
-    lam = np.zeros(dim)
-    for t in range(T, 0, -1):
+    rows, width = ids.shape
+    n, dim = rows // 2, embed_grad.shape[1]
+    if grad.shape != (n, 2 * cfg.order * dim):
+        raise ValueError(f"gradient has shape {grad.shape}, expected ({n}, {2 * cfg.order * dim})")
+    if not embed_grad.flags.c_contiguous:
+        raise ValueError("the embedding gradient must be C-contiguous")
+    slabs = grad.reshape(n, 2, cfg.order, dim).transpose(2, 1, 0, 3).reshape(cfg.order, rows, dim)
+    lam = np.zeros((rows, dim))
+    lams = np.empty((width, rows, dim))  # lams[k] belongs to column width - 1 - k
+    for k in range(width):
         lam = cfg.alpha * lam
-        j = slab_of_t.get(t)
-        if j is not None:
-            lam = lam + grad[j * dim : (j + 1) * dim]
-        embed_grad[seq[t - 1]] += lam
+        if k < cfg.order:
+            lam = lam + slabs[cfg.order - 1 - k]
+        lams[k] = lam
+    pair_ids = ids[:, ::-1].reshape(2, n, width).transpose(1, 0, 2)
+    pair_lams = lams.reshape(width, 2, n, dim).transpose(2, 1, 0, 3)
+    keep = pair_ids >= 0
+    # One flat index per gradient element: np.add.at is several times faster
+    # on a 1-D target, and still adds in index order.
+    flat_ids = pair_ids[keep][:, None] * dim + np.arange(dim)
+    np.add.at(embed_grad.reshape(-1), flat_ids.ravel(), pair_lams[keep].ravel())
 
 
 def context_code(
-    ids: Sequence[int], target_index: int, cfg: FofeConfig, embeddings: np.ndarray
+    ids: Sequence[int],
+    target_index: int,
+    cfg: FofeConfig,
+    embeddings: np.ndarray,
+    window_cap: int = 0,
 ) -> np.ndarray:
     """Bidirectional context code for the word at ``target_index``.
 
     Concatenates the left code of the prefix and the right code of the
-    suffix; the target word itself is excluded. Dimension ``2 * order * d``.
+    suffix, each cut to ``window_cap`` tokens when it is positive; the
+    target word itself is excluded. Dimension ``2 * order * d``. A one-row
+    call of ``encode_contexts``.
     """
     if not 0 <= target_index < len(ids):
         raise ValueError(f"target index {target_index} out of range for {len(ids)} tokens")
-    left = encode_embedded(ids[:target_index], cfg, "left", embeddings)
-    right = encode_embedded(ids[target_index + 1 :], cfg, "right", embeddings)
-    return np.concatenate([left, right])
-
-
-def context_backward(
-    ids: Sequence[int],
-    target_index: int,
-    cfg: FofeConfig,
-    grad: np.ndarray,
-    embed_grad: np.ndarray,
-) -> None:
-    """Accumulate embedding gradients for one ``context_code`` call."""
-    half = cfg.order * embed_grad.shape[1]
-    if grad.shape != (2 * half,):
-        raise ValueError(f"gradient has shape {grad.shape}, expected ({2 * half},)")
-    embedded_backward(ids[:target_index], cfg, "left", grad[:half], embed_grad)
-    embedded_backward(ids[target_index + 1 :], cfg, "right", grad[half:], embed_grad)
+    _check_ids(ids, embeddings.shape[0])
+    # The layout of ``context_ids`` for one row, built without its batch
+    # arithmetic, which would cost more than the encoding of one context.
+    cap = window_cap if window_cap > 0 else len(ids)
+    left = list(ids[max(0, target_index - cap) : target_index])
+    right = list(ids[target_index + 1 : target_index + 1 + cap])[::-1]
+    width = max(cfg.order, len(left), len(right))
+    layout = np.array([[-1] * (width - len(left)) + left, [-1] * (width - len(right)) + right])
+    return encode_contexts(layout, cfg, embeddings)[0]
 
 
 def decode(code: np.ndarray, alpha: float, max_len: int, tol: float = 1e-9) -> list[int]:

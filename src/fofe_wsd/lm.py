@@ -17,6 +17,7 @@ u64 checksum (byte sum of everything before it, mod 2**64).
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -65,7 +66,7 @@ class LmConfig:
             raise ValueError("epochs must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
     @property
@@ -83,53 +84,51 @@ class LmModel:
     params: nn.NetworkParams
 
 
-def _clip_window(ids: Sequence[int], target_index: int, cap: int) -> tuple[Sequence[int], int]:
-    if cap <= 0:
-        return ids, target_index
-    lo = max(0, target_index - cap)
-    hi = min(len(ids), target_index + cap + 1)
-    return ids[lo:hi], target_index - lo
+def training_examples(
+    sentences: Sequence[Sequence[int]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One example per sentence position, as index arrays.
 
-
-def make_training_examples(
-    sentence: Sequence[int], config: LmConfig
-) -> list[tuple[Sequence[int], int]]:
-    """One (window, target position) example per sentence position."""
-    return [_clip_window(sentence, t, config.window_cap) for t in range(len(sentence))]
+    Returns the sentences as an id matrix right-padded with -1, and for
+    every example its sentence row and target position, sentence by
+    sentence in position order.
+    """
+    lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
+    padded = np.full((len(sentences), int(lengths.max(initial=0))), -1, dtype=np.intp)
+    padded[np.arange(padded.shape[1]) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(sentences), dtype=np.intp, count=int(lengths.sum())
+    )
+    rows = np.repeat(np.arange(len(sentences)), lengths)
+    positions = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return padded, rows, positions
 
 
 def context_embedding(model: LmModel, tokens: Sequence[str], target_index: int) -> np.ndarray:
     """Held-out-layer activation for the word at ``target_index``.
 
     Unknown words map to the unknown id; the target word itself is excluded
-    from the context. The output layer is never evaluated further than the
-    trace requires.
+    from the context. The output layer is not evaluated.
     """
-    if not 0 <= target_index < len(tokens):
-        raise ValueError(f"target index {target_index} out of range for {len(tokens)} tokens")
     ids = model.vocab.encode(tokens)
-    window, t = _clip_window(ids, target_index, model.config.window_cap)
-    x = fofe.context_code(window, t, model.config.fofe, model.params.embedding)
-    return nn.forward(model.params, x).held_out
+    x = fofe.context_code(
+        ids, target_index, model.config.fofe, model.params.embedding, model.config.window_cap
+    )
+    return nn.held_out(model.params, x)
 
 
 def _train_step(
-    model: LmModel, batch: list[tuple[Sequence[int], int]], state: nn.OptimizerState
+    model: LmModel, sentences: np.ndarray, targets: np.ndarray, state: nn.OptimizerState
 ) -> float:
+    """One update on the words at ``targets`` of the -1-padded ``sentences`` rows."""
     params = model.params
     cfg = model.config.fofe
-    n = len(batch)
-    x = np.empty((n, model.config.input_dim))
-    for i, (ids, t) in enumerate(batch):
-        x[i] = fofe.context_code(ids, t, cfg, params.embedding)
-
-    targets = np.fromiter((ids[t] for ids, t in batch), dtype=np.intp, count=n)
+    ids = fofe.context_ids(sentences, targets, cfg.order, model.config.window_cap)
+    x = fofe.encode_contexts(ids, cfg, params.embedding)
+    words = sentences[np.arange(len(targets)), targets]
     trace = nn.forward(params, x)
-    loss = nn.loss_softmax_xent(trace.logits, targets)
-    grads = nn.backward(params, trace, targets)
-    for i, (ids, t) in enumerate(batch):
-        fofe.context_backward(ids, t, cfg, grads.input[i], grads.embedding)
-
+    loss = nn.loss_softmax_xent(trace.logits, words)
+    grads = nn.backward(params, trace, words)
+    fofe.contexts_backward(ids, cfg, grads.input, grads.embedding)
     nn.apply_update(params, grads, state)
     return loss
 
@@ -167,21 +166,20 @@ def train_lm(
         )
         model = LmModel(vocab=model.vocab, config=effective, params=model.params)
 
-    sentences = [model.vocab.encode(tokenize_line(line)) for line in lines]
-    examples: list[tuple[Sequence[int], int]] = []
-    for sentence in sentences:
-        examples.extend(make_training_examples(sentence, model.config))
-    if not examples:
+    padded, rows, positions = training_examples(
+        [model.vocab.encode(tokenize_line(line)) for line in lines]
+    )
+    if not len(rows):
         raise DataError("empty corpus")
 
     state = nn.OptimizerState(rule=config.optimizer, learning_rate=config.learning_rate)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(len(examples))
+        order = shuffle_rng.permutation(len(rows))
         epoch_loss = 0.0
-        for start in range(0, len(examples), config.batch_size):
-            batch = [examples[i] for i in order[start : start + config.batch_size]]
-            loss = _train_step(model, batch, state)
+        for start in range(0, len(rows), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            loss = _train_step(model, padded[rows[batch]], positions[batch], state)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite training loss ({loss}) at epoch {epoch}, "
@@ -189,7 +187,7 @@ def train_lm(
                 )
             epoch_loss += loss * len(batch)
         if progress is not None:
-            progress(epoch, epoch_loss / len(examples))
+            progress(epoch, epoch_loss / len(rows))
     return model
 
 

@@ -88,13 +88,18 @@ def init_network(
     return NetworkParams(embedding=embedding, layers=layers)
 
 
-def forward(params: NetworkParams, x: np.ndarray) -> ForwardTrace:
-    """Affine + rectifier through the hidden layers, affine logits at the end."""
+def _network_input(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if params.layers:
         fan_in = params.layers[0][0].shape[0]
         if x.shape[-1] != fan_in:
             raise ValueError(f"input dimension {x.shape[-1]} does not match first layer ({fan_in})")
+    return x
+
+
+def forward(params: NetworkParams, x: np.ndarray) -> ForwardTrace:
+    """Affine + rectifier through the hidden layers, affine logits at the end."""
+    x = _network_input(params, x)
     activations = [x]
     preacts = []
     a = x
@@ -105,6 +110,14 @@ def forward(params: NetworkParams, x: np.ndarray) -> ForwardTrace:
         a = h if li == last else np.maximum(h, 0.0)
         activations.append(a)
     return ForwardTrace(activations=activations, preacts=preacts)
+
+
+def held_out(params: NetworkParams, x: np.ndarray) -> np.ndarray:
+    """``forward(params, x).held_out`` without evaluating the output layer."""
+    a = _network_input(params, x)
+    for w, b in params.layers[:-1]:
+        a = np.maximum(a @ w + b, 0.0)
+    return a
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

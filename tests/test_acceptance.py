@@ -16,7 +16,7 @@ from fofe_wsd import nn
 from fofe_wsd.cli import main
 from fofe_wsd.corpus import read_labeled_corpus
 from fofe_wsd.evaluation import score
-from fofe_wsd.fofe import FofeConfig, decode, encode_embedded, encode_left, encode_order
+from fofe_wsd.fofe import FofeConfig, context_code, decode, encode_left, encode_order
 from fofe_wsd.lm import LmConfig, train_lm
 from fofe_wsd.wsd import read_predictions
 
@@ -118,7 +118,11 @@ def test_criterion_04_sparse_dense_equivalence():
         emb = rng.normal(size=(v, d))
         ids = [int(i) for i in rng.integers(0, v, int(rng.integers(0, 11)))]
         direction = "left" if rng.random() < 0.5 else "right"
-        dense = encode_embedded(ids, cfg, direction, emb)
+        # the sequence as the left context of a word after it, or the right
+        # context of a word before it
+        sentence, target = (ids + [0], len(ids)) if direction == "left" else ([0] + ids, 0)
+        code = context_code(sentence, target, cfg, emb).reshape(2, order * d)
+        dense = code[0 if direction == "left" else 1]
         slabs = encode_order(ids, cfg, v, direction).reshape(order, v)
         worst = max(worst, float(np.max(np.abs(dense - (slabs @ emb).ravel()), initial=0.0)))
     elapsed = time.monotonic() - start

@@ -153,6 +153,7 @@ class TestConfigHandling:
             (FofeConfig, "order", 0, "0"),
             (lm.LmConfig, "window_cap", -1, "-1"),
             (lm.LmConfig, "hidden_dims", (0,), "0"),
+            (lm.LmConfig, "learning_rate", float("nan"), "nan"),
         ],
     )
     def test_invalid_setting_rejected(self, workspace, capsys, cls, key, value, text):

@@ -1,20 +1,130 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from fofe_wsd import nn
+from fofe_wsd.corpus import build_vocabulary, tokenize_line
 from fofe_wsd.fofe import (
     FofeConfig,
-    context_backward,
     context_code,
+    context_ids,
+    contexts_backward,
     decode,
-    embedded_backward,
-    encode_embedded,
+    encode_contexts,
     encode_left,
     encode_order,
     encode_right,
 )
+from fofe_wsd.lm import LmConfig, train_lm
 
 A, B, C = 0, 1, 2
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the recursion and its adjoint run token by token, one
+# example at a time. The batched encoder must give the same floats.
+# ---------------------------------------------------------------------------
+
+
+def oracle_encode_embedded(ids, cfg, direction, embeddings):
+    seq = list(ids) if direction == "left" else list(ids)[::-1]
+    dim = embeddings.shape[1]
+    history = []
+    z = np.zeros(dim)
+    for i in seq:
+        z = cfg.alpha * z + embeddings[i]
+        history.append(z)
+    slabs = []
+    for j in range(cfg.order):
+        t = len(seq) - cfg.order + 1 + j
+        slabs.append(history[t - 1] if t >= 1 else np.zeros(dim))
+    return np.concatenate(slabs)
+
+
+def oracle_embedded_backward(ids, cfg, direction, grad, embed_grad):
+    dim = embed_grad.shape[1]
+    seq = list(ids) if direction == "left" else list(ids)[::-1]
+    T = len(seq)
+    slab_of_t = {T - cfg.order + 1 + j: j for j in range(cfg.order)}
+    lam = np.zeros(dim)
+    for t in range(T, 0, -1):
+        lam = cfg.alpha * lam
+        j = slab_of_t.get(t)
+        if j is not None:
+            lam = lam + grad[j * dim : (j + 1) * dim]
+        embed_grad[seq[t - 1]] += lam
+
+
+def oracle_clip(ids, target_index, cap):
+    if cap <= 0:
+        return ids, target_index
+    lo = max(0, target_index - cap)
+    return ids[lo : target_index + cap + 1], target_index - lo
+
+
+def oracle_context_code(ids, target_index, cfg, embeddings):
+    left = oracle_encode_embedded(ids[:target_index], cfg, "left", embeddings)
+    right = oracle_encode_embedded(ids[target_index + 1 :], cfg, "right", embeddings)
+    return np.concatenate([left, right])
+
+
+def oracle_context_backward(ids, target_index, cfg, grad, embed_grad):
+    half = len(grad) // 2
+    oracle_embedded_backward(ids[:target_index], cfg, "left", grad[:half], embed_grad)
+    oracle_embedded_backward(ids[target_index + 1 :], cfg, "right", grad[half:], embed_grad)
+
+
+def oracle_train(lines, config):
+    """The training loop of ``train_lm`` with the oracle encoder."""
+    init_seed, shuffle_seed = np.random.SeedSequence(config.seed).spawn(2)
+    vocab = build_vocabulary(lines, config.max_vocab)
+    params = nn.init_network(
+        config.layer_dims(len(vocab)), init_seed, embed_shape=(len(vocab), config.embed_dim)
+    )
+    examples = []
+    for line in lines:
+        ids = vocab.encode(tokenize_line(line))
+        examples.extend(oracle_clip(ids, t, config.window_cap) for t in range(len(ids)))
+    state = nn.OptimizerState(rule=config.optimizer, learning_rate=config.learning_rate)
+    shuffle_rng = np.random.default_rng(shuffle_seed)
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(len(examples))
+        for start in range(0, len(examples), config.batch_size):
+            batch = [examples[i] for i in order[start : start + config.batch_size]]
+            x = np.stack(
+                [oracle_context_code(ids, t, config.fofe, params.embedding) for ids, t in batch]
+            )
+            targets = np.array([ids[t] for ids, t in batch], dtype=np.intp)
+            grads = nn.backward(params, nn.forward(params, x), targets)
+            for i, (ids, t) in enumerate(batch):
+                oracle_context_backward(ids, t, config.fofe, grads.input[i], grads.embedding)
+            nn.apply_update(params, grads, state)
+    return params
+
+
+def padded(sentences: Sequence[Sequence[int]]) -> np.ndarray:
+    out = np.full((len(sentences), max(map(len, sentences), default=0)), -1, dtype=np.intp)
+    for row, sentence in zip(out, sentences):
+        row[: len(sentence)] = sentence
+    return out
+
+
+def one_side(ids, cfg, direction, embeddings):
+    """The batched code of ``ids`` as the left or right context of a target."""
+    half = cfg.order * embeddings.shape[1]
+    if direction == "left":
+        return context_code(list(ids) + [0], len(ids), cfg, embeddings)[:half]
+    return context_code([0] + list(ids), 0, cfg, embeddings)[half:]
+
+
+def random_batch(rng, vocab_size, max_len=9):
+    """Sentences with targets: lone targets, empty sides and long sides all occur."""
+    lengths = rng.integers(1, max_len + 1, int(rng.integers(1, 8)))
+    sentences = [list(rng.integers(0, vocab_size, length)) for length in lengths]
+    targets = np.array([int(rng.integers(0, length)) for length in lengths])
+    return sentences, targets
 
 
 class TestEncodeLeft:
@@ -106,14 +216,14 @@ class TestEncodeEmbedded:
         eye = np.eye(3)
         for direction in ("left", "right"):
             assert_array_equal(
-                encode_embedded([A, B, C], cfg, direction, eye),
+                one_side([A, B, C], cfg, direction, eye),
                 encode_order([A, B, C], cfg, 3, direction),
             )
 
     def test_empty_sequence(self):
         cfg = FofeConfig(alpha=0.7, order=3)
-        out = encode_embedded([], cfg, "left", np.ones((4, 5)))
-        assert_array_equal(out, np.zeros(15))
+        for direction in ("left", "right"):
+            assert_array_equal(one_side([], cfg, direction, np.ones((4, 5))), np.zeros(15))
 
     def test_agrees_with_sparse_route(self):
         rng = np.random.default_rng(2)
@@ -125,9 +235,29 @@ class TestEncodeEmbedded:
             emb = rng.normal(size=(v, d))
             ids = list(rng.integers(0, v, rng.integers(0, 11)))
             direction = "left" if rng.random() < 0.5 else "right"
-            dense = encode_embedded(ids, cfg, direction, emb)
+            dense = one_side(ids, cfg, direction, emb)
             slabs = encode_order(ids, cfg, v, direction).reshape(order, v)
             assert np.max(np.abs(dense - (slabs @ emb).ravel())) <= 1e-10
+
+
+class TestContextIds:
+    def test_layout(self):
+        sentences = padded([[10, 11, 12, 13, 14], [20, 21]])
+        ids = context_ids(sentences, [1, 0], order=2)
+        assert ids.tolist() == [
+            [-1, -1, 10],  # left of 11
+            [-1, -1, -1],  # left of 20: empty
+            [14, 13, 12],  # right of 11, reversed: the longest side sets the width
+            [-1, -1, 21],  # right of 20, reversed
+        ]
+
+    def test_width_is_at_least_order(self):
+        assert context_ids(padded([[5]]), [0], order=3).tolist() == [[-1] * 3] * 2
+
+    def test_window_cap(self):
+        sentences = padded([[10, 11, 12, 13, 14, 15, 16]])
+        assert context_ids(sentences, [4], order=1, window_cap=2).tolist() == [[12, 13], [16, 15]]
+        assert context_ids(sentences, [0], order=1, window_cap=2).tolist() == [[-1, -1], [12, 11]]
 
 
 class TestDecode:
@@ -202,15 +332,16 @@ class TestEmbeddedBackward:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        for direction in ("left", "right"):
-            cfg = FofeConfig(alpha=0.6, order=2)
-            emb = rng.normal(size=(6, 3))
-            ids = [int(i) for i in rng.integers(0, 6, 7)]
-            probe = rng.normal(size=cfg.order * 3)
+        cfg = FofeConfig(alpha=0.6, order=2)
+        emb = rng.normal(size=(6, 3))
+        ids = [int(i) for i in rng.integers(0, 6, 7)]
+        for target in (0, 6):  # one side holds all seven tokens, the other none
+            layout = context_ids(padded([ids]), [target], cfg.order)
+            probe = rng.normal(size=(1, 2 * cfg.order * 3))
             analytic = np.zeros_like(emb)
-            embedded_backward(ids, cfg, direction, probe, analytic)
+            contexts_backward(layout, cfg, probe, analytic)
             numeric = self._numeric_grad(
-                lambda e: float(encode_embedded(ids, cfg, direction, e) @ probe), emb
+                lambda e: float(np.sum(encode_contexts(layout, cfg, e) * probe)), emb
             )
             assert_allclose(analytic, numeric, atol=1e-8)
 
@@ -218,15 +349,102 @@ class TestEmbeddedBackward:
         rng = np.random.default_rng(6)
         cfg = FofeConfig(alpha=0.7, order=3)
         emb = rng.normal(size=(5, 2))
-        ids = [int(i) for i in rng.integers(0, 5, 6)]
-        target = 3
-        probe = rng.normal(size=2 * cfg.order * 2)
-        analytic = np.zeros_like(emb)
-        context_backward(ids, target, cfg, probe, analytic)
-        numeric = self._numeric_grad(
-            lambda e: float(context_code(ids, target, cfg, e) @ probe), emb
+        sentences, targets = random_batch(rng, 5)
+        for cap in (0, 2):
+            layout = context_ids(padded(sentences), targets, cfg.order, cap)
+            probe = rng.normal(size=(len(targets), 2 * cfg.order * 2))
+            analytic = np.zeros_like(emb)
+            contexts_backward(layout, cfg, probe, analytic)
+            numeric = self._numeric_grad(
+                lambda e: float(np.sum(encode_contexts(layout, cfg, e) * probe)), emb
+            )
+            assert_allclose(analytic, numeric, atol=1e-8)
+
+    def test_gradient_shape_checked(self):
+        cfg = FofeConfig(alpha=0.7, order=2)
+        layout = context_ids(padded([[1, 2, 3]]), [1], cfg.order)
+        with pytest.raises(ValueError, match="gradient has shape"):
+            contexts_backward(layout, cfg, np.zeros((1, 7)), np.zeros((4, 2)))
+
+    def test_embedding_gradient_must_be_contiguous(self):
+        # the gradient is added through a flat view, which a strided array has not
+        cfg = FofeConfig(alpha=0.7, order=1)
+        layout = context_ids(padded([[1, 2, 3]]), [1], cfg.order)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            contexts_backward(layout, cfg, np.ones((1, 4)), np.zeros((2, 4)).T)
+
+
+class TestBatchedEqualsOracle:
+    """Codes and gradients are bit-equal to the token-by-token oracle."""
+
+    CASES = [(order, cap) for order in (1, 2, 3, 5) for cap in (0, 1, 2, 4)]
+
+    @pytest.mark.parametrize("order, cap", CASES)
+    def test_codes(self, order, cap):
+        rng = np.random.default_rng(100 * order + cap)
+        for _ in range(20):
+            cfg = FofeConfig(alpha=float(rng.uniform(0.05, 0.95)), order=order)
+            emb = rng.normal(size=(7, 3))
+            sentences, targets = random_batch(rng, 7)
+            codes = encode_contexts(context_ids(padded(sentences), targets, order, cap), cfg, emb)
+            assert codes.shape == (len(targets), 2 * order * 3)
+            for s, t, row in zip(sentences, targets, codes):
+                assert np.array_equal(row, oracle_context_code(*oracle_clip(s, t, cap), cfg, emb))
+                assert np.array_equal(context_code(s, t, cfg, emb, cap), row)
+
+    @pytest.mark.parametrize("order, cap", CASES)
+    def test_gradients(self, order, cap):
+        rng = np.random.default_rng(100 * order + cap + 1)
+        for _ in range(20):
+            cfg = FofeConfig(alpha=float(rng.uniform(0.05, 0.95)), order=order)
+            # few rows, so that each row gathers many additions
+            sentences, targets = random_batch(rng, 3)
+            grad = rng.normal(size=(len(targets), 2 * order * 4))
+            batched = np.zeros((3, 4))
+            layout = context_ids(padded(sentences), targets, order, cap)
+            contexts_backward(layout, cfg, grad, batched)
+            expected = np.zeros((3, 4))
+            for s, t, g in zip(sentences, targets, grad):
+                oracle_context_backward(*oracle_clip(s, t, cap), cfg, g, expected)
+            assert np.array_equal(batched, expected)
+
+    def test_lone_target(self):
+        cfg = FofeConfig(alpha=0.7, order=2)
+        emb = np.random.default_rng(7).normal(size=(4, 3))
+        layout = context_ids(padded([[3], [1, 2]]), [0, 1], cfg.order)
+        codes = encode_contexts(layout, cfg, emb)
+        assert_array_equal(codes[0], np.zeros(12))
+        assert np.array_equal(codes[1], oracle_context_code([1, 2], 1, cfg, emb))
+        embed_grad = np.zeros_like(emb)
+        contexts_backward(layout[[0, 2]], cfg, np.ones((1, 12)), embed_grad)
+        assert_array_equal(embed_grad, np.zeros_like(emb))
+
+
+class TestTrainingEqualsOracle:
+    @pytest.mark.parametrize(
+        "optimizer, order, cap",
+        [("adam", 3, 0), ("sgd", 1, 2)],
+    )
+    def test_parameters_bit_equal(self, toy_lines, optimizer, order, cap):
+        config = LmConfig(
+            fofe=FofeConfig(alpha=0.7, order=order),
+            embed_dim=5,
+            hidden_dims=(8,),
+            max_vocab=60,
+            window_cap=cap,
+            optimizer=optimizer,
+            learning_rate=0.01,
+            batch_size=16,
+            epochs=2,
+            seed=4,
         )
-        assert_allclose(analytic, numeric, atol=1e-8)
+        lines = toy_lines[:30]
+        params = train_lm(lines, config).params
+        expected = oracle_train(lines, config)
+        assert np.array_equal(params.embedding, expected.embedding)
+        for (w, b), (ew, eb) in zip(params.layers, expected.layers):
+            assert np.array_equal(w, ew)
+            assert np.array_equal(b, eb)
 
 
 class TestConfig:

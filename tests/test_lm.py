@@ -6,36 +6,43 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from fofe_wsd import nn
 from fofe_wsd.errors import DataError, NumericalError
+from fofe_wsd.fofe import context_ids
 from fofe_wsd.lm import (
     LmConfig,
     LmModel,
     context_embedding,
     load_checkpoint,
-    make_training_examples,
     save_checkpoint,
     train_lm,
+    training_examples,
 )
 
 
 class TestMakeTrainingExamples:
     def test_one_example_per_position(self):
-        cfg = LmConfig()
-        examples = make_training_examples([5, 6, 7, 8, 9], cfg)
-        assert [t for _, t in examples] == [0, 1, 2, 3, 4]
-        assert all(list(window) == [5, 6, 7, 8, 9] for window, _ in examples)
+        padded, rows, positions = training_examples([[5, 6, 7, 8, 9]])
+        assert positions.tolist() == [0, 1, 2, 3, 4]
+        assert rows.tolist() == [0, 0, 0, 0, 0]
+        assert padded.tolist() == [[5, 6, 7, 8, 9]]
 
     def test_window_cap_clips_both_sides(self):
         cfg = LmConfig(window_cap=2)
-        sentence = [10, 11, 12, 13, 14, 15, 16]
-        window, target = make_training_examples(sentence, cfg)[4]
-        assert list(window) == [12, 13, 14, 15, 16]
-        assert target == 2
-        # left context = tokens 2..3, right context = tokens 5..6
-        assert list(window[:target]) == [12, 13]
-        assert list(window[target + 1 :]) == [15, 16]
+        padded, rows, positions = training_examples([[10, 11, 12, 13, 14, 15, 16]])
+        example = [4]
+        ids = context_ids(padded[rows[example]], positions[example], 1, cfg.window_cap)
+        # left context = tokens 2..3, right context = tokens 5..6 (reversed)
+        assert ids.tolist() == [[12, 13], [16, 15]]
 
     def test_empty_sentence(self):
-        assert make_training_examples([], LmConfig()) == []
+        padded, rows, positions = training_examples([[]])
+        assert padded.shape == (1, 0)
+        assert rows.tolist() == [] and positions.tolist() == []
+
+    def test_sentences_right_padded_with_minus_one(self):
+        padded, rows, positions = training_examples([[5, 6, 7], [], [8]])
+        assert padded.tolist() == [[5, 6, 7], [-1, -1, -1], [8, -1, -1]]
+        assert rows.tolist() == [0, 0, 0, 2]
+        assert positions.tolist() == [0, 1, 2, 0]
 
 
 class TestTrainLm:

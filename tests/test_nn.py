@@ -77,6 +77,23 @@ class TestForward:
         assert_array_equal(nn.forward(params, x).logits, nn.forward(params, x).logits)
 
 
+class TestHeldOut:
+    def test_equals_forward_held_out(self):
+        rng = np.random.default_rng(8)
+        for dims in ([3, 2], [3, 5, 2], [6, 4, 5, 7]):
+            params = nn.init_network(dims, 2)
+            for x in (rng.normal(size=dims[0]), rng.normal(size=(4, dims[0]))):
+                assert np.array_equal(nn.held_out(params, x), nn.forward(params, x).held_out)
+
+    def test_keeps_the_rectifier(self):
+        params = _net((np.eye(2), [0.0, 0.0]), (np.eye(2), [0.0, 0.0]))
+        assert_array_equal(nn.held_out(params, np.array([1.0, -2.0])), [1.0, 0.0])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            nn.held_out(nn.init_network([3, 4, 2], 1), np.zeros(4))
+
+
 class TestSoftmaxLoss:
     def test_uniform_logits(self):
         assert nn.loss_softmax_xent(np.zeros(4), 2) == pytest.approx(math.log(4.0), abs=1e-12)
