@@ -18,7 +18,15 @@ from .corpus import (
 from .errors import DataError, NumericalError
 from .evaluation import EvalReport, score
 from .fofe import FofeConfig, context_code, decode, encode_left, encode_order, encode_right
-from .lm import LmConfig, LmModel, context_embedding, load_checkpoint, save_checkpoint, train_lm
+from .lm import (
+    LmConfig,
+    LmModel,
+    context_embedding,
+    context_embeddings,
+    load_checkpoint,
+    save_checkpoint,
+    train_lm,
+)
 from .wsd import (
     ClassifierConfig,
     ClassifierStore,
@@ -27,6 +35,7 @@ from .wsd import (
     build_classifier_store,
     build_sense_embeddings,
     load_store,
+    predict_all,
     predict_cosine,
     predict_knn,
     predict_with_backoff,
@@ -54,12 +63,14 @@ __all__ = [
     "build_vocabulary",
     "context_code",
     "context_embedding",
+    "context_embeddings",
     "decode",
     "encode_left",
     "encode_order",
     "encode_right",
     "load_checkpoint",
     "load_store",
+    "predict_all",
     "predict_cosine",
     "predict_knn",
     "predict_with_backoff",

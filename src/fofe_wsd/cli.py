@@ -224,10 +224,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     unknown = [inst.instance_id for inst in instances if inst.lemma not in inventory]
     if unknown:
         raise DataError("lemma not in inventory for instance(s): " + ", ".join(unknown))
-    rows = [
-        (inst.instance_id, wsd.predict_with_backoff(store, inventory, model, classifier_config, inst))
-        for inst in instances
-    ]
+    senses = wsd.predict_all(store, inventory, model, classifier_config, instances)
+    rows = [(inst.instance_id, sense) for inst, sense in zip(instances, senses)]
     wsd.write_predictions(rows, predictions)
     print(f"predictions written to {predictions} ({len(rows)} instances)")
     return 0

@@ -12,15 +12,19 @@ instead of one-hot vectors yields the dense code actually fed to the
 network; the two agree through the embedding matrix because the code is
 linear in the e_t.
 
-The network's codes are computed a batch at a time. ``context_ids`` lays
-the n contexts of a batch out as one (2n, W) id matrix: the left contexts,
-then the right contexts reversed, each row left-padded with -1 so that the
-token next to the target is in the last column. ``encode_contexts`` steps
-the recursion down the columns for all rows at once and ``contexts_backward``
-runs its adjoint the same way, then adds every token's gradient in one
-``np.add.at``, in the order a per-token loop would (example by example,
-left side before right, nearest token first). Both therefore give the same
-floats, bit for bit, as the recursion run token by token.
+The network's codes are computed a batch at a time. The sentences are one
+flat id array, and an example is a (sentence start, sentence length,
+target position) triple, so memory is linear in the tokens. ``context_ids``
+lays the n contexts of a batch out as one (2n, W) id matrix: the left
+contexts, then the right contexts reversed, each row left-padded with -1 so
+that the token next to the target is in the last column. ``encode_contexts``
+steps the recursion down the columns, each step on the rows that hold a
+token in that column, and ``contexts_backward`` runs its adjoint the same
+way, then adds every token's gradient with ``np.add.at``, in the order a
+per-token loop would (example by example, left side before right, nearest
+token first). Both therefore give the same floats, bit for bit, as the
+recursion run token by token. Their float buffers hold one row of d per
+token of the batch's contexts; the id matrix is 2n x W integers.
 
 For alpha < 0.5 a code is exactly invertible: the residual mass of all
 older positions is bounded by alpha/(1-alpha) < 1, so the latest token is
@@ -36,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 _DIRECTIONS = ("left", "right")
+_ADD_AT_TOKENS = 2048  # tokens per np.add.at call in ``contexts_backward``
 
 
 @dataclass(frozen=True)
@@ -104,52 +109,68 @@ def encode_order(
 
 
 def context_ids(
-    sentences: np.ndarray, targets: np.ndarray, order: int, window_cap: int = 0
+    tokens: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    positions: np.ndarray,
+    order: int,
+    window_cap: int = 0,
 ) -> np.ndarray:
-    """Padded batch layout of the contexts of ``targets`` in ``sentences``.
+    """Padded batch layout of the contexts of n examples.
 
-    ``sentences`` is an (n, L) id matrix, one sentence per row, right-padded
-    with -1; ``targets`` holds each row's target position. Row i of the
-    result is the left context of example i and row n + i its right context
-    reversed, both left-padded with -1, so the token next to the target sits
-    in the last column. At most ``window_cap`` tokens per side are kept (0
-    keeps them all); the width is max(order, longest side).
+    ``tokens`` holds all sentences back to back; example i is the word at
+    ``positions[i]`` of the sentence that starts at ``starts[i]`` and has
+    ``lengths[i]`` tokens. Row i of the result is the left context of
+    example i and row n + i its right context reversed, both left-padded
+    with -1, so the token next to the target sits in the last column. At
+    most ``window_cap`` tokens per side are kept (0 keeps them all); the
+    width is max(order, longest side).
     """
-    targets = np.asarray(targets, dtype=np.intp)
-    n = len(sentences)
-    sides = np.concatenate([targets, np.count_nonzero(sentences >= 0, axis=1) - 1 - targets])
+    tokens, starts, lengths, positions = (
+        np.asarray(a, dtype=np.intp) for a in (tokens, starts, lengths, positions)
+    )
+    sides = np.concatenate([positions, lengths - 1 - positions])
     if window_cap > 0:
         sides = np.minimum(sides, window_cap)
     width = max(order, int(sides.max(initial=0)))
     distance = np.arange(width, 0, -1)  # column c is this many tokens from the target
-    positions = np.concatenate([targets[:, None] - distance, targets[:, None] + distance])
-    # With ``width`` more -1 columns, every position read is padding or a
-    # token: a negative one (left of the sentence) wraps into the new columns.
-    wide = np.concatenate([sentences, np.full((n, width), -1, dtype=sentences.dtype)], axis=1)
-    ids = wide[np.arange(2 * n)[:, None] % n, positions]
-    if 0 < window_cap < width:  # order > window_cap: the first columns are beyond the cap
-        ids[:, : width - window_cap] = -1
-    return ids
+    targets = starts + positions
+    at = np.concatenate([targets[:, None] - distance, targets[:, None] + distance])
+    return np.where(distance <= sides[:, None], tokens.take(at, mode="clip"), -1)
+
+
+def _columns(ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The rows of a layout longest side first, and each column's token count.
+
+    Left-padding puts a row's tokens in its last columns, so in this row
+    order the tokens of every column are a prefix of the rows.
+    """
+    by_side = np.argsort(np.count_nonzero(ids < 0, axis=1), kind="stable")
+    return by_side, np.count_nonzero(ids >= 0, axis=0).tolist()
 
 
 def encode_contexts(ids: np.ndarray, cfg: FofeConfig, embeddings: np.ndarray) -> np.ndarray:
     """Context codes of a ``context_ids`` layout; returns (n, 2 * order * d).
 
-    Runs z = alpha * z + e over the layout column by column for all rows at
-    once; a row stays exactly 0 until its context starts, so every row gets
-    the same floats as the recursion over its own tokens. The slabs are the
+    Runs z = alpha * z + e over the layout column by column, on the rows
+    that hold a token in that column; a row stays exactly 0 until its
+    context starts, so every row gets the same floats as the recursion over
+    its own tokens, and the work is one step per token. The slabs are the
     last ``order`` columns. Row i is [left slabs, right slabs] of example i.
     """
     rows, width = ids.shape
     n, dim = rows // 2, embeddings.shape[1]
-    steps = embeddings.take(ids.T, axis=0)  # (width, 2n, d): only the rows used
-    steps[ids.T < 0] = 0.0
+    by_side, active = _columns(ids)
+    column_major = ids[by_side].T
+    steps = embeddings.take(column_major[column_major >= 0], axis=0)  # one row per token
     z = np.zeros((rows, dim))
     slabs = np.empty((cfg.order, rows, dim))
-    for c in range(width):
-        z = cfg.alpha * z + steps[c]
+    end = 0
+    for c, k in enumerate(active):
+        z[:k] = cfg.alpha * z[:k] + steps[end : end + k]
+        end += k
         if c >= width - cfg.order:
-            slabs[c - (width - cfg.order)] = z
+            slabs[c - (width - cfg.order), by_side] = z
     return slabs.reshape(cfg.order, 2, n, dim).transpose(2, 1, 0, 3).reshape(n, 2 * cfg.order * dim)
 
 
@@ -160,11 +181,11 @@ def contexts_backward(
 
     ``grad`` is the loss gradient w.r.t. the (n, 2 * order * d) codes. The
     codes are linear in the embedding rows, so the adjoint runs column by
-    column from the last: lam = alpha * lam, plus the slab gradient in the
-    last ``order`` columns; each token's row then receives its lam. One
-    ``np.add.at`` adds them example by example, the left side before the
-    right, nearest token first: the order of a per-token loop, and so the
-    same floats.
+    column from the last, on the rows that hold a token in that column:
+    lam = alpha * lam, plus the slab gradient in the last ``order`` columns;
+    each token's row then receives its lam. ``np.add.at`` adds them example
+    by example, the left side before the right, nearest token first: the
+    order of a per-token loop, and so the same floats.
     """
     rows, width = ids.shape
     n, dim = rows // 2, embed_grad.shape[1]
@@ -172,21 +193,31 @@ def contexts_backward(
         raise ValueError(f"gradient has shape {grad.shape}, expected ({n}, {2 * cfg.order * dim})")
     if not embed_grad.flags.c_contiguous:
         raise ValueError("the embedding gradient must be C-contiguous")
+    by_side, active = _columns(ids)
     slabs = grad.reshape(n, 2, cfg.order, dim).transpose(2, 1, 0, 3).reshape(cfg.order, rows, dim)
+    slabs = slabs[:, by_side]
+    starts = np.cumsum(active) - active  # where column c's tokens start in ``lams``
+    lams = np.empty((sum(active), dim))  # one row per token, laid out as ``steps`` is
     lam = np.zeros((rows, dim))
-    lams = np.empty((width, rows, dim))  # lams[k] belongs to column width - 1 - k
-    for k in range(width):
-        lam = cfg.alpha * lam
-        if k < cfg.order:
-            lam = lam + slabs[cfg.order - 1 - k]
-        lams[k] = lam
-    pair_ids = ids[:, ::-1].reshape(2, n, width).transpose(1, 0, 2)
-    pair_lams = lams.reshape(width, 2, n, dim).transpose(2, 1, 0, 3)
+    for c in range(width - 1, -1, -1):
+        k, j = active[c], c - (width - cfg.order)
+        lam[:k] = cfg.alpha * lam[:k] + slabs[j, :k] if j >= 0 else cfg.alpha * lam[:k]
+        lams[starts[c] : starts[c] + k] = lam[:k]
+    rank = np.empty(rows, dtype=np.intp)
+    rank[by_side] = np.arange(rows)
+    pairs = np.arange(rows).reshape(2, n).T.ravel()  # example by example, left before right
+    pair_ids = ids[pairs, ::-1]
     keep = pair_ids >= 0
+    token_ids = pair_ids[keep]
+    cells = (starts[::-1] + rank[pairs, None])[keep]  # each token's row of ``lams``
     # One flat index per gradient element: np.add.at is several times faster
-    # on a 1-D target, and still adds in index order.
-    flat_ids = pair_ids[keep][:, None] * dim + np.arange(dim)
-    np.add.at(embed_grad.reshape(-1), flat_ids.ravel(), pair_lams[keep].ravel())
+    # on a 1-D target, and still adds in index order. Chunks bound the index
+    # arrays; taken in turn, they keep that order.
+    flat_grad = embed_grad.reshape(-1)
+    for first in range(0, len(cells), _ADD_AT_TOKENS):
+        chunk = slice(first, first + _ADD_AT_TOKENS)
+        flat_ids = token_ids[chunk, None] * dim + np.arange(dim)
+        np.add.at(flat_grad, flat_ids.ravel(), lams[cells[chunk]].ravel())
 
 
 def context_code(
@@ -206,13 +237,9 @@ def context_code(
     if not 0 <= target_index < len(ids):
         raise ValueError(f"target index {target_index} out of range for {len(ids)} tokens")
     _check_ids(ids, embeddings.shape[0])
-    # The layout of ``context_ids`` for one row, built without its batch
-    # arithmetic, which would cost more than the encoding of one context.
-    cap = window_cap if window_cap > 0 else len(ids)
-    left = list(ids[max(0, target_index - cap) : target_index])
-    right = list(ids[target_index + 1 : target_index + 1 + cap])[::-1]
-    width = max(cfg.order, len(left), len(right))
-    layout = np.array([[-1] * (width - len(left)) + left, [-1] * (width - len(right)) + right])
+    layout = context_ids(
+        np.asarray(ids, dtype=np.intp), [0], [len(ids)], [target_index], cfg.order, window_cap
+    )
     return encode_contexts(layout, cfg, embeddings)[0]
 
 

@@ -21,7 +21,7 @@ import itertools
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .errors import DataError, NumericalError
 
 CHECKPOINT_MAGIC = b"FOFE"
 CHECKPOINT_VERSION = 1
+_EMBED_BATCH = 256  # contexts per FOFE layer call in ``context_embeddings``
 
 # Production-scale reference values: embed_dim 512, hidden (4096, 4096, 4096),
 # max_vocab 100_000. The defaults below are desk-scale so the full pipeline
@@ -84,23 +85,27 @@ class LmModel:
     params: nn.NetworkParams
 
 
-def training_examples(
-    sentences: Sequence[Sequence[int]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One example per sentence position, as index arrays.
-
-    Returns the sentences as an id matrix right-padded with -1, and for
-    every example its sentence row and target position, sentence by
-    sentence in position order.
-    """
+def _concatenate(sentences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All sentences back to back as one id array, with each one's start and length."""
     lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
-    padded = np.full((len(sentences), int(lengths.max(initial=0))), -1, dtype=np.intp)
-    padded[np.arange(padded.shape[1]) < lengths[:, None]] = np.fromiter(
+    tokens = np.fromiter(
         itertools.chain.from_iterable(sentences), dtype=np.intp, count=int(lengths.sum())
     )
-    rows = np.repeat(np.arange(len(sentences)), lengths)
-    positions = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return padded, rows, positions
+    return tokens, np.cumsum(lengths) - lengths, lengths
+
+
+def training_examples(
+    sentences: Sequence[Sequence[int]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One example per sentence position, as index arrays.
+
+    Returns all sentences back to back as one id array, and for every
+    example the start and length of its sentence and its target position,
+    sentence by sentence in position order. Memory is linear in the tokens.
+    """
+    tokens, starts, lengths = _concatenate(sentences)
+    starts, lengths = np.repeat(starts, lengths), np.repeat(lengths, lengths)
+    return tokens, starts, lengths, np.arange(len(tokens)) - starts
 
 
 def context_embedding(model: LmModel, tokens: Sequence[str], target_index: int) -> np.ndarray:
@@ -109,22 +114,48 @@ def context_embedding(model: LmModel, tokens: Sequence[str], target_index: int) 
     Unknown words map to the unknown id; the target word itself is excluded
     from the context. The output layer is not evaluated.
     """
-    ids = model.vocab.encode(tokens)
-    x = fofe.context_code(
-        ids, target_index, model.config.fofe, model.params.embedding, model.config.window_cap
-    )
-    return nn.held_out(model.params, x)
+    return next(context_embeddings(model, [(tokens, target_index)]))
+
+
+def context_embeddings(
+    model: LmModel, contexts: Sequence[tuple[Sequence[str], int]]
+) -> Iterator[np.ndarray]:
+    """``context_embedding`` of each (tokens, target index), yielded in order.
+
+    The contexts are encoded ``_EMBED_BATCH`` at a time, which bounds the
+    FOFE layer's buffers and the embeddings held at once. Each code then
+    goes through ``nn.held_out`` on its own: a batched matrix product need
+    not give the floats of a per-row one.
+    """
+    cfg = model.config
+    for first in range(0, len(contexts), _EMBED_BATCH):
+        chunk = contexts[first : first + _EMBED_BATCH]
+        sentences = [model.vocab.encode(tokens) for tokens, _ in chunk]
+        positions = [target_index for _, target_index in chunk]
+        for ids, target_index in zip(sentences, positions):
+            if not 0 <= target_index < len(ids):
+                raise ValueError(f"target index {target_index} out of range for {len(ids)} tokens")
+        tokens, starts, lengths = _concatenate(sentences)
+        layout = fofe.context_ids(tokens, starts, lengths, positions, cfg.fofe.order, cfg.window_cap)
+        codes = fofe.encode_contexts(layout, cfg.fofe, model.params.embedding)
+        for x in codes:
+            yield nn.held_out(model.params, x)
 
 
 def _train_step(
-    model: LmModel, sentences: np.ndarray, targets: np.ndarray, state: nn.OptimizerState
+    model: LmModel,
+    tokens: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    positions: np.ndarray,
+    state: nn.OptimizerState,
 ) -> float:
-    """One update on the words at ``targets`` of the -1-padded ``sentences`` rows."""
+    """One update on the examples given as in ``training_examples``."""
     params = model.params
     cfg = model.config.fofe
-    ids = fofe.context_ids(sentences, targets, cfg.order, model.config.window_cap)
+    ids = fofe.context_ids(tokens, starts, lengths, positions, cfg.order, model.config.window_cap)
     x = fofe.encode_contexts(ids, cfg, params.embedding)
-    words = sentences[np.arange(len(targets)), targets]
+    words = tokens[starts + positions]
     trace = nn.forward(params, x)
     loss = nn.loss_softmax_xent(trace.logits, words)
     grads = nn.backward(params, trace, words)
@@ -166,20 +197,22 @@ def train_lm(
         )
         model = LmModel(vocab=model.vocab, config=effective, params=model.params)
 
-    padded, rows, positions = training_examples(
+    tokens, starts, lengths, positions = training_examples(
         [model.vocab.encode(tokenize_line(line)) for line in lines]
     )
-    if not len(rows):
+    if not len(tokens):
         raise DataError("empty corpus")
 
     state = nn.OptimizerState(rule=config.optimizer, learning_rate=config.learning_rate)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(len(rows))
+        order = shuffle_rng.permutation(len(tokens))
         epoch_loss = 0.0
-        for start in range(0, len(rows), config.batch_size):
+        for start in range(0, len(tokens), config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss = _train_step(model, padded[rows[batch]], positions[batch], state)
+            loss = _train_step(
+                model, tokens, starts[batch], lengths[batch], positions[batch], state
+            )
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite training loss ({loss}) at epoch {epoch}, "
@@ -187,7 +220,7 @@ def train_lm(
                 )
             epoch_loss += loss * len(batch)
         if progress is not None:
-            progress(epoch, epoch_loss / len(rows))
+            progress(epoch, epoch_loss / len(tokens))
     return model
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from ._binio import Reader, checksum, write_str
 from .corpus import LabeledInstance, SenseInventory
 from .errors import DataError
-from .lm import LmModel, context_embedding
+from .lm import LmModel, context_embeddings
 
 STORE_MAGIC = b"FWSD"
 STORE_VERSION = 1
@@ -79,8 +79,8 @@ def build_classifier_store(model: LmModel, instances: Sequence[LabeledInstance])
     """
     dim = model.config.hidden_dims[-1] if model.config.hidden_dims else model.config.input_dim
     store = ClassifierStore(dim=dim)
-    for inst in instances:
-        emb = context_embedding(model, inst.tokens, inst.target_index)
+    embeddings = context_embeddings(model, [(inst.tokens, inst.target_index) for inst in instances])
+    for inst, emb in zip(instances, embeddings):
         for sense in sorted(inst.sense_keys):
             store.add(inst.lemma, sense, emb)
     return store
@@ -178,13 +178,32 @@ def predict_with_backoff(
     instance: LabeledInstance,
 ) -> str:
     """kNN when the lemma has training pairs, else the inventory's first sense."""
-    lemma = instance.lemma
-    if lemma in store:
-        query = context_embedding(model, instance.tokens, instance.target_index)
-        return predict_knn(store, cfg, lemma, query, inventory)
-    if lemma in inventory:
-        return inventory.first_sense(lemma)
-    raise DataError(f"unknown lemma {lemma!r} (instance {instance.instance_id})")
+    return predict_all(store, inventory, model, cfg, [instance])[0]
+
+
+def predict_all(
+    store: ClassifierStore,
+    inventory: SenseInventory,
+    model: LmModel,
+    cfg: ClassifierConfig,
+    instances: Sequence[LabeledInstance],
+) -> list[str]:
+    """``predict_with_backoff`` of each instance, in order.
+
+    The kNN queries of all instances come from one ``context_embeddings``
+    call.
+    """
+    queried = [inst for inst in instances if inst.lemma in store]
+    queries = context_embeddings(model, [(inst.tokens, inst.target_index) for inst in queried])
+    predictions = []
+    for inst in instances:
+        if inst.lemma in store:
+            predictions.append(predict_knn(store, cfg, inst.lemma, next(queries), inventory))
+        elif inst.lemma in inventory:
+            predictions.append(inventory.first_sense(inst.lemma))
+        else:
+            raise DataError(f"unknown lemma {inst.lemma!r} (instance {inst.instance_id})")
+    return predictions
 
 
 def write_predictions(rows: Sequence[tuple[str, str]], path: str | Path) -> None:

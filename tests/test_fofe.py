@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fofe_wsd import nn
+from fofe_wsd import fofe, nn
 from fofe_wsd.corpus import build_vocabulary, tokenize_line
 from fofe_wsd.fofe import (
     FofeConfig,
@@ -104,11 +104,11 @@ def oracle_train(lines, config):
     return params
 
 
-def padded(sentences: Sequence[Sequence[int]]) -> np.ndarray:
-    out = np.full((len(sentences), max(map(len, sentences), default=0)), -1, dtype=np.intp)
-    for row, sentence in zip(out, sentences):
-        row[: len(sentence)] = sentence
-    return out
+def flat_layout(sentences: Sequence[Sequence[int]], targets, order, window_cap=0) -> np.ndarray:
+    """``context_ids`` of the words at ``targets`` in ``sentences``, one per sentence."""
+    lengths = np.array([len(s) for s in sentences], dtype=np.intp)
+    tokens = np.array([i for s in sentences for i in s], dtype=np.intp)
+    return context_ids(tokens, np.cumsum(lengths) - lengths, lengths, targets, order, window_cap)
 
 
 def one_side(ids, cfg, direction, embeddings):
@@ -242,8 +242,8 @@ class TestEncodeEmbedded:
 
 class TestContextIds:
     def test_layout(self):
-        sentences = padded([[10, 11, 12, 13, 14], [20, 21]])
-        ids = context_ids(sentences, [1, 0], order=2)
+        tokens = np.array([10, 11, 12, 13, 14, 20, 21])
+        ids = context_ids(tokens, starts=[0, 5], lengths=[5, 2], positions=[1, 0], order=2)
         assert ids.tolist() == [
             [-1, -1, 10],  # left of 11
             [-1, -1, -1],  # left of 20: empty
@@ -252,12 +252,18 @@ class TestContextIds:
         ]
 
     def test_width_is_at_least_order(self):
-        assert context_ids(padded([[5]]), [0], order=3).tolist() == [[-1] * 3] * 2
+        assert flat_layout([[5]], [0], order=3).tolist() == [[-1] * 3] * 2
 
     def test_window_cap(self):
-        sentences = padded([[10, 11, 12, 13, 14, 15, 16]])
-        assert context_ids(sentences, [4], order=1, window_cap=2).tolist() == [[12, 13], [16, 15]]
-        assert context_ids(sentences, [0], order=1, window_cap=2).tolist() == [[-1, -1], [12, 11]]
+        sentence = [10, 11, 12, 13, 14, 15, 16]
+        assert flat_layout([sentence], [4], order=1, window_cap=2).tolist() == [[12, 13], [16, 15]]
+        assert flat_layout([sentence], [0], order=1, window_cap=2).tolist() == [[-1, -1], [12, 11]]
+
+    def test_neighbouring_sentences_stay_out(self):
+        # the sentence of example 0 sits between two others in the token array
+        tokens = np.array([1, 2, 10, 11, 12, 3, 4])
+        ids = context_ids(tokens, starts=[2], lengths=[3], positions=[1], order=3)
+        assert ids.tolist() == [[-1, -1, 10], [-1, -1, 12]]
 
 
 class TestDecode:
@@ -336,7 +342,7 @@ class TestEmbeddedBackward:
         emb = rng.normal(size=(6, 3))
         ids = [int(i) for i in rng.integers(0, 6, 7)]
         for target in (0, 6):  # one side holds all seven tokens, the other none
-            layout = context_ids(padded([ids]), [target], cfg.order)
+            layout = flat_layout([ids], [target], cfg.order)
             probe = rng.normal(size=(1, 2 * cfg.order * 3))
             analytic = np.zeros_like(emb)
             contexts_backward(layout, cfg, probe, analytic)
@@ -351,7 +357,7 @@ class TestEmbeddedBackward:
         emb = rng.normal(size=(5, 2))
         sentences, targets = random_batch(rng, 5)
         for cap in (0, 2):
-            layout = context_ids(padded(sentences), targets, cfg.order, cap)
+            layout = flat_layout(sentences, targets, cfg.order, cap)
             probe = rng.normal(size=(len(targets), 2 * cfg.order * 2))
             analytic = np.zeros_like(emb)
             contexts_backward(layout, cfg, probe, analytic)
@@ -362,14 +368,14 @@ class TestEmbeddedBackward:
 
     def test_gradient_shape_checked(self):
         cfg = FofeConfig(alpha=0.7, order=2)
-        layout = context_ids(padded([[1, 2, 3]]), [1], cfg.order)
+        layout = flat_layout([[1, 2, 3]], [1], cfg.order)
         with pytest.raises(ValueError, match="gradient has shape"):
             contexts_backward(layout, cfg, np.zeros((1, 7)), np.zeros((4, 2)))
 
     def test_embedding_gradient_must_be_contiguous(self):
         # the gradient is added through a flat view, which a strided array has not
         cfg = FofeConfig(alpha=0.7, order=1)
-        layout = context_ids(padded([[1, 2, 3]]), [1], cfg.order)
+        layout = flat_layout([[1, 2, 3]], [1], cfg.order)
         with pytest.raises(ValueError, match="C-contiguous"):
             contexts_backward(layout, cfg, np.ones((1, 4)), np.zeros((2, 4)).T)
 
@@ -386,7 +392,7 @@ class TestBatchedEqualsOracle:
             cfg = FofeConfig(alpha=float(rng.uniform(0.05, 0.95)), order=order)
             emb = rng.normal(size=(7, 3))
             sentences, targets = random_batch(rng, 7)
-            codes = encode_contexts(context_ids(padded(sentences), targets, order, cap), cfg, emb)
+            codes = encode_contexts(flat_layout(sentences, targets, order, cap), cfg, emb)
             assert codes.shape == (len(targets), 2 * order * 3)
             for s, t, row in zip(sentences, targets, codes):
                 assert np.array_equal(row, oracle_context_code(*oracle_clip(s, t, cap), cfg, emb))
@@ -401,17 +407,37 @@ class TestBatchedEqualsOracle:
             sentences, targets = random_batch(rng, 3)
             grad = rng.normal(size=(len(targets), 2 * order * 4))
             batched = np.zeros((3, 4))
-            layout = context_ids(padded(sentences), targets, order, cap)
+            layout = flat_layout(sentences, targets, order, cap)
             contexts_backward(layout, cfg, grad, batched)
             expected = np.zeros((3, 4))
             for s, t, g in zip(sentences, targets, grad):
                 oracle_context_backward(*oracle_clip(s, t, cap), cfg, g, expected)
             assert np.array_equal(batched, expected)
 
+    @pytest.mark.parametrize("order, cap", [(3, 0), (2, 40)])
+    def test_skewed_lengths(self, order, cap, monkeypatch):
+        # one long sentence among short ones: most columns hold a token in few rows
+        monkeypatch.setattr(fofe, "_ADD_AT_TOKENS", 7)  # many np.add.at chunks
+        rng = np.random.default_rng(order + cap)
+        cfg = FofeConfig(alpha=0.9, order=order)
+        emb = rng.normal(size=(11, 3))
+        sentences = [list(rng.integers(0, 11, n)) for n in (300, 1, 4, 2, 300, 7)]
+        targets = np.array([150, 0, 3, 1, 0, 2])
+        layout = flat_layout(sentences, targets, order, cap)
+        codes = encode_contexts(layout, cfg, emb)
+        for s, t, row in zip(sentences, targets, codes):
+            assert np.array_equal(row, oracle_context_code(*oracle_clip(s, t, cap), cfg, emb))
+        grad = rng.normal(size=codes.shape)
+        batched, expected = np.zeros_like(emb), np.zeros_like(emb)
+        contexts_backward(layout, cfg, grad, batched)
+        for s, t, g in zip(sentences, targets, grad):
+            oracle_context_backward(*oracle_clip(s, t, cap), cfg, g, expected)
+        assert np.array_equal(batched, expected)
+
     def test_lone_target(self):
         cfg = FofeConfig(alpha=0.7, order=2)
         emb = np.random.default_rng(7).normal(size=(4, 3))
-        layout = context_ids(padded([[3], [1, 2]]), [0, 1], cfg.order)
+        layout = flat_layout([[3], [1, 2]], [0, 1], cfg.order)
         codes = encode_contexts(layout, cfg, emb)
         assert_array_equal(codes[0], np.zeros(12))
         assert np.array_equal(codes[1], oracle_context_code([1, 2], 1, cfg, emb))

@@ -1,16 +1,18 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fofe_wsd import nn
+from fofe_wsd import lm, nn
 from fofe_wsd.errors import DataError, NumericalError
-from fofe_wsd.fofe import context_ids
+from fofe_wsd.fofe import context_code, context_ids
 from fofe_wsd.lm import (
     LmConfig,
     LmModel,
     context_embedding,
+    context_embeddings,
     load_checkpoint,
     save_checkpoint,
     train_lm,
@@ -20,28 +22,30 @@ from fofe_wsd.lm import (
 
 class TestMakeTrainingExamples:
     def test_one_example_per_position(self):
-        padded, rows, positions = training_examples([[5, 6, 7, 8, 9]])
+        tokens, starts, lengths, positions = training_examples([[5, 6, 7, 8, 9]])
         assert positions.tolist() == [0, 1, 2, 3, 4]
-        assert rows.tolist() == [0, 0, 0, 0, 0]
-        assert padded.tolist() == [[5, 6, 7, 8, 9]]
+        assert starts.tolist() == [0] * 5 and lengths.tolist() == [5] * 5
+        assert tokens.tolist() == [5, 6, 7, 8, 9]
 
     def test_window_cap_clips_both_sides(self):
         cfg = LmConfig(window_cap=2)
-        padded, rows, positions = training_examples([[10, 11, 12, 13, 14, 15, 16]])
+        tokens, starts, lengths, positions = training_examples([[10, 11, 12, 13, 14, 15, 16]])
         example = [4]
-        ids = context_ids(padded[rows[example]], positions[example], 1, cfg.window_cap)
+        ids = context_ids(
+            tokens, starts[example], lengths[example], positions[example], 1, cfg.window_cap
+        )
         # left context = tokens 2..3, right context = tokens 5..6 (reversed)
         assert ids.tolist() == [[12, 13], [16, 15]]
 
     def test_empty_sentence(self):
-        padded, rows, positions = training_examples([[]])
-        assert padded.shape == (1, 0)
-        assert rows.tolist() == [] and positions.tolist() == []
+        examples = training_examples([[]])
+        assert [a.tolist() for a in examples] == [[], [], [], []]
 
-    def test_sentences_right_padded_with_minus_one(self):
-        padded, rows, positions = training_examples([[5, 6, 7], [], [8]])
-        assert padded.tolist() == [[5, 6, 7], [-1, -1, -1], [8, -1, -1]]
-        assert rows.tolist() == [0, 0, 0, 2]
+    def test_sentences_back_to_back(self):
+        tokens, starts, lengths, positions = training_examples([[5, 6, 7], [], [8]])
+        assert tokens.tolist() == [5, 6, 7, 8]
+        assert starts.tolist() == [0, 0, 0, 3]
+        assert lengths.tolist() == [3, 3, 3, 1]
         assert positions.tolist() == [0, 1, 2, 0]
 
 
@@ -160,6 +164,27 @@ class TestContextEmbedding:
             tokens = [words[int(i)] for i in rng.integers(0, len(words), length)]
             emb = context_embedding(tiny_model, tokens, int(rng.integers(0, length)))
             assert emb.shape == (tiny_model.config.hidden_dims[-1],)
+
+
+    @pytest.mark.parametrize("window_cap", [0, 2])
+    def test_batched_embeddings_equal_one_code_at_a_time(self, tiny_model, monkeypatch, window_cap):
+        # 3 contexts per FOFE layer call, so that 8 contexts cross two chunk boundaries
+        monkeypatch.setattr(lm, "_EMBED_BATCH", 3)
+        model = LmModel(tiny_model.vocab, replace(tiny_model.config, window_cap=window_cap), tiny_model.params)
+        rng = np.random.default_rng(1)
+        words = tiny_model.vocab.tokens[1:] + ["qqqqq"]
+        contexts = []
+        for length in (1, 9, 3, 25, 2, 6, 1, 12):
+            tokens = [words[int(i)] for i in rng.integers(0, len(words), length)]
+            contexts.append((tokens, int(rng.integers(0, length))))
+        batched = list(context_embeddings(model, contexts))
+        assert len(batched) == len(contexts)
+        for (tokens, target), emb in zip(contexts, batched):
+            code = context_code(
+                model.vocab.encode(tokens), target, model.config.fofe, model.params.embedding, window_cap
+            )
+            assert np.array_equal(emb, nn.held_out(model.params, code))
+        assert list(context_embeddings(model, [])) == []
 
 
 class TestCheckpoint:

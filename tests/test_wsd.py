@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from fofe_wsd.corpus import LabeledInstance, SenseInventory
 from fofe_wsd.errors import DataError
+from fofe_wsd.lm import context_embedding
 from fofe_wsd.wsd import (
     ClassifierConfig,
     ClassifierStore,
@@ -13,6 +14,7 @@ from fofe_wsd.wsd import (
     build_classifier_store,
     build_sense_embeddings,
     load_store,
+    predict_all,
     predict_cosine,
     predict_knn,
     predict_with_backoff,
@@ -262,6 +264,34 @@ class TestPredictWithBackoff:
         test = _instance("q1", tiny_model.vocab.tokens[1:4], 1, "ghost", {"g%1"})
         with pytest.raises(DataError, match="unknown lemma"):
             predict_with_backoff(store, inv, tiny_model, ClassifierConfig(), test)
+
+
+    def test_predict_all_keeps_order_and_paths(self, tiny_model):
+        words = tiny_model.vocab.tokens[1:9]
+        train = [
+            _instance("t1", words[:5], 2, "bank", {"bank%1"}),
+            _instance("t2", words[2:], 4, "bank", {"bank%2"}),
+            _instance("t3", words[1:7], 0, "rose", {"rose%1"}),
+        ]
+        store = build_classifier_store(tiny_model, train)
+        inv = SenseInventory(entries={"bank": ["bank%2", "bank%1"], "rose": ["rose%1"], "oak": ["oak%3"]})
+        cfg = ClassifierConfig(k=1)
+        test = [
+            _instance("q1", words[:4], 1, "oak", {"oak%3"}),
+            _instance("q2", words[3:], 2, "bank", {"bank%1"}),
+            _instance("q3", words, 5, "rose", {"rose%1"}),
+            _instance("q4", words[:6], 0, "bank", {"bank%2"}),
+        ]
+        expected = [
+            predict_knn(
+                store, cfg, inst.lemma, context_embedding(tiny_model, inst.tokens, inst.target_index), inv
+            )
+            if inst.lemma in store
+            else inv.first_sense(inst.lemma)
+            for inst in test
+        ]
+        assert predict_all(store, inv, tiny_model, cfg, test) == expected
+        assert predict_all(store, inv, tiny_model, cfg, []) == []
 
 
 class TestStorePersistence:
