@@ -21,7 +21,6 @@ from .fofe import FofeConfig, context_code, decode, encode_left, encode_order, e
 from .lm import (
     LmConfig,
     LmModel,
-    context_embedding,
     context_embeddings,
     load_checkpoint,
     save_checkpoint,
@@ -31,14 +30,12 @@ from .wsd import (
     ClassifierConfig,
     ClassifierStore,
     NoClassifierError,
-    SenseEmbeddings,
     build_classifier_store,
     build_sense_embeddings,
     load_store,
     predict_all,
     predict_cosine,
     predict_knn,
-    predict_with_backoff,
     save_store,
 )
 
@@ -55,14 +52,12 @@ __all__ = [
     "LmModel",
     "NoClassifierError",
     "NumericalError",
-    "SenseEmbeddings",
     "SenseInventory",
     "Vocabulary",
     "build_classifier_store",
     "build_sense_embeddings",
     "build_vocabulary",
     "context_code",
-    "context_embedding",
     "context_embeddings",
     "decode",
     "encode_left",
@@ -73,7 +68,6 @@ __all__ = [
     "predict_all",
     "predict_cosine",
     "predict_knn",
-    "predict_with_backoff",
     "read_labeled_corpus",
     "read_sense_inventory",
     "save_checkpoint",

@@ -13,6 +13,7 @@ import argparse
 import logging
 import os
 import sys
+from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, get_type_hints
@@ -199,13 +200,12 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if not instances:
         log.warning("labeled corpus %s has no instances; writing an empty store", train)
     store = wsd.build_classifier_store(model, instances)
-    for lemma in store.pairs:
-        counts = store.sense_counts(lemma)
+    for lemma, senses in store.senses.items():
         log.info(
             "lemma %s: %d pairs (%s)",
             lemma,
-            sum(counts.values()),
-            ", ".join(f"{sense}={n}" for sense, n in sorted(counts.items())),
+            len(senses),
+            ", ".join(f"{sense}={n}" for sense, n in sorted(Counter(senses).items())),
         )
     wsd.save_store(store, store_path)
     print(f"classifier store written to {store_path} ({len(store.pairs)} lemmas)")
@@ -243,7 +243,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
-    config = synthetic.SyntheticConfig(seed=args.seed, n_train=args.train_n, n_test=args.test_n)
+    try:
+        config = synthetic.SyntheticConfig(seed=args.seed, n_train=args.train_n, n_test=args.test_n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     paths = synthetic.generate(args.outdir, config)
     for role, path in paths.items():
         print(f"{role}\t{path}")

@@ -12,19 +12,23 @@ instead of one-hot vectors yields the dense code actually fed to the
 network; the two agree through the embedding matrix because the code is
 linear in the e_t.
 
-The network's codes are computed a batch at a time. The sentences are one
-flat id array, and an example is a (sentence start, sentence length,
-target position) triple, so memory is linear in the tokens. ``context_ids``
-lays the n contexts of a batch out as one (2n, W) id matrix: the left
-contexts, then the right contexts reversed, each row left-padded with -1 so
-that the token next to the target is in the last column. ``encode_contexts``
-steps the recursion down the columns, each step on the rows that hold a
-token in that column, and ``contexts_backward`` runs its adjoint the same
-way, then adds every token's gradient with ``np.add.at``, in the order a
-per-token loop would (example by example, left side before right, nearest
-token first). Both therefore give the same floats, bit for bit, as the
-recursion run token by token. Their float buffers hold one row of d per
-token of the batch's contexts; the id matrix is 2n x W integers.
+All codes come from one fold over a layout of id rows, left-padded with
+-1: it steps the recursion down the columns, each step on the rows that
+hold a token in that column, and a row's slabs are its z after the last
+``order`` columns. The network's codes are computed a batch at a time. The
+sentences are one flat id array, and an example is a (sentence start,
+sentence length, target position) triple, so memory is linear in the
+tokens. ``context_ids`` lays the n contexts of a batch out as one (2n, W)
+id matrix: the left contexts, then the right contexts reversed, so that
+the token next to the target is in the last column. ``encode_contexts``
+folds it over the embedding rows; ``contexts_backward`` runs the adjoint
+the same way, then adds every token's gradient with ``np.add.at``, in the
+order a per-token loop would (example by example, left side before right,
+nearest token first). Both therefore give the same floats, bit for bit, as
+the recursion run token by token. Their float buffers hold one row of d
+per token of the batch's contexts; the id matrix is 2n x W integers. The
+vocab-space codes (``encode_left``, ``encode_right``, ``encode_order``)
+fold one row over the sequence's distinct ids with an identity embedding.
 
 For alpha < 0.5 a code is exactly invertible: the residual mass of all
 older positions is bounded by alpha/(1-alpha) < 1, so the latest token is
@@ -63,49 +67,36 @@ def _check_ids(ids: Sequence[int], vocab_size: int) -> None:
             raise ValueError(f"token id {i} out of range for vocabulary of size {vocab_size}")
 
 
-def _check_direction(direction: str) -> None:
-    if direction not in _DIRECTIONS:
-        raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
-
-
-def encode_left(ids: Sequence[int], alpha: float, vocab_size: int) -> np.ndarray:
-    """Vocab-space code of the sequence read left to right."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    _check_ids(ids, vocab_size)
-    z = np.zeros(vocab_size)
-    for i in ids:
-        z *= alpha
-        z[i] += 1.0
-    return z
-
-
-def encode_right(ids: Sequence[int], alpha: float, vocab_size: int) -> np.ndarray:
-    """Vocab-space code of the sequence read right to left."""
-    return encode_left(list(ids)[::-1], alpha, vocab_size)
-
-
 def encode_order(
     ids: Sequence[int], cfg: FofeConfig, vocab_size: int, direction: str = "left"
 ) -> np.ndarray:
     """Stacked trailing codes [z_{T-order+1}, ..., z_T], zero-padded for short T.
 
-    Dimension is ``order * vocab_size`` regardless of sequence length.
+    Dimension is ``order * vocab_size`` regardless of sequence length; the
+    fold runs over the distinct ids only, so memory is O(T**2 + vocab_size).
     """
-    _check_direction(direction)
+    if direction not in _DIRECTIONS:
+        raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
     _check_ids(ids, vocab_size)
-    seq = list(ids) if direction == "left" else list(ids)[::-1]
-    history: list[np.ndarray] = []
-    z = np.zeros(vocab_size)
-    for i in seq:
-        z = cfg.alpha * z
-        z[i] += 1.0
-        history.append(z)
-    slabs = []
-    for j in range(cfg.order):
-        t = len(seq) - cfg.order + 1 + j  # 1-based position of this slab
-        slabs.append(history[t - 1] if t >= 1 else np.zeros(vocab_size))
-    return np.concatenate(slabs)
+    seq = np.asarray(ids, dtype=np.intp)
+    if direction == "right":
+        seq = seq[::-1]
+    distinct, local = np.unique(seq, return_inverse=True)
+    layout = np.full((1, max(cfg.order, len(seq))), -1, dtype=np.intp)
+    layout[0, layout.shape[1] - len(seq) :] = local
+    code = np.zeros((cfg.order, vocab_size))
+    code[:, distinct] = _fold(layout, cfg, np.eye(len(distinct)))[:, 0]
+    return code.reshape(-1)
+
+
+def encode_left(ids: Sequence[int], alpha: float, vocab_size: int) -> np.ndarray:
+    """Vocab-space code of the sequence read left to right."""
+    return encode_order(ids, FofeConfig(alpha), vocab_size, "left")
+
+
+def encode_right(ids: Sequence[int], alpha: float, vocab_size: int) -> np.ndarray:
+    """Vocab-space code of the sequence read right to left."""
+    return encode_order(ids, FofeConfig(alpha), vocab_size, "right")
 
 
 def context_ids(
@@ -149,28 +140,36 @@ def _columns(ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return by_side, np.count_nonzero(ids >= 0, axis=0).tolist()
 
 
-def encode_contexts(ids: np.ndarray, cfg: FofeConfig, embeddings: np.ndarray) -> np.ndarray:
-    """Context codes of a ``context_ids`` layout; returns (n, 2 * order * d).
+def _fold(ids: np.ndarray, cfg: FofeConfig, embeddings: np.ndarray) -> np.ndarray:
+    """The slabs of every row of a -1 left-padded layout: (order, rows, d).
 
-    Runs z = alpha * z + e over the layout column by column, on the rows
-    that hold a token in that column; a row stays exactly 0 until its
-    context starts, so every row gets the same floats as the recursion over
-    its own tokens, and the work is one step per token. The slabs are the
-    last ``order`` columns. Row i is [left slabs, right slabs] of example i.
+    Runs z = alpha * z + e down the columns, on the rows that hold a token
+    in that column; a row stays exactly 0 until its tokens start, so every
+    row gets the same floats as the recursion over its own tokens, and the
+    work is one step per token.
     """
     rows, width = ids.shape
-    n, dim = rows // 2, embeddings.shape[1]
     by_side, active = _columns(ids)
     column_major = ids[by_side].T
     steps = embeddings.take(column_major[column_major >= 0], axis=0)  # one row per token
-    z = np.zeros((rows, dim))
-    slabs = np.empty((cfg.order, rows, dim))
+    z = np.zeros((rows, embeddings.shape[1]))
+    slabs = np.empty((cfg.order, rows, embeddings.shape[1]))
     end = 0
     for c, k in enumerate(active):
         z[:k] = cfg.alpha * z[:k] + steps[end : end + k]
         end += k
         if c >= width - cfg.order:
             slabs[c - (width - cfg.order), by_side] = z
+    return slabs
+
+
+def encode_contexts(ids: np.ndarray, cfg: FofeConfig, embeddings: np.ndarray) -> np.ndarray:
+    """Context codes of a ``context_ids`` layout; returns (n, 2 * order * d).
+
+    Row i is [left slabs, right slabs] of example i.
+    """
+    n, dim = ids.shape[0] // 2, embeddings.shape[1]
+    slabs = _fold(ids, cfg, embeddings)
     return slabs.reshape(cfg.order, 2, n, dim).transpose(2, 1, 0, 3).reshape(n, 2 * cfg.order * dim)
 
 

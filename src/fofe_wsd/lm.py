@@ -18,6 +18,7 @@ u64 checksum (byte sum of everything before it, mod 2**64).
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -67,12 +68,19 @@ class LmConfig:
             raise ValueError("epochs must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def input_dim(self) -> int:
         return 2 * self.fofe.order * self.embed_dim
+
+    @property
+    def held_out_dim(self) -> int:
+        """Width of a context embedding, the held-out layer's activation."""
+        return self.hidden_dims[-1] if self.hidden_dims else self.input_dim
 
     def layer_dims(self, vocab_size: int) -> list[int]:
         return [self.input_dim, *self.hidden_dims, vocab_size]
@@ -108,24 +116,17 @@ def training_examples(
     return tokens, starts, lengths, np.arange(len(tokens)) - starts
 
 
-def context_embedding(model: LmModel, tokens: Sequence[str], target_index: int) -> np.ndarray:
-    """Held-out-layer activation for the word at ``target_index``.
-
-    Unknown words map to the unknown id; the target word itself is excluded
-    from the context. The output layer is not evaluated.
-    """
-    return next(context_embeddings(model, [(tokens, target_index)]))
-
-
 def context_embeddings(
     model: LmModel, contexts: Sequence[tuple[Sequence[str], int]]
 ) -> Iterator[np.ndarray]:
-    """``context_embedding`` of each (tokens, target index), yielded in order.
+    """Held-out-layer activation for each (tokens, target index), in order.
 
-    The contexts are encoded ``_EMBED_BATCH`` at a time, which bounds the
-    FOFE layer's buffers and the embeddings held at once. Each code then
-    goes through ``nn.held_out`` on its own: a batched matrix product need
-    not give the floats of a per-row one.
+    Unknown words map to the unknown id; the target word itself is excluded
+    from the context, and the output layer is not evaluated. The contexts
+    are encoded ``_EMBED_BATCH`` at a time, which bounds the FOFE layer's
+    buffers and the embeddings held at once. Each code then goes through
+    ``nn.held_out`` on its own: a batched matrix product need not give the
+    floats of a per-row one.
     """
     cfg = model.config
     for first in range(0, len(contexts), _EMBED_BATCH):

@@ -10,7 +10,7 @@ config file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,11 @@ class SyntheticConfig:
     n_test: int = 100
     n_extra: int = 150  # unlabelled pseudoword sentences per flavor
     n_background: int = 100  # plain sentences per flavor, no pseudoword
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {getattr(self, f.name)}")
 
 
 def _phrase(rng: np.random.Generator, pool: list[str], n: int) -> list[str]:

@@ -3,7 +3,8 @@
 The primary path is a cosine-distance kNN over every labeled training
 occurrence of a lemma; the baseline averages each sense's embeddings into
 one sense embedding and picks the most similar. Lemmas with no training
-pairs at all fall back to the inventory's first-listed sense.
+pairs at all fall back to the inventory's first-listed sense. The store
+keeps each lemma's pairs as a sense-key list and one (pairs, dim) matrix.
 
 Store file format mirrors the checkpoint container: magic ``FWSD``,
 version u32, embedding dim u32, lemma count u32, then per lemma a
@@ -45,44 +46,39 @@ class ClassifierConfig:
 
 @dataclass
 class ClassifierStore:
-    """Per-lemma (sense key, context embedding) training pairs, in build order."""
+    """Per-lemma training pairs, in build order.
+
+    ``senses[lemma][i]`` is the sense key of pair i and ``pairs[lemma][i]``
+    its context embedding: a row of one (pairs, dim) float64 matrix.
+    """
 
     dim: int
-    pairs: dict[str, list[tuple[str, np.ndarray]]] = field(default_factory=dict)
-
-    def add(self, lemma: str, sense_key: str, embedding: np.ndarray) -> None:
-        if embedding.shape != (self.dim,):
-            raise ValueError(f"embedding has shape {embedding.shape}, expected ({self.dim},)")
-        self.pairs.setdefault(lemma, []).append((sense_key, embedding))
+    senses: dict[str, list[str]] = field(default_factory=dict)
+    pairs: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __contains__(self, lemma: str) -> bool:
-        return bool(self.pairs.get(lemma))
-
-    def sense_counts(self, lemma: str) -> Counter[str]:
-        return Counter(sense for sense, _ in self.pairs.get(lemma, []))
-
-
-@dataclass
-class SenseEmbeddings:
-    """Per-lemma mean embedding of each sense's training pairs."""
-
-    dim: int
-    means: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
+        return len(self.pairs.get(lemma, ())) > 0
 
 
 def build_classifier_store(model: LmModel, instances: Sequence[LabeledInstance]) -> ClassifierStore:
     """Embed every labeled instance and group the pairs by lemma.
 
     A multi-gold instance contributes one pair per gold sense key (keys in
-    sorted order), all sharing the same embedding. Pair order follows
+    sorted order), each with the same embedding. Pair order follows
     instance order.
     """
-    dim = model.config.hidden_dims[-1] if model.config.hidden_dims else model.config.input_dim
-    store = ClassifierStore(dim=dim)
+    dim = model.config.held_out_dim
+    counts = Counter(inst.lemma for inst in instances for _ in inst.sense_keys)
+    store = ClassifierStore(
+        dim=dim,
+        senses={lemma: [] for lemma in counts},
+        pairs={lemma: np.empty((n, dim)) for lemma, n in counts.items()},
+    )
     embeddings = context_embeddings(model, [(inst.tokens, inst.target_index) for inst in instances])
     for inst, emb in zip(instances, embeddings):
         for sense in sorted(inst.sense_keys):
-            store.add(inst.lemma, sense, emb)
+            store.pairs[inst.lemma][len(store.senses[inst.lemma])] = emb
+            store.senses[inst.lemma].append(sense)
     return store
 
 
@@ -116,17 +112,16 @@ def predict_knn(
     smaller mean distance, then by inventory order (lexicographic order when
     no inventory is given).
     """
-    pairs = store.pairs.get(lemma)
-    if not pairs:
+    if lemma not in store:
         raise NoClassifierError(lemma)
-    vectors = np.stack([emb for _, emb in pairs])
-    distances = _cosine_distances(np.asarray(query, dtype=np.float64), vectors)
-    nearest = np.argsort(distances, kind="stable")[: min(cfg.k, len(pairs))]
+    senses = store.senses[lemma]
+    distances = _cosine_distances(np.asarray(query, dtype=np.float64), store.pairs[lemma])
+    nearest = np.argsort(distances, kind="stable")[: min(cfg.k, len(senses))]
 
     votes: Counter[str] = Counter()
     dist_sum: dict[str, float] = {}
     for i in nearest:
-        sense = pairs[i][0]
+        sense = senses[i]
         votes[sense] += 1
         dist_sum[sense] = dist_sum.get(sense, 0.0) + float(distances[i])
     rank = _sense_rank(lemma, inventory)
@@ -136,49 +131,41 @@ def predict_knn(
     )
 
 
-def build_sense_embeddings(store: ClassifierStore) -> SenseEmbeddings:
-    """Arithmetic mean of each sense's context embeddings."""
-    means: dict[str, dict[str, np.ndarray]] = {}
-    for lemma, pairs in store.pairs.items():
-        sums: dict[str, np.ndarray] = {}
-        counts: Counter[str] = Counter()
-        for sense, emb in pairs:
-            if sense in sums:
-                sums[sense] = sums[sense] + emb
-            else:
-                sums[sense] = emb.astype(np.float64, copy=True)
-            counts[sense] += 1
-        means[lemma] = {sense: sums[sense] / counts[sense] for sense in sums}
-    return SenseEmbeddings(dim=store.dim, means=means)
+def build_sense_embeddings(store: ClassifierStore) -> ClassifierStore:
+    """A store with one pair per sense: the mean of its context embeddings.
+
+    Senses keep the order of their first pair. Each sense's rows are summed
+    one after the other (``cumsum``; ``sum`` may pair them up differently).
+    """
+    means = ClassifierStore(dim=store.dim)
+    for lemma, vectors in store.pairs.items():
+        senses = np.array(store.senses[lemma], dtype=str)
+        keys = means.senses[lemma] = list(dict.fromkeys(store.senses[lemma]))
+        rows = means.pairs[lemma] = np.empty((len(keys), store.dim))
+        for i, sense in enumerate(keys):
+            mask = senses == sense
+            rows[i] = np.cumsum(vectors[mask], axis=0)[-1] / np.count_nonzero(mask)
+    return means
 
 
 def predict_cosine(
-    senses: SenseEmbeddings,
+    means: ClassifierStore,
     lemma: str,
     query: np.ndarray,
     inventory: SenseInventory | None = None,
 ) -> str:
-    """Sense whose mean embedding is most cosine-similar to the query."""
-    lemma_means = senses.means.get(lemma)
-    if not lemma_means:
+    """Sense whose mean embedding is most cosine-similar to the query.
+
+    ``means`` comes from ``build_sense_embeddings``. Ties go by inventory
+    order, then by key.
+    """
+    if lemma not in means:
         raise NoClassifierError(lemma)
-    keys = list(lemma_means)
-    vectors = np.stack([lemma_means[k] for k in keys])
-    sims = 1.0 - _cosine_distances(np.asarray(query, dtype=np.float64), vectors)
+    keys = means.senses[lemma]
+    sims = 1.0 - _cosine_distances(np.asarray(query, dtype=np.float64), means.pairs[lemma])
     rank = _sense_rank(lemma, inventory)
-    order = sorted(range(len(keys)), key=lambda i: (-sims[i], rank.get(keys[i], len(rank)), keys[i]))
-    return keys[order[0]]
-
-
-def predict_with_backoff(
-    store: ClassifierStore,
-    inventory: SenseInventory,
-    model: LmModel,
-    cfg: ClassifierConfig,
-    instance: LabeledInstance,
-) -> str:
-    """kNN when the lemma has training pairs, else the inventory's first sense."""
-    return predict_all(store, inventory, model, cfg, [instance])[0]
+    best = min(range(len(keys)), key=lambda i: (-sims[i], rank.get(keys[i], len(rank)), keys[i]))
+    return keys[best]
 
 
 def predict_all(
@@ -188,11 +175,18 @@ def predict_all(
     cfg: ClassifierConfig,
     instances: Sequence[LabeledInstance],
 ) -> list[str]:
-    """``predict_with_backoff`` of each instance, in order.
+    """Predicted sense of each instance, in order.
 
-    The kNN queries of all instances come from one ``context_embeddings``
-    call.
+    kNN when the instance's lemma has training pairs, else the inventory's
+    first sense. The kNN queries of all instances come from one
+    ``context_embeddings`` call. A store whose width is not the model's is
+    a ``DataError``.
     """
+    if store.dim != model.config.held_out_dim:
+        raise DataError(
+            f"classifier store holds {store.dim}-wide embeddings, "
+            f"but the model's are {model.config.held_out_dim} wide"
+        )
     queried = [inst for inst in instances if inst.lemma in store]
     queries = context_embeddings(model, [(inst.tokens, inst.target_index) for inst in queried])
     predictions = []
@@ -240,12 +234,12 @@ def save_store(store: ClassifierStore, path: str | Path) -> None:
     out += struct.pack("<I", STORE_VERSION)
     out += struct.pack("<I", store.dim)
     out += struct.pack("<I", len(store.pairs))
-    for lemma, pairs in store.pairs.items():
+    for lemma, vectors in store.pairs.items():
         write_str(out, lemma)
-        out += struct.pack("<I", len(pairs))
-        for sense, emb in pairs:
+        out += struct.pack("<I", len(vectors))
+        for sense, emb in zip(store.senses[lemma], vectors.astype("<f4")):
             write_str(out, sense)
-            out += np.ascontiguousarray(emb, dtype="<f4").tobytes()
+            out += emb.tobytes()
     out += struct.pack("<Q", checksum(out))
     Path(path).write_bytes(out)
 
@@ -269,11 +263,13 @@ def load_store(path: str | Path) -> ClassifierStore:
         if lemma in store.pairs:
             raise DataError(f"corrupt classifier store: {path} (duplicate lemma {lemma!r})")
         n_pairs = rd.u32()
-        store.pairs[lemma] = []
-        for _ in range(n_pairs):
-            sense = rd.text()
-            emb = np.frombuffer(rd.take(4 * dim), dtype="<f4").astype(np.float64)
-            store.pairs[lemma].append((sense, emb))
+        if n_pairs * (4 + 4 * dim) > len(buf) - rd.pos:  # each pair: a length prefix and dim f32
+            raise DataError(f"truncated classifier store: {path}")
+        senses = store.senses[lemma] = []
+        vectors = store.pairs[lemma] = np.empty((n_pairs, dim))
+        for i in range(n_pairs):
+            senses.append(rd.text())
+            vectors[i] = np.frombuffer(rd.take(4 * dim), dtype="<f4")
     summed_region = buf[: rd.pos]
     stored_sum = rd.u64()
     if rd.pos != len(buf):

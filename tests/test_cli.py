@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fofe_wsd
-from fofe_wsd import cli, lm, wsd
+from fofe_wsd import cli, lm, synthetic, wsd
 from fofe_wsd.cli import main
 from fofe_wsd.fofe import FofeConfig
 
@@ -154,6 +154,8 @@ class TestConfigHandling:
             (lm.LmConfig, "window_cap", -1, "-1"),
             (lm.LmConfig, "hidden_dims", (0,), "0"),
             (lm.LmConfig, "learning_rate", float("nan"), "nan"),
+            (lm.LmConfig, "seed", -1, "-1"),
+            (lm.LmConfig, "learning_rate", float("inf"), "inf"),
         ],
     )
     def test_invalid_setting_rejected(self, workspace, capsys, cls, key, value, text):
@@ -293,6 +295,23 @@ class TestBuildPredictEval:
         assert main(["predict", "-c", str(config)]) == 2
         assert "duplicate instance id" in capsys.readouterr().err
 
+    def test_predict_store_width_mismatch(self, workspace, capsys, monkeypatch):
+        tmp_path, config = workspace
+        assert main(["train", "-c", str(config), "--epochs", "0"]) == 0
+        assert main(["build", "-c", str(config)]) == 0  # 16-wide store
+        other = str(tmp_path / "other.fofe")
+        narrow = ["--epochs", "0", "--hidden-dims", "16,8", "--checkpoint", other]
+        assert main(["train", "-c", str(config), *narrow]) == 0
+
+        def no_embedding(*args):
+            raise AssertionError("embedded before the width check")
+
+        monkeypatch.setattr(wsd, "context_embeddings", no_embedding)
+        assert main(["predict", "-c", str(config), "--checkpoint", other]) == 2
+        err = capsys.readouterr().err
+        assert "16" in err and "8" in err
+        assert not (tmp_path / "pred.tsv").exists()
+
     def test_eval_missing_predictions_file(self, workspace, capsys):
         tmp_path, config = workspace
         assert main(["eval", "-c", str(config)]) == 2
@@ -321,8 +340,8 @@ class TestBuildPredictEval:
         model = lm.load_checkpoint(tmp_path / "model.fofe")
         model.config = dataclasses.replace(model.config, window_cap=1)
         first = read_labeled_corpus(tmp_path / "train.tsv")[0]
-        expected = lm.context_embedding(model, first.tokens, first.target_index)
-        stored = store.pairs[first.lemma][0][1]
+        (expected,) = lm.context_embeddings(model, [(first.tokens, first.target_index)])
+        stored = store.pairs[first.lemma][0]
         assert np.allclose(stored, expected, atol=1e-6)
 
 
@@ -347,6 +366,15 @@ class TestGenSynthetic:
         assert main(["gen-synthetic", "--outdir", str(outdir), "--train-n", "10", "--test-n", "4"]) == 0
         assert len((outdir / "train.tsv").read_text().splitlines()) == 10
         assert len((outdir / "test.tsv").read_text().splitlines()) == 4
+
+    def test_negative_seed_or_size_rejected(self, tmp_path, capsys):
+        for flags in (["--seed", "-1"], ["--train-n", "-5"], ["--test-n", "-1"]):
+            outdir = tmp_path / "synth"
+            assert main(["gen-synthetic", "--outdir", str(outdir), *flags]) == 1, flags
+            assert "must be >= 0" in capsys.readouterr().err
+            assert not outdir.exists()
+        with pytest.raises(ValueError):
+            synthetic.SyntheticConfig(n_extra=-1)
 
 
 class TestEntryPoints:

@@ -24,8 +24,24 @@ A, B, C = 0, 1, 2
 
 # ---------------------------------------------------------------------------
 # Reference oracle: the recursion and its adjoint run token by token, one
-# example at a time. The batched encoder must give the same floats.
+# example at a time. The batched encoder and the vocab-space views must give
+# the same floats.
 # ---------------------------------------------------------------------------
+
+
+def oracle_encode_order(ids, cfg, vocab_size, direction="left"):
+    seq = list(ids) if direction == "left" else list(ids)[::-1]
+    history = []
+    z = np.zeros(vocab_size)
+    for i in seq:
+        z = cfg.alpha * z
+        z[i] += 1.0
+        history.append(z)
+    slabs = []
+    for j in range(cfg.order):
+        t = len(seq) - cfg.order + 1 + j
+        slabs.append(history[t - 1] if t >= 1 else np.zeros(vocab_size))
+    return np.concatenate(slabs)
 
 
 def oracle_encode_embedded(ids, cfg, direction, embeddings):
@@ -208,6 +224,45 @@ class TestEncodeOrder:
     def test_dimension(self):
         cfg = FofeConfig(alpha=0.2, order=4)
         assert encode_order([0, 1], cfg, 5, "right").shape == (20,)
+
+
+class TestVocabViewsEqualOracle:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_random_sequences(self, order):
+        rng = np.random.default_rng(order)
+        for _ in range(300):
+            v = int(rng.integers(1, 12))
+            ids = [int(i) for i in rng.integers(0, v, int(rng.integers(0, 15)))]
+            cfg = FofeConfig(alpha=float(rng.uniform(0.05, 0.95)), order=order)
+            for direction in ("left", "right"):
+                assert np.array_equal(
+                    encode_order(ids, cfg, v, direction), oracle_encode_order(ids, cfg, v, direction)
+                )
+            if order == 1:
+                assert np.array_equal(encode_left(ids, cfg.alpha, v), oracle_encode_order(ids, cfg, v))
+                assert np.array_equal(
+                    encode_right(ids, cfg.alpha, v), oracle_encode_order(ids, cfg, v, "right")
+                )
+
+    def test_empty_sequences(self):
+        for order in (1, 3):
+            cfg = FofeConfig(alpha=0.6, order=order)
+            for direction in ("left", "right"):
+                expected = oracle_encode_order([], cfg, 4, direction)
+                assert np.array_equal(encode_order([], cfg, 4, direction), expected)
+        assert np.array_equal(encode_left([], 0.6, 4), np.zeros(4))
+        assert np.array_equal(encode_right([], 0.6, 4), np.zeros(4))
+
+    def test_vocabulary_much_larger_than_sequence(self):
+        rng = np.random.default_rng(9)
+        v = 50_000
+        for order in (1, 2, 4):
+            cfg = FofeConfig(alpha=0.7, order=order)
+            ids = [int(i) for i in rng.integers(0, v, 6)] + [7, 7]
+            for direction in ("left", "right"):
+                assert np.array_equal(
+                    encode_order(ids, cfg, v, direction), oracle_encode_order(ids, cfg, v, direction)
+                )
 
 
 class TestEncodeEmbedded:

@@ -11,7 +11,6 @@ from fofe_wsd.fofe import context_code, context_ids
 from fofe_wsd.lm import (
     LmConfig,
     LmModel,
-    context_embedding,
     context_embeddings,
     load_checkpoint,
     save_checkpoint,
@@ -112,9 +111,15 @@ class TestTrainLm:
             train_lm(toy_lines[:10], cfg)
 
 
+def embed_one(model, tokens, target_index):
+    """The embedding of one context, through ``context_embeddings``."""
+    (embedding,) = context_embeddings(model, [(tokens, target_index)])
+    return embedding
+
+
 class TestContextEmbedding:
     def test_dimension_is_last_hidden(self, tiny_model):
-        emb = context_embedding(tiny_model, ["time", "year", "way"], 1)
+        emb = embed_one(tiny_model, ["time", "year", "way"], 1)
         assert emb.shape == (tiny_model.config.hidden_dims[-1],)
 
     def test_zero_params_zero_embedding(self, tiny_model):
@@ -125,12 +130,12 @@ class TestContextEmbedding:
             config=cfg,
             params=nn.NetworkParams(embedding=np.zeros_like(tiny_model.params.embedding), layers=zeroed),
         )
-        assert_array_equal(context_embedding(model, ["time", "year"], 0), np.zeros(cfg.hidden_dims[-1]))
+        assert_array_equal(embed_one(model, ["time", "year"], 0), np.zeros(cfg.hidden_dims[-1]))
 
     def test_pure_function(self, tiny_model):
         tokens = ["time", "year", "way", "day"]
         assert_array_equal(
-            context_embedding(tiny_model, tokens, 2), context_embedding(tiny_model, tokens, 2)
+            embed_one(tiny_model, tokens, 2), embed_one(tiny_model, tokens, 2)
         )
 
     def test_unknown_words_are_interchangeable(self, tiny_model):
@@ -139,7 +144,7 @@ class TestContextEmbedding:
         assert tiny_model.vocab.lookup("qqqqq") == 0
         assert tiny_model.vocab.lookup("zzzzz") == 0
         assert_array_equal(
-            context_embedding(tiny_model, base, 2), context_embedding(tiny_model, swapped, 2)
+            embed_one(tiny_model, base, 2), embed_one(tiny_model, swapped, 2)
         )
 
     def test_window_cap_limits_sensitivity(self, toy_lines):
@@ -150,19 +155,19 @@ class TestContextEmbedding:
         changed[0] = "year"  # more than 2 tokens left of the target
         changed[7] = "time"  # more than 2 tokens right of the target
         assert_array_equal(
-            context_embedding(model, words, 4), context_embedding(model, changed, 4)
+            embed_one(model, words, 4), embed_one(model, changed, 4)
         )
 
     def test_target_index_out_of_range(self, tiny_model):
         with pytest.raises(ValueError, match="out of range"):
-            context_embedding(tiny_model, ["time"], 1)
+            embed_one(tiny_model, ["time"], 1)
 
     def test_fixed_input_dimension_for_any_sentence_length(self, tiny_model):
         rng = np.random.default_rng(0)
         words = tiny_model.vocab.tokens[1:]
         for length in (1, 3, 9, 25):
             tokens = [words[int(i)] for i in rng.integers(0, len(words), length)]
-            emb = context_embedding(tiny_model, tokens, int(rng.integers(0, length)))
+            emb = embed_one(tiny_model, tokens, int(rng.integers(0, length)))
             assert emb.shape == (tiny_model.config.hidden_dims[-1],)
 
 

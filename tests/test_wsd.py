@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from fofe_wsd.corpus import LabeledInstance, SenseInventory
 from fofe_wsd.errors import DataError
-from fofe_wsd.lm import context_embedding
+from fofe_wsd.lm import context_embeddings
 from fofe_wsd.wsd import (
     ClassifierConfig,
     ClassifierStore,
@@ -17,7 +17,6 @@ from fofe_wsd.wsd import (
     predict_all,
     predict_cosine,
     predict_knn,
-    predict_with_backoff,
     read_predictions,
     save_store,
     write_predictions,
@@ -25,10 +24,12 @@ from fofe_wsd.wsd import (
 
 
 def _store(dim, lemma_pairs):
-    store = ClassifierStore(dim=dim)
+    senses, vectors = {}, {}
     for lemma, sense, vec in lemma_pairs:
-        store.add(lemma, sense, np.asarray(vec, dtype=float))
-    return store
+        senses.setdefault(lemma, []).append(sense)
+        vectors.setdefault(lemma, []).append(np.asarray(vec, dtype=float))
+    pairs = {lemma: np.array(rows).reshape(len(rows), dim) for lemma, rows in vectors.items()}
+    return ClassifierStore(dim=dim, senses=senses, pairs=pairs)
 
 
 def _instance(instance_id, tokens, target, lemma, senses):
@@ -50,8 +51,10 @@ class TestBuildClassifierStore:
         ]
         store = build_classifier_store(tiny_model, instances)
         assert list(store.pairs) == ["bank"]
-        assert len(store.pairs["bank"]) == 2
-        assert store.sense_counts("bank") == {"bank%1": 1, "bank%2": 1}
+        assert store.pairs["bank"].shape == (2, tiny_model.config.hidden_dims[-1])
+        assert store.senses["bank"] == ["bank%1", "bank%2"]
+        contexts = [(inst.tokens, inst.target_index) for inst in instances]
+        assert_array_equal(store.pairs["bank"], np.array(list(context_embeddings(tiny_model, contexts))))
 
     def test_empty_instances(self, tiny_model):
         store = build_classifier_store(tiny_model, [])
@@ -62,9 +65,8 @@ class TestBuildClassifierStore:
         store = build_classifier_store(
             tiny_model, [_instance("i1", words, 1, "w", {"w%2", "w%1"})]
         )
-        pairs = store.pairs["w"]
-        assert [sense for sense, _ in pairs] == ["w%1", "w%2"]  # sorted key order
-        assert pairs[0][1] is pairs[1][1]
+        assert store.senses["w"] == ["w%1", "w%2"]  # sorted key order
+        assert_array_equal(store.pairs["w"][0], store.pairs["w"][1])
 
 
 class TestPredictKnn:
@@ -178,7 +180,7 @@ class TestKnnBruteForceEquivalence:
             dim = int(rng.integers(1, 5))
             n = int(rng.integers(1, 21))
             pairs = [(f"s{int(rng.integers(0, 3))}", rng.normal(size=dim)) for _ in range(n)]
-            store = ClassifierStore(dim=dim, pairs={"w": [(s, v) for s, v in pairs]})
+            store = _store(dim, [("w", s, v) for s, v in pairs])
             k = int(rng.integers(1, 12))
             cfg = ClassifierConfig(k=k)
             for _ in range(50):
@@ -187,25 +189,61 @@ class TestKnnBruteForceEquivalence:
                 assert predict_knn(store, cfg, "w", q, inv) == expected
 
 
+def _means(store):
+    """Each lemma's sense -> mean embedding, from ``build_sense_embeddings``."""
+    return {lemma: dict(zip(store.senses[lemma], store.pairs[lemma])) for lemma in store.pairs}
+
+
+def oracle_sense_embeddings(lemma_pairs):
+    """The per-pair loop: each sense's embeddings summed in pair order."""
+    means = {}
+    for lemma, pairs in lemma_pairs.items():
+        sums, counts = {}, {}
+        for sense, emb in pairs:
+            sums[sense] = sums[sense] + emb if sense in sums else emb.astype(np.float64, copy=True)
+            counts[sense] = counts.get(sense, 0) + 1
+        means[lemma] = {sense: sums[sense] / counts[sense] for sense in sums}
+    return means
+
+
 class TestSenseEmbeddings:
+    def test_bit_equal_to_per_pair_loop(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            dim = int(rng.integers(1, 40))
+            lemma_pairs = {
+                f"w{j}": [
+                    (f"s{int(rng.integers(0, 4))}", rng.normal(size=dim))
+                    for _ in range(int(rng.integers(1, 30)))
+                ]
+                for j in range(int(rng.integers(1, 4)))
+            }
+            store = _store(dim, [(lemma, s, v) for lemma, pairs in lemma_pairs.items() for s, v in pairs])
+            means = _means(build_sense_embeddings(store))
+            expected = oracle_sense_embeddings(lemma_pairs)
+            assert [list(m) for m in means.values()] == [list(m) for m in expected.values()]
+            for lemma in expected:
+                for sense in expected[lemma]:
+                    assert np.array_equal(means[lemma][sense], expected[lemma][sense])
+
     def test_single_pair_mean_is_the_pair(self):
         store = _store(2, [("w", "A", (0.25, 0.75))])
         senses = build_sense_embeddings(store)
-        assert_array_equal(senses.means["w"]["A"], [0.25, 0.75])
+        assert_array_equal(_means(senses)["w"]["A"], [0.25, 0.75])
 
     def test_two_pair_mean(self):
         store = _store(2, [("w", "A", (1.0, 0.0)), ("w", "A", (0.0, 1.0))])
         senses = build_sense_embeddings(store)
-        assert_array_equal(senses.means["w"]["A"], [0.5, 0.5])
+        assert_array_equal(_means(senses)["w"]["A"], [0.5, 0.5])
 
     def test_empty_store(self):
-        assert build_sense_embeddings(ClassifierStore(dim=3)).means == {}
+        assert _means(build_sense_embeddings(ClassifierStore(dim=3))) == {}
 
     def test_mean_inside_coordinatewise_hull(self):
         rng = np.random.default_rng(2)
         vecs = [rng.normal(size=4) for _ in range(9)]
         store = _store(4, [("w", "A", v) for v in vecs])
-        mean = build_sense_embeddings(store).means["w"]["A"]
+        mean = _means(build_sense_embeddings(store))["w"]["A"]
         stacked = np.stack(vecs)
         assert np.all(mean >= stacked.min(axis=0) - 1e-12)
         assert np.all(mean <= stacked.max(axis=0) + 1e-12)
@@ -250,20 +288,20 @@ class TestPredictWithBackoff:
         store = build_classifier_store(tiny_model, train)
         inv = SenseInventory(entries={"bank": ["bank%2", "bank%1"]})
         test = _instance("q1", words, 2, "bank", {"bank%1"})
-        assert predict_with_backoff(store, inv, tiny_model, ClassifierConfig(), test) == "bank%1"
+        assert predict_all(store, inv, tiny_model, ClassifierConfig(), [test]) == ["bank%1"]
 
     def test_backoff_to_first_sense(self, tiny_model):
         inv = SenseInventory(entries={"bank": ["bank%1", "bank%2"]})
         store = ClassifierStore(dim=tiny_model.config.hidden_dims[-1])
         test = _instance("q1", tiny_model.vocab.tokens[1:4], 1, "bank", {"bank%2"})
-        assert predict_with_backoff(store, inv, tiny_model, ClassifierConfig(), test) == "bank%1"
+        assert predict_all(store, inv, tiny_model, ClassifierConfig(), [test]) == ["bank%1"]
 
     def test_unknown_lemma_everywhere(self, tiny_model):
         inv = SenseInventory(entries={})
         store = ClassifierStore(dim=tiny_model.config.hidden_dims[-1])
         test = _instance("q1", tiny_model.vocab.tokens[1:4], 1, "ghost", {"g%1"})
         with pytest.raises(DataError, match="unknown lemma"):
-            predict_with_backoff(store, inv, tiny_model, ClassifierConfig(), test)
+            predict_all(store, inv, tiny_model, ClassifierConfig(), [test])
 
 
     def test_predict_all_keeps_order_and_paths(self, tiny_model):
@@ -284,7 +322,11 @@ class TestPredictWithBackoff:
         ]
         expected = [
             predict_knn(
-                store, cfg, inst.lemma, context_embedding(tiny_model, inst.tokens, inst.target_index), inv
+                store,
+                cfg,
+                inst.lemma,
+                next(context_embeddings(tiny_model, [(inst.tokens, inst.target_index)])),
+                inv,
             )
             if inst.lemma in store
             else inv.first_sense(inst.lemma)
@@ -315,12 +357,22 @@ class TestStorePersistence:
         path = tmp_path / "s.fwsd"
         save_store(store, path)
         loaded = load_store(path)
-        assert_allclose(loaded.pairs["w"][0][1], store.pairs["w"][0][1], atol=1e-6)
+        assert_allclose(loaded.pairs["w"][0], store.pairs["w"][0], atol=1e-6)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "s.fwsd"
         path.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(DataError, match="incompatible"):
+            load_store(path)
+
+    def test_pair_count_beyond_file_is_truncation(self, tmp_path):
+        path = tmp_path / "s.fwsd"
+        save_store(_store(2, [("w", "A", (0.5, 0.5))]), path)
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"\x01\x00\x00\x00w") + 5  # the pair count after the lemma name
+        raw[at : at + 4] = (2**32 - 1).to_bytes(4, "little")
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match="truncated"):
             load_store(path)
 
     def test_corruption_detected(self, tmp_path):
