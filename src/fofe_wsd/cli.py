@@ -15,10 +15,10 @@ import os
 import sys
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
-from pathlib import Path
 from typing import Callable, get_type_hints
 
 from . import evaluation, fofe, lm, synthetic, wsd
+from ._files import read_lines
 from .corpus import read_labeled_corpus, read_sense_inventory, tokenize_line
 from .errors import DataError, NumericalError
 
@@ -60,7 +60,7 @@ _VALUE_PARSERS = {
 
 def _read_config_file(path: str) -> dict:
     try:
-        lines = _read_lines(path, "config file")
+        lines = list(read_lines(path, "config file"))
     except DataError as exc:
         raise UsageError(str(exc)) from exc
     values: dict = {}
@@ -117,16 +117,6 @@ def _require(paths: dict[str, str], *names: str) -> list[str]:
     return [paths[n] for n in names]
 
 
-def _read_lines(path: str, what: str) -> list[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {what} {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{what} {path} is not valid UTF-8: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -150,13 +140,16 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     lm_config, _, paths = _run_config(args)
     corpus, checkpoint = _require(paths, "corpus", "checkpoint")
-    lines = _read_lines(corpus, "corpus")
+    lines = list(read_lines(corpus, "corpus"))
     model = None
     if args.resume:
         model = lm.load_checkpoint(checkpoint)
         log.info("resuming from %s (vocabulary %d)", checkpoint, len(model.vocab))
-    log_path = Path(checkpoint + ".log")
-    with open(log_path, "a" if args.resume else "w", encoding="utf-8", newline="\n") as epoch_log:
+    try:
+        epoch_log = open(checkpoint + ".log", "a" if args.resume else "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise DataError(f"cannot write {checkpoint}.log: {exc}") from exc
+    with epoch_log:
         if args.resume:
             epoch_log.write("# resumed\n")
 
@@ -318,22 +311,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except UsageError as exc:
+    except (UsageError, DataError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 1 if isinstance(exc, UsageError) else 2 if isinstance(exc, DataError) else 3
 
 
 if __name__ == "__main__":

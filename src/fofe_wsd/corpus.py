@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from ._files import read_records
 from .errors import DataError
 
 UNK_TOKEN = "<unk>"
@@ -105,33 +106,12 @@ class SenseInventory:
         return self.entries[lemma][0]
 
 
-def _data_lines(path: str | Path) -> Iterable[tuple[int, str]]:
-    """Yield (1-based line number, line) skipping blanks and # comments."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\r\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                yield lineno, line
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not valid UTF-8: {exc}") from exc
-
-
 def read_labeled_corpus(path: str | Path) -> list[LabeledInstance]:
     """Parse a labeled TSV corpus into instances, in file order."""
     instances: list[LabeledInstance] = []
     seen_ids: set[str] = set()
-    for lineno, line in _data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise DataError(
-                f"{path}: malformed line (expected 5 tab-separated fields, "
-                f"got {len(parts)}) (line {lineno})"
-            )
-        instance_id, text, index_text, lemma, gold_text = parts
+    records = read_records(path, "labeled corpus", 5)
+    for lineno, (instance_id, text, index_text, lemma, gold_text) in records:
         if not instance_id:
             raise DataError(f"{path}: empty instance id (line {lineno})")
         if instance_id in seen_ids:
@@ -165,14 +145,7 @@ def read_labeled_corpus(path: str | Path) -> list[LabeledInstance]:
 def read_sense_inventory(path: str | Path) -> SenseInventory:
     """Parse a sense-inventory TSV, preserving per-lemma sense order exactly."""
     entries: dict[str, list[str]] = {}
-    for lineno, line in _data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(
-                f"{path}: malformed line (expected 2 tab-separated fields, "
-                f"got {len(parts)}) (line {lineno})"
-            )
-        lemma, keys_text = parts
+    for lineno, (lemma, keys_text) in read_records(path, "sense inventory", 2):
         lemma = lemma.strip().lower()
         if not lemma:
             raise DataError(f"{path}: empty lemma (line {lineno})")

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from ._files import write_file
 from .corpus import LabeledInstance
 from .errors import DataError
 
@@ -63,15 +64,10 @@ def score(predictions: Mapping[str, str], gold: Sequence[LabeledInstance]) -> Ev
 
 def render_report(report: EvalReport) -> str:
     """TSV text: one global line, then per-lemma lines sorted by lemma."""
+    r = report
     lines = [
-        "all\t{}\t{}\t{}\t{:.4f}\t{:.4f}\t{:.4f}".format(
-            report.attempted,
-            report.correct,
-            report.total,
-            report.precision,
-            report.recall,
-            report.micro_f1,
-        )
+        f"all\t{r.attempted}\t{r.correct}\t{r.total}"
+        f"\t{r.precision:.4f}\t{r.recall:.4f}\t{r.micro_f1:.4f}"
     ]
     for lemma in sorted(report.per_lemma):
         attempted, correct = report.per_lemma[lemma]
@@ -80,4 +76,4 @@ def render_report(report: EvalReport) -> str:
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(render_report(report), encoding="utf-8", newline="\n")
+    write_file(path, render_report(report))

@@ -7,19 +7,18 @@ After training, the activation of the second-last layer (the held-out
 layer) for a target occurrence is its context embedding; the output layer
 plays no further role.
 
-Checkpoint format (binary, little-endian): magic ``FOFE``, format version
-u32, alpha f64, order u32, layer dims as a u32 count plus u32 values,
-vocabulary as a u32 token count plus length-prefixed UTF-8 tokens in id
-order, then the parameter tensors (embedding, then each layer's weight and
-bias) as f32 row-major arrays each preceded by u32 dims, and a trailing
-u64 checksum (byte sum of everything before it, mod 2**64).
+Checkpoint format: a ``_files`` container (magic ``FOFE``, version 1, which
+frames and checksums it) whose body is alpha f64, order u32, layer dims as a
+u32 count plus u32 values, vocabulary as a u32 token count plus
+length-prefixed UTF-8 tokens in id order, then the parameter tensors
+(embedding, then each layer's weight and bias) as f32 row-major arrays each
+preceded by its u32 rank and dims.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -27,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import fofe, nn
-from ._binio import Reader, checksum, write_str, write_tensor
+from ._files import Reader, container, put_f64, put_str, put_tensor, put_u32, write_container
 from .corpus import Vocabulary, build_vocabulary, tokenize_line
 from .errors import DataError, NumericalError
 
@@ -232,55 +231,39 @@ def train_lm(
 
 def save_checkpoint(model: LmModel, path: str | Path) -> None:
     """Write the model to ``path``; parameters narrow to f32 on disk."""
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    out += struct.pack("<I", CHECKPOINT_VERSION)
-    out += struct.pack("<d", model.config.fofe.alpha)
-    out += struct.pack("<I", model.config.fofe.order)
+    out = container(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    put_f64(out, model.config.fofe.alpha)
+    put_u32(out, model.config.fofe.order)
     dims = model.config.layer_dims(len(model.vocab))
-    out += struct.pack("<I", len(dims))
-    out += struct.pack(f"<{len(dims)}I", *dims)
-    out += struct.pack("<I", len(model.vocab))
+    put_u32(out, len(dims), *dims)
+    put_u32(out, len(model.vocab))
     for token in model.vocab.tokens:
-        write_str(out, token)
-    write_tensor(out, model.params.embedding)
+        put_str(out, token)
+    put_tensor(out, model.params.embedding)
     for w, b in model.params.layers:
-        write_tensor(out, w)
-        write_tensor(out, b)
-    out += struct.pack("<Q", checksum(out))
-    Path(path).write_bytes(out)
+        put_tensor(out, w)
+        put_tensor(out, b)
+    write_container(path, out)
 
 
 def load_checkpoint(path: str | Path) -> LmModel:
     """Read a checkpoint; the file is self-describing (vocab and dims included)."""
-    try:
-        buf = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    rd = Reader(buf, "checkpoint")
-    if rd.take(4) != CHECKPOINT_MAGIC:
-        raise DataError(f"incompatible checkpoint: {path} (bad magic)")
-    version = rd.u32()
-    if version != CHECKPOINT_VERSION:
-        raise DataError(f"incompatible checkpoint: {path} (version {version})")
+    rd = Reader.open(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     alpha = rd.f64()
     order = rd.u32()
-    ndims = rd.u32()
-    dims = [rd.u32() for _ in range(ndims)]
+    dims = [rd.u32() for _ in range(rd.u32())]
     n_tokens = rd.u32()
     tokens = [rd.text() for _ in range(n_tokens)]
 
-    if ndims < 2:
-        raise DataError(f"corrupt checkpoint: {path} (needs at least two layer dims)")
+    if len(dims) < 2:
+        raise rd.corrupt("needs at least two layer dims")
     if order < 1 or not 0.0 < alpha < 1.0:
-        raise DataError(f"corrupt checkpoint: {path} (alpha {alpha}, order {order})")
+        raise rd.corrupt(f"alpha {alpha}, order {order}")
     if dims[0] % (2 * order) != 0:
-        raise DataError(f"corrupt checkpoint: {path} (input dim {dims[0]} vs order {order})")
+        raise rd.corrupt(f"input dim {dims[0]} vs order {order}")
     embed_dim = dims[0] // (2 * order)
     if dims[-1] != n_tokens:
-        raise DataError(
-            f"corrupt checkpoint: {path} (output dim {dims[-1]} vs {n_tokens} vocabulary tokens)"
-        )
+        raise rd.corrupt(f"output dim {dims[-1]} vs {n_tokens} vocabulary tokens")
 
     embedding = rd.tensor()
     layers = []
@@ -288,17 +271,11 @@ def load_checkpoint(path: str | Path) -> LmModel:
         w = rd.tensor()
         b = rd.tensor()
         if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-            raise DataError(f"corrupt checkpoint: {path} (layer tensor shape mismatch)")
+            raise rd.corrupt("layer tensor shape mismatch")
         layers.append((w, b))
     if embedding.shape != (n_tokens, embed_dim):
-        raise DataError(f"corrupt checkpoint: {path} (embedding shape {embedding.shape})")
-
-    summed_region = buf[: rd.pos]
-    stored_sum = rd.u64()
-    if rd.pos != len(buf):
-        raise DataError(f"corrupt checkpoint: {path} (trailing bytes)")
-    if checksum(summed_region) != stored_sum:
-        raise DataError(f"corrupt checkpoint: {path} (checksum mismatch)")
+        raise rd.corrupt(f"embedding shape {embedding.shape}")
+    rd.close()
 
     try:
         config = LmConfig(
@@ -309,5 +286,5 @@ def load_checkpoint(path: str | Path) -> LmModel:
         )
         vocab = Vocabulary.from_tokens(tokens)
     except ValueError as exc:
-        raise DataError(f"corrupt checkpoint: {path} ({exc})") from exc
+        raise rd.corrupt(str(exc)) from exc
     return LmModel(vocab=vocab, config=config, params=nn.NetworkParams(embedding=embedding, layers=layers))

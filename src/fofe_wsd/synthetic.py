@@ -15,6 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import write_file
+from .errors import DataError
+
 PSEUDOWORD = "blicket"
 
 # Disjoint collocate pools; fillers are shared glue words.
@@ -80,7 +83,10 @@ def generate(outdir: str | Path, config: SyntheticConfig = SyntheticConfig()) ->
     Returns the paths keyed by role. Deterministic for a given config.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {outdir}: {exc}") from exc
     rng = np.random.default_rng(config.seed)
     flavors = list(_POOLS)
 
@@ -114,35 +120,27 @@ def generate(outdir: str | Path, config: SyntheticConfig = SyntheticConfig()) ->
         "inventory": outdir / "inventory.tsv",
         "config": outdir / "run.conf",
     }
-    paths["corpus"].write_text("\n".join(corpus_lines) + "\n", encoding="utf-8", newline="\n")
-    paths["train"].write_text("\n".join(train_rows) + "\n", encoding="utf-8", newline="\n")
-    paths["test"].write_text("\n".join(test_rows) + "\n", encoding="utf-8", newline="\n")
-    paths["inventory"].write_text(
-        f"{PSEUDOWORD}\t{_SENSES['money']},{_SENSES['river']}\n", encoding="utf-8", newline="\n"
-    )
-    paths["config"].write_text(
-        "\n".join(
-            [
-                "# synthetic pseudoword benchmark",
-                f"corpus = {paths['corpus']}",
-                f"train = {paths['train']}",
-                f"test = {paths['test']}",
-                f"inventory = {paths['inventory']}",
-                f"checkpoint = {outdir / 'model.fofe'}",
-                f"store = {outdir / 'classifiers.fwsd'}",
-                f"predictions = {outdir / 'predictions.tsv'}",
-                f"report = {outdir / 'report.tsv'}",
-                "alpha = 0.7",
-                "order = 3",
-                "k = 8",
-                "embed_dim = 32",
-                "hidden_dims = 64,64",
-                "epochs = 20",
-                f"seed = {config.seed}",
-                "",
-            ]
-        ),
-        encoding="utf-8",
-        newline="\n",
-    )
+    texts = {
+        "corpus": corpus_lines,
+        "train": train_rows,
+        "test": test_rows,
+        "inventory": [f"{PSEUDOWORD}\t{_SENSES['money']},{_SENSES['river']}"],
+        "config": [
+            "# synthetic pseudoword benchmark",
+            *(f"{role} = {paths[role]}" for role in ("corpus", "train", "test", "inventory")),
+            f"checkpoint = {outdir / 'model.fofe'}",
+            f"store = {outdir / 'classifiers.fwsd'}",
+            f"predictions = {outdir / 'predictions.tsv'}",
+            f"report = {outdir / 'report.tsv'}",
+            "alpha = 0.7",
+            "order = 3",
+            "k = 8",
+            "embed_dim = 32",
+            "hidden_dims = 64,64",
+            "epochs = 20",
+            f"seed = {config.seed}",
+        ],
+    }
+    for role, lines in texts.items():
+        write_file(paths[role], "\n".join(lines) + "\n")
     return paths

@@ -6,15 +6,14 @@ one sense embedding and picks the most similar. Lemmas with no training
 pairs at all fall back to the inventory's first-listed sense. The store
 keeps each lemma's pairs as a sense-key list and one (pairs, dim) matrix.
 
-Store file format mirrors the checkpoint container: magic ``FWSD``,
-version u32, embedding dim u32, lemma count u32, then per lemma a
-length-prefixed name, pair count, and per pair a length-prefixed sense key
-plus the f32 embedding, ending with the u64 byte-sum checksum.
+Store file format: a ``_files`` container (magic ``FWSD``, version 1, which
+frames and checksums it) whose body is embedding dim u32, lemma count u32,
+then per lemma a length-prefixed name, pair count, and per pair a
+length-prefixed sense key plus the f32 embedding.
 """
 
 from __future__ import annotations
 
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._binio import Reader, checksum, write_str
+from ._files import Reader, container, put_floats, put_str, put_u32, read_records, write_container, write_file
 from .corpus import LabeledInstance, SenseInventory
 from .errors import DataError
 from .lm import LmModel, context_embeddings
@@ -202,25 +201,12 @@ def predict_all(
 
 def write_predictions(rows: Sequence[tuple[str, str]], path: str | Path) -> None:
     """One ``instance_id<TAB>sense key`` line per row, in the given order."""
-    text = "".join(f"{instance_id}\t{sense}\n" for instance_id, sense in rows)
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    write_file(path, "".join(f"{instance_id}\t{sense}\n" for instance_id, sense in rows))
 
 
 def read_predictions(path: str | Path) -> dict[str, str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read predictions {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"predictions {path} is not valid UTF-8: {exc}") from exc
     predictions: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}: malformed prediction line {lineno}: {line!r}")
-        instance_id, sense = parts
+    for lineno, (instance_id, sense) in read_records(path, "predictions", 2):
         if instance_id in predictions:
             raise DataError(f"{path}: duplicate prediction for {instance_id!r} (line {lineno})")
         predictions[instance_id] = sense
@@ -229,51 +215,31 @@ def read_predictions(path: str | Path) -> dict[str, str]:
 
 def save_store(store: ClassifierStore, path: str | Path) -> None:
     """Write the store to ``path``; embeddings narrow to f32 on disk."""
-    out = bytearray()
-    out += STORE_MAGIC
-    out += struct.pack("<I", STORE_VERSION)
-    out += struct.pack("<I", store.dim)
-    out += struct.pack("<I", len(store.pairs))
+    out = container(STORE_MAGIC, STORE_VERSION)
+    put_u32(out, store.dim, len(store.pairs))
     for lemma, vectors in store.pairs.items():
-        write_str(out, lemma)
-        out += struct.pack("<I", len(vectors))
+        put_str(out, lemma)
+        put_u32(out, len(vectors))
         for sense, emb in zip(store.senses[lemma], vectors.astype("<f4")):
-            write_str(out, sense)
-            out += emb.tobytes()
-    out += struct.pack("<Q", checksum(out))
-    Path(path).write_bytes(out)
+            put_str(out, sense)
+            put_floats(out, emb)
+    write_container(path, out)
 
 
 def load_store(path: str | Path) -> ClassifierStore:
-    try:
-        buf = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read classifier store {path}: {exc}") from exc
-    rd = Reader(buf, "classifier store")
-    if rd.take(4) != STORE_MAGIC:
-        raise DataError(f"incompatible classifier store: {path} (bad magic)")
-    version = rd.u32()
-    if version != STORE_VERSION:
-        raise DataError(f"incompatible classifier store: {path} (version {version})")
+    rd = Reader.open(path, "classifier store", STORE_MAGIC, STORE_VERSION)
     dim = rd.u32()
     store = ClassifierStore(dim=dim)
-    n_lemmas = rd.u32()
-    for _ in range(n_lemmas):
+    for _ in range(rd.u32()):
         lemma = rd.text()
         if lemma in store.pairs:
-            raise DataError(f"corrupt classifier store: {path} (duplicate lemma {lemma!r})")
+            raise rd.corrupt(f"duplicate lemma {lemma!r}")
         n_pairs = rd.u32()
-        if n_pairs * (4 + 4 * dim) > len(buf) - rd.pos:  # each pair: a length prefix and dim f32
-            raise DataError(f"truncated classifier store: {path}")
+        rd.need(n_pairs * (4 + 4 * dim))  # each pair: a length prefix and dim f32
         senses = store.senses[lemma] = []
         vectors = store.pairs[lemma] = np.empty((n_pairs, dim))
         for i in range(n_pairs):
             senses.append(rd.text())
-            vectors[i] = np.frombuffer(rd.take(4 * dim), dtype="<f4")
-    summed_region = buf[: rd.pos]
-    stored_sum = rd.u64()
-    if rd.pos != len(buf):
-        raise DataError(f"corrupt classifier store: {path} (trailing bytes)")
-    if checksum(summed_region) != stored_sum:
-        raise DataError(f"corrupt classifier store: {path} (checksum mismatch)")
+            vectors[i] = rd.floats(dim)
+    rd.close()
     return store

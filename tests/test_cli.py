@@ -225,6 +225,20 @@ class TestBuildPredictEval:
         predictions = wsd.read_predictions(tmp_path / "pred.tsv")
         assert list(predictions) == ["q1", "q2"]
 
+    def test_ids_with_unicode_line_breaks_pass_predict_and_eval(self, workspace):
+        tmp_path, config = workspace
+        _write(
+            tmp_path / "test.tsv",
+            "q1\x0c\tmy blick earned interest at the branch\t1\tblick\tblick%1\n"
+            "q2\x85\tthe ferry crossed the blick past the reeds\t4\tblick\tblick%2\n"
+            "q3\u2028\tthe teller kept blick in the vault\t3\tblick\tblick%1\n",
+        )
+        for command in ("train", "build", "predict", "eval"):
+            assert main([command, "-c", str(config)]) == 0, command
+        report = (tmp_path / "report.tsv").read_text(encoding="utf-8").split("\n")
+        assert report[0].startswith("all\t3\t")
+        assert list(wsd.read_predictions(tmp_path / "pred.tsv")) == ["q1\x0c", "q2\x85", "q3\u2028"]
+
     def test_build_rejects_unknown_sense_key(self, workspace, capsys):
         tmp_path, config = workspace
         _write(
@@ -343,6 +357,31 @@ class TestBuildPredictEval:
         (expected,) = lm.context_embeddings(model, [(first.tokens, first.target_index)])
         stored = store.pairs[first.lemma][0]
         assert np.allclose(stored, expected, atol=1e-6)
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("train", "--checkpoint"),
+            ("build", "--store"),
+            ("predict", "--predictions"),
+            ("eval", "--report"),
+            ("gen-synthetic", "--outdir"),
+        ],
+    )
+    def test_path_under_a_regular_file_exits_2(self, workspace, capsys, command, flag):
+        tmp_path, config = workspace
+        stages = ["train", "build", "predict", "eval"]
+        for before in stages[: stages.index(command)] if command in stages else []:
+            assert main([before, "-c", str(config)]) == 0, before
+        blocked = str(tmp_path / "run.conf" / "out")  # run.conf is a regular file
+        args = [command, flag, blocked]
+        if command in stages:
+            args += ["-c", str(config)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "cannot" in err and blocked in err
 
 
 class TestGenSynthetic:
