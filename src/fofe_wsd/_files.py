@@ -161,9 +161,10 @@ class Reader:
         return np.frombuffer(self.take(4 * n), dtype="<f4")
 
     def tensor(self) -> np.ndarray:
+        """A tensor with its rank and dims, as a read-only f32 view of the file's bytes."""
         ndim = self.u32()
         dims = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
-        return self.floats(int(np.prod(dims, dtype=np.int64))).astype(np.float64).reshape(dims)
+        return self.floats(int(np.prod(dims, dtype=np.int64))).reshape(dims)
 
     def close(self) -> None:
         """Check the trailing checksum and that nothing follows it."""

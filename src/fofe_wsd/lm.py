@@ -10,9 +10,9 @@ plays no further role.
 Checkpoint format: a ``_files`` container (magic ``FOFE``, version 1, which
 frames and checksums it) whose body is alpha f64, order u32, layer dims as a
 u32 count plus u32 values, vocabulary as a u32 token count plus
-length-prefixed UTF-8 tokens in id order, then the parameter tensors
-(embedding, then each layer's weight and bias) as f32 row-major arrays each
-preceded by its u32 rank and dims.
+length-prefixed UTF-8 tokens in id order, then the parameter tensors in
+``NetworkParams.tensors()`` order (embedding, then each layer's weight and
+bias) as f32 row-major arrays each preceded by its u32 rank and dims.
 """
 
 from __future__ import annotations
@@ -239,10 +239,8 @@ def save_checkpoint(model: LmModel, path: str | Path) -> None:
     put_u32(out, len(model.vocab))
     for token in model.vocab.tokens:
         put_str(out, token)
-    put_tensor(out, model.params.embedding)
-    for w, b in model.params.layers:
-        put_tensor(out, w)
-        put_tensor(out, b)
+    for tensor in model.params.tensors():
+        put_tensor(out, tensor)
     write_container(path, out)
 
 
@@ -265,17 +263,17 @@ def load_checkpoint(path: str | Path) -> LmModel:
     if dims[-1] != n_tokens:
         raise rd.corrupt(f"output dim {dims[-1]} vs {n_tokens} vocabulary tokens")
 
-    embedding = rd.tensor()
-    layers = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = rd.tensor()
-        b = rd.tensor()
-        if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-            raise rd.corrupt("layer tensor shape mismatch")
-        layers.append((w, b))
-    if embedding.shape != (n_tokens, embed_dim):
-        raise rd.corrupt(f"embedding shape {embedding.shape}")
+    try:
+        params = nn.NetworkParams.zeros(dims, (n_tokens, embed_dim))
+    except (MemoryError, ValueError) as exc:  # dims that no file could hold
+        raise rd.corrupt(f"layer dims {dims}") from exc
+    stored = [rd.tensor() for _ in params.tensors()]
+    shapes, expected = [t.shape for t in stored], [t.shape for t in params.tensors()]
+    if shapes != expected:
+        raise rd.corrupt(f"tensor shapes {shapes}, expected {expected}")
     rd.close()
+    for tensor, values in zip(params.tensors(), stored):
+        tensor[...] = values
 
     try:
         config = LmConfig(
@@ -287,4 +285,4 @@ def load_checkpoint(path: str | Path) -> LmModel:
         vocab = Vocabulary.from_tokens(tokens)
     except ValueError as exc:
         raise rd.corrupt(str(exc)) from exc
-    return LmModel(vocab=vocab, config=config, params=nn.NetworkParams(embedding=embedding, layers=layers))
+    return LmModel(vocab=vocab, config=config, params=params)

@@ -5,6 +5,10 @@ All arithmetic is float64. Hidden layers apply an affine map followed by a
 rectifier max(0, x); the final layer is affine only and produces logits.
 Inputs may be a single vector ``(d,)`` or a batch ``(n, d)``; batch losses
 and gradients are means over the batch.
+
+``NetworkParams.tensors()`` is the one order of the model's tensors: the
+embedding, then each layer's weight and bias. Gradients, optimizer moments,
+the gradient check and the checkpoint all follow it.
 """
 
 from __future__ import annotations
@@ -12,6 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -24,6 +32,15 @@ class NetworkParams:
 
     embedding: np.ndarray
     layers: list[tuple[np.ndarray, np.ndarray]]
+
+    @classmethod
+    def zeros(cls, layer_dims: list[int], embed_shape: tuple[int, int] = (0, 0)) -> "NetworkParams":
+        fans = zip(layer_dims[:-1], layer_dims[1:])
+        return cls(np.zeros(embed_shape), [(np.zeros((i, o)), np.zeros(o)) for i, o in fans])
+
+    def tensors(self) -> list[np.ndarray]:
+        """The embedding, then each layer's weight and bias: the one order of the model's tensors."""
+        return [self.embedding, *(t for layer in self.layers for t in layer)]
 
     @property
     def layer_dims(self) -> list[int]:
@@ -53,11 +70,9 @@ class ForwardTrace:
 
 
 @dataclass
-class Gradients:
+class Gradients(NetworkParams):
     """Loss gradients mirroring NetworkParams, plus the input gradient."""
 
-    embedding: np.ndarray | None
-    layers: list[tuple[np.ndarray, np.ndarray]]
     input: np.ndarray
 
 
@@ -74,18 +89,13 @@ def init_network(
         raise ValueError("need at least input and output dimensions")
     if any(d < 1 for d in layer_dims):
         raise ValueError(f"layer dimensions must be >= 1, got {layer_dims}")
+    params = NetworkParams.zeros(layer_dims, embed_shape or (0, 0))
     rng = np.random.default_rng(seed)
-    if embed_shape is None:
-        embedding = np.zeros((0, 0))
-    else:
-        embedding = rng.uniform(-0.05, 0.05, size=embed_shape)
-    layers = []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        b = np.zeros(fan_out)
-        layers.append((w, b))
-    return NetworkParams(embedding=embedding, layers=layers)
+    params.embedding[...] = rng.uniform(-0.05, 0.05, size=params.embedding.shape)  # (0, 0) draws nothing
+    for w, _ in params.layers:
+        bound = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def _network_input(params: NetworkParams, x: np.ndarray) -> np.ndarray:
@@ -152,103 +162,74 @@ def loss_softmax_xent(logits: np.ndarray, target: int | np.ndarray) -> float:
 def backward(params: NetworkParams, trace: ForwardTrace, target: int | np.ndarray) -> Gradients:
     """Exact gradients of ``loss_softmax_xent`` for every layer and the input.
 
-    The embedding slot is returned zeroed (same shape as the parameter);
-    callers that built the input from embedding rows propagate
-    ``Gradients.input`` through that linear map themselves.
+    The embedding slot is returned zeroed (same shape as the parameter, so
+    zero-size without an embedding); callers that built the input from
+    embedding rows propagate ``Gradients.input`` through that linear map
+    themselves.
     """
-    logits = trace.logits
-    single = logits.ndim == 1
-    logits2 = logits[None, :] if single else logits
+    single = trace.logits.ndim == 1
+    activations = [np.atleast_2d(a) for a in trace.activations]  # a single input as a batch of one
+    preacts = [np.atleast_2d(h) for h in trace.preacts]
     targets = np.atleast_1d(np.asarray(target, dtype=np.intp))
-    n = logits2.shape[0]
+    n = activations[-1].shape[0]
     if targets.shape != (n,):
         raise ValueError(f"targets shape {targets.shape} does not match batch of {n}")
 
-    delta = softmax(logits2)
+    delta = softmax(activations[-1])
     delta[np.arange(n), targets] -= 1.0
     delta /= n
 
     layer_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)  # type: ignore[list-item]
     for li in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[li]
-        a_prev = trace.activations[li]
-        if a_prev.shape[-1] != w.shape[0]:
+        if activations[li].shape[-1] != w.shape[0]:
             raise ValueError("trace does not match parameters (dimension mismatch)")
-        a_prev2 = a_prev[None, :] if single else a_prev
-        layer_grads[li] = (a_prev2.T @ delta, delta.sum(axis=0))
+        layer_grads[li] = (activations[li].T @ delta, delta.sum(axis=0))
         delta = delta @ w.T
         if li > 0:
-            pre = trace.preacts[li - 1]
-            pre2 = pre[None, :] if single else pre
-            delta = delta * (pre2 > 0.0)
+            delta = delta * (preacts[li - 1] > 0.0)
     input_grad = delta[0] if single else delta
-    embed_grad = np.zeros_like(params.embedding) if params.embedding.size else None
-    return Gradients(embedding=embed_grad, layers=layer_grads, input=input_grad)
+    return Gradients(embedding=np.zeros_like(params.embedding), layers=layer_grads, input=input_grad)
 
 
 @dataclass
 class OptimizerState:
-    """Step rule plus per-parameter moment accumulators for the adaptive rule."""
+    """Step rule plus the adaptive rule's moments, in ``NetworkParams.tensors()`` order."""
 
     rule: str = "adam"  # "adam" or "sgd"
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
-    m: dict | None = field(default=None, repr=False)
-    v: dict | None = field(default=None, repr=False)
+    m: list[np.ndarray] | None = field(default=None, repr=False)
+    v: list[np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.rule not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer rule {self.rule!r}")
 
 
-def _zero_like_params(params: NetworkParams) -> dict:
-    return {
-        "embedding": np.zeros_like(params.embedding),
-        "layers": [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers],
-    }
-
-
 def apply_update(params: NetworkParams, grads: Gradients, state: OptimizerState) -> None:
     """Apply one optimizer step in place. Must not run concurrently."""
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    if grads.embedding is not None:
-        if grads.embedding.shape != params.embedding.shape:
-            raise ValueError("embedding gradient shape mismatch")
-        pairs.append((params.embedding, grads.embedding))
-    for (w, b), (gw, gb) in zip(params.layers, grads.layers):
-        if gw.shape != w.shape or gb.shape != b.shape:
-            raise ValueError("layer gradient shape mismatch")
-        pairs.append((w, gw))
-        pairs.append((b, gb))
-
+    tensors, grad_tensors = params.tensors(), grads.tensors()
+    shapes, grad_shapes = [p.shape for p in tensors], [g.shape for g in grad_tensors]
+    if grad_shapes != shapes:
+        raise ValueError(f"gradient shape mismatch: {grad_shapes} for parameters {shapes}")
+    state.step += 1
     if state.rule == "sgd":
-        state.step += 1
-        for p, g in pairs:
+        for p, g in zip(tensors, grad_tensors):
             p -= state.learning_rate * g
         return
 
     if state.m is None:
-        state.m = _zero_like_params(params)
-        state.v = _zero_like_params(params)
-    moments: list[tuple[np.ndarray, np.ndarray]] = []
-    if grads.embedding is not None:
-        moments.append((state.m["embedding"], state.v["embedding"]))
-    for (mw, mb), (vw, vb) in zip(state.m["layers"], state.v["layers"]):
-        moments.append((mw, vw))
-        moments.append((mb, vb))
-
-    state.step += 1
-    c1 = 1.0 - state.beta1**state.step
-    c2 = 1.0 - state.beta2**state.step
-    for (p, g), (m, v) in zip(pairs, moments):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        state.m = [np.zeros_like(p) for p in tensors]
+        state.v = [np.zeros_like(p) for p in tensors]
+    c1 = 1.0 - ADAM_BETA1**state.step
+    c2 = 1.0 - ADAM_BETA2**state.step
+    for p, g, m, v in zip(tensors, grad_tensors, state.m, state.v):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def gradient_check(
@@ -273,11 +254,11 @@ def gradient_check(
         return (plus - minus) / (2.0 * epsilon)
 
     worst = 0.0
-    for (w, b), (gw, gb) in zip(params.layers, analytic.layers):
-        for arr, grad in ((w, gw), (b, gb)):
-            for idx in np.ndindex(arr.shape):
-                n = numeric(arr, idx)
-                a = grad[idx]
-                rel = abs(a - n) / max(abs(a), abs(n), 1e-12)
-                worst = max(worst, rel)
+    # Every tensor but the embedding, which does not enter ``forward(params, x)``.
+    for arr, grad in zip(params.tensors()[1:], analytic.tensors()[1:]):
+        for idx in np.ndindex(arr.shape):
+            n = numeric(arr, idx)
+            a = grad[idx]
+            rel = abs(a - n) / max(abs(a), abs(n), 1e-12)
+            worst = max(worst, rel)
     return worst

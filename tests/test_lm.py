@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fofe_wsd import lm, nn
+from fofe_wsd._files import container, put_f64, put_str, put_tensor, put_u32, write_container
 from fofe_wsd.errors import DataError, NumericalError
 from fofe_wsd.fofe import context_code, context_ids
 from fofe_wsd.lm import (
@@ -192,6 +193,21 @@ class TestContextEmbedding:
         assert list(context_embeddings(model, [])) == []
 
 
+def write_checkpoint(model, path, tensors, dims=None):
+    """A checkpoint of ``model`` that stores ``tensors`` (and ``dims``), with a valid checksum."""
+    out = container(lm.CHECKPOINT_MAGIC, lm.CHECKPOINT_VERSION)
+    put_f64(out, model.config.fofe.alpha)
+    put_u32(out, model.config.fofe.order)
+    dims = dims or model.config.layer_dims(len(model.vocab))
+    put_u32(out, len(dims), *dims)
+    put_u32(out, len(model.vocab))
+    for token in model.vocab.tokens:
+        put_str(out, token)
+    for tensor in tensors:
+        put_tensor(out, tensor)
+    write_container(path, out)
+
+
 class TestCheckpoint:
     def test_roundtrip_architecture_and_bits(self, tiny_model, tmp_path):
         path = tmp_path / "m.fofe"
@@ -265,3 +281,32 @@ class TestCheckpoint:
         resumed = train_lm(toy_lines[:10], cfg, model=load_checkpoint(path))
         assert resumed.vocab.tokens == model.vocab.tokens
         assert not np.array_equal(resumed.params.embedding, model.params.embedding)
+
+    def test_written_like_save_checkpoint(self, tiny_model, tmp_path):
+        ours, theirs = tmp_path / "a.fofe", tmp_path / "b.fofe"
+        (w0, b0), (w1, b1) = tiny_model.params.layers
+        write_checkpoint(tiny_model, ours, [tiny_model.params.embedding, w0, b0, w1, b1])
+        save_checkpoint(tiny_model, theirs)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    @pytest.mark.parametrize(
+        "case", ["weight transposed", "embedding row too many", "bias element too many", "huge dims"]
+    )
+    def test_well_framed_wrong_shapes(self, tiny_model, tmp_path, case):
+        embedding = tiny_model.params.embedding
+        (w0, b0), (w1, b1) = tiny_model.params.layers
+        dims = None
+        if case == "weight transposed":
+            assert w0.shape[0] != w0.shape[1]
+            w0 = w0.T
+        elif case == "embedding row too many":
+            embedding = np.vstack([embedding, embedding[:1]])
+        elif case == "bias element too many":
+            b1 = np.append(b1, 0.0)
+        else:  # a hidden width whose weights no memory could hold
+            dims = tiny_model.config.layer_dims(len(tiny_model.vocab))
+            dims[1:-1] = [2**32 - 1, 2**32 - 1]
+        path = tmp_path / "m.fofe"
+        write_checkpoint(tiny_model, path, [embedding, w0, b0, w1, b1], dims)
+        with pytest.raises(DataError, match="corrupt checkpoint"):
+            load_checkpoint(path)

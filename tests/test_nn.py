@@ -1,4 +1,6 @@
+import copy
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,6 +13,70 @@ def _net(*matrices):
     """Build params from alternating weight/bias arrays."""
     layers = [(np.asarray(w, float), np.asarray(b, float)) for w, b in matrices]
     return nn.NetworkParams(embedding=np.zeros((0, 0)), layers=layers)
+
+
+@dataclass
+class OracleState:
+    rule: str
+    learning_rate: float
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    step: int = 0
+    m: dict | None = None
+    v: dict | None = None
+
+
+def _zero_like_params(params):
+    return {
+        "embedding": np.zeros_like(params.embedding),
+        "layers": [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers],
+    }
+
+
+def oracle_apply_update(params, grads, state):
+    """An independent optimizer step: dict moments and explicit per-tensor pairs."""
+    pairs = []
+    if grads.embedding is not None:
+        if grads.embedding.shape != params.embedding.shape:
+            raise ValueError("embedding gradient shape mismatch")
+        pairs.append((params.embedding, grads.embedding))
+    for (w, b), (gw, gb) in zip(params.layers, grads.layers):
+        if gw.shape != w.shape or gb.shape != b.shape:
+            raise ValueError("layer gradient shape mismatch")
+        pairs.append((w, gw))
+        pairs.append((b, gb))
+
+    if state.rule == "sgd":
+        state.step += 1
+        for p, g in pairs:
+            p -= state.learning_rate * g
+        return
+
+    if state.m is None:
+        state.m = _zero_like_params(params)
+        state.v = _zero_like_params(params)
+    moments = []
+    if grads.embedding is not None:
+        moments.append((state.m["embedding"], state.v["embedding"]))
+    for (mw, mb), (vw, vb) in zip(state.m["layers"], state.v["layers"]):
+        moments.append((mw, vw))
+        moments.append((mb, vb))
+
+    state.step += 1
+    c1 = 1.0 - state.beta1**state.step
+    c2 = 1.0 - state.beta2**state.step
+    for (p, g), (m, v) in zip(pairs, moments):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * np.square(g)
+        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+
+
+def _flat(embedding, layers):
+    """The embedding, then each layer's weight and bias, listed here without ``tensors()``."""
+    return [embedding] + [t for layer in layers for t in layer]
 
 
 class TestInit:
@@ -188,7 +254,7 @@ class TestApplyUpdate:
     def test_plain_rule_arithmetic(self):
         params = _net((np.array([[1.0]]), [0.0]))
         grads = nn.Gradients(
-            embedding=None, layers=[(np.array([[0.5]]), np.array([0.0]))], input=np.zeros(1)
+            embedding=np.zeros((0, 0)), layers=[(np.array([[0.5]]), np.array([0.0]))], input=np.zeros(1)
         )
         nn.apply_update(params, grads, nn.OptimizerState(rule="sgd", learning_rate=0.1))
         assert params.layers[0][0][0, 0] == pytest.approx(0.95, abs=1e-15)
@@ -196,7 +262,7 @@ class TestApplyUpdate:
     def test_adaptive_rule_first_step(self):
         params = _net((np.array([[1.0]]), [0.0]))
         grads = nn.Gradients(
-            embedding=None, layers=[(np.array([[0.5]]), np.array([0.0]))], input=np.zeros(1)
+            embedding=np.zeros((0, 0)), layers=[(np.array([[0.5]]), np.array([0.0]))], input=np.zeros(1)
         )
         state = nn.OptimizerState(rule="adam", learning_rate=0.001)
         nn.apply_update(params, grads, state)
@@ -208,10 +274,25 @@ class TestApplyUpdate:
     def test_shape_mismatch(self):
         params = _net((np.ones((2, 2)), [0.0, 0.0]))
         grads = nn.Gradients(
-            embedding=None, layers=[(np.ones((3, 2)), np.zeros(2))], input=np.zeros(2)
+            embedding=np.zeros((0, 0)), layers=[(np.ones((3, 2)), np.zeros(2))], input=np.zeros(2)
         )
         with pytest.raises(ValueError, match="shape"):
             nn.apply_update(params, grads, nn.OptimizerState(rule="sgd"))
+
+    @pytest.mark.parametrize("rule", ["adam", "sgd"])
+    def test_missing_layer_gradients_rejected(self, rule):
+        params = nn.init_network([3, 4, 2], 1, embed_shape=(5, 2))
+        grads = nn.backward(params, nn.forward(params, np.ones(3)), 1)
+        grads.embedding[...] = 1.0
+        short = nn.Gradients(embedding=grads.embedding, layers=grads.layers[:1], input=grads.input)
+        before = copy.deepcopy(params)
+        state = nn.OptimizerState(rule=rule, learning_rate=0.1)
+        with pytest.raises(ValueError, match="shape"):
+            nn.apply_update(params, short, state)
+        got = _flat(params.embedding, params.layers)
+        for ours, theirs in zip(got, _flat(before.embedding, before.layers)):
+            assert_array_equal(ours, theirs)
+        assert state.step == 0
 
     def test_loss_decreases_overfitting_one_example(self):
         params = nn.init_network([3, 8, 4], 9)
@@ -225,6 +306,35 @@ class TestApplyUpdate:
             nn.apply_update(params, nn.backward(params, trace, target), state)
         diffs = np.diff(losses)
         assert np.all(diffs < 0.0)
+
+
+class TestApplyUpdateEqualsOracle:
+    @pytest.mark.parametrize("rule", ["adam", "sgd"])
+    @pytest.mark.parametrize("embed_shape", [(6, 3), None], ids=["embedding", "no-embedding"])
+    def test_five_steps_bit_equal(self, rule, embed_shape):
+        params = nn.init_network([4, 5, 3], 3, embed_shape=embed_shape)
+        expected = copy.deepcopy(params)
+        state = nn.OptimizerState(rule=rule, learning_rate=0.01)
+        oracle = OracleState(rule=rule, learning_rate=0.01)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            x, targets = rng.normal(size=(2, 4)), rng.integers(0, 3, size=2)
+            grads = nn.backward(params, nn.forward(params, x), targets)
+            grads.embedding[...] = rng.normal(size=grads.embedding.shape)
+            nn.apply_update(params, grads, state)
+            oracle_apply_update(expected, grads, oracle)
+        assert state.step == oracle.step == 5
+        got = _flat(params.embedding, params.layers)
+        for ours, theirs in zip(got, _flat(expected.embedding, expected.layers)):
+            assert np.array_equal(ours, theirs)
+        if rule == "adam":
+            for moments, oracle_moments in ((state.m, oracle.m), (state.v, oracle.v)):
+                want = _flat(oracle_moments["embedding"], oracle_moments["layers"])
+                assert len(moments) == len(want)
+                for ours, theirs in zip(moments, want):
+                    assert np.array_equal(ours, theirs)
+        else:
+            assert state.m is None and state.v is None
 
 
 class TestGradientCheck:
