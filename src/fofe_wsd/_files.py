@@ -1,4 +1,5 @@
-"""Every file the pipeline reads or writes goes through this module.
+"""Every file the pipeline reads or writes goes through this module, the
+training log included; no other module opens a file.
 
 * Text is UTF-8. A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only, so a
   ``\\x0c``, ``\\x85`` or ``\\u2028`` inside a field stays in its line.
@@ -7,7 +8,9 @@
 * The binary container (checkpoint and store) is little-endian: a 4-byte
   magic, a u32 format version, the body (u32 counts and dims, f64 scalars,
   u32-length-prefixed UTF-8 strings, f32 row-major values), then a u64
-  checksum, the byte sum of everything before it mod 2**64.
+  checksum, the byte sum of everything before it mod 2**64. A tensor is
+  read into an array of the shape the reader expects, and its stored rank
+  and dims are checked against that shape before any value is read.
 
 Read and write failures raise ``DataError`` naming the path.
 """
@@ -160,11 +163,15 @@ class Reader:
         """``n`` f32 values, as a read-only view of the file's bytes."""
         return np.frombuffer(self.take(4 * n), dtype="<f4")
 
-    def tensor(self) -> np.ndarray:
-        """A tensor with its rank and dims, as a read-only f32 view of the file's bytes."""
+    def tensor_into(self, out: np.ndarray) -> None:
+        """Fill ``out`` from a tensor whose stored rank and dims must be ``out.shape``."""
         ndim = self.u32()
+        if ndim != out.ndim:
+            raise self.corrupt(f"tensor of rank {ndim}, expected shape {out.shape}")
         dims = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
-        return self.floats(int(np.prod(dims, dtype=np.int64))).reshape(dims)
+        if dims != out.shape:
+            raise self.corrupt(f"tensor shape {dims}, expected {out.shape}")
+        out[...] = self.floats(out.size).reshape(out.shape)
 
     def close(self) -> None:
         """Check the trailing checksum and that nothing follows it."""

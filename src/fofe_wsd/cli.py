@@ -18,7 +18,7 @@ from dataclasses import fields, is_dataclass, replace
 from typing import Callable, get_type_hints
 
 from . import evaluation, fofe, lm, synthetic, wsd
-from ._files import read_lines
+from ._files import read_lines, write_file
 from .corpus import read_labeled_corpus, read_sense_inventory, tokenize_line
 from .errors import DataError, NumericalError
 
@@ -141,25 +141,22 @@ def _cmd_train(args: argparse.Namespace) -> int:
     lm_config, _, paths = _run_config(args)
     corpus, checkpoint = _require(paths, "corpus", "checkpoint")
     lines = list(read_lines(corpus, "corpus"))
-    model = None
+    model, log_lines = None, []
+    epoch_log = checkpoint + ".log"
     if args.resume:
         model = lm.load_checkpoint(checkpoint)
         log.info("resuming from %s (vocabulary %d)", checkpoint, len(model.vocab))
-    try:
-        epoch_log = open(checkpoint + ".log", "a" if args.resume else "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise DataError(f"cannot write {checkpoint}.log: {exc}") from exc
-    with epoch_log:
-        if args.resume:
-            epoch_log.write("# resumed\n")
+        if os.path.exists(epoch_log):
+            log_lines = list(read_lines(epoch_log, "training log"))
+        log_lines.append("# resumed")
 
-        def progress(epoch: int, mean_loss: float) -> None:
-            epoch_log.write(f"{epoch}\t{mean_loss:.6f}\n")
-            epoch_log.flush()
-            log.info("epoch %d mean loss %.6f", epoch, mean_loss)
+    def progress(epoch: int, mean_loss: float) -> None:
+        log_lines.append(f"{epoch}\t{mean_loss:.6f}")
+        log.info("epoch %d mean loss %.6f", epoch, mean_loss)
 
-        model = lm.train_lm(lines, lm_config, model=model, progress=progress)
+    model = lm.train_lm(lines, lm_config, model=model, progress=progress)
     lm.save_checkpoint(model, checkpoint)
+    write_file(epoch_log, "".join(line + "\n" for line in log_lines))
     print(f"checkpoint written to {checkpoint} (vocabulary {len(model.vocab)})")
     return 0
 
@@ -214,9 +211,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     store = wsd.load_store(store_path)
     inventory = read_sense_inventory(inventory_path)
     instances = read_labeled_corpus(test)
-    unknown = [inst.instance_id for inst in instances if inst.lemma not in inventory]
-    if unknown:
-        raise DataError("lemma not in inventory for instance(s): " + ", ".join(unknown))
     senses = wsd.predict_all(store, inventory, model, classifier_config, instances)
     rows = [(inst.instance_id, sense) for inst, sense in zip(instances, senses)]
     wsd.write_predictions(rows, predictions)

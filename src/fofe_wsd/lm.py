@@ -250,39 +250,23 @@ def load_checkpoint(path: str | Path) -> LmModel:
     alpha = rd.f64()
     order = rd.u32()
     dims = [rd.u32() for _ in range(rd.u32())]
-    n_tokens = rd.u32()
-    tokens = [rd.text() for _ in range(n_tokens)]
-
-    if len(dims) < 2:
-        raise rd.corrupt("needs at least two layer dims")
-    if order < 1 or not 0.0 < alpha < 1.0:
-        raise rd.corrupt(f"alpha {alpha}, order {order}")
-    if dims[0] % (2 * order) != 0:
-        raise rd.corrupt(f"input dim {dims[0]} vs order {order}")
-    embed_dim = dims[0] // (2 * order)
-    if dims[-1] != n_tokens:
-        raise rd.corrupt(f"output dim {dims[-1]} vs {n_tokens} vocabulary tokens")
-
+    tokens = [rd.text() for _ in range(rd.u32())]
     try:
-        params = nn.NetworkParams.zeros(dims, (n_tokens, embed_dim))
-    except (MemoryError, ValueError) as exc:  # dims that no file could hold
-        raise rd.corrupt(f"layer dims {dims}") from exc
-    stored = [rd.tensor() for _ in params.tensors()]
-    shapes, expected = [t.shape for t in stored], [t.shape for t in params.tensors()]
-    if shapes != expected:
-        raise rd.corrupt(f"tensor shapes {shapes}, expected {expected}")
-    rd.close()
-    for tensor, values in zip(params.tensors(), stored):
-        tensor[...] = values
-
-    try:
+        if len(dims) < 2:
+            raise ValueError(f"layer dims {dims}: needs at least two")
         config = LmConfig(
             fofe=fofe.FofeConfig(alpha=alpha, order=order),
-            embed_dim=embed_dim,
+            embed_dim=dims[0] // (2 * order),
             hidden_dims=tuple(dims[1:-1]),
-            max_vocab=max(n_tokens, 2),
+            max_vocab=max(len(tokens), 2),
         )
+        if config.layer_dims(len(tokens)) != dims:
+            raise ValueError(f"layer dims {dims} for order {order} and {len(tokens)} vocabulary tokens")
         vocab = Vocabulary.from_tokens(tokens)
-    except ValueError as exc:
+        params = nn.NetworkParams.zeros(dims, (len(tokens), config.embed_dim))
+    except (MemoryError, ValueError) as exc:  # MemoryError: dims that no file could hold
         raise rd.corrupt(str(exc)) from exc
+    for tensor in params.tensors():
+        rd.tensor_into(tensor)
+    rd.close()
     return LmModel(vocab=vocab, config=config, params=params)

@@ -140,17 +140,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def loss_softmax_xent(logits: np.ndarray, target: int | np.ndarray) -> float:
     """-log softmax(logits)[target], via max-shifted log-sum-exp.
 
-    For a batch of logits with a vector of targets, returns the mean.
+    For a batch of logits with a vector of targets, returns the mean; single
+    logits are a batch of one.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    targets = np.atleast_1d(np.asarray(target, dtype=np.intp))
     shift = np.max(logits, axis=-1, keepdims=True)
     lse = shift[..., 0] + np.log(np.sum(np.exp(logits - shift), axis=-1))
-    if logits.ndim == 1:
-        t = int(target)
-        if not 0 <= t < logits.shape[0]:
-            raise ValueError(f"target {t} out of range for {logits.shape[0]} logits")
-        return float(lse - logits[t])
-    targets = np.asarray(target, dtype=np.intp)
     if targets.shape != logits.shape[:-1]:
         raise ValueError(f"targets shape {targets.shape} does not match logits {logits.shape}")
     if np.any(targets < 0) or np.any(targets >= logits.shape[-1]):

@@ -178,9 +178,13 @@ def predict_all(
 
     kNN when the instance's lemma has training pairs, else the inventory's
     first sense. The kNN queries of all instances come from one
-    ``context_embeddings`` call. A store whose width is not the model's is
-    a ``DataError``.
+    ``context_embeddings`` call. Before any embedding, a lemma missing from
+    the inventory (listing every such instance) or a store whose width is
+    not the model's is a ``DataError``.
     """
+    unknown = [inst.instance_id for inst in instances if inst.lemma not in inventory]
+    if unknown:
+        raise DataError("unknown lemma (not in the inventory) for instance(s): " + ", ".join(unknown))
     if store.dim != model.config.held_out_dim:
         raise DataError(
             f"classifier store holds {store.dim}-wide embeddings, "
@@ -188,15 +192,12 @@ def predict_all(
         )
     queried = [inst for inst in instances if inst.lemma in store]
     queries = context_embeddings(model, [(inst.tokens, inst.target_index) for inst in queried])
-    predictions = []
-    for inst in instances:
-        if inst.lemma in store:
-            predictions.append(predict_knn(store, cfg, inst.lemma, next(queries), inventory))
-        elif inst.lemma in inventory:
-            predictions.append(inventory.first_sense(inst.lemma))
-        else:
-            raise DataError(f"unknown lemma {inst.lemma!r} (instance {inst.instance_id})")
-    return predictions
+    return [
+        predict_knn(store, cfg, inst.lemma, next(queries), inventory)
+        if inst.lemma in store
+        else inventory.first_sense(inst.lemma)
+        for inst in instances
+    ]
 
 
 def write_predictions(rows: Sequence[tuple[str, str]], path: str | Path) -> None:

@@ -212,6 +212,36 @@ class TestTrainCommand:
         assert (tmp_path / "model.fofe").read_bytes() != first
         assert "# resumed" in (tmp_path / "model.fofe.log").read_text()
 
+    def test_resume_keeps_old_log_lines(self, workspace):
+        tmp_path, config = workspace
+        assert main(["train", "-c", str(config), "--epochs", "2"]) == 0
+        old = (tmp_path / "model.fofe.log").read_text()
+        assert main(["train", "-c", str(config), "--resume", "--epochs", "1"]) == 0
+        new = (tmp_path / "model.fofe.log").read_text()
+        assert new.startswith(old + "# resumed\n1\t")
+        assert len(new.splitlines()) == 4
+
+    def test_resume_without_log_starts_one(self, workspace):
+        tmp_path, config = workspace
+        assert main(["train", "-c", str(config)]) == 0
+        (tmp_path / "model.fofe.log").unlink()
+        assert main(["train", "-c", str(config), "--resume", "--epochs", "1"]) == 0
+        lines = (tmp_path / "model.fofe.log").read_text().splitlines()
+        assert lines[0] == "# resumed"
+        assert len(lines) == 2 and lines[1].startswith("1\t")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_run_keeps_checkpoint_and_log(self, workspace, capsys):
+        tmp_path, config = workspace
+        assert main(["train", "-c", str(config), "--epochs", "2"]) == 0
+        outputs = [tmp_path / "model.fofe", tmp_path / "model.fofe.log"]
+        before = [path.read_bytes() for path in outputs]
+        diverging = ["--optimizer", "sgd", "--learning-rate", "1e30"]
+        assert main(["train", "-c", str(config), *diverging]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert [path.read_bytes() for path in outputs] == before
+        assert not list(tmp_path.glob("*.tmp"))
+
 
 class TestBuildPredictEval:
     def test_full_pipeline(self, workspace, capsys):
@@ -271,6 +301,22 @@ class TestBuildPredictEval:
         assert main(["predict", "-c", str(config)]) == 2
         err = capsys.readouterr().err
         assert "q1" in err and "q2" in err
+
+    def test_predict_flipped_tensor_rank_exits_2(self, workspace, capsys):
+        tmp_path, config = workspace
+        assert main(["train", "-c", str(config), "--epochs", "0"]) == 0
+        assert main(["build", "-c", str(config)]) == 0
+        path = tmp_path / "model.fofe"
+        tensors = lm.load_checkpoint(path).params.tensors()
+        raw = bytearray(path.read_bytes())
+        # the tensors fill the file up to its 8-byte checksum; the embedding comes first
+        rank_at = len(raw) - 8 - sum(4 * (1 + t.ndim + t.size) for t in tensors)
+        assert raw[rank_at : rank_at + 4] == (2).to_bytes(4, "little")
+        raw[rank_at + 1] ^= 1  # rank 2 -> 258, with enough bytes after it for 258 dims
+        path.write_bytes(raw)
+        assert main(["predict", "-c", str(config)]) == 2
+        assert "corrupt checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "pred.tsv").exists()
 
     def test_predict_backoff_for_unseen_lemma(self, workspace):
         tmp_path, config = workspace

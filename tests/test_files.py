@@ -1,13 +1,35 @@
+import ast
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fofe_wsd
 from fofe_wsd._files import read_lines, write_file
-from fofe_wsd.corpus import read_labeled_corpus
+from fofe_wsd.corpus import LabeledInstance, read_labeled_corpus
 from fofe_wsd.errors import DataError
 from fofe_wsd.lm import load_checkpoint, save_checkpoint
-from fofe_wsd.wsd import ClassifierStore, load_store, save_store, write_predictions
+from fofe_wsd.wsd import ClassifierStore, build_classifier_store, load_store, save_store, write_predictions
+
+FILE_CALLS = {"open", "read_bytes", "read_text", "write_bytes", "write_text"}
+
+
+def test_only_files_module_touches_files():
+    found = []
+    for module in sorted(Path(fofe_wsd.__file__).parent.glob("*.py")):
+        if module.name == "_files.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            # Reader.open is the container reader of _files itself
+            own = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "Reader"
+            if name in FILE_CALLS and not own:
+                found.append(f"{module.name}:{node.lineno} {name}")
+    assert found == []
 
 
 class TestReadLines:
@@ -80,3 +102,54 @@ class TestContainerChecks:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(DataError, match=rf"corrupt {what}: .* \(trailing bytes\)"):
             load(path)
+
+
+def _flip_escapes(path, raw, bits, load):
+    """(bit, outcome) for each single-bit flip of ``raw`` that ``load`` does not reject with DataError."""
+    escapes = []
+    for bit in bits:
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(flipped)
+        try:
+            load(path)
+            escapes.append((bit, "loaded"))
+        except DataError:
+            pass
+        except Exception as exc:  # a traceback, where the CLI needs a DataError (exit code 2)
+            escapes.append((bit, repr(exc)))
+    return escapes
+
+
+class TestSingleBitFlips:
+    """The checksum sees every single-bit flip; each must end in ``DataError``, whatever it hits."""
+
+    def test_checkpoint_headers_and_sampled_bits(self, tiny_model, tmp_path):
+        path = tmp_path / "m.fofe"
+        save_checkpoint(tiny_model, path)
+        raw = path.read_bytes()
+        dims = tiny_model.config.layer_dims(len(tiny_model.vocab))
+        # magic, version, alpha, order, layer dims with their count, vocabulary size
+        bits = set(range(8 * (28 + 4 * len(dims))))
+        # the tensors fill the file up to its 8-byte checksum: their ranks and dims, and the checksum
+        end = len(raw) - 8
+        bits.update(range(8 * end, 8 * len(raw)))
+        for tensor in reversed(tiny_model.params.tensors()):
+            values_at = end - 4 * tensor.size
+            end = values_at - 4 * (1 + tensor.ndim)
+            bits.update(range(8 * end, 8 * values_at))
+        sampled = np.random.default_rng(0).choice(8 * len(raw), size=1500, replace=False)
+        assert _flip_escapes(path, raw, sorted(bits.union(sampled.tolist())), load_checkpoint) == []
+
+    def test_every_store_bit(self, tiny_model, tmp_path):
+        words = tiny_model.vocab.tokens[1:7]
+        instances = [
+            LabeledInstance(f"t{i}", words[i:], 1, lemma, frozenset(senses))
+            for i, (lemma, senses) in enumerate(
+                [("bank", ["bank%1"]), ("bank", ["bank%1", "bank%2"]), ("rose", ["rose%1"])]
+            )
+        ]
+        path = tmp_path / "s.fwsd"
+        save_store(build_classifier_store(tiny_model, instances), path)
+        raw = path.read_bytes()
+        assert _flip_escapes(path, raw, range(8 * len(raw)), load_store) == []

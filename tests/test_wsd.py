@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from fofe_wsd import wsd
 from fofe_wsd.corpus import LabeledInstance, SenseInventory
 from fofe_wsd.errors import DataError
 from fofe_wsd.lm import context_embeddings
@@ -303,6 +304,22 @@ class TestPredictWithBackoff:
         with pytest.raises(DataError, match="unknown lemma"):
             predict_all(store, inv, tiny_model, ClassifierConfig(), [test])
 
+    def test_lemma_in_store_but_not_inventory(self, tiny_model, monkeypatch):
+        words = tiny_model.vocab.tokens[1:6]
+        store = build_classifier_store(tiny_model, [_instance("t1", words, 2, "bank", {"bank%1"})])
+        inv = SenseInventory(entries={"rose": ["rose%1"]})
+        test = [
+            _instance("q1", words, 2, "bank", {"bank%1"}),
+            _instance("q2", words, 1, "rose", {"rose%1"}),
+            _instance("q3", words, 3, "bank", {"bank%1"}),
+        ]
+
+        def no_embedding(*args):
+            raise AssertionError("embedded before the lemma check")
+
+        monkeypatch.setattr(wsd, "context_embeddings", no_embedding)
+        with pytest.raises(DataError, match=r"unknown lemma .*: q1, q3$"):
+            predict_all(store, inv, tiny_model, ClassifierConfig(), test)
 
     def test_predict_all_keeps_order_and_paths(self, tiny_model):
         words = tiny_model.vocab.tokens[1:9]
