@@ -15,7 +15,7 @@ from .corpus import (
     read_sense_inventory,
     tokenize_line,
 )
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, UsageError
 from .evaluation import EvalReport, score
 from .fofe import FofeConfig, context_code, decode, encode_left, encode_order, encode_right
 from .lm import (
@@ -25,6 +25,7 @@ from .lm import (
     load_checkpoint,
     save_checkpoint,
     train_lm,
+    with_run_settings,
 )
 from .wsd import (
     ClassifierConfig,
@@ -53,6 +54,7 @@ __all__ = [
     "NoClassifierError",
     "NumericalError",
     "SenseInventory",
+    "UsageError",
     "Vocabulary",
     "build_classifier_store",
     "build_sense_embeddings",
@@ -75,4 +77,5 @@ __all__ = [
     "score",
     "tokenize_line",
     "train_lm",
+    "with_run_settings",
 ]

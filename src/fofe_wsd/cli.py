@@ -20,18 +20,14 @@ from typing import Callable, get_type_hints
 from . import evaluation, fofe, lm, synthetic, wsd
 from ._files import read_lines, write_file
 from .corpus import read_labeled_corpus, read_sense_inventory, tokenize_line
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, UsageError
 
 log = logging.getLogger("fofe_wsd")
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_hidden_dims(text: str) -> tuple[int, ...]:
-    """Comma-separated integers; raises ValueError on anything else."""
-    return tuple(int(p) for p in text.split(",") if p.strip())
+    """Comma-separated integers, or nothing for no hidden layer; raises ValueError on anything else."""
+    return tuple(int(p) for p in text.split(",")) if text.strip() else ()
 
 
 def _setting_parsers(cls: type) -> dict[str, Callable[[str], object]]:
@@ -94,15 +90,12 @@ def _run_config(
     values = _read_config_file(args.config) if args.config else {}
     values.update(_given(vars(args), _VALUE_PARSERS))
     defaults = lm.LmConfig()
-    try:
-        lm_config = replace(
-            defaults,
-            fofe=replace(defaults.fofe, **_given(values, _FOFE_SETTINGS)),
-            **_given(values, _LM_SETTINGS),
-        )
-        classifier_config = replace(wsd.ClassifierConfig(), **_given(values, _CLASSIFIER_SETTINGS))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    lm_config = replace(
+        defaults,
+        fofe=replace(defaults.fofe, **_given(values, _FOFE_SETTINGS)),
+        **_given(values, _LM_SETTINGS),
+    )
+    classifier_config = replace(wsd.ClassifierConfig(), **_given(values, _CLASSIFIER_SETTINGS))
     return lm_config, classifier_config, _given(values, _PATH_KEYS)
 
 
@@ -125,10 +118,7 @@ def _require(paths: dict[str, str], *names: str) -> list[str]:
 def _cmd_encode(args: argparse.Namespace) -> int:
     # Defaults: the language model's forgetting factor, at FofeConfig's default order.
     defaults = fofe.FofeConfig(alpha=lm.LmConfig().fofe.alpha)
-    try:
-        cfg = replace(defaults, **_given(vars(args), _FOFE_SETTINGS))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = replace(defaults, **_given(vars(args), _FOFE_SETTINGS))
     tokens = tokenize_line(args.tokens)
     vocabulary = sorted(set(tokens))
     ids = [vocabulary.index(t) for t in tokens]
@@ -161,35 +151,17 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_model(checkpoint: str, window_cap: int) -> lm.LmModel:
-    model = lm.load_checkpoint(checkpoint)
-    # The context window is a run setting, not model state; apply it so
-    # embeddings match the training-time windows when the same config is used.
-    model.config = replace(model.config, window_cap=window_cap)
-    return model
-
-
 def _cmd_build(args: argparse.Namespace) -> int:
     lm_config, _, paths = _run_config(args)
     checkpoint, train, inventory_path, store_path = _require(
         paths, "checkpoint", "train", "inventory", "store"
     )
-    model = _load_model(checkpoint, lm_config.window_cap)
+    model = lm.with_run_settings(lm.load_checkpoint(checkpoint), lm_config)
     inventory = read_sense_inventory(inventory_path)
     instances = read_labeled_corpus(train)
-    for inst in instances:
-        if inst.lemma not in inventory:
-            raise DataError(f"lemma {inst.lemma!r} not in inventory (instance {inst.instance_id})")
-        known = set(inventory.senses(inst.lemma))
-        unknown = inst.sense_keys - known
-        if unknown:
-            raise DataError(
-                f"unknown sense key(s) {sorted(unknown)} for lemma {inst.lemma!r} "
-                f"(instance {inst.instance_id})"
-            )
     if not instances:
         log.warning("labeled corpus %s has no instances; writing an empty store", train)
-    store = wsd.build_classifier_store(model, instances)
+    store = wsd.build_classifier_store(model, instances, inventory)
     for lemma, senses in store.senses.items():
         log.info(
             "lemma %s: %d pairs (%s)",
@@ -207,7 +179,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     checkpoint, store_path, test, inventory_path, predictions = _require(
         paths, "checkpoint", "store", "test", "inventory", "predictions"
     )
-    model = _load_model(checkpoint, lm_config.window_cap)
+    model = lm.with_run_settings(lm.load_checkpoint(checkpoint), lm_config)
     store = wsd.load_store(store_path)
     inventory = read_sense_inventory(inventory_path)
     instances = read_labeled_corpus(test)
@@ -230,10 +202,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
-    try:
-        config = synthetic.SyntheticConfig(seed=args.seed, n_train=args.train_n, n_test=args.test_n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = synthetic.SyntheticConfig(seed=args.seed, n_train=args.train_n, n_test=args.test_n)
     paths = synthetic.generate(args.outdir, config)
     for role, path in paths.items():
         print(f"{role}\t{path}")

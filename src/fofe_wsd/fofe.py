@@ -43,6 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import UsageError
+
 _DIRECTIONS = ("left", "right")
 _ADD_AT_TOKENS = 2048  # tokens per np.add.at call in ``contexts_backward``
 
@@ -56,9 +58,9 @@ class FofeConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+            raise UsageError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
+            raise UsageError(f"order must be >= 1, got {self.order}")
 
 
 def _check_ids(ids: Sequence[int], vocab_size: int) -> None:
@@ -110,17 +112,20 @@ def context_ids(
     """Padded batch layout of the contexts of n examples.
 
     ``tokens`` holds all sentences back to back; example i is the word at
-    ``positions[i]`` of the sentence that starts at ``starts[i]`` and has
-    ``lengths[i]`` tokens. Row i of the result is the left context of
-    example i and row n + i its right context reversed, both left-padded
-    with -1, so the token next to the target sits in the last column. At
-    most ``window_cap`` tokens per side are kept (0 keeps them all); the
-    width is max(order, longest side).
+    ``positions[i]``, which must lie inside the sentence that starts at
+    ``starts[i]`` and has ``lengths[i]`` tokens (else ``ValueError``). Row i
+    of the result is the left context of example i and row n + i its right
+    context reversed, both left-padded with -1, so the token next to the
+    target sits in the last column. At most ``window_cap`` tokens per side
+    are kept (0 keeps them all); the width is max(order, longest side).
     """
     tokens, starts, lengths, positions = (
         np.asarray(a, dtype=np.intp) for a in (tokens, starts, lengths, positions)
     )
     sides = np.concatenate([positions, lengths - 1 - positions])
+    if sides.min(initial=0) < 0:  # a side is negative only for a position outside its sentence
+        i = int(sides.argmin()) % len(positions)
+        raise ValueError(f"target index {positions[i]} out of range for {lengths[i]} tokens")
     if window_cap > 0:
         sides = np.minimum(sides, window_cap)
     width = max(order, int(sides.max(initial=0)))
@@ -233,8 +238,6 @@ def context_code(
     target word itself is excluded. Dimension ``2 * order * d``. A one-row
     call of ``encode_contexts``.
     """
-    if not 0 <= target_index < len(ids):
-        raise ValueError(f"target index {target_index} out of range for {len(ids)} tokens")
     _check_ids(ids, embeddings.shape[0])
     layout = context_ids(
         np.asarray(ids, dtype=np.intp), [0], [len(ids)], [target_index], cfg.order, window_cap

@@ -28,11 +28,13 @@ import numpy as np
 from . import fofe, nn
 from ._files import Reader, container, put_f64, put_str, put_tensor, put_u32, write_container
 from .corpus import Vocabulary, build_vocabulary, tokenize_line
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, UsageError
 
 CHECKPOINT_MAGIC = b"FOFE"
 CHECKPOINT_VERSION = 1
 _EMBED_BATCH = 256  # contexts per FOFE layer call in ``context_embeddings``
+# The LmConfig fields a trained model fixes; the others are run settings.
+_ARCHITECTURE = ("fofe", "embed_dim", "hidden_dims", "max_vocab")
 
 # Production-scale reference values: embed_dim 512, hidden (4096, 4096, 4096),
 # max_vocab 100_000. The defaults below are desk-scale so the full pipeline
@@ -56,21 +58,21 @@ class LmConfig:
 
     def __post_init__(self) -> None:
         if self.embed_dim < 1 or any(d < 1 for d in self.hidden_dims):
-            raise ValueError("all dimensions must be >= 1")
+            raise UsageError("all dimensions must be >= 1")
         if self.max_vocab < 2:
-            raise ValueError("max_vocab must be at least 2")
+            raise UsageError("max_vocab must be at least 2")
         if self.window_cap < 0:
-            raise ValueError("window_cap must be >= 0")
+            raise UsageError("window_cap must be >= 0")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise UsageError("batch_size must be >= 1")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise UsageError("epochs must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+            raise UsageError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+            raise UsageError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def input_dim(self) -> int:
@@ -90,6 +92,12 @@ class LmModel:
     vocab: Vocabulary
     config: LmConfig
     params: nn.NetworkParams
+
+
+def with_run_settings(model: LmModel, config: LmConfig) -> LmModel:
+    """``model`` under ``config`` but for the fields it fixes (``_ARCHITECTURE``); arrays are shared."""
+    fixed = {name: getattr(model.config, name) for name in _ARCHITECTURE}
+    return LmModel(vocab=model.vocab, config=replace(config, **fixed), params=model.params)
 
 
 def _concatenate(sentences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,9 +140,6 @@ def context_embeddings(
         chunk = contexts[first : first + _EMBED_BATCH]
         sentences = [model.vocab.encode(tokens) for tokens, _ in chunk]
         positions = [target_index for _, target_index in chunk]
-        for ids, target_index in zip(sentences, positions):
-            if not 0 <= target_index < len(ids):
-                raise ValueError(f"target index {target_index} out of range for {len(ids)} tokens")
         tokens, starts, lengths = _concatenate(sentences)
         layout = fofe.context_ids(tokens, starts, lengths, positions, cfg.fofe.order, cfg.window_cap)
         codes = fofe.encode_contexts(layout, cfg.fofe, model.params.embedding)
@@ -174,8 +179,9 @@ def train_lm(
     """Train on unlabelled sentences (one per line), deterministically per seed.
 
     Pass an existing ``model`` to continue training it (its vocabulary and
-    architecture are kept; optimizer moments restart). ``progress`` receives
-    (epoch number, mean training loss) once per epoch.
+    architecture are kept, as in ``with_run_settings``; optimizer moments
+    restart). ``progress`` receives (epoch number, mean training loss) once
+    per epoch.
     """
     lines = corpus if isinstance(corpus, list) else list(corpus)
     init_seed, shuffle_seed = np.random.SeedSequence(config.seed).spawn(2)
@@ -186,16 +192,7 @@ def train_lm(
         )
         model = LmModel(vocab=vocab, config=config, params=params)
     else:
-        # Continue training: architecture comes from the model, run settings
-        # (optimizer, rates, epochs, window cap) from the new config.
-        effective = replace(
-            config,
-            fofe=model.config.fofe,
-            embed_dim=model.config.embed_dim,
-            hidden_dims=model.config.hidden_dims,
-            max_vocab=model.config.max_vocab,
-        )
-        model = LmModel(vocab=model.vocab, config=effective, params=model.params)
+        model = with_run_settings(model, config)
 
     tokens, starts, lengths, positions = training_examples(
         [model.vocab.encode(tokenize_line(line)) for line in lines]

@@ -137,6 +137,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+def _targets(target: int | np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """``target`` as one class index per row of the 2-D ``logits``; a ValueError unless each is a class."""
+    targets = np.atleast_1d(np.asarray(target, dtype=np.intp))
+    if targets.shape != logits.shape[:-1]:
+        raise ValueError(f"targets shape {targets.shape} does not match logits {logits.shape}")
+    if targets.min(initial=0) < 0 or targets.max(initial=0) >= logits.shape[-1]:
+        raise ValueError("target out of range")
+    return targets
+
+
 def loss_softmax_xent(logits: np.ndarray, target: int | np.ndarray) -> float:
     """-log softmax(logits)[target], via max-shifted log-sum-exp.
 
@@ -144,13 +154,9 @@ def loss_softmax_xent(logits: np.ndarray, target: int | np.ndarray) -> float:
     logits are a batch of one.
     """
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    targets = np.atleast_1d(np.asarray(target, dtype=np.intp))
+    targets = _targets(target, logits)
     shift = np.max(logits, axis=-1, keepdims=True)
     lse = shift[..., 0] + np.log(np.sum(np.exp(logits - shift), axis=-1))
-    if targets.shape != logits.shape[:-1]:
-        raise ValueError(f"targets shape {targets.shape} does not match logits {logits.shape}")
-    if np.any(targets < 0) or np.any(targets >= logits.shape[-1]):
-        raise ValueError("target out of range")
     picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
     return float(np.mean(lse - picked))
 
@@ -166,10 +172,8 @@ def backward(params: NetworkParams, trace: ForwardTrace, target: int | np.ndarra
     single = trace.logits.ndim == 1
     activations = [np.atleast_2d(a) for a in trace.activations]  # a single input as a batch of one
     preacts = [np.atleast_2d(h) for h in trace.preacts]
-    targets = np.atleast_1d(np.asarray(target, dtype=np.intp))
-    n = activations[-1].shape[0]
-    if targets.shape != (n,):
-        raise ValueError(f"targets shape {targets.shape} does not match batch of {n}")
+    targets = _targets(target, activations[-1])
+    n = len(targets)
 
     delta = softmax(activations[-1])
     delta[np.arange(n), targets] -= 1.0

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._files import write_file
-from .errors import DataError
+from .errors import DataError, UsageError
 
 PSEUDOWORD = "blicket"
 
@@ -53,7 +53,7 @@ class SyntheticConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be >= 0, got {getattr(self, f.name)}")
+                raise UsageError(f"{f.name} must be >= 0, got {getattr(self, f.name)}")
 
 
 def _phrase(rng: np.random.Generator, pool: list[str], n: int) -> list[str]:

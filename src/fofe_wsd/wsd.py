@@ -23,7 +23,7 @@ import numpy as np
 
 from ._files import Reader, container, put_floats, put_str, put_u32, read_records, write_container, write_file
 from .corpus import LabeledInstance, SenseInventory
-from .errors import DataError
+from .errors import DataError, UsageError
 from .lm import LmModel, context_embeddings
 
 STORE_MAGIC = b"FWSD"
@@ -40,7 +40,7 @@ class ClassifierConfig:
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise UsageError(f"k must be >= 1, got {self.k}")
 
 
 @dataclass
@@ -59,13 +59,31 @@ class ClassifierStore:
         return len(self.pairs.get(lemma, ())) > 0
 
 
-def build_classifier_store(model: LmModel, instances: Sequence[LabeledInstance]) -> ClassifierStore:
+def _check_lemmas(instances: Sequence[LabeledInstance], inventory: SenseInventory) -> None:
+    """A ``DataError`` listing every instance whose lemma the inventory lacks."""
+    unknown = [inst.instance_id for inst in instances if inst.lemma not in inventory]
+    if unknown:
+        raise DataError("unknown lemma (not in the inventory) for instance(s): " + ", ".join(unknown))
+
+
+def build_classifier_store(
+    model: LmModel, instances: Sequence[LabeledInstance], inventory: SenseInventory
+) -> ClassifierStore:
     """Embed every labeled instance and group the pairs by lemma.
 
     A multi-gold instance contributes one pair per gold sense key (keys in
     sorted order), each with the same embedding. Pair order follows
-    instance order.
+    instance order. Before any embedding, a ``DataError`` names every
+    instance whose lemma, or any of whose gold keys, the inventory lacks.
     """
+    _check_lemmas(instances, inventory)
+    unlisted = [
+        f"{inst.instance_id} ({', '.join(sorted(extra))})"
+        for inst in instances
+        if (extra := inst.sense_keys.difference(inventory.senses(inst.lemma)))
+    ]
+    if unlisted:
+        raise DataError("sense key(s) not listed in the inventory for instance(s): " + ", ".join(unlisted))
     dim = model.config.held_out_dim
     counts = Counter(inst.lemma for inst in instances for _ in inst.sense_keys)
     store = ClassifierStore(
@@ -182,9 +200,7 @@ def predict_all(
     the inventory (listing every such instance) or a store whose width is
     not the model's is a ``DataError``.
     """
-    unknown = [inst.instance_id for inst in instances if inst.lemma not in inventory]
-    if unknown:
-        raise DataError("unknown lemma (not in the inventory) for instance(s): " + ", ".join(unknown))
+    _check_lemmas(instances, inventory)
     if store.dim != model.config.held_out_dim:
         raise DataError(
             f"classifier store holds {store.dim}-wide embeddings, "

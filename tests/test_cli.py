@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import os
 import subprocess
@@ -60,6 +61,13 @@ def workspace(tmp_path):
         "seed = 2\n",
     )
     return tmp_path, config
+
+
+def test_cli_raises_no_data_error():
+    # the rules on data live in the library functions the commands call
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    raised = [ast.unparse(node.exc) for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc]
+    assert [exc for exc in raised if exc.startswith("DataError")] == []
 
 
 class TestEncode:
@@ -166,6 +174,23 @@ class TestConfigHandling:
         assert main(["train", "-c", str(config), "--" + key.replace("_", "-"), text]) == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "model.fofe").exists()
+
+    @pytest.mark.parametrize("text", ["64,,64", ",", "64,", ",64"])
+    def test_hidden_dims_with_an_empty_item_rejected(self, workspace, capsys, text):
+        tmp_path, config = workspace
+        assert main(["train", "-c", str(config), "--hidden-dims", text]) == 1
+        assert "--hidden-dims" in capsys.readouterr().err
+        _write(config, config.read_text() + f"hidden_dims = {text}\n")
+        assert main(["train", "-c", str(config)]) == 1
+        assert f"bad value for 'hidden_dims': {text!r}" in capsys.readouterr().err
+        assert not (tmp_path / "model.fofe").exists()
+
+    def test_empty_hidden_dims_is_no_hidden_layer(self, workspace):
+        tmp_path, config = workspace
+        assert main(["train", "-c", str(config), "--epochs", "0", "--hidden-dims", ""]) == 0
+        assert lm.load_checkpoint(tmp_path / "model.fofe").config.hidden_dims == ()
+        _write(config, config.read_text() + "hidden_dims =\n")
+        assert cli._read_config_file(str(config))["hidden_dims"] == ()
 
 
 class TestTrainCommand:

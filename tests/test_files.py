@@ -7,7 +7,7 @@ import pytest
 
 import fofe_wsd
 from fofe_wsd._files import read_lines, write_file
-from fofe_wsd.corpus import LabeledInstance, read_labeled_corpus
+from fofe_wsd.corpus import LabeledInstance, SenseInventory, read_labeled_corpus
 from fofe_wsd.errors import DataError
 from fofe_wsd.lm import load_checkpoint, save_checkpoint
 from fofe_wsd.wsd import ClassifierStore, build_classifier_store, load_store, save_store, write_predictions
@@ -150,6 +150,7 @@ class TestSingleBitFlips:
             )
         ]
         path = tmp_path / "s.fwsd"
-        save_store(build_classifier_store(tiny_model, instances), path)
+        inventory = SenseInventory({"bank": ["bank%1", "bank%2"], "rose": ["rose%1"]})
+        save_store(build_classifier_store(tiny_model, instances, inventory), path)
         raw = path.read_bytes()
         assert _flip_escapes(path, raw, range(8 * len(raw)), load_store) == []

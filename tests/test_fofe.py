@@ -314,6 +314,13 @@ class TestContextIds:
         assert flat_layout([sentence], [4], order=1, window_cap=2).tolist() == [[12, 13], [16, 15]]
         assert flat_layout([sentence], [0], order=1, window_cap=2).tolist() == [[-1, -1], [12, 11]]
 
+    @pytest.mark.parametrize("start, position", [(0, 3), (3, -1)])
+    def test_position_outside_its_sentence(self, start, position):
+        # read unchecked, (0, 3) would take token 20 of the next sentence, (3, -1) token 12 of the last
+        tokens = np.array([10, 11, 12, 20, 21, 22])
+        with pytest.raises(ValueError, match=f"target index {position} out of range for 3 tokens"):
+            context_ids(tokens, starts=[0, start], lengths=[3, 3], positions=[1, position], order=1)
+
     def test_neighbouring_sentences_stay_out(self):
         # the sentence of example 0 sits between two others in the token array
         tokens = np.array([1, 2, 10, 11, 12, 3, 4])

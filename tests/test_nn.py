@@ -235,6 +235,13 @@ class TestBackward:
         # single-example gradient divided by the batch size
         assert_allclose(batch.input, np.stack([g.input for g in singles]) / len(xs), atol=1e-12)
 
+    @pytest.mark.parametrize("target", [-1, 2, [0, -1], [2, 1]])
+    def test_target_out_of_range(self, target):
+        params = nn.init_network([3, 4, 2], 2)
+        x = np.zeros(3) if np.ndim(target) == 0 else np.zeros((2, 3))
+        with pytest.raises(ValueError, match="target"):
+            nn.backward(params, nn.forward(params, x), target)
+
     def test_stale_trace_rejected(self):
         params = nn.init_network([3, 4, 2], 0)
         other = nn.init_network([5, 4, 2], 0)

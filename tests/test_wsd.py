@@ -50,7 +50,7 @@ class TestBuildClassifierStore:
             _instance("i1", words, 2, "bank", {"bank%1"}),
             _instance("i2", words[::-1], 1, "bank", {"bank%2"}),
         ]
-        store = build_classifier_store(tiny_model, instances)
+        store = build_classifier_store(tiny_model, instances, SenseInventory({"bank": ["bank%1", "bank%2"]}))
         assert list(store.pairs) == ["bank"]
         assert store.pairs["bank"].shape == (2, tiny_model.config.hidden_dims[-1])
         assert store.senses["bank"] == ["bank%1", "bank%2"]
@@ -58,16 +58,37 @@ class TestBuildClassifierStore:
         assert_array_equal(store.pairs["bank"], np.array(list(context_embeddings(tiny_model, contexts))))
 
     def test_empty_instances(self, tiny_model):
-        store = build_classifier_store(tiny_model, [])
+        store = build_classifier_store(tiny_model, [], SenseInventory({}))
         assert store.pairs == {}
 
     def test_multi_gold_shares_one_embedding(self, tiny_model):
         words = tiny_model.vocab.tokens[1:5]
         store = build_classifier_store(
-            tiny_model, [_instance("i1", words, 1, "w", {"w%2", "w%1"})]
+            tiny_model, [_instance("i1", words, 1, "w", {"w%2", "w%1"})], SenseInventory({"w": ["w%1", "w%2"]})
         )
         assert store.senses["w"] == ["w%1", "w%2"]  # sorted key order
         assert_array_equal(store.pairs["w"][0], store.pairs["w"][1])
+
+    def test_inventory_checked_before_embedding(self, tiny_model, monkeypatch):
+        words = tiny_model.vocab.tokens[1:6]
+        inventory = SenseInventory({"bank": ["bank%1", "bank%2"]})
+        instances = [
+            _instance("i1", words, 2, "bank", {"bank%1"}),
+            _instance("i2", words, 3, "bank", {"bank%9", "bank%8"}),
+            _instance("i3", words, 1, "ghost", {"g%1"}),
+            _instance("i4", words, 4, "bank", {"bank%1", "bank%7"}),
+            _instance("i5", words, 1, "oak", {"oak%1"}),
+        ]
+
+        def no_embedding(*args):
+            raise AssertionError("embedded before the inventory checks")
+
+        monkeypatch.setattr(wsd, "context_embeddings", no_embedding)
+        with pytest.raises(DataError, match=r"unknown lemma .*: i3, i5$"):
+            build_classifier_store(tiny_model, instances, inventory)
+        listed_lemmas = [inst for inst in instances if inst.lemma == "bank"]
+        with pytest.raises(DataError, match=r"not listed .*: i2 \(bank%8, bank%9\), i4 \(bank%7\)$"):
+            build_classifier_store(tiny_model, listed_lemmas, inventory)
 
 
 class TestPredictKnn:
@@ -286,8 +307,8 @@ class TestPredictWithBackoff:
     def test_knn_path_when_pairs_exist(self, tiny_model):
         words = tiny_model.vocab.tokens[1:6]
         train = [_instance("t1", words, 2, "bank", {"bank%1"})]
-        store = build_classifier_store(tiny_model, train)
         inv = SenseInventory(entries={"bank": ["bank%2", "bank%1"]})
+        store = build_classifier_store(tiny_model, train, inv)
         test = _instance("q1", words, 2, "bank", {"bank%1"})
         assert predict_all(store, inv, tiny_model, ClassifierConfig(), [test]) == ["bank%1"]
 
@@ -306,7 +327,9 @@ class TestPredictWithBackoff:
 
     def test_lemma_in_store_but_not_inventory(self, tiny_model, monkeypatch):
         words = tiny_model.vocab.tokens[1:6]
-        store = build_classifier_store(tiny_model, [_instance("t1", words, 2, "bank", {"bank%1"})])
+        store = build_classifier_store(
+            tiny_model, [_instance("t1", words, 2, "bank", {"bank%1"})], SenseInventory({"bank": ["bank%1"]})
+        )
         inv = SenseInventory(entries={"rose": ["rose%1"]})
         test = [
             _instance("q1", words, 2, "bank", {"bank%1"}),
@@ -328,8 +351,8 @@ class TestPredictWithBackoff:
             _instance("t2", words[2:], 4, "bank", {"bank%2"}),
             _instance("t3", words[1:7], 0, "rose", {"rose%1"}),
         ]
-        store = build_classifier_store(tiny_model, train)
         inv = SenseInventory(entries={"bank": ["bank%2", "bank%1"], "rose": ["rose%1"], "oak": ["oak%3"]})
+        store = build_classifier_store(tiny_model, train, inv)
         cfg = ClassifierConfig(k=1)
         test = [
             _instance("q1", words[:4], 1, "oak", {"oak%3"}),
