@@ -54,12 +54,18 @@ _VALUE_PARSERS = {
 }
 
 
+def _bad_value(key: str, value: str) -> str:
+    """The one wording for a setting value its parser rejects, from a config file or a flag."""
+    return f"bad value for {key!r}: {value!r}"
+
+
 def _read_config_file(path: str) -> dict:
     try:
         lines = list(read_lines(path, "config file"))
     except DataError as exc:
         raise UsageError(str(exc)) from exc
     values: dict = {}
+    set_on: dict[str, int] = {}  # key -> the line that set it
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -71,10 +77,13 @@ def _read_config_file(path: str) -> dict:
         value = value.strip()
         if key not in _VALUE_PARSERS:
             raise UsageError(f"{path}: unknown config key {key!r} (line {lineno})")
+        if key in set_on:
+            raise UsageError(f"{path}: config key {key!r} set twice (lines {set_on[key]} and {lineno})")
+        set_on[key] = lineno
         try:
             values[key] = _VALUE_PARSERS[key](value)
         except ValueError:
-            raise UsageError(f"{path}: bad value for {key!r}: {value!r} (line {lineno})")
+            raise UsageError(f"{path}: {_bad_value(key, value)} (line {lineno})")
     return values
 
 
@@ -219,10 +228,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
+def _flag_parser(key: str, parse: Callable[[str], object]) -> Callable[[str], object]:
+    """``parse`` for the flag of setting ``key``: a rejected value reads as in a config file."""
+
+    def parse_flag(text: str) -> object:
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(_bad_value(key, text)) from None
+
+    return parse_flag
+
+
 def _add_setting_flags(parser: argparse.ArgumentParser, parsers: dict) -> None:
     for key, parse in parsers.items():
         metavar = "PATH" if key in _PATH_KEYS else None
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=parse, metavar=metavar)
+        flag = "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest=key, type=_flag_parser(key, parse), metavar=metavar)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

@@ -154,8 +154,13 @@ def _train_step(
     lengths: np.ndarray,
     positions: np.ndarray,
     state: nn.OptimizerState,
+    embedding_grad: np.ndarray,
 ) -> float:
-    """One update on the examples given as in ``training_examples``."""
+    """One update on the examples given as in ``training_examples``.
+
+    ``embedding_grad`` is the run's zeroed embedding-gradient buffer; the
+    step zeroes again the rows its contexts touched, so it ends zeroed.
+    """
     params = model.params
     cfg = model.config.fofe
     ids = fofe.context_ids(tokens, starts, lengths, positions, cfg.order, model.config.window_cap)
@@ -163,9 +168,10 @@ def _train_step(
     words = tokens[starts + positions]
     trace = nn.forward(params, x)
     loss = nn.loss_softmax_xent(trace.logits, words)
-    grads = nn.backward(params, trace, words)
+    grads = nn.backward(params, trace, words, embedding_grad=embedding_grad)
     fofe.contexts_backward(ids, cfg, grads.input, grads.embedding)
     nn.apply_update(params, grads, state)
+    embedding_grad[ids[ids >= 0]] = 0.0
     return loss
 
 
@@ -201,6 +207,7 @@ def train_lm(
         raise DataError("empty corpus")
 
     state = nn.OptimizerState(rule=config.optimizer, learning_rate=config.learning_rate)
+    embedding_grad = np.zeros_like(model.params.embedding)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(tokens))
@@ -208,7 +215,7 @@ def train_lm(
         for start in range(0, len(tokens), config.batch_size):
             batch = order[start : start + config.batch_size]
             loss = _train_step(
-                model, tokens, starts[batch], lengths[batch], positions[batch], state
+                model, tokens, starts[batch], lengths[batch], positions[batch], state, embedding_grad
             )
             if not np.isfinite(loss):
                 raise NumericalError(

@@ -180,7 +180,7 @@ class TestConfigHandling:
         tmp_path, config = workspace
         assert main(["train", "-c", str(config), "--hidden-dims", text]) == 1
         assert "--hidden-dims" in capsys.readouterr().err
-        _write(config, config.read_text() + f"hidden_dims = {text}\n")
+        _write(config, config.read_text().replace("hidden_dims = 16\n", f"hidden_dims = {text}\n"))
         assert main(["train", "-c", str(config)]) == 1
         assert f"bad value for 'hidden_dims': {text!r}" in capsys.readouterr().err
         assert not (tmp_path / "model.fofe").exists()
@@ -189,8 +189,29 @@ class TestConfigHandling:
         tmp_path, config = workspace
         assert main(["train", "-c", str(config), "--epochs", "0", "--hidden-dims", ""]) == 0
         assert lm.load_checkpoint(tmp_path / "model.fofe").config.hidden_dims == ()
-        _write(config, config.read_text() + "hidden_dims =\n")
+        _write(config, config.read_text().replace("hidden_dims = 16\n", "hidden_dims =\n"))
         assert cli._read_config_file(str(config))["hidden_dims"] == ()
+
+    def test_key_set_twice_rejected(self, workspace, capsys):
+        tmp_path, config = workspace
+        _write(config, config.read_text() + "\n# again\nepochs = 1\n")
+        assert main(["train", "-c", str(config)]) == 1
+        assert "config key 'epochs' set twice (lines 12 and 16)" in capsys.readouterr().err
+        assert not (tmp_path / "model.fofe").exists()
+
+    @pytest.mark.parametrize("key, text", [("hidden_dims", "64,,64"), ("alpha", "x"), ("epochs", "1.5")])
+    def test_flag_and_file_word_a_bad_value_alike(self, workspace, capsys, key, text):
+        tmp_path, config = workspace
+        wording = f"bad value for {key!r}: {text!r}"
+        assert main(["train", "-c", str(config), "--" + key.replace("_", "-"), text]) == 1
+        err = capsys.readouterr().err
+        assert f"argument --{key.replace('_', '-')}: {wording}" in err
+        assert "_parse" not in err
+        lines = [line for line in config.read_text().splitlines() if not line.startswith(key)]
+        _write(config, "\n".join([*lines, f"{key} = {text}"]) + "\n")
+        assert main(["train", "-c", str(config)]) == 1
+        assert f"{wording} (line {len(lines) + 1})" in capsys.readouterr().err
+        assert not (tmp_path / "model.fofe").exists()
 
 
 class TestTrainCommand:

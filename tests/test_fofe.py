@@ -92,8 +92,24 @@ def oracle_context_backward(ids, target_index, cfg, grad, embed_grad):
     oracle_embedded_backward(ids[target_index + 1 :], cfg, "right", grad[half:], embed_grad)
 
 
+def oracle_update(params, grads, moments, step, config):
+    """The optimizer step on whole arrays, as its formulas read (``nn.apply_update`` slices large tensors)."""
+    lr = config.learning_rate
+    if config.optimizer == "sgd":
+        for p, g in zip(params.tensors(), grads.tensors()):
+            p -= lr * g
+        return
+    c1, c2 = 1.0 - nn.ADAM_BETA1**step, 1.0 - nn.ADAM_BETA2**step
+    for p, g, m, v in zip(params.tensors(), grads.tensors(), *moments):
+        m *= nn.ADAM_BETA1
+        m += (1.0 - nn.ADAM_BETA1) * g
+        v *= nn.ADAM_BETA2
+        v += (1.0 - nn.ADAM_BETA2) * np.square(g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + nn.ADAM_EPS)
+
+
 def oracle_train(lines, config):
-    """The training loop of ``train_lm`` with the oracle encoder."""
+    """The training loop of ``train_lm`` with the oracle encoder and optimizer step."""
     init_seed, shuffle_seed = np.random.SeedSequence(config.seed).spawn(2)
     vocab = build_vocabulary(lines, config.max_vocab)
     params = nn.init_network(
@@ -103,7 +119,8 @@ def oracle_train(lines, config):
     for line in lines:
         ids = vocab.encode(tokenize_line(line))
         examples.extend(oracle_clip(ids, t, config.window_cap) for t in range(len(ids)))
-    state = nn.OptimizerState(rule=config.optimizer, learning_rate=config.learning_rate)
+    moments = [[np.zeros_like(t) for t in params.tensors()] for _ in range(2)]
+    step = 0
     shuffle_rng = np.random.default_rng(shuffle_seed)
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(len(examples))
@@ -116,7 +133,8 @@ def oracle_train(lines, config):
             grads = nn.backward(params, nn.forward(params, x), targets)
             for i, (ids, t) in enumerate(batch):
                 oracle_context_backward(ids, t, config.fofe, grads.input[i], grads.embedding)
-            nn.apply_update(params, grads, state)
+            step += 1
+            oracle_update(params, grads, moments, step, config)
     return params
 
 
@@ -510,13 +528,20 @@ class TestBatchedEqualsOracle:
 
 class TestTrainingEqualsOracle:
     @pytest.mark.parametrize(
-        "optimizer, order, cap",
-        [("adam", 3, 0), ("sgd", 1, 2)],
+        "optimizer, order, cap, embed_dim",
+        [
+            pytest.param("adam", 3, 0, 5, id="adam-3-0"),
+            pytest.param("sgd", 1, 2, 5, id="sgd-1-2"),
+            pytest.param("adam", 3, 0, 1200, id="adam-3-0-several-slices"),
+        ],
     )
-    def test_parameters_bit_equal(self, toy_lines, optimizer, order, cap):
+    def test_parameters_bit_equal(self, toy_lines, optimizer, order, cap, embed_dim):
+        # At embed_dim 1200 the 60 x 1200 embedding takes three 32,768-element
+        # Adam slices and the 7200 x 8 first weight two, the last one partial;
+        # the 30 steps reuse one embedding-gradient buffer.
         config = LmConfig(
             fofe=FofeConfig(alpha=0.7, order=order),
-            embed_dim=5,
+            embed_dim=embed_dim,
             hidden_dims=(8,),
             max_vocab=60,
             window_cap=cap,

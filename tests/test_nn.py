@@ -316,10 +316,24 @@ class TestApplyUpdate:
 
 
 class TestApplyUpdateEqualsOracle:
-    @pytest.mark.parametrize("rule", ["adam", "sgd"])
-    @pytest.mark.parametrize("embed_shape", [(6, 3), None], ids=["embedding", "no-embedding"])
-    def test_five_steps_bit_equal(self, rule, embed_shape):
-        params = nn.init_network([4, 5, 3], 3, embed_shape=embed_shape)
+    @pytest.mark.parametrize(
+        "rule, embed_shape, dims, order",
+        [
+            pytest.param("adam", (6, 3), [4, 5, 3], "C", id="embedding-adam"),
+            pytest.param("sgd", (6, 3), [4, 5, 3], "C", id="embedding-sgd"),
+            pytest.param("adam", None, [4, 5, 3], "C", id="no-embedding-adam"),
+            pytest.param("sgd", None, [4, 5, 3], "C", id="no-embedding-sgd"),
+            # In 32,768-element Adam slices the embedding holds 2.3, the
+            # weights 2.4 and 1.8, each with a remainder; the biases fit in
+            # one. A Fortran-ordered first weight takes the whole-array path.
+            pytest.param("adam", (3000, 25), [4, 20000, 3], "C", id="several-slices-adam"),
+            pytest.param("adam", (3000, 25), [4, 20000, 3], "F", id="several-slices-fortran-adam"),
+        ],
+    )
+    def test_five_steps_bit_equal(self, rule, embed_shape, dims, order):
+        params = nn.init_network(dims, 3, embed_shape=embed_shape)
+        w, b = params.layers[0]
+        params.layers[0] = (np.asarray(w, order=order), b)
         expected = copy.deepcopy(params)
         state = nn.OptimizerState(rule=rule, learning_rate=0.01)
         oracle = OracleState(rule=rule, learning_rate=0.01)
