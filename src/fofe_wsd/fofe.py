@@ -25,10 +25,11 @@ folds it over the embedding rows; ``contexts_backward`` runs the adjoint
 the same way, then adds every token's gradient with ``np.add.at``, in the
 order a per-token loop would (example by example, left side before right,
 nearest token first). Both therefore give the same floats, bit for bit, as
-the recursion run token by token. Their float buffers hold one row of d
-per token of the batch's contexts; the id matrix is 2n x W integers. The
-vocab-space codes (``encode_left``, ``encode_right``, ``encode_order``)
-fold one row over the sequence's distinct ids with an identity embedding.
+the recursion run token by token. Their float buffers, in the dtype of the
+embeddings (or of their gradient), hold one row of d per token of the
+batch's contexts; the id matrix is 2n x W integers. The vocab-space codes
+(``encode_left``, ``encode_right``, ``encode_order``) fold one row over
+the sequence's distinct ids with an identity embedding.
 
 For alpha < 0.5 a code is exactly invertible: the residual mass of all
 older positions is bounded by alpha/(1-alpha) < 1, so the latest token is
@@ -146,7 +147,7 @@ def _columns(ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def _fold(ids: np.ndarray, cfg: FofeConfig, embeddings: np.ndarray) -> np.ndarray:
-    """The slabs of every row of a -1 left-padded layout: (order, rows, d).
+    """The slabs of every row of a -1 left-padded layout: (order, rows, d), in the embeddings' dtype.
 
     Runs z = alpha * z + e down the columns, on the rows that hold a token
     in that column; a row stays exactly 0 until its tokens start, so every
@@ -157,11 +158,12 @@ def _fold(ids: np.ndarray, cfg: FofeConfig, embeddings: np.ndarray) -> np.ndarra
     by_side, active = _columns(ids)
     column_major = ids[by_side].T
     steps = embeddings.take(column_major[column_major >= 0], axis=0)  # one row per token
-    z = np.zeros((rows, embeddings.shape[1]))
-    slabs = np.empty((cfg.order, rows, embeddings.shape[1]))
+    z = np.zeros((rows, embeddings.shape[1]), embeddings.dtype)
+    slabs = np.empty((cfg.order, rows, embeddings.shape[1]), embeddings.dtype)
+    alpha = float(cfg.alpha)  # a Python float keeps float32 arithmetic in float32
     end = 0
     for c, k in enumerate(active):
-        z[:k] = cfg.alpha * z[:k] + steps[end : end + k]
+        z[:k] = alpha * z[:k] + steps[end : end + k]
         end += k
         if c >= width - cfg.order:
             slabs[c - (width - cfg.order), by_side] = z
@@ -201,11 +203,13 @@ def contexts_backward(
     slabs = grad.reshape(n, 2, cfg.order, dim).transpose(2, 1, 0, 3).reshape(cfg.order, rows, dim)
     slabs = slabs[:, by_side]
     starts = np.cumsum(active) - active  # where column c's tokens start in ``lams``
-    lams = np.empty((sum(active), dim))  # one row per token, laid out as ``steps`` is
-    lam = np.zeros((rows, dim))
+    # one row per token, laid out as ``steps`` is
+    lams = np.empty((sum(active), dim), embed_grad.dtype)
+    lam = np.zeros((rows, dim), embed_grad.dtype)
+    alpha = float(cfg.alpha)
     for c in range(width - 1, -1, -1):
         k, j = active[c], c - (width - cfg.order)
-        lam[:k] = cfg.alpha * lam[:k] + slabs[j, :k] if j >= 0 else cfg.alpha * lam[:k]
+        lam[:k] = alpha * lam[:k] + slabs[j, :k] if j >= 0 else alpha * lam[:k]
         lams[starts[c] : starts[c] + k] = lam[:k]
     rank = np.empty(rows, dtype=np.intp)
     rank[by_side] = np.arange(rows)

@@ -7,12 +7,19 @@ After training, the activation of the second-last layer (the held-out
 layer) for a target occurrence is its context embedding; the output layer
 plays no further role.
 
+Training runs in float32, the precision the checkpoint keeps; ``train_lm``
+returns the trained parameters widened to float64, which is exact, so the
+model it returns holds the same floats as ``load_checkpoint`` of its
+checkpoint. Embedding and prediction run in float64.
+
 Checkpoint format: a ``_files`` container (magic ``FOFE``, version 1, which
 frames and checksums it) whose body is alpha f64, order u32, layer dims as a
 u32 count plus u32 values, vocabulary as a u32 token count plus
 length-prefixed UTF-8 tokens in id order, then the parameter tensors in
 ``NetworkParams.tensors()`` order (embedding, then each layer's weight and
-bias) as f32 row-major arrays each preceded by its u32 rank and dims.
+bias) as f32 row-major arrays each preceded by its u32 rank and dims. A
+trained model's float64 tensors hold float32 values, so they are stored
+exactly; other float64 values are rounded to the nearest f32.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .errors import DataError, NumericalError, UsageError
 CHECKPOINT_MAGIC = b"FOFE"
 CHECKPOINT_VERSION = 1
 _EMBED_BATCH = 256  # contexts per FOFE layer call in ``context_embeddings``
+_TRAIN_DTYPE = np.float32  # training arithmetic: the precision the checkpoint keeps
 # The LmConfig fields a trained model fixes; the others are run settings.
 _ARCHITECTURE = ("fofe", "embed_dim", "hidden_dims", "max_vocab")
 
@@ -85,6 +93,11 @@ class LmConfig:
 
     def layer_dims(self, vocab_size: int) -> list[int]:
         return [self.input_dim, *self.hidden_dims, vocab_size]
+
+    def parameter_count(self, vocab_size: int) -> int:
+        """Elements of the embedding and of every layer's weight and bias."""
+        dims = self.layer_dims(vocab_size)
+        return vocab_size * self.embed_dim + sum((i + 1) * o for i, o in zip(dims, dims[1:]))
 
 
 @dataclass
@@ -186,29 +199,47 @@ def train_lm(
 
     Pass an existing ``model`` to continue training it (its vocabulary and
     architecture are kept, as in ``with_run_settings``; optimizer moments
-    restart). ``progress`` receives (epoch number, mean training loss) once
-    per epoch.
+    restart; its arrays are not changed). ``progress`` receives (epoch
+    number, mean training loss) once per epoch. Training runs on float32
+    copies of the parameters; the returned model holds them widened to
+    float64. A network too large to allocate is a ``UsageError``.
     """
     lines = corpus if isinstance(corpus, list) else list(corpus)
     init_seed, shuffle_seed = np.random.SeedSequence(config.seed).spawn(2)
     if model is None:
         vocab = build_vocabulary(lines, config.max_vocab)
-        params = nn.init_network(
-            config.layer_dims(len(vocab)), init_seed, embed_shape=(len(vocab), config.embed_dim)
-        )
+        try:
+            params = nn.init_network(
+                config.layer_dims(len(vocab)), init_seed, embed_shape=(len(vocab), config.embed_dim)
+            ).astype(_TRAIN_DTYPE)
+        except MemoryError as exc:
+            count = config.parameter_count(len(vocab))
+            raise UsageError(f"cannot allocate a network of {count:,} parameters") from exc
         model = LmModel(vocab=vocab, config=config, params=params)
     else:
         model = with_run_settings(model, config)
+        model = replace(model, params=model.params.astype(_TRAIN_DTYPE))
 
     tokens, starts, lengths, positions = training_examples(
         [model.vocab.encode(tokenize_line(line)) for line in lines]
     )
     if not len(tokens):
         raise DataError("empty corpus")
+    _fit(model, (tokens, starts, lengths, positions), np.random.default_rng(shuffle_seed), progress)
+    return replace(model, params=model.params.astype(np.float64))
 
+
+def _fit(
+    model: LmModel,
+    examples: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    shuffle_rng: np.random.Generator,
+    progress: Callable[[int, float], None] | None,
+) -> None:
+    """``model.config.epochs`` epochs of minibatch updates on ``training_examples``, in place."""
+    config = model.config
+    tokens, starts, lengths, positions = examples
     state = nn.OptimizerState(rule=config.optimizer, learning_rate=config.learning_rate)
     embedding_grad = np.zeros_like(model.params.embedding)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(tokens))
         epoch_loss = 0.0
@@ -225,7 +256,6 @@ def train_lm(
             epoch_loss += loss * len(batch)
         if progress is not None:
             progress(epoch, epoch_loss / len(tokens))
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +264,11 @@ def train_lm(
 
 
 def save_checkpoint(model: LmModel, path: str | Path) -> None:
-    """Write the model to ``path``; parameters narrow to f32 on disk."""
+    """Write the model to ``path``; its tensors are stored as f32.
+
+    That is exact for a trained model's tensors (see ``train_lm``); wider
+    floats from other callers are rounded to the nearest f32.
+    """
     out = container(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     put_f64(out, model.config.fofe.alpha)
     put_u32(out, model.config.fofe.order)

@@ -1,8 +1,10 @@
 """Minimal fully-connected network kernel: forward, loss, exact backprop,
 optimizer step, finite-difference gradient verification.
 
-All arithmetic is float64. Hidden layers apply an affine map followed by a
-rectifier max(0, x); the final layer is affine only and produces logits.
+Arithmetic runs in the parameters' dtype: training passes float32 tensors,
+the gradient check and the other callers float64. Hidden layers apply an
+affine map followed by a rectifier max(0, x); the final layer is affine
+only and produces logits.
 Inputs may be a single vector ``(d,)`` or a batch ``(n, d)``; batch losses
 and gradients are means over the batch.
 
@@ -10,15 +12,21 @@ and gradients are means over the batch.
 embedding, then each layer's weight and bias. Gradients, optimizer moments,
 the gradient check and the checkpoint all follow it.
 
-The Adam step runs a tensor larger than ``_ADAM_SLICE`` elements one slice
-at a time through two scratch buffers, so that the slices it reads and
-writes stay in cache. Each element still gets the same float operations in
-the same order as the whole-array expressions smaller tensors take, so the
-parameters and moments are the same floats either way.
+The Adam step takes the compact form at the end of Section 2 of Kingma & Ba
+(ICLR 2015): ``p -= a_t * m / (sqrt(v) + eps_hat)``, with the bias
+corrections folded into the scalars ``a_t = lr * sqrt(1 - beta2**t) /
+(1 - beta1**t)`` and ``eps_hat = eps * sqrt(1 - beta2**t)``; in exact
+arithmetic that is the textbook update. A tensor larger than one
+``_ADAM_SLICE_BYTES`` slice runs one slice at a time through two scratch
+buffers of its dtype, so that the slices it reads and writes stay in cache.
+Each element still gets the same float operations in the same order as the
+whole-array expressions smaller tensors take, so the parameters and moments
+are the same floats either way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +34,10 @@ import numpy as np
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Elements per Adam slice. With the parameter, gradient, both moments and the
-# two scratch buffers that is 6 x 256 KiB of float64, within a typical per-core
-# L2 cache; on the wide-vocab shapes 16k- and 64k-element slices were slower.
-_ADAM_SLICE = 1 << 15
+# Bytes of one tensor per Adam slice: 32,768 float64 or 65,536 float32
+# elements. With the parameter, gradient, both moments and the two scratch
+# buffers that is 6 x 256 KiB, within a typical per-core L2 cache.
+_ADAM_SLICE_BYTES = 256 << 10
 
 
 @dataclass
@@ -51,6 +59,12 @@ class NetworkParams:
     def tensors(self) -> list[np.ndarray]:
         """The embedding, then each layer's weight and bias: the one order of the model's tensors."""
         return [self.embedding, *(t for layer in self.layers for t in layer)]
+
+    def astype(self, dtype: np.dtype | type) -> "NetworkParams":
+        """A copy with every tensor in ``dtype``."""
+        return NetworkParams(
+            self.embedding.astype(dtype), [(w.astype(dtype), b.astype(dtype)) for w, b in self.layers]
+        )
 
     @property
     def layer_dims(self) -> list[int]:
@@ -109,7 +123,7 @@ def init_network(
 
 
 def _network_input(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if params.layers:
         fan_in = params.layers[0][0].shape[0]
         if x.shape[-1] != fan_in:
@@ -163,7 +177,7 @@ def loss_softmax_xent(logits: np.ndarray, target: int | np.ndarray) -> float:
     For a batch of logits with a vector of targets, returns the mean; single
     logits are a batch of one.
     """
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    logits = np.atleast_2d(np.asarray(logits))
     targets = _targets(target, logits)
     shift = np.max(logits, axis=-1, keepdims=True)
     lse = shift[..., 0] + np.log(np.sum(np.exp(logits - shift), axis=-1))
@@ -216,7 +230,8 @@ def backward(
 class OptimizerState:
     """Step rule plus the adaptive rule's moments, in ``NetworkParams.tensors()`` order.
 
-    ``scratch`` holds the two ``_ADAM_SLICE`` buffers of the sliced Adam step.
+    ``scratch`` holds the two ``_ADAM_SLICE_BYTES`` buffers of the sliced
+    Adam step, made in the parameters' dtype when a tensor first needs them.
     """
 
     rule: str = "adam"  # "adam" or "sgd"
@@ -238,29 +253,38 @@ def apply_update(params: NetworkParams, grads: Gradients, state: OptimizerState)
     if grad_shapes != shapes:
         raise ValueError(f"gradient shape mismatch: {grad_shapes} for parameters {shapes}")
     state.step += 1
+    # Python floats: a numpy float64 scalar would make every in-place float32
+    # operation below compute in float64 (NEP 50), at twice the cost.
+    lr = float(state.learning_rate)
     if state.rule == "sgd":
         for p, g in zip(tensors, grad_tensors):
-            p -= state.learning_rate * g
+            p -= lr * g
         return
 
     if state.m is None:
         state.m = [np.zeros_like(p) for p in tensors]
         state.v = [np.zeros_like(p) for p in tensors]
-    if state.scratch is None:
-        state.scratch = (np.empty(_ADAM_SLICE), np.empty(_ADAM_SLICE))
-    lr = state.learning_rate
-    c1 = 1.0 - ADAM_BETA1**state.step
-    c2 = 1.0 - ADAM_BETA2**state.step
+    root_c2 = math.sqrt(1.0 - ADAM_BETA2**state.step)
+    a_t = lr * root_c2 / (1.0 - ADAM_BETA1**state.step)
+    eps_hat = ADAM_EPS * root_c2
     for p, g, m, v in zip(tensors, grad_tensors, state.m, state.v):
         # Flat views need C order; a tensor in any other order takes the whole-array path.
-        if p.size > _ADAM_SLICE and all(a.flags.c_contiguous for a in (p, m, v)):
-            _adam_sliced(p, g, m, v, lr, c1, c2, state.scratch)
+        if p.nbytes > _ADAM_SLICE_BYTES and all(a.flags.c_contiguous for a in (p, m, v)):
+            _adam_sliced(p, g, m, v, a_t, eps_hat, _scratch(state, p.dtype))
             continue
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * np.square(g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        p -= a_t * m / (np.sqrt(v) + eps_hat)
+
+
+def _scratch(state: OptimizerState, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The state's two slice buffers, (re)made in ``dtype`` on first use."""
+    if state.scratch is None or state.scratch[0].dtype != dtype:
+        size = _ADAM_SLICE_BYTES // dtype.itemsize
+        state.scratch = (np.empty(size, dtype), np.empty(size, dtype))
+    return state.scratch
 
 
 def _adam_sliced(
@@ -268,19 +292,19 @@ def _adam_sliced(
     g: np.ndarray,
     m: np.ndarray,
     v: np.ndarray,
-    lr: float,
-    c1: float,
-    c2: float,
+    a_t: float,
+    eps_hat: float,
     scratch: tuple[np.ndarray, np.ndarray],
 ) -> None:
-    """``apply_update``'s Adam expressions on flat views, one ``_ADAM_SLICE`` at a time.
+    """``apply_update``'s Adam expressions on flat views, one scratch buffer's length at a time.
 
     The temporaries go to ``scratch`` through ``out=``; each element gets the
     same operations in the same order, so the same floats.
     """
     p, g, m, v = (a.reshape(-1) for a in (p, g, m, v))
-    for first in range(0, p.size, _ADAM_SLICE):
-        part = slice(first, first + _ADAM_SLICE)
+    size = len(scratch[0])
+    for first in range(0, p.size, size):
+        part = slice(first, first + size)
         ps, gs, ms, vs = p[part], g[part], m[part], v[part]
         t, u = scratch[0][: ps.size], scratch[1][: ps.size]
         ms *= ADAM_BETA1
@@ -290,11 +314,9 @@ def _adam_sliced(
         np.square(gs, out=t)
         t *= 1.0 - ADAM_BETA2
         vs += t
-        np.divide(ms, c1, out=t)
-        t *= lr
-        np.divide(vs, c2, out=u)
-        np.sqrt(u, out=u)
-        u += ADAM_EPS
+        np.multiply(ms, a_t, out=t)
+        np.sqrt(vs, out=u)
+        u += eps_hat
         t /= u
         ps -= t
 

@@ -2,6 +2,7 @@ import argparse
 import ast
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -275,6 +276,26 @@ class TestTrainCommand:
         lines = (tmp_path / "model.fofe.log").read_text().splitlines()
         assert lines[0] == "# resumed"
         assert len(lines) == 2 and lines[1].startswith("1\t")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            pytest.param(["--hidden-dims", "100000000000", "--embed-dim", "1000"], id="hidden-dims"),
+            pytest.param(["--embed-dim", "1000000000000"], id="embed-dim"),
+            pytest.param(["--order", "100000000000", "--embed-dim", "1000", "--epochs", "1"], id="order"),
+        ],
+    )
+    def test_network_too_large_to_allocate_exits_1(self, workspace, capsys, flags):
+        # Each case's first large tensor (the first weight, the embedding of
+        # about 30 rows, the first weight) is over 2**47 bytes, more than a
+        # process can address, so it fails at once under any overcommit
+        # policy: nothing is allocated.
+        tmp_path, config = workspace
+        assert main(["train", "-c", str(config), *flags]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: cannot allocate a network of [\d,]+ parameters$", err, re.M)
+        assert "Traceback" not in err
+        assert not (tmp_path / "model.fofe").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_run_keeps_checkpoint_and_log(self, workspace, capsys):

@@ -1,10 +1,11 @@
+import math
 from typing import Sequence
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fofe_wsd import fofe, nn
+from fofe_wsd import fofe, lm, nn
 from fofe_wsd.corpus import build_vocabulary, tokenize_line
 from fofe_wsd.fofe import (
     FofeConfig,
@@ -48,14 +49,14 @@ def oracle_encode_embedded(ids, cfg, direction, embeddings):
     seq = list(ids) if direction == "left" else list(ids)[::-1]
     dim = embeddings.shape[1]
     history = []
-    z = np.zeros(dim)
+    z = np.zeros(dim, embeddings.dtype)
     for i in seq:
         z = cfg.alpha * z + embeddings[i]
         history.append(z)
     slabs = []
     for j in range(cfg.order):
         t = len(seq) - cfg.order + 1 + j
-        slabs.append(history[t - 1] if t >= 1 else np.zeros(dim))
+        slabs.append(history[t - 1] if t >= 1 else np.zeros(dim, embeddings.dtype))
     return np.concatenate(slabs)
 
 
@@ -64,7 +65,7 @@ def oracle_embedded_backward(ids, cfg, direction, grad, embed_grad):
     seq = list(ids) if direction == "left" else list(ids)[::-1]
     T = len(seq)
     slab_of_t = {T - cfg.order + 1 + j: j for j in range(cfg.order)}
-    lam = np.zeros(dim)
+    lam = np.zeros(dim, embed_grad.dtype)
     for t in range(T, 0, -1):
         lam = cfg.alpha * lam
         j = slab_of_t.get(t)
@@ -93,28 +94,33 @@ def oracle_context_backward(ids, target_index, cfg, grad, embed_grad):
 
 
 def oracle_update(params, grads, moments, step, config):
-    """The optimizer step on whole arrays, as its formulas read (``nn.apply_update`` slices large tensors)."""
+    """The optimizer step on whole arrays, as its formulas read (``nn.apply_update`` slices large tensors).
+
+    Adam takes the compact form of Kingma & Ba (2015), Section 2. Every
+    scalar is a Python float, so float32 tensors get float32 arithmetic.
+    """
     lr = config.learning_rate
     if config.optimizer == "sgd":
         for p, g in zip(params.tensors(), grads.tensors()):
             p -= lr * g
         return
-    c1, c2 = 1.0 - nn.ADAM_BETA1**step, 1.0 - nn.ADAM_BETA2**step
+    root_c2 = math.sqrt(1.0 - nn.ADAM_BETA2**step)
+    a_t, eps_hat = lr * root_c2 / (1.0 - nn.ADAM_BETA1**step), nn.ADAM_EPS * root_c2
     for p, g, m, v in zip(params.tensors(), grads.tensors(), *moments):
         m *= nn.ADAM_BETA1
         m += (1.0 - nn.ADAM_BETA1) * g
         v *= nn.ADAM_BETA2
         v += (1.0 - nn.ADAM_BETA2) * np.square(g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + nn.ADAM_EPS)
+        p -= a_t * m / (np.sqrt(v) + eps_hat)
 
 
-def oracle_train(lines, config):
-    """The training loop of ``train_lm`` with the oracle encoder and optimizer step."""
+def oracle_train(lines, config, dtype):
+    """The training loop of ``train_lm`` in ``dtype``, with the oracle encoder and optimizer step."""
     init_seed, shuffle_seed = np.random.SeedSequence(config.seed).spawn(2)
     vocab = build_vocabulary(lines, config.max_vocab)
     params = nn.init_network(
         config.layer_dims(len(vocab)), init_seed, embed_shape=(len(vocab), config.embed_dim)
-    )
+    ).astype(dtype)
     examples = []
     for line in lines:
         ids = vocab.encode(tokenize_line(line))
@@ -528,17 +534,31 @@ class TestBatchedEqualsOracle:
 
 class TestTrainingEqualsOracle:
     @pytest.mark.parametrize(
-        "optimizer, order, cap, embed_dim",
+        "optimizer, order, cap, embed_dim, dtype",
         [
-            pytest.param("adam", 3, 0, 5, id="adam-3-0"),
-            pytest.param("sgd", 1, 2, 5, id="sgd-1-2"),
-            pytest.param("adam", 3, 0, 1200, id="adam-3-0-several-slices"),
+            pytest.param("adam", 3, 0, 5, np.float64, id="adam-3-0"),
+            pytest.param("sgd", 1, 2, 5, np.float64, id="sgd-1-2"),
+            pytest.param("adam", 3, 0, 1200, np.float64, id="adam-3-0-several-slices"),
+            pytest.param("adam", 3, 0, 5, np.float32, id="adam-3-0-f32"),
+            pytest.param("sgd", 1, 2, 5, np.float32, id="sgd-1-2-f32"),
+            pytest.param("adam", 3, 0, 2400, np.float32, id="adam-3-0-several-slices-f32"),
         ],
     )
-    def test_parameters_bit_equal(self, toy_lines, optimizer, order, cap, embed_dim):
-        # At embed_dim 1200 the 60 x 1200 embedding takes three 32,768-element
-        # Adam slices and the 7200 x 8 first weight two, the last one partial;
-        # the 30 steps reuse one embedding-gradient buffer.
+    def test_parameters_bit_equal(self, toy_lines, monkeypatch, optimizer, order, cap, embed_dim, dtype):
+        # In 256 KiB Adam slices the embedding (60 x 1200 float64 or 60 x 2400
+        # float32) takes three slices and the first weight (7200 or 14400 x 8)
+        # two, the last one partial; the 30 steps reuse one embedding-gradient
+        # buffer. train_lm trains in float32; the float64 cases switch it.
+        monkeypatch.setattr(lm, "_TRAIN_DTYPE", dtype)
+        kernel_dtypes = set()
+        apply_update = nn.apply_update
+
+        def checked_update(params, grads, state):
+            apply_update(params, grads, state)
+            arrays = [*params.tensors(), *grads.tensors(), *(state.m or ()), *(state.v or ())]
+            kernel_dtypes.update(a.dtype for a in arrays)
+
+        monkeypatch.setattr(nn, "apply_update", checked_update)
         config = LmConfig(
             fofe=FofeConfig(alpha=0.7, order=order),
             embed_dim=embed_dim,
@@ -553,7 +573,11 @@ class TestTrainingEqualsOracle:
         )
         lines = toy_lines[:30]
         params = train_lm(lines, config).params
-        expected = oracle_train(lines, config)
+        assert kernel_dtypes == {np.dtype(dtype)}
+        expected = oracle_train(lines, config, dtype)
+        assert expected.embedding.dtype == dtype
+        # train_lm returns the parameters widened to float64, which is exact
+        assert params.embedding.dtype == np.float64
         assert np.array_equal(params.embedding, expected.embedding)
         for (w, b), (ew, eb) in zip(params.layers, expected.layers):
             assert np.array_equal(w, ew)

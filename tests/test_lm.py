@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fofe_wsd import lm, nn
+from fofe_wsd import lm, nn, synthetic
 from fofe_wsd._files import container, put_f64, put_str, put_tensor, put_u32, write_container
 from fofe_wsd.errors import DataError, NumericalError
 from fofe_wsd.fofe import context_code, context_ids
@@ -57,10 +57,12 @@ class TestTrainLm:
         fresh = nn.init_network(
             cfg.layer_dims(len(model.vocab)), init_seed, embed_shape=(len(model.vocab), 4)
         )
-        assert_array_equal(model.params.embedding, fresh.embedding)
+        # training runs on the draws rounded to float32; they come back as float64
+        assert model.params.embedding.dtype == np.float64
+        assert_array_equal(model.params.embedding, fresh.embedding.astype(np.float32))
         for (w, b), (fw, fb) in zip(model.params.layers, fresh.layers):
-            assert_array_equal(w, fw)
-            assert_array_equal(b, fb)
+            assert_array_equal(w, fw.astype(np.float32))
+            assert_array_equal(b, fb.astype(np.float32))
 
     def test_empty_corpus(self):
         with pytest.raises(DataError, match="empty corpus"):
@@ -272,6 +274,28 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_checkpoint(tmp_path / "absent.fofe")
+
+    def test_trained_model_equals_its_checkpoint(self, tmp_path):
+        # a library caller who keeps the returned model gets the floats that
+        # ``build`` reads from the checkpoint, also after resuming
+        synthetic.generate(tmp_path, synthetic.SyntheticConfig(seed=0))
+        lines = (tmp_path / "corpus.txt").read_text(encoding="utf-8").splitlines()[:200]
+        cfg = LmConfig(epochs=2)
+        path = tmp_path / "m.fofe"
+
+        def checkpointed(model):
+            save_checkpoint(model, path)
+            loaded = load_checkpoint(path)
+            for ours, theirs in zip(model.params.tensors(), loaded.params.tensors(), strict=True):
+                assert ours.dtype == theirs.dtype == np.float64
+                assert np.array_equal(ours, theirs)
+            return loaded
+
+        loaded = checkpointed(train_lm(lines, cfg))
+        before = [t.copy() for t in loaded.params.tensors()]
+        checkpointed(train_lm(lines, replace(cfg, epochs=1), model=loaded))
+        # the model resumed from is left as it was
+        assert all(np.array_equal(a, b) for a, b in zip(before, loaded.params.tensors()))
 
     def test_resume_continues_from_params(self, toy_lines, tmp_path):
         cfg = LmConfig(embed_dim=4, hidden_dims=(8,), max_vocab=30, epochs=2, seed=1)

@@ -63,15 +63,18 @@ def oracle_apply_update(params, grads, state):
         moments.append((mw, vw))
         moments.append((mb, vb))
 
+    # The compact step of Kingma & Ba (2015), Section 2. Every scalar is a
+    # Python float, so float32 tensors are updated in float32 arithmetic.
     state.step += 1
-    c1 = 1.0 - state.beta1**state.step
-    c2 = 1.0 - state.beta2**state.step
+    root_c2 = math.sqrt(1.0 - state.beta2**state.step)
+    a_t = state.learning_rate * root_c2 / (1.0 - state.beta1**state.step)
+    eps_hat = state.eps * root_c2
     for (p, g), (m, v) in zip(pairs, moments):
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * np.square(g)
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p -= a_t * m / (np.sqrt(v) + eps_hat)
 
 
 def _flat(embedding, layers):
@@ -317,21 +320,31 @@ class TestApplyUpdate:
 
 class TestApplyUpdateEqualsOracle:
     @pytest.mark.parametrize(
-        "rule, embed_shape, dims, order",
+        "rule, embed_shape, dims, order, dtype",
         [
-            pytest.param("adam", (6, 3), [4, 5, 3], "C", id="embedding-adam"),
-            pytest.param("sgd", (6, 3), [4, 5, 3], "C", id="embedding-sgd"),
-            pytest.param("adam", None, [4, 5, 3], "C", id="no-embedding-adam"),
-            pytest.param("sgd", None, [4, 5, 3], "C", id="no-embedding-sgd"),
-            # In 32,768-element Adam slices the embedding holds 2.3, the
-            # weights 2.4 and 1.8, each with a remainder; the biases fit in
-            # one. A Fortran-ordered first weight takes the whole-array path.
-            pytest.param("adam", (3000, 25), [4, 20000, 3], "C", id="several-slices-adam"),
-            pytest.param("adam", (3000, 25), [4, 20000, 3], "F", id="several-slices-fortran-adam"),
+            pytest.param("adam", (6, 3), [4, 5, 3], "C", np.float64, id="embedding-adam"),
+            pytest.param("sgd", (6, 3), [4, 5, 3], "C", np.float64, id="embedding-sgd"),
+            pytest.param("adam", None, [4, 5, 3], "C", np.float64, id="no-embedding-adam"),
+            pytest.param("sgd", None, [4, 5, 3], "C", np.float64, id="no-embedding-sgd"),
+            # In 256 KiB Adam slices (32,768 float64 elements) the embedding
+            # holds 2.3, the weights 2.4 and 1.8, each with a remainder; the
+            # biases fit in one. A Fortran-ordered first weight takes the
+            # whole-array path.
+            pytest.param("adam", (3000, 25), [4, 20000, 3], "C", np.float64, id="several-slices-adam"),
+            pytest.param(
+                "adam", (3000, 25), [4, 20000, 3], "F", np.float64, id="several-slices-fortran-adam"
+            ),
+            pytest.param("adam", (6, 3), [4, 5, 3], "C", np.float32, id="embedding-adam-f32"),
+            pytest.param("sgd", (6, 3), [4, 5, 3], "C", np.float32, id="embedding-sgd-f32"),
+            # The same slice counts at 65,536 float32 elements a slice.
+            pytest.param("adam", (6000, 25), [4, 40000, 3], "C", np.float32, id="several-slices-adam-f32"),
+            pytest.param(
+                "adam", (6000, 25), [4, 40000, 3], "F", np.float32, id="several-slices-fortran-adam-f32"
+            ),
         ],
     )
-    def test_five_steps_bit_equal(self, rule, embed_shape, dims, order):
-        params = nn.init_network(dims, 3, embed_shape=embed_shape)
+    def test_five_steps_bit_equal(self, rule, embed_shape, dims, order, dtype):
+        params = nn.init_network(dims, 3, embed_shape=embed_shape).astype(dtype)
         w, b = params.layers[0]
         params.layers[0] = (np.asarray(w, order=order), b)
         expected = copy.deepcopy(params)
@@ -339,7 +352,7 @@ class TestApplyUpdateEqualsOracle:
         oracle = OracleState(rule=rule, learning_rate=0.01)
         rng = np.random.default_rng(8)
         for _ in range(5):
-            x, targets = rng.normal(size=(2, 4)), rng.integers(0, 3, size=2)
+            x, targets = rng.normal(size=(2, 4)).astype(dtype), rng.integers(0, 3, size=2)
             grads = nn.backward(params, nn.forward(params, x), targets)
             grads.embedding[...] = rng.normal(size=grads.embedding.shape)
             nn.apply_update(params, grads, state)
@@ -347,12 +360,14 @@ class TestApplyUpdateEqualsOracle:
         assert state.step == oracle.step == 5
         got = _flat(params.embedding, params.layers)
         for ours, theirs in zip(got, _flat(expected.embedding, expected.layers)):
+            assert ours.dtype == theirs.dtype == dtype
             assert np.array_equal(ours, theirs)
         if rule == "adam":
             for moments, oracle_moments in ((state.m, oracle.m), (state.v, oracle.v)):
                 want = _flat(oracle_moments["embedding"], oracle_moments["layers"])
                 assert len(moments) == len(want)
                 for ours, theirs in zip(moments, want):
+                    assert ours.dtype == dtype
                     assert np.array_equal(ours, theirs)
         else:
             assert state.m is None and state.v is None
