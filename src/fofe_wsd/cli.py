@@ -3,8 +3,8 @@
 Settings come from a flat ``key = value`` config file (``-c``), overridden
 by command-line flags; unknown config keys are errors. Exit codes: 0
 success, 1 usage error, 2 data error, 3 numerical abort. The only
-environment variable is FOFE_WSD_LOG (debug/info/warning/error) for log
-verbosity.
+environment variable is FOFE_WSD_LOG (debug/info/warning/error, any case)
+for log verbosity; any other value is a usage error.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .corpus import read_labeled_corpus, read_sense_inventory, tokenize_line
 from .errors import DataError, NumericalError, UsageError
 
 log = logging.getLogger("fofe_wsd")
+_LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 def _parse_hidden_dims(text: str) -> tuple[int, ...]:
@@ -291,10 +292,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("FOFE_WSD_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     try:
+        level = os.environ.get("FOFE_WSD_LOG", "warning")
+        if level.lower() not in _LOG_LEVELS:
+            raise UsageError(f"FOFE_WSD_LOG must be one of {', '.join(_LOG_LEVELS)}, got {level!r}")
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help

@@ -167,11 +167,11 @@ def _train_step(
     lengths: np.ndarray,
     positions: np.ndarray,
     state: nn.OptimizerState,
-    embedding_grad: np.ndarray,
+    grads: nn.Gradients,
 ) -> float:
     """One update on the examples given as in ``training_examples``.
 
-    ``embedding_grad`` is the run's zeroed embedding-gradient buffer; the
+    ``grads`` is the run's gradient buffer, its embedding slot zeroed; the
     step zeroes again the rows its contexts touched, so it ends zeroed.
     """
     params = model.params
@@ -181,10 +181,10 @@ def _train_step(
     words = tokens[starts + positions]
     trace = nn.forward(params, x)
     loss = nn.loss_softmax_xent(trace.logits, words)
-    grads = nn.backward(params, trace, words, embedding_grad=embedding_grad)
+    nn.backward(params, trace, words, out=grads)
     fofe.contexts_backward(ids, cfg, grads.input, grads.embedding)
     nn.apply_update(params, grads, state)
-    embedding_grad[ids[ids >= 0]] = 0.0
+    grads.embedding[ids[ids >= 0]] = 0.0
     return loss
 
 
@@ -239,14 +239,14 @@ def _fit(
     config = model.config
     tokens, starts, lengths, positions = examples
     state = nn.OptimizerState(rule=config.optimizer, learning_rate=config.learning_rate)
-    embedding_grad = np.zeros_like(model.params.embedding)
+    grads = nn.Gradients(np.zeros_like(model.params.flat), model.params.layout)
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(tokens))
         epoch_loss = 0.0
         for start in range(0, len(tokens), config.batch_size):
             batch = order[start : start + config.batch_size]
             loss = _train_step(
-                model, tokens, starts[batch], lengths[batch], positions[batch], state, embedding_grad
+                model, tokens, starts[batch], lengths[batch], positions[batch], state, grads
             )
             if not np.isfinite(loss):
                 raise NumericalError(

@@ -9,52 +9,74 @@ Inputs may be a single vector ``(d,)`` or a batch ``(n, d)``; batch losses
 and gradients are means over the batch.
 
 ``NetworkParams.tensors()`` is the one order of the model's tensors: the
-embedding, then each layer's weight and bias. Gradients, optimizer moments,
-the gradient check and the checkpoint all follow it.
+embedding, then each layer's weight and bias. A ``NetworkParams`` (and so a
+``Gradients``) keeps them back to back in that order in one C-ordered
+buffer ``flat`` and carves each tensor from it as a view, once. The
+optimizer runs over ``flat``, with one moment array of the same layout
+each; the gradient check and the checkpoint walk ``tensors()``.
 
 The Adam step takes the compact form at the end of Section 2 of Kingma & Ba
 (ICLR 2015): ``p -= a_t * m / (sqrt(v) + eps_hat)``, with the bias
 corrections folded into the scalars ``a_t = lr * sqrt(1 - beta2**t) /
 (1 - beta1**t)`` and ``eps_hat = eps * sqrt(1 - beta2**t)``; in exact
-arithmetic that is the textbook update. A tensor larger than one
-``_ADAM_SLICE_BYTES`` slice runs one slice at a time through two scratch
-buffers of its dtype, so that the slices it reads and writes stay in cache.
-Each element still gets the same float operations in the same order as the
-whole-array expressions smaller tensors take, so the parameters and moments
-are the same floats either way.
+arithmetic that is the textbook update. It runs over the flat buffers one
+``_ADAM_SLICE_BYTES`` slice at a time through two scratch buffers, so that
+the slices it reads and writes stay in cache.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Bytes of one tensor per Adam slice: 32,768 float64 or 65,536 float32
+# Bytes of each flat buffer per Adam slice: 32,768 float64 or 65,536 float32
 # elements. With the parameter, gradient, both moments and the two scratch
 # buffers that is 6 x 256 KiB, within a typical per-core L2 cache.
 _ADAM_SLICE_BYTES = 256 << 10
 
 
-@dataclass
 class NetworkParams:
-    """Embedding matrix plus the ordered (weight, bias) stack.
+    """Embedding matrix plus the ordered (weight, bias) stack, as views of one buffer.
 
     Weights have shape (fan_in, fan_out); the forward pass is ``x @ W + b``.
     ``embedding`` may be empty for networks that take raw input vectors.
+    ``layout`` holds the shape of each tensor in ``tensors()`` order, and
+    ``flat`` the tensors back to back in that order. ``embedding`` and the
+    tuple ``layers`` are views carved from ``flat`` at construction, so a
+    write to a tensor is a write to ``flat`` and the tensors are not
+    replaced. Copies and pickles carve the views again over their own copy.
     """
 
-    embedding: np.ndarray
-    layers: list[tuple[np.ndarray, np.ndarray]]
+    def __init__(self, flat: np.ndarray, layout: Sequence[tuple[int, ...]]) -> None:
+        self.flat, self.layout = flat, tuple(layout)
+        self._carve()
+
+    def _carve(self) -> None:
+        views, end = [], 0
+        for shape in self.layout:
+            start, end = end, end + math.prod(shape)
+            views.append(self.flat[start:end].reshape(shape))
+        self.embedding = views[0]
+        self.layers = tuple(zip(views[1::2], views[2::2]))
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k not in ("embedding", "layers")}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._carve()
 
     @classmethod
-    def zeros(cls, layer_dims: list[int], embed_shape: tuple[int, int] = (0, 0)) -> "NetworkParams":
+    def zeros(cls, layer_dims: Sequence[int], embed_shape: tuple[int, int] = (0, 0)) -> "NetworkParams":
         fans = zip(layer_dims[:-1], layer_dims[1:])
-        return cls(np.zeros(embed_shape), [(np.zeros((i, o)), np.zeros(o)) for i, o in fans])
+        layout = [tuple(embed_shape), *(shape for i, o in fans for shape in ((i, o), (o,)))]
+        return cls(np.zeros(sum(map(math.prod, layout))), layout)
 
     def tensors(self) -> list[np.ndarray]:
         """The embedding, then each layer's weight and bias: the one order of the model's tensors."""
@@ -62,9 +84,7 @@ class NetworkParams:
 
     def astype(self, dtype: np.dtype | type) -> "NetworkParams":
         """A copy with every tensor in ``dtype``."""
-        return NetworkParams(
-            self.embedding.astype(dtype), [(w.astype(dtype), b.astype(dtype)) for w, b in self.layers]
-        )
+        return NetworkParams(self.flat.astype(dtype), self.layout)
 
     @property
     def layer_dims(self) -> list[int]:
@@ -93,11 +113,10 @@ class ForwardTrace:
         return self.activations[-2]
 
 
-@dataclass
 class Gradients(NetworkParams):
-    """Loss gradients mirroring NetworkParams, plus the input gradient."""
+    """Loss gradients laid out as NetworkParams, plus ``input``, the network input's gradient."""
 
-    input: np.ndarray
+    input: np.ndarray | None = None
 
 
 def init_network(
@@ -190,16 +209,16 @@ def backward(
     trace: ForwardTrace,
     target: int | np.ndarray,
     *,
-    embedding_grad: np.ndarray | None = None,
+    out: Gradients | None = None,
 ) -> Gradients:
     """Exact gradients of ``loss_softmax_xent`` for every layer and the input.
 
-    ``backward`` does not write the embedding slot. It is ``embedding_grad``
-    when given, a zeroed buffer of the embedding's shape that the caller
-    keeps (training reuses one per run), else a new zeroed array (zero-size
-    without an embedding). Callers that built the input from embedding rows
-    propagate ``Gradients.input`` into it through that linear map
-    themselves.
+    The layer gradients are written into ``out``, a ``Gradients`` of the
+    parameters' layout that the caller keeps (training reuses one per run),
+    else into a new zeroed one; it is returned with ``input`` set.
+    ``backward`` does not write the embedding slot. Callers that built the
+    input from embedding rows propagate ``Gradients.input`` into it through
+    that linear map themselves, and zero it again before the next step.
     """
     single = trace.logits.ndim == 1
     activations = [np.atleast_2d(a) for a in trace.activations]  # a single input as a batch of one
@@ -211,34 +230,35 @@ def backward(
     delta[np.arange(n), targets] -= 1.0
     delta /= n
 
-    layer_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)  # type: ignore[list-item]
+    if out is None:
+        out = Gradients(np.zeros_like(params.flat), params.layout)
     for li in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[li]
         if activations[li].shape[-1] != w.shape[0]:
             raise ValueError("trace does not match parameters (dimension mismatch)")
-        layer_grads[li] = (activations[li].T @ delta, delta.sum(axis=0))
+        grad_w, grad_b = out.layers[li]
+        np.matmul(activations[li].T, delta, out=grad_w)
+        np.sum(delta, axis=0, out=grad_b)
         delta = delta @ w.T
         if li > 0:
             delta = delta * (preacts[li - 1] > 0.0)
-    input_grad = delta[0] if single else delta
-    if embedding_grad is None:
-        embedding_grad = np.zeros_like(params.embedding)
-    return Gradients(embedding=embedding_grad, layers=layer_grads, input=input_grad)
+    out.input = delta[0] if single else delta
+    return out
 
 
 @dataclass
 class OptimizerState:
-    """Step rule plus the adaptive rule's moments, in ``NetworkParams.tensors()`` order.
+    """Step rule plus the adaptive rule's moments, each one array laid out as ``NetworkParams.flat``.
 
-    ``scratch`` holds the two ``_ADAM_SLICE_BYTES`` buffers of the sliced
-    Adam step, made in the parameters' dtype when a tensor first needs them.
+    ``apply_update`` makes the moments on the first Adam step, with
+    ``scratch``, the two buffers of one ``_ADAM_SLICE_BYTES`` slice.
     """
 
     rule: str = "adam"  # "adam" or "sgd"
     learning_rate: float = 1e-3
     step: int = 0
-    m: list[np.ndarray] | None = field(default=None, repr=False)
-    v: list[np.ndarray] | None = field(default=None, repr=False)
+    m: np.ndarray | None = field(default=None, init=False, repr=False)
+    v: np.ndarray | None = field(default=None, init=False, repr=False)
     scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -247,66 +267,30 @@ class OptimizerState:
 
 
 def apply_update(params: NetworkParams, grads: Gradients, state: OptimizerState) -> None:
-    """Apply one optimizer step in place. Must not run concurrently."""
-    tensors, grad_tensors = params.tensors(), grads.tensors()
-    shapes, grad_shapes = [p.shape for p in tensors], [g.shape for g in grad_tensors]
-    if grad_shapes != shapes:
-        raise ValueError(f"gradient shape mismatch: {grad_shapes} for parameters {shapes}")
+    """Apply one optimizer step in place, over the flat buffers. Must not run concurrently."""
+    if grads.layout != params.layout:
+        raise ValueError(f"gradient shape mismatch: {grads.layout} for parameters {params.layout}")
     state.step += 1
     # Python floats: a numpy float64 scalar would make every in-place float32
     # operation below compute in float64 (NEP 50), at twice the cost.
     lr = float(state.learning_rate)
     if state.rule == "sgd":
-        for p, g in zip(tensors, grad_tensors):
-            p -= lr * g
+        params.flat -= lr * grads.flat
         return
 
+    p, g = params.flat, grads.flat
     if state.m is None:
-        state.m = [np.zeros_like(p) for p in tensors]
-        state.v = [np.zeros_like(p) for p in tensors]
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+        size = _ADAM_SLICE_BYTES // p.itemsize
+        state.scratch = (np.empty(size, p.dtype), np.empty(size, p.dtype))
     root_c2 = math.sqrt(1.0 - ADAM_BETA2**state.step)
     a_t = lr * root_c2 / (1.0 - ADAM_BETA1**state.step)
     eps_hat = ADAM_EPS * root_c2
-    for p, g, m, v in zip(tensors, grad_tensors, state.m, state.v):
-        # Flat views need C order; a tensor in any other order takes the whole-array path.
-        if p.nbytes > _ADAM_SLICE_BYTES and all(a.flags.c_contiguous for a in (p, m, v)):
-            _adam_sliced(p, g, m, v, a_t, eps_hat, _scratch(state, p.dtype))
-            continue
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * np.square(g)
-        p -= a_t * m / (np.sqrt(v) + eps_hat)
-
-
-def _scratch(state: OptimizerState, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The state's two slice buffers, (re)made in ``dtype`` on first use."""
-    if state.scratch is None or state.scratch[0].dtype != dtype:
-        size = _ADAM_SLICE_BYTES // dtype.itemsize
-        state.scratch = (np.empty(size, dtype), np.empty(size, dtype))
-    return state.scratch
-
-
-def _adam_sliced(
-    p: np.ndarray,
-    g: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    a_t: float,
-    eps_hat: float,
-    scratch: tuple[np.ndarray, np.ndarray],
-) -> None:
-    """``apply_update``'s Adam expressions on flat views, one scratch buffer's length at a time.
-
-    The temporaries go to ``scratch`` through ``out=``; each element gets the
-    same operations in the same order, so the same floats.
-    """
-    p, g, m, v = (a.reshape(-1) for a in (p, g, m, v))
-    size = len(scratch[0])
-    for first in range(0, p.size, size):
-        part = slice(first, first + size)
-        ps, gs, ms, vs = p[part], g[part], m[part], v[part]
-        t, u = scratch[0][: ps.size], scratch[1][: ps.size]
+    scratch_t, scratch_u = state.scratch
+    for first in range(0, p.size, scratch_t.size):
+        part = slice(first, first + scratch_t.size)
+        ps, gs, ms, vs = p[part], g[part], state.m[part], state.v[part]
+        t, u = scratch_t[: ps.size], scratch_u[: ps.size]
         ms *= ADAM_BETA1
         np.multiply(gs, 1.0 - ADAM_BETA1, out=t)
         ms += t

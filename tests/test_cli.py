@@ -533,19 +533,40 @@ class TestEntryPoints:
     def test_help_returns_zero(self):
         assert main(["--help"]) == 0
 
-    def test_module_invocation(self):
-        # run the package under test, wherever it was imported from
+    @staticmethod
+    def _encode_module(**env):
+        """``python -m fofe_wsd encode`` of the package under test, wherever it was imported from."""
         src = str(Path(fofe_wsd.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "fofe_wsd", "encode", "--tokens", "a b c", "--alpha", "0.7"],
             capture_output=True,
             text=True,
-            env=env,
+            env={**os.environ, "PYTHONPATH": path, **env},
         )
+
+    def test_module_invocation(self):
+        proc = self._encode_module()
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.49 0.7 1"
+
+    @pytest.mark.parametrize("level", ["error", "Info", "DEBUG"])
+    def test_log_levels_accepted_in_any_case(self, level):
+        proc = self._encode_module(FOFE_WSD_LOG=level)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "0.49 0.7 1"
+
+    # In a subprocess, because pytest's own log handlers make logging.basicConfig
+    # ignore its arguments in-process. "basic_format" names a logging attribute
+    # that is not a level.
+    @pytest.mark.parametrize("level", ["basic_format", "bogus", ""])
+    def test_unknown_log_level_is_a_usage_error(self, level):
+        proc = self._encode_module(FOFE_WSD_LOG=level)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: FOFE_WSD_LOG must be one of debug, info, warning, error, got {level!r}\n"
+        )
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1

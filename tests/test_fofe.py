@@ -545,18 +545,21 @@ class TestTrainingEqualsOracle:
         ],
     )
     def test_parameters_bit_equal(self, toy_lines, monkeypatch, optimizer, order, cap, embed_dim, dtype):
-        # In 256 KiB Adam slices the embedding (60 x 1200 float64 or 60 x 2400
-        # float32) takes three slices and the first weight (7200 or 14400 x 8)
-        # two, the last one partial; the 30 steps reuse one embedding-gradient
-        # buffer. train_lm trains in float32; the float64 cases switch it.
+        # The flat buffer of the embedding (60 x 1200 float64 or 60 x 2400
+        # float32), the weights and biases (130,148 or 259,748 elements) takes
+        # four 256 KiB Adam slices, the last one partial, with slice edges
+        # inside the embedding and the first weight; the 30 steps reuse one
+        # gradient buffer. train_lm trains in float32; the float64 cases switch it.
         monkeypatch.setattr(lm, "_TRAIN_DTYPE", dtype)
         kernel_dtypes = set()
+        grad_buffers = []
         apply_update = nn.apply_update
 
         def checked_update(params, grads, state):
             apply_update(params, grads, state)
-            arrays = [*params.tensors(), *grads.tensors(), *(state.m or ()), *(state.v or ())]
-            kernel_dtypes.update(a.dtype for a in arrays)
+            moments = [a for a in (state.m, state.v) if a is not None]
+            kernel_dtypes.update(a.dtype for a in [*params.tensors(), *grads.tensors(), *moments])
+            grad_buffers.append(grads.flat)
 
         monkeypatch.setattr(nn, "apply_update", checked_update)
         config = LmConfig(
@@ -574,6 +577,8 @@ class TestTrainingEqualsOracle:
         lines = toy_lines[:30]
         params = train_lm(lines, config).params
         assert kernel_dtypes == {np.dtype(dtype)}
+        # one gradient buffer for the whole run
+        assert len(grad_buffers) > 1 and all(g is grad_buffers[0] for g in grad_buffers)
         expected = oracle_train(lines, config, dtype)
         assert expected.embedding.dtype == dtype
         # train_lm returns the parameters widened to float64, which is exact

@@ -127,11 +127,11 @@ class TestContextEmbedding:
 
     def test_zero_params_zero_embedding(self, tiny_model):
         cfg = tiny_model.config
-        zeroed = [(np.zeros_like(w), np.zeros_like(b)) for w, b in tiny_model.params.layers]
+        params = tiny_model.params
         model = LmModel(
             vocab=tiny_model.vocab,
             config=cfg,
-            params=nn.NetworkParams(embedding=np.zeros_like(tiny_model.params.embedding), layers=zeroed),
+            params=nn.NetworkParams.zeros(params.layer_dims, params.embedding.shape),
         )
         assert_array_equal(embed_one(model, ["time", "year"], 0), np.zeros(cfg.hidden_dims[-1]))
 

@@ -7,12 +7,24 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fofe_wsd import nn
+from fofe_wsd.lm import LmConfig, load_checkpoint, save_checkpoint, train_lm
+
+
+def _built(cls, layers, embedding=np.zeros((0, 0)), **attributes):
+    """``cls.zeros`` of the shapes of ``embedding`` and the (weight, bias) ``layers``, filled with them."""
+    layers = [(np.asarray(w, float), np.asarray(b, float)) for w, b in layers]
+    dims = [layers[0][0].shape[0], *(w.shape[1] for w, _ in layers)] if layers else []
+    built = cls.zeros(dims, np.shape(embedding))
+    for ours, given in zip(built.tensors(), _flat(embedding, layers), strict=True):
+        ours[...] = given
+    for name, value in attributes.items():
+        setattr(built, name, value)
+    return built
 
 
 def _net(*matrices):
     """Build params from alternating weight/bias arrays."""
-    layers = [(np.asarray(w, float), np.asarray(b, float)) for w, b in matrices]
-    return nn.NetworkParams(embedding=np.zeros((0, 0)), layers=layers)
+    return _built(nn.NetworkParams, matrices)
 
 
 @dataclass
@@ -263,17 +275,13 @@ class TestApplyUpdate:
 
     def test_plain_rule_arithmetic(self):
         params = _net((np.array([[1.0]]), [0.0]))
-        grads = nn.Gradients(
-            embedding=np.zeros((0, 0)), layers=[(np.array([[0.5]]), np.array([0.0]))], input=np.zeros(1)
-        )
+        grads = _built(nn.Gradients, [(np.array([[0.5]]), np.array([0.0]))], input=np.zeros(1))
         nn.apply_update(params, grads, nn.OptimizerState(rule="sgd", learning_rate=0.1))
         assert params.layers[0][0][0, 0] == pytest.approx(0.95, abs=1e-15)
 
     def test_adaptive_rule_first_step(self):
         params = _net((np.array([[1.0]]), [0.0]))
-        grads = nn.Gradients(
-            embedding=np.zeros((0, 0)), layers=[(np.array([[0.5]]), np.array([0.0]))], input=np.zeros(1)
-        )
+        grads = _built(nn.Gradients, [(np.array([[0.5]]), np.array([0.0]))], input=np.zeros(1))
         state = nn.OptimizerState(rule="adam", learning_rate=0.001)
         nn.apply_update(params, grads, state)
         # bias-corrected moments at step 1: m=0.5, v=0.25 -> step = lr * 0.5/(0.5+eps)
@@ -283,9 +291,7 @@ class TestApplyUpdate:
 
     def test_shape_mismatch(self):
         params = _net((np.ones((2, 2)), [0.0, 0.0]))
-        grads = nn.Gradients(
-            embedding=np.zeros((0, 0)), layers=[(np.ones((3, 2)), np.zeros(2))], input=np.zeros(2)
-        )
+        grads = _built(nn.Gradients, [(np.ones((3, 2)), np.zeros(2))], input=np.zeros(2))
         with pytest.raises(ValueError, match="shape"):
             nn.apply_update(params, grads, nn.OptimizerState(rule="sgd"))
 
@@ -294,7 +300,7 @@ class TestApplyUpdate:
         params = nn.init_network([3, 4, 2], 1, embed_shape=(5, 2))
         grads = nn.backward(params, nn.forward(params, np.ones(3)), 1)
         grads.embedding[...] = 1.0
-        short = nn.Gradients(embedding=grads.embedding, layers=grads.layers[:1], input=grads.input)
+        short = _built(nn.Gradients, grads.layers[:1], grads.embedding, input=grads.input)
         before = copy.deepcopy(params)
         state = nn.OptimizerState(rule=rule, learning_rate=0.1)
         with pytest.raises(ValueError, match="shape"):
@@ -326,17 +332,17 @@ class TestApplyUpdateEqualsOracle:
             pytest.param("sgd", (6, 3), [4, 5, 3], "C", np.float64, id="embedding-sgd"),
             pytest.param("adam", None, [4, 5, 3], "C", np.float64, id="no-embedding-adam"),
             pytest.param("sgd", None, [4, 5, 3], "C", np.float64, id="no-embedding-sgd"),
-            # In 256 KiB Adam slices (32,768 float64 elements) the embedding
-            # holds 2.3, the weights 2.4 and 1.8, each with a remainder; the
-            # biases fit in one. A Fortran-ordered first weight takes the
-            # whole-array path.
+            # The flat buffer (235,003 float64 elements) takes 7.2 Adam
+            # slices of 256 KiB (32,768 float64 elements), with slice edges
+            # inside the embedding and both weights. The Fortran ids also
+            # check that a Fortran-ordered copy cannot replace a tensor.
             pytest.param("adam", (3000, 25), [4, 20000, 3], "C", np.float64, id="several-slices-adam"),
             pytest.param(
                 "adam", (3000, 25), [4, 20000, 3], "F", np.float64, id="several-slices-fortran-adam"
             ),
             pytest.param("adam", (6, 3), [4, 5, 3], "C", np.float32, id="embedding-adam-f32"),
             pytest.param("sgd", (6, 3), [4, 5, 3], "C", np.float32, id="embedding-sgd-f32"),
-            # The same slice counts at 65,536 float32 elements a slice.
+            # The same slice count at 65,536 float32 elements a slice.
             pytest.param("adam", (6000, 25), [4, 40000, 3], "C", np.float32, id="several-slices-adam-f32"),
             pytest.param(
                 "adam", (6000, 25), [4, 40000, 3], "F", np.float32, id="several-slices-fortran-adam-f32"
@@ -345,8 +351,11 @@ class TestApplyUpdateEqualsOracle:
     )
     def test_five_steps_bit_equal(self, rule, embed_shape, dims, order, dtype):
         params = nn.init_network(dims, 3, embed_shape=embed_shape).astype(dtype)
-        w, b = params.layers[0]
-        params.layers[0] = (np.asarray(w, order=order), b)
+        if order == "F":
+            w, b = params.layers[0]
+            with pytest.raises(TypeError):
+                params.layers[0] = (np.asarray(w, order="F"), b)
+            assert params.layers[0][0].flags.c_contiguous
         expected = copy.deepcopy(params)
         state = nn.OptimizerState(rule=rule, learning_rate=0.01)
         oracle = OracleState(rule=rule, learning_rate=0.01)
@@ -365,12 +374,65 @@ class TestApplyUpdateEqualsOracle:
         if rule == "adam":
             for moments, oracle_moments in ((state.m, oracle.m), (state.v, oracle.v)):
                 want = _flat(oracle_moments["embedding"], oracle_moments["layers"])
-                assert len(moments) == len(want)
-                for ours, theirs in zip(moments, want):
-                    assert ours.dtype == dtype
-                    assert np.array_equal(ours, theirs)
+                assert moments.dtype == dtype
+                assert np.array_equal(moments, np.concatenate([t.ravel() for t in want]))
         else:
             assert state.m is None and state.v is None
+
+
+def _trained_model():
+    config = LmConfig(embed_dim=3, hidden_dims=(5,), batch_size=4, epochs=1, seed=2)
+    return train_lm(["the cat sat", "a dog sat on the mat", "the dog ran"], config)
+
+
+def _checkpointed(tmp_path):
+    save_checkpoint(_trained_model(), tmp_path / "model.fofe")
+    return load_checkpoint(tmp_path / "model.fofe").params
+
+
+LAYOUT_SOURCES = {
+    "zeros": lambda tmp_path: nn.NetworkParams.zeros([4, 5, 3], (6, 2)),
+    "init_network": lambda tmp_path: nn.init_network([4, 5, 3], 1, embed_shape=(6, 2)),
+    "astype": lambda tmp_path: nn.init_network([4, 5, 3], 1, embed_shape=(6, 2)).astype(np.float32),
+    "load_checkpoint": _checkpointed,
+    "deepcopy": lambda tmp_path: copy.deepcopy(nn.init_network([4, 5, 3], 1, embed_shape=(6, 2))),
+    "train_lm": lambda tmp_path: _trained_model().params,
+}
+
+
+@pytest.mark.parametrize("source", LAYOUT_SOURCES)
+class TestLayout:
+    """Every tensor is a view of one flat buffer, however the parameters were made."""
+
+    def test_tensors_are_views_of_flat_in_order(self, source, tmp_path):
+        params = LAYOUT_SOURCES[source](tmp_path)
+        flat = params.flat
+        assert flat.ndim == 1 and flat.flags.c_contiguous
+        offset = 0
+        for tensor, shape in zip(params.tensors(), params.layout, strict=True):
+            assert tensor.shape == shape and tensor.dtype == flat.dtype
+            assert tensor.flags.c_contiguous
+            assert tensor.base is flat
+            start = tensor.__array_interface__["data"][0] - flat.__array_interface__["data"][0]
+            assert start == offset * flat.itemsize
+            offset += tensor.size
+        assert offset == flat.size
+
+    def test_update_of_a_deep_copy_leaves_the_original(self, source, tmp_path):
+        params = LAYOUT_SOURCES[source](tmp_path)
+        before = params.flat.copy()
+        clone = copy.deepcopy(params)
+        grads = nn.Gradients(np.ones_like(clone.flat), clone.layout)
+        nn.apply_update(clone, grads, nn.OptimizerState(rule="sgd", learning_rate=0.5))
+        assert np.array_equal(params.flat, before)
+        # the copy's tensors are views of its own buffer, so they moved with it
+        for ours, theirs in zip(clone.tensors(), params.tensors(), strict=True):
+            assert np.array_equal(ours, theirs - 0.5)
+
+    def test_layers_cannot_be_replaced(self, source, tmp_path):
+        params = LAYOUT_SOURCES[source](tmp_path)
+        with pytest.raises(TypeError):
+            params.layers[0] = params.layers[0]
 
 
 class TestGradientCheck:
@@ -388,13 +450,13 @@ class TestGradientCheck:
         def scaled_backward(p, trace, target):
             grads = true_backward(p, trace, target)
             scaled = [(w * 1.01, b * 1.01) for w, b in grads.layers]
-            return nn.Gradients(embedding=grads.embedding, layers=scaled, input=grads.input)
+            return _built(nn.Gradients, scaled, grads.embedding, input=grads.input)
 
         monkeypatch.setattr(nn, "backward", scaled_backward)
         assert nn.gradient_check(params, x, 1, epsilon=1e-5) >= 1e-3
 
     def test_degenerate_empty_net(self):
-        params = nn.NetworkParams(embedding=np.zeros((0, 0)), layers=[])
+        params = _built(nn.NetworkParams, [])
         assert nn.gradient_check(params, np.array([0.1, 0.2]), 0) == 0.0
 
     def test_epsilon_must_be_positive(self):
