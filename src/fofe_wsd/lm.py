@@ -201,8 +201,9 @@ def train_lm(
     architecture are kept, as in ``with_run_settings``; optimizer moments
     restart; its arrays are not changed). ``progress`` receives (epoch
     number, mean training loss) once per epoch. Training runs on float32
-    copies of the parameters; the returned model holds them widened to
-    float64. A network too large to allocate is a ``UsageError``.
+    parameters, drawn straight into float32 or copied from ``model``; the
+    returned model holds them widened to float64. A network too large to
+    allocate is a ``UsageError``.
     """
     lines = corpus if isinstance(corpus, list) else list(corpus)
     init_seed, shuffle_seed = np.random.SeedSequence(config.seed).spawn(2)
@@ -210,8 +211,8 @@ def train_lm(
         vocab = build_vocabulary(lines, config.max_vocab)
         try:
             params = nn.init_network(
-                config.layer_dims(len(vocab)), init_seed, embed_shape=(len(vocab), config.embed_dim)
-            ).astype(_TRAIN_DTYPE)
+                config.layer_dims(len(vocab)), init_seed, (len(vocab), config.embed_dim), _TRAIN_DTYPE
+            )
         except MemoryError as exc:
             count = config.parameter_count(len(vocab))
             raise UsageError(f"cannot allocate a network of {count:,} parameters") from exc

@@ -73,10 +73,12 @@ class NetworkParams:
         self._carve()
 
     @classmethod
-    def zeros(cls, layer_dims: Sequence[int], embed_shape: tuple[int, int] = (0, 0)) -> "NetworkParams":
+    def zeros(
+        cls, layer_dims: Sequence[int], embed_shape: tuple[int, int] = (0, 0), dtype: np.dtype | type = np.float64
+    ) -> "NetworkParams":
         fans = zip(layer_dims[:-1], layer_dims[1:])
         layout = [tuple(embed_shape), *(shape for i, o in fans for shape in ((i, o), (o,)))]
-        return cls(np.zeros(sum(map(math.prod, layout))), layout)
+        return cls(np.zeros(sum(map(math.prod, layout)), dtype), layout)
 
     def tensors(self) -> list[np.ndarray]:
         """The embedding, then each layer's weight and bias: the one order of the model's tensors."""
@@ -120,19 +122,23 @@ class Gradients(NetworkParams):
 
 
 def init_network(
-    layer_dims: list[int], seed: int | np.random.SeedSequence, embed_shape: tuple[int, int] | None = None
+    layer_dims: list[int],
+    seed: int | np.random.SeedSequence,
+    embed_shape: tuple[int, int] | None = None,
+    dtype: np.dtype | type = np.float64,
 ) -> NetworkParams:
     """Deterministically initialize parameters.
 
     Weights are uniform in +-sqrt(6 / (fan_in + fan_out)), biases zero,
     embedding rows uniform in +-0.05. The embedding is drawn first, then the
-    layers in order, from one seeded generator.
+    layers in order, from one seeded generator. The draws are float64 in
+    any ``dtype``; each is rounded into its tensor as ``astype`` would.
     """
     if len(layer_dims) < 2:
         raise ValueError("need at least input and output dimensions")
     if any(d < 1 for d in layer_dims):
         raise ValueError(f"layer dimensions must be >= 1, got {layer_dims}")
-    params = NetworkParams.zeros(layer_dims, embed_shape or (0, 0))
+    params = NetworkParams.zeros(layer_dims, embed_shape or (0, 0), dtype)
     rng = np.random.default_rng(seed)
     params.embedding[...] = rng.uniform(-0.05, 0.05, size=params.embedding.shape)  # (0, 0) draws nothing
     for w, _ in params.layers:

@@ -6,6 +6,15 @@ one sense embedding and picks the most similar. Lemmas with no training
 pairs at all fall back to the inventory's first-listed sense. The store
 keeps each lemma's pairs as a sense-key list and one (pairs, dim) matrix.
 
+``predict_knn`` votes for one query. ``predict_all`` votes for a lemma's
+queries together: one matrix product per block of queries, an exact top k
+by partition, and the same tie ladder. A matrix product may round a
+distance differently from the per-query product, by far less than
+``_CERTIFY_BOUND``. So a query whose k-th and (k+1)-th distances, or whose
+two best vote-tied senses' mean distances, are within that bound is
+recomputed with ``predict_knn``: the batched answers equal the per-query
+ones by construction.
+
 Store file format: a ``_files`` container (magic ``FWSD``, version 1, which
 frames and checksums it) whose body is embedding dim u32, lemma count u32,
 then per lemma a length-prefixed name, pair count, and per pair a
@@ -14,10 +23,11 @@ length-prefixed sense key plus the f32 embedding.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +38,12 @@ from .lm import LmModel, context_embeddings
 
 STORE_MAGIC = b"FWSD"
 STORE_VERSION = 1
+# A batched kNN decision closer than this is recomputed per query.
+_CERTIFY_BOUND = 1e-12
+# Elements of one block of query-by-pair distances in ``predict_all``: 64 KiB
+# of float64. With 1 MiB blocks, repeated pipeline runs in one process grew
+# its peak RSS run by run (the freed blocks fragment the heap).
+_BLOCK_ELEMENTS = 1 << 13
 
 
 class NoClassifierError(LookupError):
@@ -185,6 +201,73 @@ def predict_cosine(
     return keys[best]
 
 
+def _knn_block(
+    vectors: np.ndarray, norms: np.ndarray, codes: np.ndarray, n_senses: int, k: int, queries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Winning sense code of each query and whether the batched vote certifies it.
+
+    The distances are ``_cosine_distances``' arithmetic with one matrix
+    product for the block. Not certified: a k-th and (k+1)-th distance, or
+    the mean distances of the two best senses tied on votes, within
+    ``_CERTIFY_BOUND`` (or not comparable, as NaN is).
+    """
+    rows = len(queries)
+    qn = np.linalg.norm(queries, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        distances = (queries @ vectors.T) / (qn[:, None] * norms)
+    distances[:, ~(norms > 0.0)] = 0.0
+    distances[~(qn > 0.0)] = 0.0
+    np.subtract(1.0, distances, out=distances)
+
+    certified = np.ones(rows, dtype=bool)
+    if k < len(vectors):
+        order = np.argpartition(distances, k, axis=1)  # the k nearest, then the (k+1)-th
+        nearest = order[:, :k]
+        near = np.take_along_axis(distances, nearest, axis=1)
+        after = np.take_along_axis(distances, order[:, k : k + 1], axis=1)[:, 0]
+        certified &= after - near.max(axis=1) > _CERTIFY_BOUND
+    else:
+        nearest = np.broadcast_to(np.arange(len(vectors)), distances.shape)
+        near = distances
+    cells = (np.arange(rows)[:, None] * n_senses + codes[nearest]).ravel()
+    votes = np.bincount(cells, minlength=rows * n_senses).reshape(rows, n_senses)
+    sums = np.bincount(cells, near.ravel(), rows * n_senses).reshape(rows, n_senses)
+    top = votes == votes.max(axis=1, keepdims=True)
+    means = np.divide(sums, votes, out=np.full(votes.shape, np.inf), where=top)
+    winners = means.argmin(axis=1)
+    picked = (np.arange(rows), winners)
+    best = means[picked]
+    means[picked] = np.inf
+    certified &= means.min(axis=1) - best > _CERTIFY_BOUND
+    return winners, certified
+
+
+def _knn_lemma(
+    store: ClassifierStore,
+    cfg: ClassifierConfig,
+    lemma: str,
+    queries: Iterator[np.ndarray],
+    count: int,
+    inventory: SenseInventory,
+) -> list[str]:
+    """``predict_knn`` of each of the next ``count`` queries, all of ``lemma``, batched under the certificate."""
+    vectors = store.pairs[lemma]
+    index: dict[str, int] = {}
+    codes = np.array([index.setdefault(sense, len(index)) for sense in store.senses[lemma]])
+    keys = list(index)
+    norms = np.linalg.norm(vectors, axis=1)
+    k = min(cfg.k, len(vectors))
+    per_block = max(1, _BLOCK_ELEMENTS // len(vectors))
+    senses: list[str] = []
+    for first in range(0, count, per_block):
+        block = np.fromiter(queries, np.dtype((np.float64, store.dim)), min(per_block, count - first))
+        winners, certified = _knn_block(vectors, norms, codes, len(keys), k, block)
+        senses.extend(keys[w] for w in winners.tolist())
+        for i in np.flatnonzero(~certified):
+            senses[first + i] = predict_knn(store, cfg, lemma, block[i], inventory)
+    return senses
+
+
 def predict_all(
     store: ClassifierStore,
     inventory: SenseInventory,
@@ -196,9 +279,14 @@ def predict_all(
 
     kNN when the instance's lemma has training pairs, else the inventory's
     first sense. The kNN queries of all instances come from one
-    ``context_embeddings`` call. Before any embedding, a lemma missing from
-    the inventory (listing every such instance) or a store whose width is
-    not the model's is a ``DataError``.
+    ``context_embeddings`` call, grouped by lemma (an embedding does not
+    depend on the other contexts of the call). Each lemma's queries are
+    scored together, in blocks of at most ``_BLOCK_ELEMENTS`` distances; a
+    query whose vote is within ``_CERTIFY_BOUND`` of a tie (see the module
+    docstring) is recomputed with ``predict_knn``, so every answer is
+    ``predict_knn``'s. Before any embedding, a lemma missing from the
+    inventory (listing every such instance) or a store whose width is not
+    the model's is a ``DataError``.
     """
     _check_lemmas(instances, inventory)
     if store.dim != model.config.held_out_dim:
@@ -206,14 +294,14 @@ def predict_all(
             f"classifier store holds {store.dim}-wide embeddings, "
             f"but the model's are {model.config.held_out_dim} wide"
         )
-    queried = [inst for inst in instances if inst.lemma in store]
-    queries = context_embeddings(model, [(inst.tokens, inst.target_index) for inst in queried])
-    return [
-        predict_knn(store, cfg, inst.lemma, next(queries), inventory)
-        if inst.lemma in store
-        else inventory.first_sense(inst.lemma)
-        for inst in instances
-    ]
+    senses = [inventory.first_sense(inst.lemma) for inst in instances]
+    queried = sorted((i for i, inst in enumerate(instances) if inst.lemma in store), key=lambda i: instances[i].lemma)
+    queries = context_embeddings(model, [(instances[i].tokens, instances[i].target_index) for i in queried])
+    for lemma, group in itertools.groupby(queried, key=lambda i: instances[i].lemma):
+        rows = list(group)
+        for i, sense in zip(rows, _knn_lemma(store, cfg, lemma, queries, len(rows), inventory)):
+            senses[i] = sense
+    return senses
 
 
 def write_predictions(rows: Sequence[tuple[str, str]], path: str | Path) -> None:

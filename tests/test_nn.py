@@ -103,6 +103,12 @@ class TestInit:
             assert_array_equal(wa, wb)
             assert_array_equal(ba, bb)
 
+    def test_float32_draws_round_as_astype(self):
+        wide = nn.init_network([40, 30, 20], 7, embed_shape=(50, 8))
+        narrow = nn.init_network([40, 30, 20], 7, embed_shape=(50, 8), dtype=np.float32)
+        assert narrow.flat.dtype == np.float32 and narrow.layout == wide.layout
+        assert narrow.flat.tobytes() == wide.astype(np.float32).flat.tobytes()
+
     def test_fan_bound(self):
         params = nn.init_network([4, 3], 0)
         bound = math.sqrt(6.0 / 7.0)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -374,6 +375,202 @@ class TestPredictWithBackoff:
         ]
         assert predict_all(store, inv, tiny_model, cfg, test) == expected
         assert predict_all(store, inv, tiny_model, cfg, []) == []
+
+
+def _fed_queries(monkeypatch, store, queries):
+    """A stand-in model; instance ``q{i}`` embeds to ``queries[i]``.
+
+    The instance's one token is ``i``, and ``wsd.context_embeddings`` is
+    replaced by a lookup of it.
+    """
+    monkeypatch.setattr(wsd, "context_embeddings", lambda model, contexts: (queries[int(t[0])] for t, _ in contexts))
+    return SimpleNamespace(config=SimpleNamespace(held_out_dim=store.dim))
+
+
+def _query_instances(lemmas):
+    return [_instance(f"q{i}", (str(i),), 0, lemma, {"x"}) for i, lemma in enumerate(lemmas)]
+
+
+def _oracle(store, inv, cfg, instances, queries):
+    return [
+        predict_knn(store, cfg, inst.lemma, queries[i], inv) if inst.lemma in store else inv.first_sense(inst.lemma)
+        for i, inst in enumerate(instances)
+    ]
+
+
+def _counted_knn(monkeypatch):
+    """Replace ``wsd.predict_knn`` by a wrapper; returns its list of call lemmas."""
+    calls = []
+
+    def counted(store, cfg, lemma, query, inventory=None):
+        calls.append(lemma)
+        return predict_knn(store, cfg, lemma, query, inventory)
+
+    monkeypatch.setattr(wsd, "predict_knn", counted)
+    return calls
+
+
+def _random_store(rng, dim, n_lemmas):
+    """Seeded lemmas of 1-40 pairs over 2-4 senses, with duplicates and zero rows.
+
+    Half the lemmas hold small-integer vectors, whose distances tie exactly.
+    """
+    pairs, inventory = [], {}
+    for li in range(n_lemmas):
+        lemma, keys = f"w{li}", [f"w{li}%{s}" for s in range(int(rng.integers(2, 5)))]
+        inventory[lemma] = [keys[i] for i in rng.permutation(len(keys))]
+        integral = li % 2 == 0
+        for _ in range(int(rng.integers(1, 41))):
+            vec = rng.integers(-1, 2, size=dim).astype(float) if integral else rng.normal(size=dim)
+            if rng.random() < 0.1:
+                vec = np.zeros(dim)
+            # a multi-gold instance: one embedding under several senses, in key order
+            for sense in sorted(rng.choice(keys, size=1 + int(rng.random() < 0.2), replace=False)):
+                pairs.append((lemma, str(sense), vec))
+    for li in range(n_lemmas, n_lemmas + 3):  # backoff-only lemmas
+        inventory[f"w{li}"] = [f"w{li}%b", f"w{li}%a"]
+    return _store(dim, pairs), SenseInventory(inventory)
+
+
+def _random_queries(rng, store, lemmas):
+    """Random queries, all-zero ones and exact copies of a pair of the lemma."""
+    queries = []
+    for lemma in lemmas:
+        pick = rng.random()
+        if pick < 0.1:
+            queries.append(np.zeros(store.dim))
+        elif pick < 0.3 and lemma in store:
+            vectors = store.pairs[lemma]
+            queries.append(vectors[int(rng.integers(len(vectors)))].copy())
+        elif pick < 0.5:
+            queries.append(rng.integers(-1, 2, size=store.dim).astype(float))
+        else:
+            queries.append(rng.normal(size=store.dim))
+    return queries
+
+
+class TestPredictAllEqualsOracle:
+    """``predict_all`` answers what ``predict_knn`` (or first-sense backoff) answers, query by query."""
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 50])
+    def test_random_stores(self, monkeypatch, k):
+        rng = np.random.default_rng(1000 + k)
+        calls = _counted_knn(monkeypatch)
+        queried = fell_back = 0
+        for trial in range(6):
+            store, inv = _random_store(rng, int(rng.integers(2, 6)), 6)
+            lemmas = [str(rng.choice(list(inv.entries))) for _ in range(200)]  # interleaved
+            queries = _random_queries(rng, store, lemmas)
+            instances = _query_instances(lemmas)
+            model = _fed_queries(monkeypatch, store, queries)
+            calls.clear()
+            got = predict_all(store, inv, model, ClassifierConfig(k=k), instances)
+            assert got == _oracle(store, inv, ClassifierConfig(k=k), instances, queries)
+            queried += sum(inst.lemma in store for inst in instances)
+            fell_back += len(calls)
+        # ties are common here, but most queries still take the batched path
+        assert 0 < fell_back < queried / 2
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    def test_queries_span_several_blocks(self, monkeypatch, budget):
+        rng = np.random.default_rng(7)
+        store, inv = _random_store(rng, 3, 4)
+        lemmas = [str(rng.choice(list(inv.entries))) for _ in range(120)]
+        queries = _random_queries(rng, store, lemmas)
+        instances = _query_instances(lemmas)
+        model = _fed_queries(monkeypatch, store, queries)
+        blocks = []
+        knn_block = wsd._knn_block
+        monkeypatch.setattr(wsd, "_knn_block", lambda *args: blocks.append(len(args[-1])) or knn_block(*args))
+        monkeypatch.setattr(wsd, "_BLOCK_ELEMENTS", budget)
+        cfg = ClassifierConfig(k=3)
+        assert predict_all(store, inv, model, cfg, instances) == _oracle(store, inv, cfg, instances, queries)
+        assert len(blocks) > len(store.pairs)
+        assert sum(blocks) == sum(inst.lemma in store for inst in instances)
+        assert max(blocks) == max(1, budget // min(map(len, store.pairs.values())))
+
+    def test_zero_rows_and_zero_query(self, monkeypatch):
+        store = _store(
+            2,
+            [("w", "A", (0.0, 0.0)), ("w", "B", (1.0, 0.0)), ("w", "B", (0.0, 0.0)), ("w", "A", (0.0, 1.0))],
+        )
+        inv = SenseInventory({"w": ["B", "A"], "v": ["v%1"]})
+        queries = [np.zeros(2), np.array([1.0, 0.1]), np.array([0.2, 1.0]), np.array([1.0, 1.0])]
+        instances = _query_instances(["w", "w", "v", "w"])
+        model = _fed_queries(monkeypatch, store, queries)
+        for k in (1, 2, 3, 4, 9):
+            cfg = ClassifierConfig(k=k)
+            assert predict_all(store, inv, model, cfg, instances) == _oracle(store, inv, cfg, instances, queries)
+
+    def test_zero_query_with_clear_majority_stays_batched(self, monkeypatch):
+        # every distance is 1; with k >= pairs the 2-1 vote decides
+        store = _store(2, [("w", "B", (1.0, 0.0)), ("w", "A", (0.0, 1.0)), ("w", "A", (1.0, 1.0))])
+        inv = SenseInventory({"w": ["B", "A"]})
+        model = _fed_queries(monkeypatch, store, [np.zeros(2)])
+        calls = _counted_knn(monkeypatch)
+        assert predict_all(store, inv, model, ClassifierConfig(k=3), _query_instances(["w"])) == ["A"]
+        assert calls == []
+
+
+class TestCertificate:
+    """Near-ties go to ``predict_knn``; a clear vote stays on the batched path."""
+
+    def test_kth_and_next_distance_tie(self, monkeypatch):
+        # duplicate rows under two senses: the first and second distances are both 0
+        store = _store(2, [("w", "B", (1.0, 0.0)), ("w", "A", (1.0, 0.0)), ("w", "A", (0.0, 1.0))])
+        inv = SenseInventory({"w": ["A", "B"]})
+        queries = [np.array([2.0, 0.0])]
+        instances = _query_instances(["w"])
+        model = _fed_queries(monkeypatch, store, queries)
+        calls = _counted_knn(monkeypatch)
+        cfg = ClassifierConfig(k=1)
+        assert predict_all(store, inv, model, cfg, instances) == _oracle(store, inv, cfg, instances, queries) == ["B"]
+        assert calls == ["w"]
+
+    def test_kth_and_next_distance_within_bound(self, monkeypatch):
+        # the second distance is a few ulps above the first: not a tie, but too close to certify
+        store = _store(2, [("w", "A", (1.0, 0.0)), ("w", "B", (1.0, 1e-7))])
+        inv = SenseInventory({"w": ["B", "A"]})
+        queries = [np.array([1.0, 0.0])]
+        instances = _query_instances(["w"])
+        model = _fed_queries(monkeypatch, store, queries)
+        gap = wsd._cosine_distances(queries[0], store.pairs["w"])
+        assert 0.0 < gap[1] - gap[0] < wsd._CERTIFY_BOUND
+        calls = _counted_knn(monkeypatch)
+        cfg = ClassifierConfig(k=1)
+        assert predict_all(store, inv, model, cfg, instances) == _oracle(store, inv, cfg, instances, queries) == ["A"]
+        assert calls == ["w"]
+
+    def test_vote_tie_with_equal_mean_distance(self, monkeypatch):
+        # the two nearest are a clear k-th / (k+1)-th apart from the third, but
+        # split 1-1 between senses at the same distance: inventory order decides
+        store = _store(2, [("w", "A", (1.0, 1.0)), ("w", "B", (1.0, 1.0)), ("w", "A", (-1.0, 0.0))])
+        inv = SenseInventory({"w": ["B", "A"]})
+        queries = [np.array([3.0, 3.0])]
+        instances = _query_instances(["w"])
+        model = _fed_queries(monkeypatch, store, queries)
+        calls = _counted_knn(monkeypatch)
+        cfg = ClassifierConfig(k=2)
+        assert predict_all(store, inv, model, cfg, instances) == _oracle(store, inv, cfg, instances, queries) == ["B"]
+        assert calls == ["w"]
+
+    def test_wide_margin_takes_no_fallback(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        centres = {"A": np.array([1.0, 0.0, 0.0]), "B": np.array([0.0, 1.0, 0.0]), "C": np.array([0.0, 0.0, 1.0])}
+        rows = [(s, centres[s] + 0.05 * rng.normal(size=3)) for s in "ABC" for _ in range(10)]
+        rows.append(("A", centres["B"] + np.array([0.3, 0.0, 0.0])))  # a vote tie broken by a clear mean
+        store = _store(3, [("w", s, v) for s, v in rows])
+        inv = SenseInventory({"w": ["C", "B", "A"]})
+        queries = [centres[s] + 0.02 * rng.normal(size=3) for s in "ABCABC"] + [centres["B"] + [0.1, 0.0, 0.0]]
+        instances = _query_instances(["w"] * len(queries))
+        model = _fed_queries(monkeypatch, store, queries)
+        calls = _counted_knn(monkeypatch)
+        for k in (1, 5, 2, len(rows), 100):
+            cfg = ClassifierConfig(k=k)
+            got = predict_all(store, inv, model, cfg, instances)
+            assert got == _oracle(store, inv, cfg, instances, queries)
+            assert calls == []
+        assert predict_all(store, inv, model, ClassifierConfig(k=1), instances)[:6] == list("ABCABC")
 
 
 class TestStorePersistence:
