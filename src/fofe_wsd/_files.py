@@ -10,7 +10,8 @@ training log included; no other module opens a file.
   u32-length-prefixed UTF-8 strings, f32 row-major values), then a u64
   checksum, the byte sum of everything before it mod 2**64. A tensor is
   read into an array of the shape the reader expects, and its stored rank
-  and dims are checked against that shape before any value is read.
+  and dims are checked against that shape before any value is read. A
+  non-finite f32 value makes the file corrupt.
 
 Read and write failures raise ``DataError`` naming the path.
 """
@@ -34,10 +35,10 @@ def read_lines(path: str | Path, what: str) -> Iterator[str]:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 yield line.rstrip("\n")
-    except OSError as exc:
-        raise DataError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{what} {path} is not valid UTF-8: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def read_records(path: str | Path, what: str, n_fields: int) -> Iterator[tuple[int, list[str]]]:
@@ -63,10 +64,10 @@ def write_file(path: str | Path, data: str | bytes | bytearray) -> None:
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
     finally:
-        with contextlib.suppress(OSError):  # after os.replace it is gone
+        with contextlib.suppress(OSError, ValueError):  # after os.replace it is gone
             os.remove(tmp)
 
 
@@ -123,7 +124,7 @@ class Reader:
         """Read ``path`` whole and check its magic and format version."""
         try:
             buf = Path(path).read_bytes()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise DataError(f"cannot read {what} {path}: {exc}") from exc
         rd = cls(buf, what, path)
         if rd.take(len(magic)) != magic:
@@ -171,7 +172,14 @@ class Reader:
         dims = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
         if dims != out.shape:
             raise self.corrupt(f"tensor shape {dims}, expected {out.shape}")
-        out[...] = self.floats(out.size).reshape(out.shape)
+        values = self.floats(out.size)
+        self.check_finite(values)
+        out[...] = values.reshape(out.shape)
+
+    def check_finite(self, values: np.ndarray) -> None:
+        """Raise ``corrupt`` unless all ``values`` are finite; check f32 before a cast, which warns on NaN."""
+        if not np.isfinite(values).all():
+            raise self.corrupt("non-finite value")
 
     def close(self) -> None:
         """Check the trailing checksum and that nothing follows it."""

@@ -143,10 +143,10 @@ def context_embeddings(
 
     Unknown words map to the unknown id; the target word itself is excluded
     from the context, and the output layer is not evaluated. The contexts
-    are encoded ``_EMBED_BATCH`` at a time, which bounds the FOFE layer's
-    buffers and the embeddings held at once. Each code then goes through
-    ``nn.held_out`` on its own: a batched matrix product need not give the
-    floats of a per-row one.
+    go ``_EMBED_BATCH`` at a time through the FOFE layer and one
+    ``nn.held_out`` product, whose rows are yielded before the next chunk is
+    encoded; that bounds the buffers and embeddings held at once. A row may
+    differ in its last bits from a one-row product's.
     """
     cfg = model.config
     for first in range(0, len(contexts), _EMBED_BATCH):
@@ -156,8 +156,7 @@ def context_embeddings(
         tokens, starts, lengths = _concatenate(sentences)
         layout = fofe.context_ids(tokens, starts, lengths, positions, cfg.fofe.order, cfg.window_cap)
         codes = fofe.encode_contexts(layout, cfg.fofe, model.params.embedding)
-        for x in codes:
-            yield nn.held_out(model.params, x)
+        yield from nn.held_out(model.params, codes)
 
 
 def _train_step(

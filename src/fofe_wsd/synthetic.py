@@ -85,7 +85,7 @@ def generate(outdir: str | Path, config: SyntheticConfig = SyntheticConfig()) ->
     outdir = Path(outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise DataError(f"cannot create output directory {outdir}: {exc}") from exc
     rng = np.random.default_rng(config.seed)
     flavors = list(_POOLS)

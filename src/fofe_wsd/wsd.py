@@ -279,14 +279,14 @@ def predict_all(
 
     kNN when the instance's lemma has training pairs, else the inventory's
     first sense. The kNN queries of all instances come from one
-    ``context_embeddings`` call, grouped by lemma (an embedding does not
-    depend on the other contexts of the call). Each lemma's queries are
+    ``context_embeddings`` call in lemma order, so a query's last bits may
+    depend on the contexts it is embedded with. Each lemma's queries are
     scored together, in blocks of at most ``_BLOCK_ELEMENTS`` distances; a
     query whose vote is within ``_CERTIFY_BOUND`` of a tie (see the module
-    docstring) is recomputed with ``predict_knn``, so every answer is
-    ``predict_knn``'s. Before any embedding, a lemma missing from the
-    inventory (listing every such instance) or a store whose width is not
-    the model's is a ``DataError``.
+    docstring) is recomputed with ``predict_knn``, so each answer is
+    ``predict_knn``'s for the query vector computed here. Before any
+    embedding, a lemma missing from the inventory (listing every such
+    instance) or a store whose width is not the model's is a ``DataError``.
     """
     _check_lemmas(instances, inventory)
     if store.dim != model.config.held_out_dim:
@@ -342,9 +342,11 @@ def load_store(path: str | Path) -> ClassifierStore:
         n_pairs = rd.u32()
         rd.need(n_pairs * (4 + 4 * dim))  # each pair: a length prefix and dim f32
         senses = store.senses[lemma] = []
-        vectors = store.pairs[lemma] = np.empty((n_pairs, dim))
+        vectors = np.empty((n_pairs, dim), dtype=np.float32)
         for i in range(n_pairs):
             senses.append(rd.text())
             vectors[i] = rd.floats(dim)
+        rd.check_finite(vectors)
+        store.pairs[lemma] = vectors.astype(np.float64)
     rd.close()
     return store

@@ -3,10 +3,12 @@ import ast
 import dataclasses
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fofe_wsd
@@ -385,6 +387,21 @@ class TestBuildPredictEval:
         assert "corrupt checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "pred.tsv").exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name, what", [("model.fofe", "checkpoint"), ("store.fwsd", "classifier store")])
+    def test_predict_non_finite_value_exits_2(self, workspace, capsys, name, what, value):
+        tmp_path, config = workspace
+        assert main(["train", "-c", str(config), "--epochs", "0"]) == 0
+        assert main(["build", "-c", str(config)]) == 0
+        path = tmp_path / name
+        raw = bytearray(path.read_bytes())
+        raw[-12:-8] = struct.pack("<f", value)  # the last f32 value, with a valid checksum after it
+        raw[-8:] = struct.pack("<Q", sum(raw[:-8]))
+        path.write_bytes(raw)
+        assert main(["predict", "-c", str(config)]) == 2
+        assert f"corrupt {what}: {path} (non-finite value)" in capsys.readouterr().err
+        assert not (tmp_path / "pred.tsv").exists()
+
     def test_predict_backoff_for_unseen_lemma(self, workspace):
         tmp_path, config = workspace
         _write(tmp_path / "train.tsv", "# empty\n")
@@ -456,8 +473,6 @@ class TestBuildPredictEval:
     def test_window_cap_flows_into_build(self, workspace):
         import dataclasses
 
-        import numpy as np
-
         from fofe_wsd.corpus import read_labeled_corpus
 
         tmp_path, config = workspace
@@ -495,6 +510,91 @@ class TestUnwritableOutput:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "cannot" in err and blocked in err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("build", "--checkpoint"), ("predict", "--store"), ("eval", "--test"), ("eval", "--report"), ("gen-synthetic", "--outdir")],
+)
+def test_path_with_a_nul_byte_exits_2(workspace, capsys, command, flag):
+    tmp_path, config = workspace
+    for before in ("train", "build", "predict"):
+        assert main([before, "-c", str(config)]) == 0, before
+    args = [command, flag, str(tmp_path / "a\x00b")]
+    if command != "gen-synthetic":
+        args += ["-c", str(config)]
+    assert main(args) == 2
+    assert "embedded null byte" in capsys.readouterr().err
+
+
+_INSERTS = [
+    b"\t", b" ", b"=", b"#", b"%", b",", b"-", b".", b"0", b"9", b"x", b"\x00", b"\xff", b"\r",
+    "\u00e9".encode(), "\u2028".encode(),
+]
+
+
+def _mutate_line(raw: bytes, rng: np.random.Generator) -> tuple[str, bytes]:
+    """One seeded mutation of one line of ``raw``: (what was done, the mutated bytes)."""
+    lines = raw.split(b"\n")
+    at = int(rng.integers(len(lines)))
+    line = lines[at]
+    op = ["delete byte", "insert byte", "duplicate line", "delete line", "truncate line", "swap fields",
+          "replace field"][int(rng.integers(7))]
+    pos = int(rng.integers(len(line) + 1))
+    if op == "delete byte":
+        lines[at] = line[:pos] + line[pos + 1 :]
+    elif op == "insert byte":
+        lines[at] = line[:pos] + _INSERTS[int(rng.integers(len(_INSERTS)))] + line[pos:]
+    elif op == "duplicate line":
+        lines.insert(at, line)
+    elif op == "delete line":
+        del lines[at]
+    elif op == "truncate line":
+        lines[at] = line[:pos]
+    else:
+        sep = b"\t" if b"\t" in line else b"="
+        fields = line.split(sep)
+        i, j = rng.integers(len(fields), size=2)
+        if op == "swap fields":
+            fields[i], fields[j] = fields[j], fields[i]
+        else:
+            fields[i] = [b"", b"-1", b"99999999999999999999", b"nan", b"1e309", b"\xc3"][int(rng.integers(6))]
+        lines[at] = sep.join(fields)
+    return f"{op} at line {at + 1}", b"\n".join(lines)
+
+
+def test_mutated_text_inputs_exit_0_1_or_2(workspace, capsys, monkeypatch):
+    # Seeded one-line mutations of each text input, through the commands that read it
+    tmp_path, config = workspace
+    # relative paths, so that a mutated path stays in the workspace
+    config.write_text(config.read_text(encoding="utf-8").replace(f"{tmp_path}{os.sep}", ""), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "-c", "run.conf", "--epochs", "1"]) == 0
+    assert main(["build", "-c", "run.conf"]) == 0 and main(["predict", "-c", "run.conf"]) == 0
+    readers = {
+        "train.tsv": ["build"],
+        "test.tsv": ["predict", "eval"],
+        "inventory.tsv": ["build", "predict"],
+        "pred.tsv": ["eval"],
+        "run.conf": ["build", "predict", "eval"],
+    }
+    base = {name: (tmp_path / name).read_bytes() for name in [*readers, "store.fwsd"]}
+    rng = np.random.default_rng(0)
+    outcomes = {}
+    for case in range(200):
+        name = list(readers)[case % len(readers)]
+        for restored, raw in base.items():
+            (tmp_path / restored).write_bytes(raw)
+        what, mutated = _mutate_line(base[name], rng)
+        (tmp_path / name).write_bytes(mutated)
+        for command in readers[name]:
+            try:
+                outcomes[case, name, what, command] = main([command, "-c", "run.conf"])
+            except Exception as exc:  # a traceback, where the CLI needs exit code 1 or 2
+                outcomes[case, name, what, command] = repr(exc)
+    capsys.readouterr()
+    assert {key: rc for key, rc in outcomes.items() if rc not in (0, 1, 2)} == {}
+    assert {0, 1, 2} <= set(outcomes.values())
 
 
 class TestGenSynthetic:

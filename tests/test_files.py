@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import fofe_wsd
-from fofe_wsd._files import read_lines, write_file
+from fofe_wsd._files import checksum, read_lines, write_file
 from fofe_wsd.corpus import LabeledInstance, SenseInventory, read_labeled_corpus
 from fofe_wsd.errors import DataError
-from fofe_wsd.lm import load_checkpoint, save_checkpoint
+from fofe_wsd.fofe import FofeConfig
+from fofe_wsd.lm import LmConfig, LmModel, load_checkpoint, save_checkpoint, train_lm
 from fofe_wsd.wsd import ClassifierStore, build_classifier_store, load_store, save_store, write_predictions
 
 FILE_CALLS = {"open", "read_bytes", "read_text", "write_bytes", "write_text"}
@@ -103,6 +104,31 @@ class TestContainerChecks:
         with pytest.raises(DataError, match=rf"corrupt {what}: .* \(trailing bytes\)"):
             load(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_is_corrupt(self, tiny_model, tmp_path, save, value):
+        path = tmp_path / "c.bin"
+        load, what = save(tiny_model, path)
+        raw = bytearray(path.read_bytes())
+        # the last f32 value: the output layer's last bias, or the store's last pair's last value
+        raw[-12:-8] = np.float32(value).tobytes()
+        raw[-8:] = checksum(raw[:-8]).to_bytes(8, "little")
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=rf"corrupt {what}: .* \(non-finite value\)"):
+            load(path)
+
+
+def _outcome(path, data, load):
+    """"rejected" (a DataError), "loaded" (finite values only), or what else ``load`` did with ``data``."""
+    path.write_bytes(data)
+    try:
+        loaded = load(path)
+    except DataError:
+        return "rejected"
+    except Exception as exc:  # a traceback, where the CLI needs a DataError (exit code 2)
+        return repr(exc)
+    values = loaded.params.tensors() if isinstance(loaded, LmModel) else loaded.pairs.values()
+    return "loaded" if all(np.isfinite(v).all() for v in values) else "loaded a non-finite value"
+
 
 def _flip_escapes(path, raw, bits, load):
     """(bit, outcome) for each single-bit flip of ``raw`` that ``load`` does not reject with DataError."""
@@ -110,14 +136,8 @@ def _flip_escapes(path, raw, bits, load):
     for bit in bits:
         flipped = bytearray(raw)
         flipped[bit // 8] ^= 1 << (bit % 8)
-        path.write_bytes(flipped)
-        try:
-            load(path)
-            escapes.append((bit, "loaded"))
-        except DataError:
-            pass
-        except Exception as exc:  # a traceback, where the CLI needs a DataError (exit code 2)
-            escapes.append((bit, repr(exc)))
+        if (outcome := _outcome(path, flipped, load)) != "rejected":
+            escapes.append((bit, outcome))
     return escapes
 
 
@@ -154,3 +174,41 @@ class TestSingleBitFlips:
         save_store(build_classifier_store(tiny_model, instances, inventory), path)
         raw = path.read_bytes()
         assert _flip_escapes(path, raw, range(8 * len(raw)), load_store) == []
+
+
+@pytest.fixture(scope="module")
+def small_containers(tmp_path_factory):
+    """(bytes, loader) of a checkpoint and a store of a few hundred bytes each."""
+    config = LmConfig(fofe=FofeConfig(alpha=0.7, order=1), embed_dim=2, hidden_dims=(3,), epochs=1)
+    model = train_lm(["the bank lent money", "the river bank flooded", "money in the river"], config)
+    instances = [
+        LabeledInstance("t1", ["the", "bank", "lent"], 1, "bank", frozenset(["bank%1"])),
+        LabeledInstance("t2", ["river", "bank", "flooded"], 1, "bank", frozenset(["bank%2"])),
+        LabeledInstance("t3", ["the", "river"], 1, "river", frozenset(["river%1", "river%2"])),
+    ]
+    inventory = SenseInventory({"bank": ["bank%1", "bank%2"], "river": ["river%1", "river%2"]})
+    path = tmp_path_factory.mktemp("small") / "c.bin"
+    save_checkpoint(model, path)
+    checkpoint = path.read_bytes()
+    save_store(build_classifier_store(model, instances, inventory), path)
+    return {"checkpoint": (checkpoint, load_checkpoint), "store": (path.read_bytes(), load_store)}
+
+
+@pytest.mark.parametrize("what", ["checkpoint", "store"])
+class TestContainerFuzz:
+    def test_every_truncation_is_rejected(self, small_containers, tmp_path, what):
+        raw, load = small_containers[what]
+        outcomes = {n: _outcome(tmp_path / "c.bin", raw[:n], load) for n in range(len(raw))}
+        assert {n: o for n, o in outcomes.items() if o != "rejected"} == {}
+
+    def test_byte_swaps_are_rejected_or_load_finite_values(self, small_containers, tmp_path, what):
+        # a swap keeps the byte sum, so the checksum cannot see it
+        raw, load = small_containers[what]
+        rng = np.random.default_rng(0)
+        outcomes = {}
+        for _ in range(1000):
+            i, j = sorted(rng.choice(len(raw), size=2, replace=False).tolist())
+            swapped = bytearray(raw)
+            swapped[i], swapped[j] = raw[j], raw[i]
+            outcomes[i, j] = _outcome(tmp_path / "c.bin", swapped, load)
+        assert {ij: o for ij, o in outcomes.items() if o not in ("rejected", "loaded")} == {}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fofe_wsd import lm, nn, synthetic
+from fofe_wsd import fofe, lm, nn, synthetic
 from fofe_wsd._files import container, put_f64, put_str, put_tensor, put_u32, write_container
 from fofe_wsd.errors import DataError, NumericalError
 from fofe_wsd.fofe import context_code, context_ids
@@ -175,24 +175,37 @@ class TestContextEmbedding:
 
 
     @pytest.mark.parametrize("window_cap", [0, 2])
-    def test_batched_embeddings_equal_one_code_at_a_time(self, tiny_model, monkeypatch, window_cap):
-        # 3 contexts per FOFE layer call, so that 8 contexts cross two chunk boundaries
+    @pytest.mark.parametrize("count", [8, 7])
+    def test_each_chunk_is_one_held_out_product(self, tiny_model, monkeypatch, window_cap, count):
+        # 3 contexts per chunk: 8 contexts make chunks of 3, 3, 2 and 7 make 3, 3, 1
         monkeypatch.setattr(lm, "_EMBED_BATCH", 3)
+        calls = []
+        for module, name in ((fofe, "encode_contexts"), (nn, "held_out")):
+            wrapped = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _f=wrapped, _n=name: calls.append(_n) or _f(*a))
         model = LmModel(tiny_model.vocab, replace(tiny_model.config, window_cap=window_cap), tiny_model.params)
         rng = np.random.default_rng(1)
         words = tiny_model.vocab.tokens[1:] + ["qqqqq"]
         contexts = []
-        for length in (1, 9, 3, 25, 2, 6, 1, 12):
+        for length in (1, 9, 3, 25, 2, 6, 1, 12)[:count]:
             tokens = [words[int(i)] for i in rng.integers(0, len(words), length)]
             contexts.append((tokens, int(rng.integers(0, length))))
-        batched = list(context_embeddings(model, contexts))
-        assert len(batched) == len(contexts)
-        for (tokens, target), emb in zip(contexts, batched):
-            code = context_code(
-                model.vocab.encode(tokens), target, model.config.fofe, model.params.embedding, window_cap
-            )
-            assert np.array_equal(emb, nn.held_out(model.params, code))
-        assert list(context_embeddings(model, [])) == []
+
+        embeddings = context_embeddings(model, contexts)
+        first = next(embeddings)
+        assert calls == ["encode_contexts", "held_out"]  # the first row costs one chunk
+        embeddings = [first, *embeddings]
+        chunks = -(-count // 3)
+        assert len(embeddings) == count and calls == ["encode_contexts", "held_out"] * chunks
+        assert list(context_embeddings(model, [])) == [] and len(calls) == 2 * chunks
+        for start in range(0, count, 3):
+            codes = np.stack([
+                context_code(model.vocab.encode(tokens), target, model.config.fofe, model.params.embedding, window_cap)
+                for tokens, target in contexts[start : start + 3]
+            ])
+            expected = nn.held_out(model.params, codes)
+            for got, want in zip(embeddings[start : start + 3], expected, strict=True):
+                assert got.tobytes() == want.tobytes()
 
 
 def write_checkpoint(model, path, tensors, dims=None):
