@@ -6,12 +6,14 @@ training log included; no other module opens a file.
 * An output is written whole to ``<path>.tmp`` in the same directory, which
   is then renamed over ``path``: a failed write leaves the old file as it was.
 * The binary container (checkpoint and store) is little-endian: a 4-byte
-  magic, a u32 format version, the body (u32 counts and dims, f64 scalars,
-  u32-length-prefixed UTF-8 strings, f32 row-major values), then a u64
-  checksum, the byte sum of everything before it mod 2**64. A tensor is
-  read into an array of the shape the reader expects, and its stored rank
-  and dims are checked against that shape before any value is read. A
-  non-finite f32 value makes the file corrupt.
+  magic, a u32 format version, the body (u32 counts, dims and blocks, f64
+  scalars, u32-length-prefixed UTF-8 strings, f32 row-major values), then
+  a u64 checksum of everything before it: its CRC32 from format version 2
+  on, its byte sum mod 2**64 in version 1, which is read but never
+  written. A tensor is read into an array of the shape the reader expects,
+  and its stored rank and dims are checked against that shape before any
+  value is read. A non-finite f32 value makes the file corrupt, and a
+  writer raises ``DataError`` before writing one.
 
 Read and write failures raise ``DataError`` naming the path.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
+import zlib
 from pathlib import Path
 from typing import Iterator
 
@@ -71,8 +74,11 @@ def write_file(path: str | Path, data: str | bytes | bytearray) -> None:
             os.remove(tmp)
 
 
-def checksum(buf: bytes | bytearray | memoryview) -> int:
-    return int(np.frombuffer(buf, dtype=np.uint8).sum(dtype=np.uint64))
+def checksum(buf: bytes | bytearray | memoryview, version: int = 2) -> int:
+    """The trailer of a container of format ``version`` holding ``buf``: CRC32, or the v1 byte sum."""
+    if version == 1:
+        return int(np.frombuffer(buf, dtype=np.uint8).sum(dtype=np.uint64))
+    return zlib.crc32(buf)
 
 
 # Binary container, write side: container(), the put_* calls, write_container().
@@ -98,8 +104,13 @@ def put_str(out: bytearray, text: str) -> None:
 
 
 def put_floats(out: bytearray, arr: np.ndarray) -> None:
-    """The values of ``arr`` as f32, row-major, without their dims."""
-    out += arr.astype("<f4", copy=False).tobytes()
+    """The values of ``arr`` as f32, row-major, without their dims; one that is not finite as f32 is a ``DataError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = arr.astype("<f4", copy=False)
+    if not np.isfinite(values).all():
+        bad = float(arr.ravel()[~np.isfinite(values.ravel())][0])
+        raise DataError(f"value {bad!r} is not finite as f32, so it cannot be written")
+    out += values.tobytes()
 
 
 def put_tensor(out: bytearray, arr: np.ndarray) -> None:
@@ -108,7 +119,7 @@ def put_tensor(out: bytearray, arr: np.ndarray) -> None:
 
 
 def write_container(path: str | Path, out: bytearray) -> None:
-    """Append the checksum to ``out`` and write it to ``path``; ``out`` is not copied."""
+    """Append the CRC32 trailer to ``out`` and write it to ``path``; ``out`` is not copied."""
     out += struct.pack("<Q", checksum(out))
     write_file(path, out)
 
@@ -118,10 +129,11 @@ class Reader:
 
     def __init__(self, buf: bytes, what: str, path: str | Path):
         self.buf, self.pos, self.what, self.path = memoryview(buf), 0, what, path
+        self.version = 0  # the format version, which ``open`` reads
 
     @classmethod
-    def open(cls, path: str | Path, what: str, magic: bytes, version: int) -> "Reader":
-        """Read ``path`` whole and check its magic and format version."""
+    def open(cls, path: str | Path, what: str, magic: bytes, versions: tuple[int, ...]) -> "Reader":
+        """Read ``path`` whole and check its magic and that its format version is one of ``versions``."""
         try:
             buf = Path(path).read_bytes()
         except (OSError, ValueError) as exc:
@@ -129,9 +141,9 @@ class Reader:
         rd = cls(buf, what, path)
         if rd.take(len(magic)) != magic:
             raise DataError(f"incompatible {what}: {path} (bad magic)")
-        found = rd.u32()
-        if found != version:
-            raise DataError(f"incompatible {what}: {path} (version {found})")
+        rd.version = rd.u32()
+        if rd.version not in versions:
+            raise DataError(f"incompatible {what}: {path} (version {rd.version})")
         return rd
 
     def corrupt(self, detail: str) -> DataError:
@@ -164,6 +176,10 @@ class Reader:
         """``n`` f32 values, as a read-only view of the file's bytes."""
         return np.frombuffer(self.take(4 * n), dtype="<f4")
 
+    def u32s(self, n: int) -> np.ndarray:
+        """``n`` u32 values, as a read-only view of the file's bytes."""
+        return np.frombuffer(self.take(4 * n), dtype="<u4")
+
     def tensor_into(self, out: np.ndarray) -> None:
         """Fill ``out`` from a tensor whose stored rank and dims must be ``out.shape``."""
         ndim = self.u32()
@@ -183,7 +199,7 @@ class Reader:
 
     def close(self) -> None:
         """Check the trailing checksum and that nothing follows it."""
-        summed = checksum(self.buf[: self.pos])
+        summed = checksum(self.buf[: self.pos], self.version)
         stored = struct.unpack("<Q", self.take(8))[0]
         if self.pos != len(self.buf):
             raise self.corrupt("trailing bytes")

@@ -12,14 +12,16 @@ returns the trained parameters widened to float64, which is exact, so the
 model it returns holds the same floats as ``load_checkpoint`` of its
 checkpoint. Embedding and prediction run in float64.
 
-Checkpoint format: a ``_files`` container (magic ``FOFE``, version 1, which
-frames and checksums it) whose body is alpha f64, order u32, layer dims as a
-u32 count plus u32 values, vocabulary as a u32 token count plus
-length-prefixed UTF-8 tokens in id order, then the parameter tensors in
+Checkpoint format: a ``_files`` container (magic ``FOFE``, version 2, which
+frames it and checksums it with CRC32) whose body is alpha f64, order u32,
+layer dims as a u32 count plus u32 values, vocabulary as a u32 token count
+plus length-prefixed UTF-8 tokens in id order, then the parameter tensors in
 ``NetworkParams.tensors()`` order (embedding, then each layer's weight and
 bias) as f32 row-major arrays each preceded by its u32 rank and dims. A
 trained model's float64 tensors hold float32 values, so they are stored
-exactly; other float64 values are rounded to the nearest f32.
+exactly; other float64 values are rounded to the nearest f32. A version 1
+checkpoint holds the same body under a byte-sum checksum; it still loads,
+because training is costly to redo, but is never written.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from .corpus import Vocabulary, build_vocabulary, tokenize_line
 from .errors import DataError, NumericalError, UsageError
 
 CHECKPOINT_MAGIC = b"FOFE"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_READ_VERSIONS = (1, CHECKPOINT_VERSION)  # version 1 differs only in its checksum
 _EMBED_BATCH = 256  # contexts per FOFE layer call in ``context_embeddings``
 _TRAIN_DTYPE = np.float32  # training arithmetic: the precision the checkpoint keeps
 # The LmConfig fields a trained model fixes; the others are run settings.
@@ -267,7 +270,8 @@ def save_checkpoint(model: LmModel, path: str | Path) -> None:
     """Write the model to ``path``; its tensors are stored as f32.
 
     That is exact for a trained model's tensors (see ``train_lm``); wider
-    floats from other callers are rounded to the nearest f32.
+    floats from other callers are rounded to the nearest f32, and one that
+    is not finite as f32 is a ``DataError``, before any byte is written.
     """
     out = container(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     put_f64(out, model.config.fofe.alpha)
@@ -284,7 +288,7 @@ def save_checkpoint(model: LmModel, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> LmModel:
     """Read a checkpoint; the file is self-describing (vocab and dims included)."""
-    rd = Reader.open(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    rd = Reader.open(path, "checkpoint", CHECKPOINT_MAGIC, _READ_VERSIONS)
     alpha = rd.f64()
     order = rd.u32()
     dims = [rd.u32() for _ in range(rd.u32())]

@@ -15,10 +15,17 @@ two best vote-tied senses' mean distances, are within that bound is
 recomputed with ``predict_knn``: the batched answers equal the per-query
 ones by construction.
 
-Store file format: a ``_files`` container (magic ``FWSD``, version 1, which
+Store file format: a ``_files`` container (magic ``FWSD``, version 2, which
 frames and checksums it) whose body is embedding dim u32, lemma count u32,
-then per lemma a length-prefixed name, pair count, and per pair a
-length-prefixed sense key plus the f32 embedding.
+then per lemma two blocks after a header: a length-prefixed name, the pair
+count and the distinct-sense count (u32 each), and the distinct sense keys,
+length-prefixed, in the order of their first pair; then one u32 block with
+each pair's index into that key list and one f32 (pairs, dim) block,
+row-major. Each block is read with one ``np.frombuffer``. A code beyond the
+key list, a key listed twice, and keys not in first-use order (an unused key
+among them) make the file corrupt, so a loaded store saves to the same
+bytes. Version 1 stores, one record per pair, are rejected as incompatible;
+``build`` writes them anew.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .errors import DataError, UsageError
 from .lm import LmModel, context_embeddings
 
 STORE_MAGIC = b"FWSD"
-STORE_VERSION = 1
+STORE_VERSION = 2
 # A batched kNN decision closer than this is recomputed per query.
 _CERTIFY_BOUND = 1e-12
 # Elements of one block of query-by-pair distances in ``predict_all``: 64 KiB
@@ -319,34 +326,52 @@ def read_predictions(path: str | Path) -> dict[str, str]:
 
 
 def save_store(store: ClassifierStore, path: str | Path) -> None:
-    """Write the store to ``path``; embeddings narrow to f32 on disk."""
+    """Write the store to ``path``; embeddings narrow to f32 on disk.
+
+    Before any byte is written, a value that is not finite as f32 is a
+    ``DataError``, and a lemma whose pair matrix is not (sense keys, dim) a
+    ``ValueError``: the loader would reject either file.
+    """
     out = container(STORE_MAGIC, STORE_VERSION)
     put_u32(out, store.dim, len(store.pairs))
     for lemma, vectors in store.pairs.items():
+        index: dict[str, int] = {}
+        codes = [index.setdefault(sense, len(index)) for sense in store.senses[lemma]]
+        if vectors.shape != (len(codes), store.dim):
+            raise ValueError(
+                f"lemma {lemma!r}: {len(codes)} sense keys, pairs of shape {vectors.shape}, dim {store.dim}"
+            )
         put_str(out, lemma)
-        put_u32(out, len(vectors))
-        for sense, emb in zip(store.senses[lemma], vectors.astype("<f4")):
-            put_str(out, sense)
-            put_floats(out, emb)
+        put_u32(out, len(codes), len(index))
+        for key in index:
+            put_str(out, key)
+        put_u32(out, *codes)
+        put_floats(out, vectors)
     write_container(path, out)
 
 
 def load_store(path: str | Path) -> ClassifierStore:
-    rd = Reader.open(path, "classifier store", STORE_MAGIC, STORE_VERSION)
+    rd = Reader.open(path, "classifier store", STORE_MAGIC, (STORE_VERSION,))
     dim = rd.u32()
     store = ClassifierStore(dim=dim)
     for _ in range(rd.u32()):
         lemma = rd.text()
         if lemma in store.pairs:
             raise rd.corrupt(f"duplicate lemma {lemma!r}")
-        n_pairs = rd.u32()
-        rd.need(n_pairs * (4 + 4 * dim))  # each pair: a length prefix and dim f32
-        senses = store.senses[lemma] = []
-        vectors = np.empty((n_pairs, dim), dtype=np.float32)
-        for i in range(n_pairs):
-            senses.append(rd.text())
-            vectors[i] = rd.floats(dim)
+        n_pairs, n_keys = rd.u32(), rd.u32()
+        rd.need(4 * n_keys)  # each key's length prefix
+        keys = [rd.text() for _ in range(n_keys)]
+        if len(set(keys)) < n_keys:
+            raise rd.corrupt(f"duplicate sense key for lemma {lemma!r}")
+        codes = rd.u32s(n_pairs)
+        used, first = np.unique(codes, return_index=True)
+        if len(used) and used[-1] >= n_keys:
+            raise rd.corrupt(f"sense code {used[-1]} beyond the {n_keys} keys of lemma {lemma!r}")
+        if len(used) < n_keys or (np.diff(first) < 0).any():
+            raise rd.corrupt(f"sense keys of lemma {lemma!r} unused or not in first-use order")
+        vectors = rd.floats(n_pairs * dim)
         rd.check_finite(vectors)
-        store.pairs[lemma] = vectors.astype(np.float64)
+        store.senses[lemma] = [keys[c] for c in codes.tolist()]
+        store.pairs[lemma] = vectors.reshape(n_pairs, dim).astype(np.float64)
     rd.close()
     return store

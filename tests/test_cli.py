@@ -13,6 +13,7 @@ import pytest
 
 import fofe_wsd
 from fofe_wsd import cli, lm, synthetic, wsd
+from fofe_wsd._files import checksum
 from fofe_wsd.cli import main
 from fofe_wsd.fofe import FofeConfig
 
@@ -396,7 +397,7 @@ class TestBuildPredictEval:
         path = tmp_path / name
         raw = bytearray(path.read_bytes())
         raw[-12:-8] = struct.pack("<f", value)  # the last f32 value, with a valid checksum after it
-        raw[-8:] = struct.pack("<Q", sum(raw[:-8]))
+        raw[-8:] = struct.pack("<Q", checksum(raw[:-8]))
         path.write_bytes(raw)
         assert main(["predict", "-c", str(config)]) == 2
         assert f"corrupt {what}: {path} (non-finite value)" in capsys.readouterr().err

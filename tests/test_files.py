@@ -202,13 +202,15 @@ class TestContainerFuzz:
         assert {n: o for n, o in outcomes.items() if o != "rejected"} == {}
 
     def test_byte_swaps_are_rejected_or_load_finite_values(self, small_containers, tmp_path, what):
-        # a swap keeps the byte sum, so the checksum cannot see it
+        # a swap keeps the byte sum of a v1 container, but CRC32 sees it
         raw, load = small_containers[what]
         rng = np.random.default_rng(0)
         outcomes = {}
-        for _ in range(1000):
+        while len(outcomes) < 1000:
             i, j = sorted(rng.choice(len(raw), size=2, replace=False).tolist())
+            if raw[i] == raw[j]:  # the same bytes: nothing to see
+                continue
             swapped = bytearray(raw)
             swapped[i], swapped[j] = raw[j], raw[i]
             outcomes[i, j] = _outcome(tmp_path / "c.bin", swapped, load)
-        assert {ij: o for ij, o in outcomes.items() if o not in ("rejected", "loaded")} == {}
+        assert {ij: o for ij, o in outcomes.items() if o != "rejected"} == {}

@@ -1,4 +1,8 @@
+import copy
+import os
 import struct
+import warnings
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fofe_wsd import fofe, lm, nn, synthetic
-from fofe_wsd._files import container, put_f64, put_str, put_tensor, put_u32, write_container
+from fofe_wsd._files import checksum, container, put_f64, put_str, put_tensor, put_u32, write_file
 from fofe_wsd.errors import DataError, NumericalError
 from fofe_wsd.fofe import context_code, context_ids
 from fofe_wsd.lm import (
@@ -208,9 +212,9 @@ class TestContextEmbedding:
                 assert got.tobytes() == want.tobytes()
 
 
-def write_checkpoint(model, path, tensors, dims=None):
-    """A checkpoint of ``model`` that stores ``tensors`` (and ``dims``), with a valid checksum."""
-    out = container(lm.CHECKPOINT_MAGIC, lm.CHECKPOINT_VERSION)
+def write_checkpoint(model, path, tensors, dims=None, version=lm.CHECKPOINT_VERSION):
+    """A checkpoint of ``model`` that stores ``tensors`` (and ``dims``), with the checksum of its ``version``."""
+    out = container(lm.CHECKPOINT_MAGIC, version)
     put_f64(out, model.config.fofe.alpha)
     put_u32(out, model.config.fofe.order)
     dims = dims or model.config.layer_dims(len(model.vocab))
@@ -220,7 +224,8 @@ def write_checkpoint(model, path, tensors, dims=None):
         put_str(out, token)
     for tensor in tensors:
         put_tensor(out, tensor)
-    write_container(path, out)
+    out += struct.pack("<Q", checksum(out, version))
+    write_file(path, out)
 
 
 class TestCheckpoint:
@@ -287,6 +292,43 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_checkpoint(tmp_path / "absent.fofe")
+
+    def test_version_1_checkpoint_still_loads(self, tiny_model, tmp_path):
+        path = tmp_path / "v1.fofe"
+        write_checkpoint(tiny_model, path, tiny_model.params.tensors(), version=1)
+        raw = path.read_bytes()
+        assert raw[4:8] == (1).to_bytes(4, "little")
+        assert raw[-8:] == (sum(raw[:-8]) % 2**64).to_bytes(8, "little")  # the byte sum
+        loaded = load_checkpoint(path)
+        assert loaded.vocab.tokens == tiny_model.vocab.tokens
+        for got, want in zip(loaded.params.tensors(), tiny_model.params.tensors(), strict=True):
+            assert_array_equal(got, want)
+        # the version picks the checksum: a v1 body under a v2 header fails it
+        raw = bytearray(raw)
+        raw[4:8] = (2).to_bytes(4, "little")
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match="checksum mismatch"):
+            load_checkpoint(path)
+
+    def test_saved_checkpoint_is_version_2_with_crc32(self, tiny_model, tmp_path):
+        path = tmp_path / "m.fofe"
+        save_checkpoint(tiny_model, path)
+        raw = path.read_bytes()
+        assert raw[4:8] == (2).to_bytes(4, "little")
+        assert raw[-8:] == zlib.crc32(raw[:-8]).to_bytes(8, "little")
+
+    def test_value_beyond_f32_is_not_written(self, tiny_model, tmp_path):
+        path = tmp_path / "m.fofe"
+        save_checkpoint(tiny_model, path)
+        old = path.read_bytes()
+        params = copy.deepcopy(tiny_model.params)
+        params.layers[-1][1][-1] = 1e39  # inf as f32
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            with pytest.raises(DataError, match="1e\\+39 is not finite as f32"):
+                save_checkpoint(replace(tiny_model, params=params), path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["m.fofe"]
 
     def test_trained_model_equals_its_checkpoint(self, tmp_path):
         # a library caller who keeps the returned model gets the floats that

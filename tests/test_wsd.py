@@ -1,4 +1,7 @@
 import math
+import os
+import struct
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fofe_wsd import wsd
+from fofe_wsd._files import checksum, container, put_floats, put_str, put_u32, write_file
 from fofe_wsd.corpus import LabeledInstance, SenseInventory
 from fofe_wsd.errors import DataError
 from fofe_wsd.lm import context_embeddings
@@ -573,7 +577,78 @@ class TestCertificate:
         assert predict_all(store, inv, model, ClassifierConfig(k=1), instances)[:6] == list("ABCABC")
 
 
+def _write_store(path, dim, lemma, keys, codes, rows, version=wsd.STORE_VERSION):
+    """A one-lemma store with the given key list and codes (a v1 store has one record per pair)."""
+    out = container(wsd.STORE_MAGIC, version)
+    put_u32(out, dim, 1)
+    put_str(out, lemma)
+    rows = np.asarray(rows, dtype=float).reshape(len(codes), dim)
+    if version == 1:
+        put_u32(out, len(codes))
+        for code, row in zip(codes, rows):
+            put_str(out, keys[code])
+            put_floats(out, row)
+    else:
+        put_u32(out, len(codes), len(keys))
+        for key in keys:
+            put_str(out, key)
+        put_u32(out, *codes)
+        put_floats(out, rows)
+    out += struct.pack("<Q", checksum(out, version))
+    write_file(path, out)
+
+
 class TestStorePersistence:
+    def test_block_layout(self, tmp_path):
+        a, b = tmp_path / "a.fwsd", tmp_path / "b.fwsd"
+        rows = [[0.5, 0.25], [1.0, 2.0], [-1.0, 0.0]]
+        _write_store(a, 2, "w", ["B", "A"], [0, 1, 0], rows)
+        loaded = load_store(a)
+        assert loaded.senses == {"w": ["B", "A", "B"]}
+        assert_array_equal(loaded.pairs["w"], rows)
+        save_store(loaded, b)
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "keys, codes, detail",
+        [
+            (["A"], [0, 1], "sense code 1 beyond the 1 keys of lemma 'w'"),
+            (["A", "A"], [0, 1], "duplicate sense key for lemma 'w'"),
+            (["A", "B"], [0, 0], "sense keys of lemma 'w' unused or not in first-use order"),
+            (["A", "B"], [1, 0], "sense keys of lemma 'w' unused or not in first-use order"),
+        ],
+        ids=["code-out-of-range", "duplicate-key", "unused-key", "not-first-use-order"],
+    )
+    def test_inconsistent_key_list_is_corrupt(self, tmp_path, keys, codes, detail):
+        path = tmp_path / "s.fwsd"
+        _write_store(path, 2, "w", keys, codes, np.ones((len(codes), 2)))
+        with pytest.raises(DataError, match=rf"corrupt classifier store: .* \({detail}\)"):
+            load_store(path)
+
+    def test_version_1_store_is_incompatible(self, tmp_path):
+        path = tmp_path / "s.fwsd"
+        _write_store(path, 2, "w", ["A", "B"], [0, 1], np.ones((2, 2)), version=1)
+        with pytest.raises(DataError, match=rf"incompatible classifier store: .* \(version 1\)"):
+            load_store(path)
+
+    def test_value_beyond_f32_is_not_written(self, tmp_path):
+        path = tmp_path / "s.fwsd"
+        save_store(_store(2, [("w", "A", (0.5, 0.5))]), path)
+        old = path.read_bytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            with pytest.raises(DataError, match=r"1e\+39 is not finite as f32"):
+                save_store(_store(2, [("w", "A", (0.5, 0.5)), ("w", "B", (1e39, 0.5))]), path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["s.fwsd"]
+
+    @pytest.mark.parametrize("senses, shape", [(["A"], (2, 2)), (["A", "B"], (2, 3))], ids=["rows", "width"])
+    def test_pairs_not_matching_keys_and_dim_are_not_written(self, tmp_path, senses, shape):
+        path = tmp_path / "s.fwsd"
+        with pytest.raises(ValueError, match=r"lemma 'w': \d sense keys, pairs of shape"):
+            save_store(ClassifierStore(dim=2, senses={"w": senses}, pairs={"w": np.ones(shape)}), path)
+        assert os.listdir(tmp_path) == []
+
     def test_roundtrip_bytes(self, tmp_path):
         rng = np.random.default_rng(4)
         store = _store(
@@ -606,7 +681,7 @@ class TestStorePersistence:
         path = tmp_path / "s.fwsd"
         save_store(_store(2, [("w", "A", (0.5, 0.5))]), path)
         raw = bytearray(path.read_bytes())
-        at = raw.index(b"\x01\x00\x00\x00w") + 5  # the pair count after the lemma name
+        at = raw.index(b"\x01\x00\x00\x00w") + 5  # the pair count after the lemma name, before the key count
         raw[at : at + 4] = (2**32 - 1).to_bytes(4, "little")
         path.write_bytes(raw)
         with pytest.raises(DataError, match="truncated"):
