@@ -172,13 +172,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if not instances:
         log.warning("labeled corpus %s has no instances; writing an empty store", train)
     store = wsd.build_classifier_store(model, instances, inventory)
-    for lemma, senses in store.senses.items():
-        log.info(
-            "lemma %s: %d pairs (%s)",
-            lemma,
-            len(senses),
-            ", ".join(f"{sense}={n}" for sense, n in sorted(Counter(senses).items())),
-        )
+    if log.isEnabledFor(logging.INFO):  # the sense counts are work, not just formatting
+        for lemma, senses in store.senses.items():
+            log.info(
+                "lemma %s: %d pairs (%s)",
+                lemma,
+                len(senses),
+                ", ".join(f"{sense}={n}" for sense, n in sorted(Counter(senses).items())),
+            )
     wsd.save_store(store, store_path)
     print(f"classifier store written to {store_path} ({len(store.pairs)} lemmas)")
     return 0

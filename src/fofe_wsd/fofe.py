@@ -13,21 +13,23 @@ network; the two agree through the embedding matrix because the code is
 linear in the e_t.
 
 All codes come from one fold over a layout of id rows, left-padded with
--1: it steps the recursion down the columns, each step on the rows that
-hold a token in that column, and a row's slabs are its z after the last
-``order`` columns. The network's codes are computed a batch at a time. The
-sentences are one flat id array, and an example is a (sentence start,
-sentence length, target position) triple, so memory is linear in the
-tokens. ``context_ids`` lays the n contexts of a batch out as one (2n, W)
-id matrix: the left contexts, then the right contexts reversed, so that
-the token next to the target is in the last column. ``encode_contexts``
-folds it over the embedding rows; ``contexts_backward`` runs the adjoint
-the same way, then adds every token's gradient with ``np.add.at``, in the
-order a per-token loop would (example by example, left side before right,
-nearest token first). Both therefore give the same floats, bit for bit, as
-the recursion run token by token. Their float buffers, in the dtype of the
-embeddings (or of their gradient), hold one row of d per token of the
-batch's contexts; the id matrix is 2n x W integers. The vocab-space codes
+-1: it steps the recursion down the columns on every row, padding adding a
+zero step, so a row stays exactly +0 until its first token; a row's slabs
+are its z after the last ``order`` columns. The network's codes are
+computed a batch at a time. The sentences are one flat id array, and an
+example is a (sentence start, sentence length, target position) triple.
+``context_ids`` lays the n contexts of a batch out as one (2n, W) id
+matrix: the left contexts, then the right contexts reversed, so that the
+token next to the target is in the last column. ``encode_contexts`` folds
+it over the embedding rows; ``contexts_backward`` runs the adjoint back up
+the columns (where a row's padding comes after its last token, so those
+values go unused), then adds every token's gradient with ``np.add.at``, in
+the order a per-token loop would (example by example, left side before
+right, nearest token first): the same floats, bit for bit, as the
+recursion run token by token. Both take one block of at most
+``_BLOCK_CELLS`` layout cells at a time, so besides 2n x W integers their
+float buffers hold a block, a few rows of d per layout row and, in the
+adjoint, one row of d per context token. The vocab-space codes
 (``encode_left``, ``encode_right``, ``encode_order``) fold one row over
 the sequence's distinct ids with an identity embedding.
 
@@ -48,6 +50,7 @@ from .errors import UsageError
 
 _DIRECTIONS = ("left", "right")
 _ADD_AT_TOKENS = 2048  # tokens per np.add.at call in ``contexts_backward``
+_BLOCK_CELLS = 4096  # layout cells per column block of ``_fold`` and ``contexts_backward`` (at least a column)
 
 
 @dataclass(frozen=True)
@@ -136,37 +139,27 @@ def context_ids(
     return np.where(distance <= sides[:, None], tokens.take(at, mode="clip"), -1)
 
 
-def _columns(ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The rows of a layout longest side first, and each column's token count.
-
-    Left-padding puts a row's tokens in its last columns, so in this row
-    order the tokens of every column are a prefix of the rows.
-    """
-    by_side = np.argsort(np.count_nonzero(ids < 0, axis=1), kind="stable")
-    return by_side, np.count_nonzero(ids >= 0, axis=0).tolist()
-
-
 def _fold(ids: np.ndarray, cfg: FofeConfig, embeddings: np.ndarray) -> np.ndarray:
     """The slabs of every row of a -1 left-padded layout: (order, rows, d), in the embeddings' dtype.
 
-    Runs z = alpha * z + e down the columns, on the rows that hold a token
-    in that column; a row stays exactly 0 until its tokens start, so every
-    row gets the same floats as the recursion over its own tokens, and the
-    work is one step per token.
+    Runs z = alpha * z + e down the columns on every row, e = 0 on padding:
+    a row stays +0 until its first token, so it gets the recursion's floats.
     """
-    rows, width = ids.shape
-    by_side, active = _columns(ids)
-    column_major = ids[by_side].T
-    steps = embeddings.take(column_major[column_major >= 0], axis=0)  # one row per token
-    z = np.zeros((rows, embeddings.shape[1]), embeddings.dtype)
-    slabs = np.empty((cfg.order, rows, embeddings.shape[1]), embeddings.dtype)
+    (rows, width), dim = ids.shape, embeddings.shape[1]
+    z = np.zeros((rows, dim), embeddings.dtype)
+    slabs = np.empty((cfg.order, rows, dim), embeddings.dtype)
     alpha = float(cfg.alpha)  # a Python float keeps float32 arithmetic in float32
-    end = 0
-    for c, k in enumerate(active):
-        z[:k] = alpha * z[:k] + steps[end : end + k]
-        end += k
-        if c >= width - cfg.order:
-            slabs[c - (width - cfg.order), by_side] = z
+    step = max(1, _BLOCK_CELLS // max(rows, 1))  # columns per block
+    for first in range(0, width, step):
+        block = ids[:, first : first + step].T
+        held = block >= 0
+        steps = np.zeros((*block.shape, dim), embeddings.dtype)
+        steps[held] = embeddings.take(block[held], axis=0)
+        for c, e in enumerate(steps, first):
+            z *= alpha
+            z += e
+            if c >= width - cfg.order:
+                slabs[c - (width - cfg.order)] = z
     return slabs
 
 
@@ -185,13 +178,12 @@ def contexts_backward(
 ) -> None:
     """Accumulate d(loss)/d(embeddings) for one ``encode_contexts`` call.
 
-    ``grad`` is the loss gradient w.r.t. the (n, 2 * order * d) codes. The
-    codes are linear in the embedding rows, so the adjoint runs column by
-    column from the last, on the rows that hold a token in that column:
-    lam = alpha * lam, plus the slab gradient in the last ``order`` columns;
-    each token's row then receives its lam. ``np.add.at`` adds them example
-    by example, the left side before the right, nearest token first: the
-    order of a per-token loop, and so the same floats.
+    ``grad`` is the loss gradient w.r.t. the (n, 2 * order * d) codes, which
+    are linear in the embedding rows. The adjoint runs column by column from
+    the last on every row: lam = alpha * lam, plus the slab gradient in the
+    last ``order`` columns. ``np.add.at`` adds each token's lam example by
+    example, left side before right, nearest token first: the order of a
+    per-token loop, and so the same floats.
     """
     rows, width = ids.shape
     n, dim = rows // 2, embed_grad.shape[1]
@@ -199,33 +191,35 @@ def contexts_backward(
         raise ValueError(f"gradient has shape {grad.shape}, expected ({n}, {2 * cfg.order * dim})")
     if not embed_grad.flags.c_contiguous:
         raise ValueError("the embedding gradient must be C-contiguous")
-    by_side, active = _columns(ids)
-    slabs = grad.reshape(n, 2, cfg.order, dim).transpose(2, 1, 0, 3).reshape(cfg.order, rows, dim)
-    slabs = slabs[:, by_side]
-    starts = np.cumsum(active) - active  # where column c's tokens start in ``lams``
-    # one row per token, laid out as ``steps`` is
-    lams = np.empty((sum(active), dim), embed_grad.dtype)
+    pairs = np.arange(rows).reshape(2, n).T.ravel()  # example by example, left before right
+    near_ids = ids[pairs, ::-1]  # each row's tokens nearest first, then its padding
+    held = near_ids >= 0
+    token_ids = near_ids[held]
+    cells = np.cumsum(held).reshape(held.shape) - 1  # each token's row of ``lams``
+    slabs = grad.reshape(rows, cfg.order, dim)  # row 2i + side holds that side's slabs of example i
+    lams = np.empty((len(token_ids), dim), embed_grad.dtype)
     lam = np.zeros((rows, dim), embed_grad.dtype)
     alpha = float(cfg.alpha)
-    for c in range(width - 1, -1, -1):
-        k, j = active[c], c - (width - cfg.order)
-        lam[:k] = alpha * lam[:k] + slabs[j, :k] if j >= 0 else alpha * lam[:k]
-        lams[starts[c] : starts[c] + k] = lam[:k]
-    rank = np.empty(rows, dtype=np.intp)
-    rank[by_side] = np.arange(rows)
-    pairs = np.arange(rows).reshape(2, n).T.ravel()  # example by example, left before right
-    pair_ids = ids[pairs, ::-1]
-    keep = pair_ids >= 0
-    token_ids = pair_ids[keep]
-    cells = (starts[::-1] + rank[pairs, None])[keep]  # each token's row of ``lams``
+    step = max(1, _BLOCK_CELLS // max(rows, 1))  # columns per block
+    for first in range(0, width, step):
+        stop = min(first + step, width)
+        values = np.empty((stop - first, rows, dim), embed_grad.dtype)
+        for k in range(first, stop):  # the tokens k + 1 from their target
+            lam = np.multiply(lam, alpha, out=values[k - first])
+            if k < cfg.order:
+                lam += slabs[:, cfg.order - 1 - k]
+        in_block = held[:, first:stop]
+        lams[cells[:, first:stop][in_block]] = values.swapaxes(0, 1)[in_block]
+        if stop < width:  # a row with no token left: zero it, not to decay into subnormals
+            lam[~held[:, stop]] = 0.0
     # One flat index per gradient element: np.add.at is several times faster
     # on a 1-D target, and still adds in index order. Chunks bound the index
     # arrays; taken in turn, they keep that order.
     flat_grad = embed_grad.reshape(-1)
-    for first in range(0, len(cells), _ADD_AT_TOKENS):
+    for first in range(0, len(token_ids), _ADD_AT_TOKENS):
         chunk = slice(first, first + _ADD_AT_TOKENS)
         flat_ids = token_ids[chunk, None] * dim + np.arange(dim)
-        np.add.at(flat_grad, flat_ids.ravel(), lams[cells[chunk]].ravel())
+        np.add.at(flat_grad, flat_ids.ravel(), lams[chunk].ravel())
 
 
 def context_code(

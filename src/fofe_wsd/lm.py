@@ -181,13 +181,11 @@ def _train_step(
     ids = fofe.context_ids(tokens, starts, lengths, positions, cfg.order, model.config.window_cap)
     x = fofe.encode_contexts(ids, cfg, params.embedding)
     words = tokens[starts + positions]
-    trace = nn.forward(params, x)
-    loss = nn.loss_softmax_xent(trace.logits, words)
-    nn.backward(params, trace, words, out=grads)
+    nn.backward(params, nn.forward(params, x), words, out=grads)
     fofe.contexts_backward(ids, cfg, grads.input, grads.embedding)
     nn.apply_update(params, grads, state)
     grads.embedding[ids[ids >= 0]] = 0.0
-    return loss
+    return grads.loss
 
 
 def train_lm(

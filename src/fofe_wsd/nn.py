@@ -116,9 +116,10 @@ class ForwardTrace:
 
 
 class Gradients(NetworkParams):
-    """Loss gradients laid out as NetworkParams, plus ``input``, the network input's gradient."""
+    """Loss gradients laid out as NetworkParams, plus ``input``, the network input's gradient, and ``loss``."""
 
     input: np.ndarray | None = None
+    loss: float | None = None
 
 
 def init_network(
@@ -196,6 +197,15 @@ def _targets(target: int | np.ndarray, logits: np.ndarray) -> np.ndarray:
     return targets
 
 
+def _softmax_xent(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean -log softmax(logits)[targets] and the softmax of the 2-D ``logits``, from one max-shifted exp."""
+    shift = np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(logits - shift)
+    total = np.sum(e, axis=-1, keepdims=True)
+    picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
+    return float(np.mean(shift[..., 0] + np.log(total[..., 0]) - picked)), np.divide(e, total, out=e)
+
+
 def loss_softmax_xent(logits: np.ndarray, target: int | np.ndarray) -> float:
     """-log softmax(logits)[target], via max-shifted log-sum-exp.
 
@@ -203,11 +213,7 @@ def loss_softmax_xent(logits: np.ndarray, target: int | np.ndarray) -> float:
     logits are a batch of one.
     """
     logits = np.atleast_2d(np.asarray(logits))
-    targets = _targets(target, logits)
-    shift = np.max(logits, axis=-1, keepdims=True)
-    lse = shift[..., 0] + np.log(np.sum(np.exp(logits - shift), axis=-1))
-    picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
-    return float(np.mean(lse - picked))
+    return _softmax_xent(logits, _targets(target, logits))[0]
 
 
 def backward(
@@ -221,23 +227,23 @@ def backward(
 
     The layer gradients are written into ``out``, a ``Gradients`` of the
     parameters' layout that the caller keeps (training reuses one per run),
-    else into a new zeroed one; it is returned with ``input`` set.
-    ``backward`` does not write the embedding slot. Callers that built the
-    input from embedding rows propagate ``Gradients.input`` into it through
-    that linear map themselves, and zero it again before the next step.
+    else into a new zeroed one; it is returned with ``input`` and ``loss``
+    set, the loss and the output delta from one ``exp`` of the logits. The
+    embedding slot is not written. Callers that built the input from
+    embedding rows propagate ``Gradients.input`` into it through that
+    linear map themselves, and zero it again before the next step.
     """
     single = trace.logits.ndim == 1
     activations = [np.atleast_2d(a) for a in trace.activations]  # a single input as a batch of one
     preacts = [np.atleast_2d(h) for h in trace.preacts]
     targets = _targets(target, activations[-1])
     n = len(targets)
-
-    delta = softmax(activations[-1])
-    delta[np.arange(n), targets] -= 1.0
-    delta /= n
-
     if out is None:
         out = Gradients(np.zeros_like(params.flat), params.layout)
+
+    out.loss, delta = _softmax_xent(activations[-1], targets)
+    delta[np.arange(n), targets] -= 1.0
+    delta /= n
     for li in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[li]
         if activations[li].shape[-1] != w.shape[0]:

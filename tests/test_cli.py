@@ -359,6 +359,22 @@ class TestBuildPredictEval:
         assert any("empty" in message for message in caplog.messages)
         assert wsd.load_store(tmp_path / "store.fwsd").pairs == {}
 
+    def test_build_logs_sense_counts_only_at_info(self, workspace, caplog, monkeypatch):
+        tmp_path, config = workspace
+        assert main(["train", "-c", str(config), "--epochs", "0"]) == 0
+        with caplog.at_level("INFO", logger="fofe_wsd"):
+            assert main(["build", "-c", str(config)]) == 0
+        assert "lemma blick: 4 pairs (blick%1=2, blick%2=2)" in caplog.messages
+        caplog.clear()
+
+        def no_counts(senses):
+            raise AssertionError("sense counts built below info level")
+
+        monkeypatch.setattr(cli, "Counter", no_counts)
+        with caplog.at_level("WARNING", logger="fofe_wsd"):
+            assert main(["build", "-c", str(config)]) == 0
+        assert not caplog.messages
+
     def test_predict_unknown_lemma_lists_ids(self, workspace, capsys):
         tmp_path, config = workspace
         assert main(["train", "-c", str(config), "--epochs", "0"]) == 0

@@ -520,6 +520,34 @@ class TestBatchedEqualsOracle:
             oracle_context_backward(*oracle_clip(s, t, cap), cfg, g, expected)
         assert np.array_equal(batched, expected)
 
+    @pytest.mark.parametrize("order, cap", [(1, 0), (3, 0), (1, 2), (3, 2)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_column_blocks(self, order, cap, dtype, monkeypatch):
+        # The fold and its adjoint take a layout one block of columns at a
+        # time. Every block width, from one column to the whole layout (37
+        # columns without a cap), gives the oracle's floats; at alpha 0.05 a
+        # float32 adjoint value left to decay would go subnormal within 30 columns.
+        rng = np.random.default_rng(10 * order + cap)
+        emb = rng.normal(size=(11, 4)).astype(dtype)
+        sentences = [list(rng.integers(0, 11, n)) for n in (38, 1, 5, 2, 20, 7)]
+        targets = np.array([0, 0, 3, 1, 10, 6])
+        layout = flat_layout(sentences, targets, order, cap)
+        rows, width = layout.shape
+        grad = rng.normal(size=(len(targets), 2 * order * 4)).astype(dtype)
+        for alpha in (0.05, 0.7):
+            cfg = FofeConfig(alpha=alpha, order=order)
+            codes = [oracle_context_code(*oracle_clip(s, t, cap), cfg, emb) for s, t in zip(sentences, targets)]
+            expected = np.zeros_like(emb)
+            for s, t, g in zip(sentences, targets, grad):
+                oracle_context_backward(*oracle_clip(s, t, cap), cfg, g, expected)
+            for columns in range(1, width + 1):
+                # half a row over ``columns`` rows still makes blocks of ``columns`` columns
+                monkeypatch.setattr(fofe, "_BLOCK_CELLS", columns * rows + rows // 2)
+                assert np.array_equal(encode_contexts(layout, cfg, emb), np.stack(codes))
+                batched = np.zeros_like(emb)
+                contexts_backward(layout, cfg, grad, batched)
+                assert np.array_equal(batched, expected)
+
     def test_lone_target(self):
         cfg = FofeConfig(alpha=0.7, order=2)
         emb = np.random.default_rng(7).normal(size=(4, 3))

@@ -1,6 +1,7 @@
 import copy
 import os
 import struct
+import tracemalloc
 import warnings
 import zlib
 from dataclasses import replace
@@ -11,6 +12,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from fofe_wsd import fofe, lm, nn, synthetic
 from fofe_wsd._files import checksum, container, put_f64, put_str, put_tensor, put_u32, write_file
+from fofe_wsd.corpus import UNK_TOKEN, Vocabulary
 from fofe_wsd.errors import DataError, NumericalError
 from fofe_wsd.fofe import context_code, context_ids
 from fofe_wsd.lm import (
@@ -210,6 +212,56 @@ class TestContextEmbedding:
             expected = nn.held_out(model.params, codes)
             for got, want in zip(embeddings[start : start + 3], expected, strict=True):
                 assert got.tobytes() == want.tobytes()
+
+
+class TestLongSentenceMemory:
+    """One 1,000-token sentence among short ones: the FOFE layer takes its
+    layout a bounded block of columns at a time, so the peak stays near the
+    layout's own size. The bounds are twice the peaks of the fold that kept
+    one float row per token (6.5 MB and 1.65 MB under tracemalloc)."""
+
+    @pytest.fixture
+    def inputs(self):
+        vocab = Vocabulary.from_tokens([UNK_TOKEN] + [f"w{i}" for i in range(2499)])
+        rng = np.random.default_rng(0)
+
+        def words(n):
+            return [f"w{i}" for i in rng.integers(0, 2499, n)]
+
+        config = LmConfig(embed_dim=32)
+        return vocab, config, [(words(8), 3) for _ in range(255)] + [(words(1000), 500)]
+
+    @staticmethod
+    def peak_bytes(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_context_embeddings_of_one_chunk(self, inputs):
+        vocab, config, contexts = inputs
+        params = nn.init_network(config.layer_dims(len(vocab)), 0, (len(vocab), config.embed_dim))
+        model = LmModel(vocab, config, params)
+        assert self.peak_bytes(lambda: list(context_embeddings(model, contexts))) < 13e6
+
+    def test_train_step_of_one_batch(self, inputs):
+        vocab, config, contexts = inputs
+        params = nn.init_network(config.layer_dims(len(vocab)), 0, (len(vocab), config.embed_dim), np.float32)
+        model = LmModel(vocab, config, params)
+        tokens, starts, lengths, positions = training_examples(
+            [vocab.encode(words) for words, _ in contexts[:31] + contexts[-1:]]
+        )
+        batch = np.array([8 * i + 3 for i in range(31)] + [8 * 31 + 500])
+        state = nn.OptimizerState()
+        grads = nn.Gradients(np.zeros_like(params.flat), params.layout)
+
+        def step():
+            lm._train_step(model, tokens, starts[batch], lengths[batch], positions[batch], state, grads)
+
+        step()  # the first Adam step makes the moments
+        assert self.peak_bytes(step) < 3.3e6
 
 
 def write_checkpoint(model, path, tensors, dims=None, version=lm.CHECKPOINT_VERSION):

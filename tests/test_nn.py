@@ -211,6 +211,50 @@ class TestSoftmaxLoss:
             assert_allclose(p, nn.softmax(logits + 13.7), atol=1e-12)
 
 
+class TestStepLoss:
+    """``backward`` takes the loss and the output delta from one exponentiation of the logits."""
+
+    @staticmethod
+    def step(logits, target):
+        """The logits through one identity layer, then ``backward``: its input gradient is the output delta."""
+        logits = np.asarray(logits)
+        params = nn.NetworkParams.zeros([logits.shape[-1]] * 2, dtype=logits.dtype)
+        params.layers[0][0][...] = np.eye(logits.shape[-1])
+        trace = nn.forward(params, logits)
+        assert np.array_equal(trace.logits, logits)
+        return trace.logits, nn.backward(params, trace, target)
+
+    @staticmethod
+    def softmax_minus_onehot(logits, targets):
+        delta = np.atleast_2d(nn.softmax(logits))
+        delta[np.arange(len(delta)), np.atleast_1d(targets)] -= 1.0
+        delta /= len(delta)
+        return delta.reshape(np.shape(logits))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch(self, dtype):
+        rng = np.random.default_rng(12)
+        targets = rng.integers(0, 40, 32)
+        logits, grads = self.step(rng.normal(scale=6.0, size=(32, 40)).astype(dtype), targets)
+        assert grads.loss == nn.loss_softmax_xent(logits, targets)
+        assert grads.input.dtype == dtype
+        assert np.array_equal(grads.input, self.softmax_minus_onehot(logits, targets))
+
+    @pytest.mark.parametrize(
+        "logits, target", [([0.3, -1.2, 2.0, 0.0], 2), ([1000.0, 0.0], 0), ([1000.0, 0.0], 1)]
+    )
+    def test_single_vector(self, logits, target):
+        logits, grads = self.step(np.array(logits), target)
+        assert grads.loss == nn.loss_softmax_xent(logits, target)
+        assert grads.input.shape == logits.shape
+        assert np.array_equal(grads.input, self.softmax_minus_onehot(logits, target))
+
+    def test_large_logit_gap(self):
+        _, grads = self.step(np.array([1000.0, 0.0]), 0)
+        assert grads.loss == 0.0
+        assert_array_equal(grads.input, [0.0, 0.0])
+
+
 class TestBackward:
     def test_logit_gradient_is_softmax_minus_one_hot(self):
         params = _net((np.eye(3), [0.0, 0.0, 0.0]))
