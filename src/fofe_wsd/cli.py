@@ -173,13 +173,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
         log.warning("labeled corpus %s has no instances; writing an empty store", train)
     store = wsd.build_classifier_store(model, instances, inventory)
     if log.isEnabledFor(logging.INFO):  # the sense counts are work, not just formatting
-        for lemma, senses in store.senses.items():
-            log.info(
-                "lemma %s: %d pairs (%s)",
-                lemma,
-                len(senses),
-                ", ".join(f"{sense}={n}" for sense, n in sorted(Counter(senses).items())),
-            )
+        for lemma, codes in store.codes.items():
+            counts = Counter(codes.tolist())
+            per_key = sorted((key, counts[code]) for code, key in enumerate(store.keys[lemma]))
+            log.info("lemma %s: %d pairs (%s)", lemma, len(codes), ", ".join(f"{key}={n}" for key, n in per_key))
     wsd.save_store(store, store_path)
     print(f"classifier store written to {store_path} ({len(store.pairs)} lemmas)")
     return 0

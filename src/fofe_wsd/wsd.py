@@ -4,7 +4,7 @@ The primary path is a cosine-distance kNN over every labeled training
 occurrence of a lemma; the baseline averages each sense's embeddings into
 one sense embedding and picks the most similar. Lemmas with no training
 pairs at all fall back to the inventory's first-listed sense. The store
-keeps each lemma's pairs as a sense-key list and one (pairs, dim) matrix.
+holds each lemma as its file does (below); distances and means are float64.
 
 ``predict_knn`` votes for one query. ``predict_all`` votes for a lemma's
 queries together: one matrix product per block of queries, an exact top k
@@ -68,14 +68,18 @@ class ClassifierConfig:
 
 @dataclass
 class ClassifierStore:
-    """Per-lemma training pairs, in build order.
+    """Per-lemma training pairs, in build order, in the store file's layout.
 
-    ``senses[lemma][i]`` is the sense key of pair i and ``pairs[lemma][i]``
-    its context embedding: a row of one (pairs, dim) float64 matrix.
+    ``keys[lemma]`` lists the lemma's distinct sense keys in the order of
+    their first pair, and ``codes[lemma][i]`` (uint32) is pair i's index into
+    it. ``pairs[lemma][i]`` is pair i's context embedding: a row of one
+    (pairs, dim) matrix, float64 from ``build_classifier_store``, and the
+    file's read-only f32 block from ``load_store``.
     """
 
     dim: int
-    senses: dict[str, list[str]] = field(default_factory=dict)
+    keys: dict[str, list[str]] = field(default_factory=dict)
+    codes: dict[str, np.ndarray] = field(default_factory=dict)
     pairs: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __contains__(self, lemma: str) -> bool:
@@ -109,21 +113,23 @@ def build_classifier_store(
         raise DataError("sense key(s) not listed in the inventory for instance(s): " + ", ".join(unlisted))
     dim = model.config.held_out_dim
     counts = Counter(inst.lemma for inst in instances for _ in inst.sense_keys)
-    store = ClassifierStore(
-        dim=dim,
-        senses={lemma: [] for lemma in counts},
-        pairs={lemma: np.empty((n, dim)) for lemma, n in counts.items()},
-    )
+    store = ClassifierStore(dim=dim, pairs={lemma: np.empty((n, dim)) for lemma, n in counts.items()})
+    index: dict[str, dict[str, int]] = {lemma: {} for lemma in counts}  # sense key -> code
+    codes: dict[str, list[int]] = {lemma: [] for lemma in counts}
     embeddings = context_embeddings(model, [(inst.tokens, inst.target_index) for inst in instances])
     for inst, emb in zip(instances, embeddings):
+        keys, lemma_codes = index[inst.lemma], codes[inst.lemma]
         for sense in sorted(inst.sense_keys):
-            store.pairs[inst.lemma][len(store.senses[inst.lemma])] = emb
-            store.senses[inst.lemma].append(sense)
+            store.pairs[inst.lemma][len(lemma_codes)] = emb
+            lemma_codes.append(keys.setdefault(sense, len(keys)))
+    store.keys = {lemma: list(keys) for lemma, keys in index.items()}
+    store.codes = {lemma: np.array(c, dtype=np.uint32) for lemma, c in codes.items()}
     return store
 
 
 def _cosine_distances(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """1 - cosine similarity per row; zero-norm vectors sit at distance 1."""
+    """1 - cosine similarity per row, in float64; zero-norm vectors sit at distance 1."""
+    query, vectors = np.asarray(query, dtype=np.float64), np.asarray(vectors, dtype=np.float64)
     qn = float(np.linalg.norm(query))
     norms = np.linalg.norm(vectors, axis=1)
     sims = np.zeros(len(vectors))
@@ -154,14 +160,14 @@ def predict_knn(
     """
     if lemma not in store:
         raise NoClassifierError(lemma)
-    senses = store.senses[lemma]
-    distances = _cosine_distances(np.asarray(query, dtype=np.float64), store.pairs[lemma])
-    nearest = np.argsort(distances, kind="stable")[: min(cfg.k, len(senses))]
+    keys, codes = store.keys[lemma], store.codes[lemma]
+    distances = _cosine_distances(query, store.pairs[lemma])
+    nearest = np.argsort(distances, kind="stable")[: min(cfg.k, len(codes))]
 
     votes: Counter[str] = Counter()
     dist_sum: dict[str, float] = {}
     for i in nearest:
-        sense = senses[i]
+        sense = keys[codes[i]]
         votes[sense] += 1
         dist_sum[sense] = dist_sum.get(sense, 0.0) + float(distances[i])
     rank = _sense_rank(lemma, inventory)
@@ -174,17 +180,17 @@ def predict_knn(
 def build_sense_embeddings(store: ClassifierStore) -> ClassifierStore:
     """A store with one pair per sense: the mean of its context embeddings.
 
-    Senses keep the order of their first pair. Each sense's rows are summed
-    one after the other (``cumsum``; ``sum`` may pair them up differently).
+    Pair i is key i's mean. Rows are widened to float64, and each sense's are
+    summed one after the other (``cumsum``; ``sum`` may pair them up differently).
     """
     means = ClassifierStore(dim=store.dim)
     for lemma, vectors in store.pairs.items():
-        senses = np.array(store.senses[lemma], dtype=str)
-        keys = means.senses[lemma] = list(dict.fromkeys(store.senses[lemma]))
+        vectors, codes, keys = np.asarray(vectors, dtype=np.float64), store.codes[lemma], store.keys[lemma]
+        means.keys[lemma], means.codes[lemma] = list(keys), np.arange(len(keys), dtype=np.uint32)
         rows = means.pairs[lemma] = np.empty((len(keys), store.dim))
-        for i, sense in enumerate(keys):
-            mask = senses == sense
-            rows[i] = np.cumsum(vectors[mask], axis=0)[-1] / np.count_nonzero(mask)
+        for code in range(len(keys)):
+            mask = codes == code
+            rows[code] = np.cumsum(vectors[mask], axis=0)[-1] / np.count_nonzero(mask)
     return means
 
 
@@ -201,8 +207,8 @@ def predict_cosine(
     """
     if lemma not in means:
         raise NoClassifierError(lemma)
-    keys = means.senses[lemma]
-    sims = 1.0 - _cosine_distances(np.asarray(query, dtype=np.float64), means.pairs[lemma])
+    keys = means.keys[lemma]
+    sims = 1.0 - _cosine_distances(query, means.pairs[lemma])
     rank = _sense_rank(lemma, inventory)
     best = min(range(len(keys)), key=lambda i: (-sims[i], rank.get(keys[i], len(rank)), keys[i]))
     return keys[best]
@@ -258,17 +264,14 @@ def _knn_lemma(
     inventory: SenseInventory,
 ) -> list[str]:
     """``predict_knn`` of each of the next ``count`` queries, all of ``lemma``, batched under the certificate."""
-    vectors = store.pairs[lemma]
-    index: dict[str, int] = {}
-    codes = np.array([index.setdefault(sense, len(index)) for sense in store.senses[lemma]])
-    keys = list(index)
+    vectors, keys = np.asarray(store.pairs[lemma], dtype=np.float64), store.keys[lemma]
     norms = np.linalg.norm(vectors, axis=1)
     k = min(cfg.k, len(vectors))
     per_block = max(1, _BLOCK_ELEMENTS // len(vectors))
     senses: list[str] = []
     for first in range(0, count, per_block):
         block = np.fromiter(queries, np.dtype((np.float64, store.dim)), min(per_block, count - first))
-        winners, certified = _knn_block(vectors, norms, codes, len(keys), k, block)
+        winners, certified = _knn_block(vectors, norms, store.codes[lemma], len(keys), k, block)
         senses.extend(keys[w] for w in winners.tolist())
         for i in np.flatnonzero(~certified):
             senses[first + i] = predict_knn(store, cfg, lemma, block[i], inventory)
@@ -325,27 +328,40 @@ def read_predictions(path: str | Path) -> dict[str, str]:
     return predictions
 
 
+def _key_list_problem(lemma: str, keys: Sequence[str], codes: np.ndarray) -> str | None:
+    """Why a lemma's keys and codes break the store format (see the module docstring), or None."""
+    if len(set(keys)) < len(keys):
+        return f"duplicate sense key for lemma {lemma!r}"
+    used, first = np.unique(codes, return_index=True)
+    if len(used) and used[-1] >= len(keys):
+        return f"sense code {used[-1]} beyond the {len(keys)} keys of lemma {lemma!r}"
+    if len(used) < len(keys) or (np.diff(first) < 0).any():
+        return f"sense keys of lemma {lemma!r} unused or not in first-use order"
+    return None
+
+
 def save_store(store: ClassifierStore, path: str | Path) -> None:
     """Write the store to ``path``; embeddings narrow to f32 on disk.
 
     Before any byte is written, a value that is not finite as f32 is a
-    ``DataError``, and a lemma whose pair matrix is not (sense keys, dim) a
+    ``DataError``, and pairs not of shape (codes, dim) or a bad key list a
     ``ValueError``: the loader would reject either file.
     """
     out = container(STORE_MAGIC, STORE_VERSION)
     put_u32(out, store.dim, len(store.pairs))
     for lemma, vectors in store.pairs.items():
-        index: dict[str, int] = {}
-        codes = [index.setdefault(sense, len(index)) for sense in store.senses[lemma]]
+        keys, codes = store.keys[lemma], store.codes[lemma].astype("<u4", copy=False)
         if vectors.shape != (len(codes), store.dim):
             raise ValueError(
                 f"lemma {lemma!r}: {len(codes)} sense keys, pairs of shape {vectors.shape}, dim {store.dim}"
             )
+        if problem := _key_list_problem(lemma, keys, codes):
+            raise ValueError(problem)
         put_str(out, lemma)
-        put_u32(out, len(codes), len(index))
-        for key in index:
+        put_u32(out, len(codes), len(keys))
+        for key in keys:
             put_str(out, key)
-        put_u32(out, *codes)
+        out += codes.tobytes()
         put_floats(out, vectors)
     write_container(path, out)
 
@@ -361,17 +377,11 @@ def load_store(path: str | Path) -> ClassifierStore:
         n_pairs, n_keys = rd.u32(), rd.u32()
         rd.need(4 * n_keys)  # each key's length prefix
         keys = [rd.text() for _ in range(n_keys)]
-        if len(set(keys)) < n_keys:
-            raise rd.corrupt(f"duplicate sense key for lemma {lemma!r}")
         codes = rd.u32s(n_pairs)
-        used, first = np.unique(codes, return_index=True)
-        if len(used) and used[-1] >= n_keys:
-            raise rd.corrupt(f"sense code {used[-1]} beyond the {n_keys} keys of lemma {lemma!r}")
-        if len(used) < n_keys or (np.diff(first) < 0).any():
-            raise rd.corrupt(f"sense keys of lemma {lemma!r} unused or not in first-use order")
+        if problem := _key_list_problem(lemma, keys, codes):
+            raise rd.corrupt(problem)
         vectors = rd.floats(n_pairs * dim)
         rd.check_finite(vectors)
-        store.senses[lemma] = [keys[c] for c in codes.tolist()]
-        store.pairs[lemma] = vectors.reshape(n_pairs, dim).astype(np.float64)
+        store.keys[lemma], store.codes[lemma], store.pairs[lemma] = keys, codes, vectors.reshape(n_pairs, dim)
     rd.close()
     return store

@@ -82,7 +82,12 @@ def _save_checkpoint(tiny_model, path):
 
 
 def _save_store(tiny_model, path):
-    save_store(ClassifierStore(dim=2, senses={"w": ["A"]}, pairs={"w": np.array([[0.5, 0.5]])}), path)
+    save_store(
+        ClassifierStore(
+            dim=2, keys={"w": ["A"]}, codes={"w": np.zeros(1, dtype=np.uint32)}, pairs={"w": np.array([[0.5, 0.5]])}
+        ),
+        path,
+    )
     return load_store, "classifier store"
 
 

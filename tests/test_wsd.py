@@ -1,6 +1,8 @@
 import math
 import os
+import re
 import struct
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -30,12 +32,22 @@ from fofe_wsd.wsd import (
 
 
 def _store(dim, lemma_pairs):
-    senses, vectors = {}, {}
+    index, codes, vectors = {}, {}, {}
     for lemma, sense, vec in lemma_pairs:
-        senses.setdefault(lemma, []).append(sense)
+        keys = index.setdefault(lemma, {})
+        codes.setdefault(lemma, []).append(keys.setdefault(sense, len(keys)))
         vectors.setdefault(lemma, []).append(np.asarray(vec, dtype=float))
-    pairs = {lemma: np.array(rows).reshape(len(rows), dim) for lemma, rows in vectors.items()}
-    return ClassifierStore(dim=dim, senses=senses, pairs=pairs)
+    return ClassifierStore(
+        dim=dim,
+        keys={lemma: list(keys) for lemma, keys in index.items()},
+        codes={lemma: np.array(c, dtype=np.uint32) for lemma, c in codes.items()},
+        pairs={lemma: np.array(rows).reshape(len(rows), dim) for lemma, rows in vectors.items()},
+    )
+
+
+def _senses(store):
+    """Each lemma's sense key per pair, in pair order."""
+    return {lemma: [store.keys[lemma][c] for c in codes] for lemma, codes in store.codes.items()}
 
 
 def _instance(instance_id, tokens, target, lemma, senses):
@@ -58,7 +70,7 @@ class TestBuildClassifierStore:
         store = build_classifier_store(tiny_model, instances, SenseInventory({"bank": ["bank%1", "bank%2"]}))
         assert list(store.pairs) == ["bank"]
         assert store.pairs["bank"].shape == (2, tiny_model.config.hidden_dims[-1])
-        assert store.senses["bank"] == ["bank%1", "bank%2"]
+        assert _senses(store)["bank"] == ["bank%1", "bank%2"]
         contexts = [(inst.tokens, inst.target_index) for inst in instances]
         assert_array_equal(store.pairs["bank"], np.array(list(context_embeddings(tiny_model, contexts))))
 
@@ -71,7 +83,7 @@ class TestBuildClassifierStore:
         store = build_classifier_store(
             tiny_model, [_instance("i1", words, 1, "w", {"w%2", "w%1"})], SenseInventory({"w": ["w%1", "w%2"]})
         )
-        assert store.senses["w"] == ["w%1", "w%2"]  # sorted key order
+        assert _senses(store)["w"] == ["w%1", "w%2"]  # sorted key order
         assert_array_equal(store.pairs["w"][0], store.pairs["w"][1])
 
     def test_inventory_checked_before_embedding(self, tiny_model, monkeypatch):
@@ -218,7 +230,7 @@ class TestKnnBruteForceEquivalence:
 
 def _means(store):
     """Each lemma's sense -> mean embedding, from ``build_sense_embeddings``."""
-    return {lemma: dict(zip(store.senses[lemma], store.pairs[lemma])) for lemma in store.pairs}
+    return {lemma: dict(zip(_senses(store)[lemma], store.pairs[lemma])) for lemma in store.pairs}
 
 
 def oracle_sense_embeddings(lemma_pairs):
@@ -598,32 +610,49 @@ def _write_store(path, dim, lemma, keys, codes, rows, version=wsd.STORE_VERSION)
     write_file(path, out)
 
 
+def _hand_built(keys, codes, rows):
+    """A 2-wide store of one lemma ``w`` holding the given key list, codes and rows as they are."""
+    return ClassifierStore(
+        dim=2, keys={"w": list(keys)}, codes={"w": np.array(codes, dtype=np.uint32)}, pairs={"w": rows}
+    )
+
+
+_INCONSISTENT_KEY_LISTS = pytest.mark.parametrize(
+    "keys, codes, detail",
+    [
+        (["A"], [0, 1], "sense code 1 beyond the 1 keys of lemma 'w'"),
+        (["A", "A"], [0, 1], "duplicate sense key for lemma 'w'"),
+        (["A", "B"], [0, 0], "sense keys of lemma 'w' unused or not in first-use order"),
+        (["A", "B"], [1, 0], "sense keys of lemma 'w' unused or not in first-use order"),
+    ],
+    ids=["code-out-of-range", "duplicate-key", "unused-key", "not-first-use-order"],
+)
+
+
 class TestStorePersistence:
     def test_block_layout(self, tmp_path):
         a, b = tmp_path / "a.fwsd", tmp_path / "b.fwsd"
         rows = [[0.5, 0.25], [1.0, 2.0], [-1.0, 0.0]]
         _write_store(a, 2, "w", ["B", "A"], [0, 1, 0], rows)
         loaded = load_store(a)
-        assert loaded.senses == {"w": ["B", "A", "B"]}
+        assert _senses(loaded) == {"w": ["B", "A", "B"]}
         assert_array_equal(loaded.pairs["w"], rows)
         save_store(loaded, b)
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize(
-        "keys, codes, detail",
-        [
-            (["A"], [0, 1], "sense code 1 beyond the 1 keys of lemma 'w'"),
-            (["A", "A"], [0, 1], "duplicate sense key for lemma 'w'"),
-            (["A", "B"], [0, 0], "sense keys of lemma 'w' unused or not in first-use order"),
-            (["A", "B"], [1, 0], "sense keys of lemma 'w' unused or not in first-use order"),
-        ],
-        ids=["code-out-of-range", "duplicate-key", "unused-key", "not-first-use-order"],
-    )
+    @_INCONSISTENT_KEY_LISTS
     def test_inconsistent_key_list_is_corrupt(self, tmp_path, keys, codes, detail):
         path = tmp_path / "s.fwsd"
         _write_store(path, 2, "w", keys, codes, np.ones((len(codes), 2)))
         with pytest.raises(DataError, match=rf"corrupt classifier store: .* \({detail}\)"):
             load_store(path)
+
+    @_INCONSISTENT_KEY_LISTS
+    def test_inconsistent_key_list_is_not_written(self, tmp_path, keys, codes, detail):
+        # the loader's checks, run before any byte is written
+        with pytest.raises(ValueError, match=rf"^{re.escape(detail)}$"):
+            save_store(_hand_built(keys, codes, np.ones((len(codes), 2))), tmp_path / "s.fwsd")
+        assert os.listdir(tmp_path) == []
 
     def test_version_1_store_is_incompatible(self, tmp_path):
         path = tmp_path / "s.fwsd"
@@ -646,7 +675,7 @@ class TestStorePersistence:
     def test_pairs_not_matching_keys_and_dim_are_not_written(self, tmp_path, senses, shape):
         path = tmp_path / "s.fwsd"
         with pytest.raises(ValueError, match=r"lemma 'w': \d sense keys, pairs of shape"):
-            save_store(ClassifierStore(dim=2, senses={"w": senses}, pairs={"w": np.ones(shape)}), path)
+            save_store(_hand_built(senses, range(len(senses)), np.ones(shape)), path)
         assert os.listdir(tmp_path) == []
 
     def test_roundtrip_bytes(self, tmp_path):
@@ -699,6 +728,120 @@ class TestStorePersistence:
             path.write_bytes(raw)
             with pytest.raises(DataError, match="checksum|corrupt"):
                 load_store(path)
+
+
+def _recorded(monkeypatch, name, keep):
+    """Wrap ``wsd.<name>``; the returned list gets ``keep(args, result)`` for each call."""
+    seen, inner = [], getattr(wsd, name)
+
+    def wrapper(*args):
+        result = inner(*args)
+        seen.append(keep(args, result))
+        return result
+
+    monkeypatch.setattr(wsd, name, wrapper)
+    return seen
+
+
+class TestLoadedRowsWidened:
+    """A loaded store keeps its f32 rows, yet computes what the same rows widened by hand give, bit for bit."""
+
+    @pytest.fixture
+    def case(self, tmp_path):
+        rng = np.random.default_rng(17)
+        store, inv = _random_store(rng, 6, 8)
+        save_store(store, tmp_path / "s.fwsd")
+        loaded = load_store(tmp_path / "s.fwsd")
+        assert all(rows.dtype == np.float32 and not rows.flags.writeable for rows in loaded.pairs.values())
+        widened = ClassifierStore(
+            dim=loaded.dim,
+            keys=loaded.keys,
+            codes=loaded.codes,
+            pairs={lemma: rows.astype(np.float64) for lemma, rows in loaded.pairs.items()},
+        )
+        lemmas = [str(rng.choice(list(inv.entries))) for _ in range(200)]
+        queries = _random_queries(rng, loaded, lemmas)
+        return SimpleNamespace(loaded=loaded, widened=widened, inv=inv, lemmas=lemmas, queries=queries)
+
+    @staticmethod
+    def _same(case, seen, run):
+        """``run`` answers the same on both stores, and the arrays recorded in ``seen`` are bit-equal."""
+        answers = run(case.loaded)
+        from_loaded = list(seen)
+        seen.clear()
+        assert answers == run(case.widened)
+        assert len(from_loaded) == len(seen) > 0
+        for got, expected in zip(from_loaded, seen):
+            for a, b in zip(got, expected, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @staticmethod
+    def _queried(case):
+        return [(lemma, q) for lemma, q in zip(case.lemmas, case.queries) if lemma in case.loaded]
+
+    def _predict_all(self, case, monkeypatch):
+        cfg, instances = ClassifierConfig(k=5), _query_instances(case.lemmas)
+        model = _fed_queries(monkeypatch, case.loaded, case.queries)
+        return lambda store: predict_all(store, case.inv, model, cfg, instances)
+
+    def test_predict_knn(self, case, monkeypatch):
+        seen = _recorded(monkeypatch, "_cosine_distances", lambda args, distances: [distances])
+        cfg = ClassifierConfig(k=5)
+
+        def run(store):
+            return [predict_knn(store, cfg, lemma, q, case.inv) for lemma, q in self._queried(case)]
+
+        self._same(case, seen, run)
+        assert len(seen) == len(self._queried(case)) > 100
+
+    def test_predict_all_batched(self, case, monkeypatch):
+        # the vectors and norms each batched vote starts from, and its winners and certificates
+        seen = _recorded(monkeypatch, "_knn_block", lambda args, result: [*args[:2], *result])
+        self._same(case, seen, self._predict_all(case, monkeypatch))
+
+    def test_predict_all_every_query_falls_back(self, case, monkeypatch):
+        monkeypatch.setattr(wsd, "_CERTIFY_BOUND", math.inf)
+        calls = _counted_knn(monkeypatch)
+        seen = _recorded(monkeypatch, "_cosine_distances", lambda args, distances: [distances])
+        self._same(case, seen, self._predict_all(case, monkeypatch))
+        assert len(calls) == 2 * len(seen) == 2 * len(self._queried(case))
+
+    def test_sense_embeddings_and_cosine(self, case, monkeypatch):
+        seen = _recorded(monkeypatch, "_cosine_distances", lambda args, distances: [distances])
+        means = {}
+
+        def run(store):
+            means[id(store)] = build_sense_embeddings(store)
+            return [predict_cosine(means[id(store)], lemma, q, case.inv) for lemma, q in self._queried(case)]
+
+        self._same(case, seen, run)
+        got, expected = means[id(case.loaded)], means[id(case.widened)]
+        assert got.keys == expected.keys
+        for lemma, rows in expected.pairs.items():
+            assert got.pairs[lemma].dtype == rows.dtype == np.float64
+            assert got.pairs[lemma].tobytes() == rows.tobytes()
+
+
+def test_load_store_peak_memory_is_about_the_file_size(tmp_path):
+    """The loaded pairs are views of the file's bytes, not float64 copies of them."""
+    rng = np.random.default_rng(40)
+    lemmas = [f"w{i}" for i in range(40)]
+    store = ClassifierStore(
+        dim=64,
+        keys={lemma: [f"{lemma}%{s}" for s in range(3)] for lemma in lemmas},
+        codes={lemma: (np.arange(300) % 3).astype(np.uint32) for lemma in lemmas},
+        pairs={lemma: rng.normal(size=(300, 64)) for lemma in lemmas},
+    )
+    path = tmp_path / "s.fwsd"
+    save_store(store, path)
+    tracemalloc.start()
+    try:
+        loaded = load_store(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(rows) for rows in loaded.pairs.values()) == 40 * 300
+    assert peak <= 1.5 * path.stat().st_size
 
 
 class TestPredictionsFile:
