@@ -51,6 +51,7 @@ from .errors import UsageError
 _DIRECTIONS = ("left", "right")
 _ADD_AT_TOKENS = 2048  # tokens per np.add.at call in ``contexts_backward``
 _BLOCK_CELLS = 4096  # layout cells per column block of ``_fold`` and ``contexts_backward`` (at least a column)
+_SIDES = np.array([-1, 1])[:, None, None]  # left rows run back from the target, right rows on from it
 
 
 @dataclass(frozen=True)
@@ -123,19 +124,16 @@ def context_ids(
     target sits in the last column. At most ``window_cap`` tokens per side
     are kept (0 keeps them all); the width is max(order, longest side).
     """
-    tokens, starts, lengths, positions = (
-        np.asarray(a, dtype=np.intp) for a in (tokens, starts, lengths, positions)
-    )
+    tokens, starts, lengths, positions = (np.asarray(a, dtype=np.intp) for a in (tokens, starts, lengths, positions))
     sides = np.concatenate([positions, lengths - 1 - positions])
-    if sides.min(initial=0) < 0:  # a side is negative only for a position outside its sentence
+    if np.minimum.reduce(sides, initial=0) < 0:  # only for a position outside its sentence
         i = int(sides.argmin()) % len(positions)
         raise ValueError(f"target index {positions[i]} out of range for {lengths[i]} tokens")
     if window_cap > 0:
-        sides = np.minimum(sides, window_cap)
-    width = max(order, int(sides.max(initial=0)))
+        np.minimum(sides, window_cap, out=sides)
+    width = max(order, int(np.maximum.reduce(sides, initial=0)))
     distance = np.arange(width, 0, -1)  # column c is this many tokens from the target
-    targets = starts + positions
-    at = np.concatenate([targets[:, None] - distance, targets[:, None] + distance])
+    at = ((starts + positions)[:, None] + _SIDES * distance).reshape(len(sides), width)
     return np.where(distance <= sides[:, None], tokens.take(at, mode="clip"), -1)
 
 
@@ -155,11 +153,9 @@ def _fold(ids: np.ndarray, cfg: FofeConfig, embeddings: np.ndarray) -> np.ndarra
         held = block >= 0
         steps = np.zeros((*block.shape, dim), embeddings.dtype)
         steps[held] = embeddings.take(block[held], axis=0)
-        for c, e in enumerate(steps, first):
-            z *= alpha
+        for c, e in enumerate(steps, first - (width - cfg.order)):  # from c = 0 on, z is slab c
+            z = np.multiply(z, alpha, out=slabs[c] if c >= 0 else z)
             z += e
-            if c >= width - cfg.order:
-                slabs[c - (width - cfg.order)] = z
     return slabs
 
 
@@ -191,11 +187,11 @@ def contexts_backward(
         raise ValueError(f"gradient has shape {grad.shape}, expected ({n}, {2 * cfg.order * dim})")
     if not embed_grad.flags.c_contiguous:
         raise ValueError("the embedding gradient must be C-contiguous")
-    pairs = np.arange(rows).reshape(2, n).T.ravel()  # example by example, left before right
-    near_ids = ids[pairs, ::-1]  # each row's tokens nearest first, then its padding
+    # Example by example, left row before right, each row's tokens nearest first, then its padding.
+    near_ids = ids.reshape(2, n, width).swapaxes(0, 1)[..., ::-1].reshape(rows, width)
     held = near_ids >= 0
     token_ids = near_ids[held]
-    cells = np.cumsum(held).reshape(held.shape) - 1  # each token's row of ``lams``
+    cells = held.cumsum().reshape(held.shape) - 1  # each token's row of ``lams``
     slabs = grad.reshape(rows, cfg.order, dim)  # row 2i + side holds that side's slabs of example i
     lams = np.empty((len(token_ids), dim), embed_grad.dtype)
     lam = np.zeros((rows, dim), embed_grad.dtype)
@@ -215,10 +211,10 @@ def contexts_backward(
     # One flat index per gradient element: np.add.at is several times faster
     # on a 1-D target, and still adds in index order. Chunks bound the index
     # arrays; taken in turn, they keep that order.
-    flat_grad = embed_grad.reshape(-1)
+    flat_grad, columns = embed_grad.reshape(-1), np.arange(dim)
     for first in range(0, len(token_ids), _ADD_AT_TOKENS):
         chunk = slice(first, first + _ADD_AT_TOKENS)
-        flat_ids = token_ids[chunk, None] * dim + np.arange(dim)
+        flat_ids = token_ids[chunk, None] * dim + columns
         np.add.at(flat_grad, flat_ids.ravel(), lams[chunk].ravel())
 
 

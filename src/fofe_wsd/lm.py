@@ -243,18 +243,17 @@ def _fit(
     grads = nn.Gradients(np.zeros_like(model.params.flat), model.params.layout)
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(tokens))
+        shuffled = starts[order], lengths[order], positions[order]
         epoch_loss = 0.0
         for start in range(0, len(tokens), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            loss = _train_step(
-                model, tokens, starts[batch], lengths[batch], positions[batch], state, grads
-            )
-            if not np.isfinite(loss):
+            batch = [column[start : start + config.batch_size] for column in shuffled]
+            loss = _train_step(model, tokens, *batch, state, grads)
+            if not math.isfinite(loss):
                 raise NumericalError(
                     f"non-finite training loss ({loss}) at epoch {epoch}, "
                     f"batch starting at example {start}; try a smaller learning rate"
                 )
-            epoch_loss += loss * len(batch)
+            epoch_loss += loss * len(batch[0])
         if progress is not None:
             progress(epoch, epoch_loss / len(tokens))
 

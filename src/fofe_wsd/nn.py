@@ -6,7 +6,9 @@ the gradient check and the other callers float64. Hidden layers apply an
 affine map followed by a rectifier max(0, x); the final layer is affine
 only and produces logits.
 Inputs may be a single vector ``(d,)`` or a batch ``(n, d)``; batch losses
-and gradients are means over the batch.
+and gradients are means over the batch. A training step's arrays hold a few KB, so
+it calls ufuncs, their ``reduce`` and ndarray methods, not wrappers such as ``np.sum``
+or ``np.take_along_axis`` that cost more than the arithmetic (same floats).
 
 ``NetworkParams.tensors()`` is the one order of the model's tensors: the
 embedding, then each layer's weight and bias. A ``NetworkParams`` (and so a
@@ -21,7 +23,9 @@ corrections folded into the scalars ``a_t = lr * sqrt(1 - beta2**t) /
 (1 - beta1**t)`` and ``eps_hat = eps * sqrt(1 - beta2**t)``; in exact
 arithmetic that is the textbook update. It runs over the flat buffers one
 ``_ADAM_SLICE_BYTES`` slice at a time through two scratch buffers, so that
-the slices it reads and writes stay in cache.
+the slices it reads and writes stay in cache. Every ``_FLUSH_STEPS`` steps it sets to 0
+each first moment below the smallest normal float: one whose gradient stays zero decays
+into the subnormals, where x86 arithmetic is many times slower, and sticks there.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ ADAM_EPS = 1e-8
 # elements. With the parameter, gradient, both moments and the two scratch
 # buffers that is 6 x 256 KiB, within a typical per-core L2 cache.
 _ADAM_SLICE_BYTES = 256 << 10
+# Adam steps per flush: a moment takes ~150 steps through the float32 subnormals; a flush is 3 passes.
+_FLUSH_STEPS = 16
 
 
 class NetworkParams:
@@ -165,7 +171,8 @@ def forward(params: NetworkParams, x: np.ndarray) -> ForwardTrace:
     a = x
     last = len(params.layers) - 1
     for li, (w, b) in enumerate(params.layers):
-        h = a @ w + b
+        h = a @ w
+        h += b  # in place: w and b share a dtype, so h is as wide as ``a @ w + b``
         preacts.append(h)
         a = h if li == last else np.maximum(h, 0.0)
         activations.append(a)
@@ -192,18 +199,23 @@ def _targets(target: int | np.ndarray, logits: np.ndarray) -> np.ndarray:
     targets = np.atleast_1d(np.asarray(target, dtype=np.intp))
     if targets.shape != logits.shape[:-1]:
         raise ValueError(f"targets shape {targets.shape} does not match logits {logits.shape}")
-    if targets.min(initial=0) < 0 or targets.max(initial=0) >= logits.shape[-1]:
+    if np.maximum.reduce(targets.view(np.uintp), initial=0) >= logits.shape[-1]:  # unsigned: -1 is large
         raise ValueError("target out of range")
     return targets
 
 
 def _softmax_xent(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean -log softmax(logits)[targets] and the softmax of the 2-D ``logits``, from one max-shifted exp."""
-    shift = np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(logits - shift)
-    total = np.sum(e, axis=-1, keepdims=True)
-    picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
-    return float(np.mean(shift[..., 0] + np.log(total[..., 0]) - picked)), np.divide(e, total, out=e)
+    """Mean -log softmax(logits)[targets] of the 2-D ``logits``, and its gradient (softmax - onehot) / n."""
+    n, classes = logits.shape
+    picks = np.arange(0, n * classes, classes) + targets  # each row's target in the flat logits
+    shift = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    delta = np.exp(logits - shift)
+    total = np.add.reduce(delta, axis=-1, keepdims=True)
+    np.divide(delta, total, out=delta)
+    delta.reshape(-1)[picks] -= 1.0
+    delta /= n
+    losses = shift[:, 0] + np.log(total[:, 0]) - logits.reshape(-1)[picks]
+    return float(np.add.reduce(losses) / n), delta
 
 
 def loss_softmax_xent(logits: np.ndarray, target: int | np.ndarray) -> float:
@@ -234,26 +246,23 @@ def backward(
     linear map themselves, and zero it again before the next step.
     """
     single = trace.logits.ndim == 1
-    activations = [np.atleast_2d(a) for a in trace.activations]  # a single input as a batch of one
-    preacts = [np.atleast_2d(h) for h in trace.preacts]
-    targets = _targets(target, activations[-1])
-    n = len(targets)
+    activations, preacts = trace.activations, trace.preacts
+    if single:  # a single input as a batch of one
+        activations, preacts = [np.atleast_2d(a) for a in activations], [np.atleast_2d(h) for h in preacts]
     if out is None:
         out = Gradients(np.zeros_like(params.flat), params.layout)
 
-    out.loss, delta = _softmax_xent(activations[-1], targets)
-    delta[np.arange(n), targets] -= 1.0
-    delta /= n
+    out.loss, delta = _softmax_xent(activations[-1], _targets(target, activations[-1]))
     for li in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[li]
         if activations[li].shape[-1] != w.shape[0]:
             raise ValueError("trace does not match parameters (dimension mismatch)")
         grad_w, grad_b = out.layers[li]
         np.matmul(activations[li].T, delta, out=grad_w)
-        np.sum(delta, axis=0, out=grad_b)
+        np.add.reduce(delta, axis=0, out=grad_b)
         delta = delta @ w.T
         if li > 0:
-            delta = delta * (preacts[li - 1] > 0.0)
+            delta *= preacts[li - 1] > 0.0
     out.input = delta[0] if single else delta
     return out
 
@@ -299,6 +308,7 @@ def apply_update(params: NetworkParams, grads: Gradients, state: OptimizerState)
     a_t = lr * root_c2 / (1.0 - ADAM_BETA1**state.step)
     eps_hat = ADAM_EPS * root_c2
     scratch_t, scratch_u = state.scratch
+    flush = state.step % _FLUSH_STEPS == 0
     for first in range(0, p.size, scratch_t.size):
         part = slice(first, first + scratch_t.size)
         ps, gs, ms, vs = p[part], g[part], state.m[part], state.v[part]
@@ -315,6 +325,9 @@ def apply_update(params: NetworkParams, grads: Gradients, state: OptimizerState)
         u += eps_hat
         t /= u
         ps -= t
+        if flush:
+            np.abs(ms, out=t)
+            ms[t < np.finfo(p.dtype).tiny] = 0.0
 
 
 def gradient_check(

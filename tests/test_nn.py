@@ -255,6 +255,110 @@ class TestStepLoss:
         assert_array_equal(grads.input, [0.0, 0.0])
 
 
+def reference_backward(params, trace, target):
+    """Loss, layer gradients and input gradient by the formulas ``backward`` started from, written out here.
+
+    ``np.max``, ``np.take_along_axis``, ``np.mean`` and ``np.sum(axis=0)``, each on its own
+    array, with none of the kernel's helpers.
+    """
+    single = trace.logits.ndim == 1
+    activations = [np.atleast_2d(a) for a in trace.activations]
+    preacts = [np.atleast_2d(h) for h in trace.preacts]
+    logits = activations[-1]
+    targets = np.atleast_1d(np.asarray(target, dtype=np.intp))
+    n = len(targets)
+    shift = np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(logits - shift)
+    total = np.sum(e, axis=-1, keepdims=True)
+    picked = np.take_along_axis(logits, targets[:, None], axis=-1)[:, 0]
+    loss = float(np.mean(shift[:, 0] + np.log(total[:, 0]) - picked))
+    delta = e / total
+    delta[np.arange(n), targets] -= 1.0
+    delta /= n
+    layers = []
+    for li in range(len(params.layers) - 1, -1, -1):
+        w, _ = params.layers[li]
+        layers.append((activations[li].T @ delta, np.sum(delta, axis=0)))
+        delta = delta @ w.T
+        if li > 0:
+            delta = delta * (preacts[li - 1] > 0.0)
+    return loss, layers[::-1], delta[0] if single else delta
+
+
+class TestBackwardEqualsReference:
+    """The loss and every gradient of ``backward`` equal ``reference_backward`` bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 7, 32, None], ids=["1", "7", "32", "vector"])
+    def test_bit_equal(self, dtype, batch):
+        rng = np.random.default_rng(21 if batch is None else batch)
+        params = nn.init_network([12, 16, 9, 40], 6).astype(dtype)
+        params.flat[...] *= 3.0  # logits spread over several units
+        shape = (12,) if batch is None else (batch, 12)
+        x = rng.normal(size=shape).astype(dtype)
+        target = int(rng.integers(0, 40)) if batch is None else rng.integers(0, 40, batch)
+        trace = nn.forward(params, x)
+        assert any(np.any(h <= 0.0) for h in trace.preacts[:-1])  # the rectifier masks some units
+        grads = nn.backward(params, trace, target)
+        loss, layers, input_grad = reference_backward(params, trace, target)
+        assert grads.loss == loss
+        assert len(grads.layers) == len(layers)
+        for (grad_w, grad_b), (want_w, want_b) in zip(grads.layers, layers, strict=True):
+            assert grad_w.dtype == grad_b.dtype == dtype
+            assert np.array_equal(grad_w, want_w)
+            assert np.array_equal(grad_b, want_b)
+        assert grads.input.shape == x.shape
+        assert np.array_equal(grads.input, input_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_of_a_large_batch(self, dtype):
+        """The mean over many rows, where a float32 sum has rounded many times."""
+        rng = np.random.default_rng(4)
+        logits = rng.normal(scale=8.0, size=(1000, 50)).astype(dtype)
+        targets = rng.integers(0, 50, 1000)
+        shift = np.max(logits, axis=-1, keepdims=True)
+        total = np.sum(np.exp(logits - shift), axis=-1, keepdims=True)
+        picked = np.take_along_axis(logits, targets[:, None], axis=-1)[:, 0]
+        assert nn.loss_softmax_xent(logits, targets) == float(
+            np.mean(shift[:, 0] + np.log(total[:, 0]) - picked)
+        )
+
+
+class TestSingleInput:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_vector_is_a_batch_of_one(self, dtype):
+        """A ``(d,)`` trace and the ``(1, d)`` trace of the same row give bit-equal gradients."""
+        rng = np.random.default_rng(13)
+        params = nn.init_network([6, 8, 5, 4], 2).astype(dtype)
+        batch = nn.forward(params, rng.normal(size=(1, 6)).astype(dtype))
+        vector = nn.ForwardTrace([a[0] for a in batch.activations], [h[0] for h in batch.preacts])
+        from_batch = nn.backward(params, batch, [3])
+        from_vector = nn.backward(params, vector, 3)
+        assert from_batch.input.shape == (1, 6)
+        assert from_vector.input.shape == (6,)
+        assert np.array_equal(from_batch.input[0], from_vector.input)
+        assert from_batch.loss == from_vector.loss
+        assert np.array_equal(from_batch.flat, from_vector.flat)
+
+    @pytest.mark.parametrize(
+        "target", [-1, 4, [-1], [4]], ids=["negative", "too-large", "negative-row", "too-large-row"]
+    )
+    def test_target_outside_the_classes(self, target):
+        params = nn.init_network([6, 4], 2)
+        x = np.zeros(6) if np.ndim(target) == 0 else np.zeros((1, 6))
+        with pytest.raises(ValueError, match=r"^target out of range$"):
+            nn.backward(params, nn.forward(params, x), target)
+        with pytest.raises(ValueError, match=r"^target out of range$"):
+            nn.loss_softmax_xent(np.zeros(x.shape[:-1] + (4,)), target)
+
+    def test_targets_not_one_per_row(self):
+        params = nn.init_network([6, 4], 2)
+        with pytest.raises(ValueError, match=r"^targets shape \(3,\) does not match logits \(2, 4\)$"):
+            nn.backward(params, nn.forward(params, np.zeros((2, 6))), [0, 1, 2])
+        with pytest.raises(ValueError, match=r"^targets shape \(2,\) does not match logits \(1, 4\)$"):
+            nn.backward(params, nn.forward(params, np.zeros(6)), [0, 1])
+
+
 class TestBackward:
     def test_logit_gradient_is_softmax_minus_one_hot(self):
         params = _net((np.eye(3), [0.0, 0.0, 0.0]))
@@ -428,6 +532,45 @@ class TestApplyUpdateEqualsOracle:
                 assert np.array_equal(moments, np.concatenate([t.ravel() for t in want]))
         else:
             assert state.m is None and state.v is None
+
+
+class TestSubnormalMoments:
+    def test_half_the_gradient_zero_for_1500_steps(self):
+        """A first moment whose gradient stays zero decays to 0, not into the float32 subnormals.
+
+        Without the flush it decays by 0.9 a step below the smallest normal float
+        (after about 800 steps here) and sticks at the smallest subnormal, where every
+        later step computes on it slowly; the oracle shows that happening. The flush
+        leaves it subnormal for fewer than 16 steps in a row, and every other float
+        equals the oracle's.
+        """
+        params = nn.init_network([16, 32, 8], 4, embed_shape=(10, 4)).astype(np.float32)
+        expected = copy.deepcopy(params)
+        state = nn.OptimizerState(rule="adam", learning_rate=1e-3)
+        oracle = OracleState(rule="adam", learning_rate=1e-3)
+        grads = nn.Gradients(np.zeros_like(params.flat), params.layout)
+        zero = np.arange(params.flat.size) % 2 == 0
+        tiny = np.finfo(np.float32).tiny
+        rng = np.random.default_rng(30)
+        subnormal_for = np.zeros(params.flat.size, int)  # consecutive steps each moment was subnormal
+        for step in range(1500):
+            grads.flat[...] = rng.normal(size=params.flat.size)
+            if step:
+                grads.flat[zero] = 0.0
+            nn.apply_update(params, grads, state)
+            oracle_apply_update(expected, grads, oracle)
+            subnormal = (state.m != 0.0) & (np.abs(state.m) < tiny)
+            subnormal_for = np.where(subnormal, subnormal_for + 1, 0)
+            assert subnormal_for.max() < 16
+        oracle_m = np.concatenate([t.ravel() for t in _flat(oracle.m["embedding"], oracle.m["layers"])])
+        oracle_v = np.concatenate([t.ravel() for t in _flat(oracle.v["embedding"], oracle.v["layers"])])
+        assert np.all((oracle_m[zero] != 0.0) & (np.abs(oracle_m[zero]) < tiny))
+        assert not np.any((state.m != 0.0) & (np.abs(state.m) < tiny))
+        assert np.all(state.m[zero] == 0.0)
+        assert np.array_equal(state.m[~zero], oracle_m[~zero])
+        assert np.array_equal(state.v, oracle_v)
+        want = _flat(expected.embedding, expected.layers)
+        assert np.array_equal(params.flat, np.concatenate([t.ravel() for t in want]))
 
 
 def _trained_model():
