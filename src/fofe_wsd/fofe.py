@@ -23,13 +23,12 @@ matrix: the left contexts, then the right contexts reversed, so that the
 token next to the target is in the last column. ``encode_contexts`` folds
 it over the embedding rows; ``contexts_backward`` runs the adjoint back up
 the columns (where a row's padding comes after its last token, so those
-values go unused), then adds every token's gradient with ``np.add.at``, in
-the order a per-token loop would (example by example, left side before
-right, nearest token first): the same floats, bit for bit, as the
-recursion run token by token. Both take one block of at most
-``_BLOCK_CELLS`` layout cells at a time, so besides 2n x W integers their
-float buffers hold a block, a few rows of d per layout row and, in the
-adjoint, one row of d per context token. The vocab-space codes
+values go unused). Each token's value is the recursion's, bit for bit; the
+adjoint adds them with ``np.add.at`` as it goes, nearest tokens first and,
+at one distance, example by example, left side before right. Both take one
+block of at most ``_BLOCK_CELLS`` layout cells at a time, so besides 2n x W
+integers their float buffers hold a block and a few rows of d per layout
+row, however many tokens the batch holds. The vocab-space codes
 (``encode_left``, ``encode_right``, ``encode_order``) fold one row over
 the sequence's distinct ids with an identity embedding.
 
@@ -49,7 +48,6 @@ import numpy as np
 from .errors import UsageError
 
 _DIRECTIONS = ("left", "right")
-_ADD_AT_TOKENS = 2048  # tokens per np.add.at call in ``contexts_backward``
 _BLOCK_CELLS = 4096  # layout cells per column block of ``_fold`` and ``contexts_backward`` (at least a column)
 _SIDES = np.array([-1, 1])[:, None, None]  # left rows run back from the target, right rows on from it
 
@@ -177,9 +175,10 @@ def contexts_backward(
     ``grad`` is the loss gradient w.r.t. the (n, 2 * order * d) codes, which
     are linear in the embedding rows. The adjoint runs column by column from
     the last on every row: lam = alpha * lam, plus the slab gradient in the
-    last ``order`` columns. ``np.add.at`` adds each token's lam example by
-    example, left side before right, nearest token first: the order of a
-    per-token loop, and so the same floats.
+    last ``order`` columns. After each column block, one ``np.add.at`` adds
+    the block's token values into ``embed_grad``: nearest tokens first and,
+    at one distance, example by example, left side before right. That order
+    does not depend on the block width.
     """
     rows, width = ids.shape
     n, dim = rows // 2, embed_grad.shape[1]
@@ -189,13 +188,12 @@ def contexts_backward(
         raise ValueError("the embedding gradient must be C-contiguous")
     # Example by example, left row before right, each row's tokens nearest first, then its padding.
     near_ids = ids.reshape(2, n, width).swapaxes(0, 1)[..., ::-1].reshape(rows, width)
-    held = near_ids >= 0
-    token_ids = near_ids[held]
-    cells = held.cumsum().reshape(held.shape) - 1  # each token's row of ``lams``
     slabs = grad.reshape(rows, cfg.order, dim)  # row 2i + side holds that side's slabs of example i
-    lams = np.empty((len(token_ids), dim), embed_grad.dtype)
     lam = np.zeros((rows, dim), embed_grad.dtype)
     alpha = float(cfg.alpha)
+    # One flat index per gradient element: np.add.at is several times faster
+    # on a 1-D target, and still adds in index order.
+    flat_grad, columns = embed_grad.reshape(-1), np.arange(dim)
     step = max(1, _BLOCK_CELLS // max(rows, 1))  # columns per block
     for first in range(0, width, step):
         stop = min(first + step, width)
@@ -204,18 +202,11 @@ def contexts_backward(
             lam = np.multiply(lam, alpha, out=values[k - first])
             if k < cfg.order:
                 lam += slabs[:, cfg.order - 1 - k]
-        in_block = held[:, first:stop]
-        lams[cells[:, first:stop][in_block]] = values.swapaxes(0, 1)[in_block]
+        block = near_ids[:, first:stop].T  # nearest column first, each column in row order
+        held = block >= 0
+        np.add.at(flat_grad, (block[held][:, None] * dim + columns).ravel(), values[held].ravel())
         if stop < width:  # a row with no token left: zero it, not to decay into subnormals
-            lam[~held[:, stop]] = 0.0
-    # One flat index per gradient element: np.add.at is several times faster
-    # on a 1-D target, and still adds in index order. Chunks bound the index
-    # arrays; taken in turn, they keep that order.
-    flat_grad, columns = embed_grad.reshape(-1), np.arange(dim)
-    for first in range(0, len(token_ids), _ADD_AT_TOKENS):
-        chunk = slice(first, first + _ADD_AT_TOKENS)
-        flat_ids = token_ids[chunk, None] * dim + columns
-        np.add.at(flat_grad, flat_ids.ravel(), lams[chunk].ravel())
+            lam[near_ids[:, stop] < 0] = 0.0
 
 
 def context_code(

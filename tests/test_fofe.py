@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +27,8 @@ A, B, C = 0, 1, 2
 # ---------------------------------------------------------------------------
 # Reference oracle: the recursion and its adjoint run token by token, one
 # example at a time. The batched encoder and the vocab-space views must give
-# the same floats.
+# the same floats; the batched adjoint adds the same token values, in the
+# order ``oracle_batch_backward`` sorts them into.
 # ---------------------------------------------------------------------------
 
 
@@ -60,18 +62,21 @@ def oracle_encode_embedded(ids, cfg, direction, embeddings):
     return np.concatenate(slabs)
 
 
-def oracle_embedded_backward(ids, cfg, direction, grad, embed_grad):
-    dim = embed_grad.shape[1]
+def oracle_embedded_values(ids, cfg, direction, grad):
+    """Each token's adjoint value, run token by token: (distance from the target, id, value)."""
+    dim = len(grad) // cfg.order
     seq = list(ids) if direction == "left" else list(ids)[::-1]
     T = len(seq)
     slab_of_t = {T - cfg.order + 1 + j: j for j in range(cfg.order)}
-    lam = np.zeros(dim, embed_grad.dtype)
+    lam = np.zeros(dim, grad.dtype)
+    values = []
     for t in range(T, 0, -1):
         lam = cfg.alpha * lam
         j = slab_of_t.get(t)
         if j is not None:
             lam = lam + grad[j * dim : (j + 1) * dim]
-        embed_grad[seq[t - 1]] += lam
+        values.append((T + 1 - t, seq[t - 1], lam))
+    return values
 
 
 def oracle_clip(ids, target_index, cap):
@@ -87,10 +92,21 @@ def oracle_context_code(ids, target_index, cfg, embeddings):
     return np.concatenate([left, right])
 
 
-def oracle_context_backward(ids, target_index, cfg, grad, embed_grad):
-    half = len(grad) // 2
-    oracle_embedded_backward(ids[:target_index], cfg, "left", grad[:half], embed_grad)
-    oracle_embedded_backward(ids[target_index + 1 :], cfg, "right", grad[half:], embed_grad)
+def oracle_batch_backward(batch, cfg, grads, embed_grad):
+    """Add the adjoint values of (ids, target index) examples into ``embed_grad``.
+
+    Nearest tokens first; at one distance, example by example, left side
+    before right.
+    """
+    half = grads.shape[1] // 2
+    values = []
+    for example, ((ids, target_index), grad) in enumerate(zip(batch, grads)):
+        sides = [(ids[:target_index], "left", grad[:half]), (ids[target_index + 1 :], "right", grad[half:])]
+        for side, (context, direction, slabs) in enumerate(sides):
+            for distance, i, value in oracle_embedded_values(context, cfg, direction, slabs):
+                values.append((distance, example, side, i, value))
+    for *_, i, value in sorted(values, key=lambda v: v[:3]):
+        embed_grad[i] += value
 
 
 def oracle_update(params, grads, moments, step, config):
@@ -137,8 +153,7 @@ def oracle_train(lines, config, dtype):
             )
             targets = np.array([ids[t] for ids, t in batch], dtype=np.intp)
             grads = nn.backward(params, nn.forward(params, x), targets)
-            for i, (ids, t) in enumerate(batch):
-                oracle_context_backward(ids, t, config.fofe, grads.input[i], grads.embedding)
+            oracle_batch_backward(batch, config.fofe, grads.input, grads.embedding)
             step += 1
             oracle_update(params, grads, moments, step, config)
     return params
@@ -452,6 +467,22 @@ class TestEmbeddedBackward:
             )
             assert_allclose(analytic, numeric, atol=1e-8)
 
+    def test_float_buffers_bounded_by_a_block(self):
+        # 32 examples from one 1,000-token sentence hold 31,968 context tokens
+        cfg = FofeConfig(alpha=0.7, order=3)
+        rng = np.random.default_rng(8)
+        sentence = list(rng.integers(0, 50, 1000))
+        layout = flat_layout([sentence] * 32, np.arange(0, 1000, 32)[:32], cfg.order)
+        grad = rng.normal(size=(32, 2 * cfg.order * 32)).astype(np.float32)
+        embed_grad = np.zeros((50, 32), np.float32)
+        tracemalloc.start()
+        try:
+            contexts_backward(layout, cfg, grad, embed_grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 31_968 * 32 * 4  # the bytes of one float32 row of d per context token
+
     def test_gradient_shape_checked(self):
         cfg = FofeConfig(alpha=0.7, order=2)
         layout = flat_layout([[1, 2, 3]], [1], cfg.order)
@@ -492,18 +523,19 @@ class TestBatchedEqualsOracle:
             # few rows, so that each row gathers many additions
             sentences, targets = random_batch(rng, 3)
             grad = rng.normal(size=(len(targets), 2 * order * 4))
-            batched = np.zeros((3, 4))
             layout = flat_layout(sentences, targets, order, cap)
-            contexts_backward(layout, cfg, grad, batched)
-            expected = np.zeros((3, 4))
-            for s, t, g in zip(sentences, targets, grad):
-                oracle_context_backward(*oracle_clip(s, t, cap), cfg, g, expected)
-            assert np.array_equal(batched, expected)
+            batch = [oracle_clip(s, t, cap) for s, t in zip(sentences, targets)]
+            # contexts_backward adds into its argument
+            for start in (np.zeros((3, 4)), rng.normal(size=(3, 4))):
+                batched, expected = start.copy(), start.copy()
+                contexts_backward(layout, cfg, grad, batched)
+                oracle_batch_backward(batch, cfg, grad, expected)
+                assert np.array_equal(batched, expected)
 
     @pytest.mark.parametrize("order, cap", [(3, 0), (2, 40)])
     def test_skewed_lengths(self, order, cap, monkeypatch):
         # one long sentence among short ones: most columns hold a token in few rows
-        monkeypatch.setattr(fofe, "_ADD_AT_TOKENS", 7)  # many np.add.at chunks
+        monkeypatch.setattr(fofe, "_BLOCK_CELLS", 12)  # one column per block: many np.add.at calls
         rng = np.random.default_rng(order + cap)
         cfg = FofeConfig(alpha=0.9, order=order)
         emb = rng.normal(size=(11, 3))
@@ -516,8 +548,7 @@ class TestBatchedEqualsOracle:
         grad = rng.normal(size=codes.shape)
         batched, expected = np.zeros_like(emb), np.zeros_like(emb)
         contexts_backward(layout, cfg, grad, batched)
-        for s, t, g in zip(sentences, targets, grad):
-            oracle_context_backward(*oracle_clip(s, t, cap), cfg, g, expected)
+        oracle_batch_backward([oracle_clip(s, t, cap) for s, t in zip(sentences, targets)], cfg, grad, expected)
         assert np.array_equal(batched, expected)
 
     @pytest.mark.parametrize("order, cap", [(1, 0), (3, 0), (1, 2), (3, 2)])
@@ -538,8 +569,7 @@ class TestBatchedEqualsOracle:
             cfg = FofeConfig(alpha=alpha, order=order)
             codes = [oracle_context_code(*oracle_clip(s, t, cap), cfg, emb) for s, t in zip(sentences, targets)]
             expected = np.zeros_like(emb)
-            for s, t, g in zip(sentences, targets, grad):
-                oracle_context_backward(*oracle_clip(s, t, cap), cfg, g, expected)
+            oracle_batch_backward([oracle_clip(s, t, cap) for s, t in zip(sentences, targets)], cfg, grad, expected)
             for columns in range(1, width + 1):
                 # half a row over ``columns`` rows still makes blocks of ``columns`` columns
                 monkeypatch.setattr(fofe, "_BLOCK_CELLS", columns * rows + rows // 2)
