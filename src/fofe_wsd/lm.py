@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -139,19 +139,18 @@ def training_examples(
     return tokens, starts, lengths, np.arange(len(tokens)) - starts
 
 
-def context_embeddings(
-    model: LmModel, contexts: Sequence[tuple[Sequence[str], int]]
-) -> Iterator[np.ndarray]:
-    """Held-out-layer activation for each (tokens, target index), in order.
+def context_embeddings(model: LmModel, contexts: Sequence[tuple[Sequence[str], int]]) -> np.ndarray:
+    """Held-out-layer activations of the (tokens, target index) contexts, one row each.
 
-    Unknown words map to the unknown id; the target word itself is excluded
-    from the context, and the output layer is not evaluated. The contexts
-    go ``_EMBED_BATCH`` at a time through the FOFE layer and one
-    ``nn.held_out`` product, whose rows are yielded before the next chunk is
-    encoded; that bounds the buffers and embeddings held at once. A row may
-    differ in its last bits from a one-row product's.
+    Returns a ``(len(contexts), held_out_dim)`` matrix in the parameters'
+    dtype. Unknown words map to the unknown id; the target word itself is
+    excluded from the context, and the output layer is not evaluated. The
+    contexts go ``_EMBED_BATCH`` at a time through the FOFE layer and one
+    ``nn.held_out`` product, which bounds the FOFE buffers held at once. A
+    row may differ in its last bits from a one-row product's.
     """
     cfg = model.config
+    embeddings = np.empty((len(contexts), cfg.held_out_dim), dtype=model.params.flat.dtype)
     for first in range(0, len(contexts), _EMBED_BATCH):
         chunk = contexts[first : first + _EMBED_BATCH]
         sentences = [model.vocab.encode(tokens) for tokens, _ in chunk]
@@ -159,7 +158,8 @@ def context_embeddings(
         tokens, starts, lengths = _concatenate(sentences)
         layout = fofe.context_ids(tokens, starts, lengths, positions, cfg.fofe.order, cfg.window_cap)
         codes = fofe.encode_contexts(layout, cfg.fofe, model.params.embedding)
-        yield from nn.held_out(model.params, codes)
+        embeddings[first : first + len(chunk)] = nn.held_out(model.params, codes)
+    return embeddings
 
 
 def _train_step(

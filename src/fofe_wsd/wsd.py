@@ -6,12 +6,13 @@ one sense embedding and picks the most similar. Lemmas with no training
 pairs at all fall back to the inventory's first-listed sense. The store
 holds each lemma as its file does (below); distances and means are float64.
 
-``predict_knn`` votes for one query. ``predict_all`` votes for a lemma's
-queries together: one matrix product per block of queries, an exact top k
-by partition, and the same tie ladder. A matrix product may round a
-distance differently from the per-query product, by far less than
-``_CERTIFY_BOUND``. So a query whose k-th and (k+1)-th distances, or whose
-two best vote-tied senses' mean distances, are within that bound is
+Every distance comes from ``_cosine_distances`` and every vote from
+``_vote``. ``predict_knn`` votes for one query. ``predict_all`` votes for a
+lemma's queries together: one product per block of queries, an exact top k
+by partition, and the same vote. A block may round a distance differently
+from a one-query product, and the partition sums a sense's distances in
+another order, each by far less than ``_CERTIFY_BOUND``. So a query whose
+k-th and (k+1)-th distances, or whose vote margin, are within that bound is
 recomputed with ``predict_knn``: the batched answers equal the per-query
 ones by construction.
 
@@ -30,11 +31,9 @@ bytes. Version 1 stores, one record per pair, are rejected as incompatible;
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,9 +71,9 @@ class ClassifierStore:
 
     ``keys[lemma]`` lists the lemma's distinct sense keys in the order of
     their first pair, and ``codes[lemma][i]`` (uint32) is pair i's index into
-    it. ``pairs[lemma][i]`` is pair i's context embedding: a row of one
-    (pairs, dim) matrix, float64 from ``build_classifier_store``, and the
-    file's read-only f32 block from ``load_store``.
+    it. ``pairs[lemma][i]`` is pair i's context embedding: a row of a
+    (pairs, dim) view, float64 into the one matrix ``build_classifier_store``
+    embeds, or f32 into the file's bytes from ``load_store`` (read-only).
     """
 
     dim: int
@@ -93,15 +92,37 @@ def _check_lemmas(instances: Sequence[LabeledInstance], inventory: SenseInventor
         raise DataError("unknown lemma (not in the inventory) for instance(s): " + ", ".join(unknown))
 
 
+def _embed_by_lemma(
+    model: LmModel, instances: Sequence[LabeledInstance], copies: Callable[[LabeledInstance], int]
+) -> tuple[dict[str, list[LabeledInstance]], dict[str, np.ndarray]]:
+    """The instances grouped by lemma, and each group's context embeddings.
+
+    Lemmas come in first-use order and instances in the given order within a
+    lemma; each instance's context is embedded ``copies(instance)`` times in a
+    row. One ``context_embeddings`` call embeds them all, so each lemma's rows
+    are one slice of one matrix.
+    """
+    groups: dict[str, list[LabeledInstance]] = {}
+    for inst in instances:
+        groups.setdefault(inst.lemma, []).append(inst)
+    embeddings = context_embeddings(
+        model,
+        [(inst.tokens, inst.target_index) for group in groups.values() for inst in group for _ in range(copies(inst))],
+    )
+    counts = [sum(map(copies, group)) for group in groups.values()]
+    return groups, dict(zip(groups, np.split(embeddings, np.cumsum(counts)[:-1])))
+
+
 def build_classifier_store(
     model: LmModel, instances: Sequence[LabeledInstance], inventory: SenseInventory
 ) -> ClassifierStore:
     """Embed every labeled instance and group the pairs by lemma.
 
     A multi-gold instance contributes one pair per gold sense key (keys in
-    sorted order), each with the same embedding. Pair order follows
-    instance order. Before any embedding, a ``DataError`` names every
-    instance whose lemma, or any of whose gold keys, the inventory lacks.
+    sorted order), each with the same embedding. Lemmas come in first-use
+    order and pairs in instance order, and each lemma's pairs are a slice of
+    one matrix. Before any embedding, a ``DataError`` names every instance
+    whose lemma, or any of whose gold keys, the inventory lacks.
     """
     _check_lemmas(instances, inventory)
     unlisted = [
@@ -111,38 +132,67 @@ def build_classifier_store(
     ]
     if unlisted:
         raise DataError("sense key(s) not listed in the inventory for instance(s): " + ", ".join(unlisted))
-    dim = model.config.held_out_dim
-    counts = Counter(inst.lemma for inst in instances for _ in inst.sense_keys)
-    store = ClassifierStore(dim=dim, pairs={lemma: np.empty((n, dim)) for lemma, n in counts.items()})
-    index: dict[str, dict[str, int]] = {lemma: {} for lemma in counts}  # sense key -> code
-    codes: dict[str, list[int]] = {lemma: [] for lemma in counts}
-    embeddings = context_embeddings(model, [(inst.tokens, inst.target_index) for inst in instances])
-    for inst, emb in zip(instances, embeddings):
-        keys, lemma_codes = index[inst.lemma], codes[inst.lemma]
-        for sense in sorted(inst.sense_keys):
-            store.pairs[inst.lemma][len(lemma_codes)] = emb
-            lemma_codes.append(keys.setdefault(sense, len(keys)))
-    store.keys = {lemma: list(keys) for lemma, keys in index.items()}
-    store.codes = {lemma: np.array(c, dtype=np.uint32) for lemma, c in codes.items()}
+    groups, pairs = _embed_by_lemma(model, instances, lambda inst: len(inst.sense_keys))
+    store = ClassifierStore(dim=model.config.held_out_dim, pairs=pairs)
+    for lemma, group in groups.items():
+        rows, index, codes = pairs[lemma], {}, []  # index: sense key -> code
+        for inst in group:
+            senses = sorted(inst.sense_keys)
+            if len(senses) > 1:  # two products of one context may round apart, so copy the first
+                rows[len(codes) + 1 : len(codes) + len(senses)] = rows[len(codes)]
+            codes.extend(index.setdefault(sense, len(index)) for sense in senses)
+        store.keys[lemma], store.codes[lemma] = list(index), np.array(codes, dtype=np.uint32)
     return store
 
 
-def _cosine_distances(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """1 - cosine similarity per row, in float64; zero-norm vectors sit at distance 1."""
-    query, vectors = np.asarray(query, dtype=np.float64), np.asarray(vectors, dtype=np.float64)
-    qn = float(np.linalg.norm(query))
-    norms = np.linalg.norm(vectors, axis=1)
-    sims = np.zeros(len(vectors))
-    if qn > 0.0:
-        nonzero = norms > 0.0
-        sims[nonzero] = (vectors[nonzero] @ query) / (norms[nonzero] * qn)
-    return 1.0 - sims
+def _widened(store: ClassifierStore, lemma: str) -> tuple[np.ndarray, np.ndarray]:
+    """A lemma's pairs as float64, and their norms."""
+    vectors = np.asarray(store.pairs[lemma], dtype=np.float64)
+    return vectors, np.linalg.norm(vectors, axis=1)
 
 
-def _sense_rank(lemma: str, inventory: SenseInventory | None) -> dict[str, int]:
-    if inventory is not None and lemma in inventory:
-        return {key: i for i, key in enumerate(inventory.senses(lemma))}
-    return {}
+def _cosine_distances(queries: np.ndarray, vectors: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """1 - cosine similarity of each query (row) to each vector, in float64.
+
+    ``norms`` are the vectors' norms. One matrix product computes the block;
+    a zero-norm query or vector sits at distance 1.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    qn = np.linalg.norm(queries, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        distances = (queries @ vectors.T) / (qn[:, None] * norms)
+    distances[:, ~(norms > 0.0)] = 0.0
+    distances[~(qn > 0.0)] = 0.0
+    return np.subtract(1.0, distances, out=distances)
+
+
+def _tie_order(lemma: str, keys: Sequence[str], inventory: SenseInventory | None) -> np.ndarray:
+    """Each sense code's place in inventory order, then in key order (keys the inventory lacks last)."""
+    listed = inventory.senses(lemma) if inventory is not None and lemma in inventory else []
+    rank = {key: i for i, key in enumerate(listed)}
+    return np.argsort(sorted(range(len(keys)), key=lambda c: (rank.get(keys[c], len(rank)), keys[c])))
+
+
+def _vote(codes: np.ndarray, distances: np.ndarray, tie_order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Winning sense code of each row of neighbours, and its margin.
+
+    Row i holds the sense codes and distances of a query's nearest pairs,
+    whose distances are summed in column order. The sense with the most
+    votes wins; a vote tie goes to the smaller mean distance, then to the
+    smaller ``tie_order``. The margin is the gap from the winner's mean
+    distance to the next among the senses tied with it on votes (inf if
+    none is).
+    """
+    rows, n_senses = len(codes), len(tie_order)
+    cells = (np.arange(rows)[:, None] * n_senses + codes).ravel()
+    votes = np.bincount(cells, minlength=rows * n_senses).reshape(rows, n_senses)
+    sums = np.bincount(cells, distances.ravel(), rows * n_senses).reshape(rows, n_senses)
+    top = votes == votes.max(axis=1, keepdims=True)
+    means = np.divide(sums, votes, out=np.full(votes.shape, np.inf), where=top)
+    best = means.min(axis=1)
+    winners = np.where(means == best[:, None], tie_order, n_senses).argmin(axis=1)
+    means[np.arange(rows), winners] = np.inf
+    return winners, means.min(axis=1) - best
 
 
 def predict_knn(
@@ -161,20 +211,10 @@ def predict_knn(
     if lemma not in store:
         raise NoClassifierError(lemma)
     keys, codes = store.keys[lemma], store.codes[lemma]
-    distances = _cosine_distances(query, store.pairs[lemma])
-    nearest = np.argsort(distances, kind="stable")[: min(cfg.k, len(codes))]
-
-    votes: Counter[str] = Counter()
-    dist_sum: dict[str, float] = {}
-    for i in nearest:
-        sense = keys[codes[i]]
-        votes[sense] += 1
-        dist_sum[sense] = dist_sum.get(sense, 0.0) + float(distances[i])
-    rank = _sense_rank(lemma, inventory)
-    return min(
-        votes,
-        key=lambda s: (-votes[s], dist_sum[s] / votes[s], rank.get(s, len(rank)), s),
-    )
+    distances = _cosine_distances(np.reshape(query, (1, -1)), *_widened(store, lemma))
+    nearest = np.argsort(distances[0], kind="stable")[None, : cfg.k]
+    winners, _ = _vote(codes[nearest], distances[:, nearest[0]], _tie_order(lemma, keys, inventory))
+    return keys[winners[0]]
 
 
 def build_sense_embeddings(store: ClassifierStore) -> ClassifierStore:
@@ -203,75 +243,35 @@ def predict_cosine(
     """Sense whose mean embedding is most cosine-similar to the query.
 
     ``means`` comes from ``build_sense_embeddings``. Ties go by inventory
-    order, then by key.
+    order, then by key: this is ``predict_knn`` over every mean, one vote each.
     """
     if lemma not in means:
         raise NoClassifierError(lemma)
-    keys = means.keys[lemma]
-    sims = 1.0 - _cosine_distances(query, means.pairs[lemma])
-    rank = _sense_rank(lemma, inventory)
-    best = min(range(len(keys)), key=lambda i: (-sims[i], rank.get(keys[i], len(rank)), keys[i]))
-    return keys[best]
-
-
-def _knn_block(
-    vectors: np.ndarray, norms: np.ndarray, codes: np.ndarray, n_senses: int, k: int, queries: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Winning sense code of each query and whether the batched vote certifies it.
-
-    The distances are ``_cosine_distances``' arithmetic with one matrix
-    product for the block. Not certified: a k-th and (k+1)-th distance, or
-    the mean distances of the two best senses tied on votes, within
-    ``_CERTIFY_BOUND`` (or not comparable, as NaN is).
-    """
-    rows = len(queries)
-    qn = np.linalg.norm(queries, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        distances = (queries @ vectors.T) / (qn[:, None] * norms)
-    distances[:, ~(norms > 0.0)] = 0.0
-    distances[~(qn > 0.0)] = 0.0
-    np.subtract(1.0, distances, out=distances)
-
-    certified = np.ones(rows, dtype=bool)
-    if k < len(vectors):
-        order = np.argpartition(distances, k, axis=1)  # the k nearest, then the (k+1)-th
-        nearest = order[:, :k]
-        near = np.take_along_axis(distances, nearest, axis=1)
-        after = np.take_along_axis(distances, order[:, k : k + 1], axis=1)[:, 0]
-        certified &= after - near.max(axis=1) > _CERTIFY_BOUND
-    else:
-        nearest = np.broadcast_to(np.arange(len(vectors)), distances.shape)
-        near = distances
-    cells = (np.arange(rows)[:, None] * n_senses + codes[nearest]).ravel()
-    votes = np.bincount(cells, minlength=rows * n_senses).reshape(rows, n_senses)
-    sums = np.bincount(cells, near.ravel(), rows * n_senses).reshape(rows, n_senses)
-    top = votes == votes.max(axis=1, keepdims=True)
-    means = np.divide(sums, votes, out=np.full(votes.shape, np.inf), where=top)
-    winners = means.argmin(axis=1)
-    picked = (np.arange(rows), winners)
-    best = means[picked]
-    means[picked] = np.inf
-    certified &= means.min(axis=1) - best > _CERTIFY_BOUND
-    return winners, certified
+    return predict_knn(means, ClassifierConfig(k=len(means.keys[lemma])), lemma, query, inventory)
 
 
 def _knn_lemma(
-    store: ClassifierStore,
-    cfg: ClassifierConfig,
-    lemma: str,
-    queries: Iterator[np.ndarray],
-    count: int,
-    inventory: SenseInventory,
+    store: ClassifierStore, cfg: ClassifierConfig, lemma: str, queries: np.ndarray, inventory: SenseInventory
 ) -> list[str]:
-    """``predict_knn`` of each of the next ``count`` queries, all of ``lemma``, batched under the certificate."""
-    vectors, keys = np.asarray(store.pairs[lemma], dtype=np.float64), store.keys[lemma]
-    norms = np.linalg.norm(vectors, axis=1)
-    k = min(cfg.k, len(vectors))
+    """``predict_knn`` of each query (a row) of ``lemma``, batched under the certificate.
+
+    A k-th and (k+1)-th distance, or a vote margin, within ``_CERTIFY_BOUND``
+    (or not comparable, as NaN is) sends the query to ``predict_knn``.
+    """
+    (vectors, norms), keys, codes = _widened(store, lemma), store.keys[lemma], store.codes[lemma]
+    tie_order, k = _tie_order(lemma, keys, inventory), min(cfg.k, len(vectors))
     per_block = max(1, _BLOCK_ELEMENTS // len(vectors))
     senses: list[str] = []
-    for first in range(0, count, per_block):
-        block = np.fromiter(queries, np.dtype((np.float64, store.dim)), min(per_block, count - first))
-        winners, certified = _knn_block(vectors, norms, store.codes[lemma], len(keys), k, block)
+    for first in range(0, len(queries), per_block):
+        block = queries[first : first + per_block]
+        distances = _cosine_distances(block, vectors, norms)
+        order = np.argpartition(distances, min(k, len(vectors) - 1), axis=1)  # the k nearest, then the (k+1)-th
+        near = np.take_along_axis(distances, order[:, :k], axis=1)
+        winners, margins = _vote(codes[order[:, :k]], near, tie_order)
+        certified = margins > _CERTIFY_BOUND
+        if k < len(vectors):
+            after = np.take_along_axis(distances, order[:, k : k + 1], axis=1)[:, 0]
+            certified &= after - near.max(axis=1) > _CERTIFY_BOUND
         senses.extend(keys[w] for w in winners.tolist())
         for i in np.flatnonzero(~certified):
             senses[first + i] = predict_knn(store, cfg, lemma, block[i], inventory)
@@ -288,15 +288,15 @@ def predict_all(
     """Predicted sense of each instance, in order.
 
     kNN when the instance's lemma has training pairs, else the inventory's
-    first sense. The kNN queries of all instances come from one
-    ``context_embeddings`` call in lemma order, so a query's last bits may
-    depend on the contexts it is embedded with. Each lemma's queries are
-    scored together, in blocks of at most ``_BLOCK_ELEMENTS`` distances; a
-    query whose vote is within ``_CERTIFY_BOUND`` of a tie (see the module
-    docstring) is recomputed with ``predict_knn``, so each answer is
-    ``predict_knn``'s for the query vector computed here. Before any
-    embedding, a lemma missing from the inventory (listing every such
-    instance) or a store whose width is not the model's is a ``DataError``.
+    first sense. The queries are grouped and embedded as in
+    ``build_classifier_store``, so a query's last bits may depend on the
+    contexts it is embedded with. Each lemma's queries are scored together,
+    in blocks of at most ``_BLOCK_ELEMENTS`` distances; a query whose vote is
+    within ``_CERTIFY_BOUND`` of a tie (see the module docstring) is
+    recomputed with ``predict_knn``, so each answer is ``predict_knn``'s for
+    the query vector computed here. Before any embedding, a lemma missing
+    from the inventory (listing every such instance) or a store whose width
+    is not the model's is a ``DataError``.
     """
     _check_lemmas(instances, inventory)
     if store.dim != model.config.held_out_dim:
@@ -304,14 +304,11 @@ def predict_all(
             f"classifier store holds {store.dim}-wide embeddings, "
             f"but the model's are {model.config.held_out_dim} wide"
         )
-    senses = [inventory.first_sense(inst.lemma) for inst in instances]
-    queried = sorted((i for i, inst in enumerate(instances) if inst.lemma in store), key=lambda i: instances[i].lemma)
-    queries = context_embeddings(model, [(instances[i].tokens, instances[i].target_index) for i in queried])
-    for lemma, group in itertools.groupby(queried, key=lambda i: instances[i].lemma):
-        rows = list(group)
-        for i, sense in zip(rows, _knn_lemma(store, cfg, lemma, queries, len(rows), inventory)):
-            senses[i] = sense
-    return senses
+    _, queries = _embed_by_lemma(model, [inst for inst in instances if inst.lemma in store], lambda inst: 1)
+    answers = {lemma: iter(_knn_lemma(store, cfg, lemma, rows, inventory)) for lemma, rows in queries.items()}
+    return [
+        next(answers[inst.lemma]) if inst.lemma in answers else inventory.first_sense(inst.lemma) for inst in instances
+    ]
 
 
 def write_predictions(rows: Sequence[tuple[str, str]], path: str | Path) -> None:

@@ -198,12 +198,12 @@ class TestContextEmbedding:
             contexts.append((tokens, int(rng.integers(0, length))))
 
         embeddings = context_embeddings(model, contexts)
-        first = next(embeddings)
-        assert calls == ["encode_contexts", "held_out"]  # the first row costs one chunk
-        embeddings = [first, *embeddings]
+        dim, dtype = model.config.held_out_dim, model.params.flat.dtype
+        assert embeddings.shape == (count, dim) and embeddings.dtype == dtype
         chunks = -(-count // 3)
-        assert len(embeddings) == count and calls == ["encode_contexts", "held_out"] * chunks
-        assert list(context_embeddings(model, [])) == [] and len(calls) == 2 * chunks
+        assert calls == ["encode_contexts", "held_out"] * chunks
+        none = context_embeddings(model, [])
+        assert none.shape == (0, dim) and none.dtype == dtype and len(calls) == 2 * chunks
         for start in range(0, count, 3):
             codes = np.stack([
                 context_code(model.vocab.encode(tokens), target, model.config.fofe, model.params.embedding, window_cap)
@@ -212,6 +212,8 @@ class TestContextEmbedding:
             expected = nn.held_out(model.params, codes)
             for got, want in zip(embeddings[start : start + 3], expected, strict=True):
                 assert got.tobytes() == want.tobytes()
+        narrow = LmModel(model.vocab, model.config, model.params.astype(np.float32))
+        assert context_embeddings(narrow, contexts).dtype == np.float32  # the parameters' dtype
 
 
 class TestLongSentenceMemory:
@@ -244,7 +246,7 @@ class TestLongSentenceMemory:
         vocab, config, contexts = inputs
         params = nn.init_network(config.layer_dims(len(vocab)), 0, (len(vocab), config.embed_dim))
         model = LmModel(vocab, config, params)
-        assert self.peak_bytes(lambda: list(context_embeddings(model, contexts))) < 13e6
+        assert self.peak_bytes(lambda: context_embeddings(model, contexts)) < 13e6
 
     def test_train_step_of_one_batch(self, inputs):
         vocab, config, contexts = inputs

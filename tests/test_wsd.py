@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fofe_wsd import wsd
+from fofe_wsd import lm, wsd
 from fofe_wsd._files import checksum, container, put_floats, put_str, put_u32, write_file
 from fofe_wsd.corpus import LabeledInstance, SenseInventory
 from fofe_wsd.errors import DataError
@@ -72,7 +72,7 @@ class TestBuildClassifierStore:
         assert store.pairs["bank"].shape == (2, tiny_model.config.hidden_dims[-1])
         assert _senses(store)["bank"] == ["bank%1", "bank%2"]
         contexts = [(inst.tokens, inst.target_index) for inst in instances]
-        assert_array_equal(store.pairs["bank"], np.array(list(context_embeddings(tiny_model, contexts))))
+        assert_array_equal(store.pairs["bank"], context_embeddings(tiny_model, contexts))
 
     def test_empty_instances(self, tiny_model):
         store = build_classifier_store(tiny_model, [], SenseInventory({}))
@@ -85,6 +85,32 @@ class TestBuildClassifierStore:
         )
         assert _senses(store)["w"] == ["w%1", "w%2"]  # sorted key order
         assert_array_equal(store.pairs["w"][0], store.pairs["w"][1])
+
+    def test_interleaved_lemmas_and_a_split_multi_gold_instance(self, tiny_model, monkeypatch):
+        # 3 contexts per chunk: b's pairs fill the first chunk, then a's 4 pairs end
+        # with the multi-gold i6, whose two contexts straddle the chunk boundary and
+        # the second of which is a 1-row final chunk
+        monkeypatch.setattr(lm, "_EMBED_BATCH", 3)
+        words = tiny_model.vocab.tokens[1:9]
+        lemmas = ["b", "a", "b", "a", "b", "a"]
+        golds = [{"b%1"}, {"a%2"}, {"b%2"}, {"a%1"}, {"b%1"}, {"a%1", "a%2"}]
+        instances = [
+            _instance(f"i{n + 1}", words[n : n + 3], n % 3, lemma, gold)
+            for n, (lemma, gold) in enumerate(zip(lemmas, golds))
+        ]
+        inventory = SenseInventory({"a": ["a%1", "a%2"], "b": ["b%1", "b%2"]})
+        store = build_classifier_store(tiny_model, instances, inventory)
+        assert list(store.pairs) == list(store.keys) == list(store.codes) == ["b", "a"]  # first-use order
+        assert store.keys == {"b": ["b%1", "b%2"], "a": ["a%2", "a%1"]}
+        assert {lemma: codes.tolist() for lemma, codes in store.codes.items()} == {"b": [0, 1, 0], "a": [0, 1, 1, 0]}
+        assert _senses(store) == {"b": ["b%1", "b%2", "b%1"], "a": ["a%2", "a%1", "a%1", "a%2"]}
+        # pairs in instance order, then sorted keys: rows of one matrix
+        order = [instances[n] for n in (0, 2, 4, 1, 3, 5, 5)]
+        rows = np.concatenate([store.pairs["b"], store.pairs["a"]])
+        for row, inst in zip(rows, order, strict=True):
+            assert_allclose(row, context_embeddings(tiny_model, [(inst.tokens, inst.target_index)])[0], atol=1e-12)
+        assert store.pairs["b"].base is store.pairs["a"].base is not None
+        assert store.pairs["a"][2].tobytes() == store.pairs["a"][3].tobytes()
 
     def test_inventory_checked_before_embedding(self, tiny_model, monkeypatch):
         words = tiny_model.vocab.tokens[1:6]
@@ -382,7 +408,7 @@ class TestPredictWithBackoff:
                 store,
                 cfg,
                 inst.lemma,
-                next(context_embeddings(tiny_model, [(inst.tokens, inst.target_index)])),
+                context_embeddings(tiny_model, [(inst.tokens, inst.target_index)])[0],
                 inv,
             )
             if inst.lemma in store
@@ -399,7 +425,11 @@ def _fed_queries(monkeypatch, store, queries):
     The instance's one token is ``i``, and ``wsd.context_embeddings`` is
     replaced by a lookup of it.
     """
-    monkeypatch.setattr(wsd, "context_embeddings", lambda model, contexts: (queries[int(t[0])] for t, _ in contexts))
+
+    def lookup(model, contexts):
+        return np.array([queries[int(t[0])] for t, _ in contexts], dtype=float).reshape(len(contexts), store.dim)
+
+    monkeypatch.setattr(wsd, "context_embeddings", lookup)
     return SimpleNamespace(config=SimpleNamespace(held_out_dim=store.dim))
 
 
@@ -495,14 +525,15 @@ class TestPredictAllEqualsOracle:
         queries = _random_queries(rng, store, lemmas)
         instances = _query_instances(lemmas)
         model = _fed_queries(monkeypatch, store, queries)
-        blocks = []
-        knn_block = wsd._knn_block
-        monkeypatch.setattr(wsd, "_knn_block", lambda *args: blocks.append(len(args[-1])) or knn_block(*args))
-        monkeypatch.setattr(wsd, "_BLOCK_ELEMENTS", budget)
         cfg = ClassifierConfig(k=3)
-        assert predict_all(store, inv, model, cfg, instances) == _oracle(store, inv, cfg, instances, queries)
-        assert len(blocks) > len(store.pairs)
-        assert sum(blocks) == sum(inst.lemma in store for inst in instances)
+        expected = _oracle(store, inv, cfg, instances, queries)
+        calls = _counted_knn(monkeypatch)
+        blocks = _recorded(monkeypatch, "_cosine_distances", lambda args, distances: len(args[0]))
+        monkeypatch.setattr(wsd, "_BLOCK_ELEMENTS", budget)
+        assert predict_all(store, inv, model, cfg, instances) == expected
+        # each fallback to predict_knn adds a one-row call
+        assert len(blocks) - len(calls) > len(store.pairs)
+        assert sum(blocks) - len(calls) == sum(inst.lemma in store for inst in instances)
         assert max(blocks) == max(1, budget // min(map(len, store.pairs.values())))
 
     def test_zero_rows_and_zero_query(self, monkeypatch):
@@ -550,7 +581,7 @@ class TestCertificate:
         queries = [np.array([1.0, 0.0])]
         instances = _query_instances(["w"])
         model = _fed_queries(monkeypatch, store, queries)
-        gap = wsd._cosine_distances(queries[0], store.pairs["w"])
+        (gap,) = wsd._cosine_distances(queries[0][None], *wsd._widened(store, "w"))
         assert 0.0 < gap[1] - gap[0] < wsd._CERTIFY_BOUND
         calls = _counted_knn(monkeypatch)
         cfg = ClassifierConfig(k=1)
@@ -730,9 +761,9 @@ class TestStorePersistence:
                 load_store(path)
 
 
-def _recorded(monkeypatch, name, keep):
-    """Wrap ``wsd.<name>``; the returned list gets ``keep(args, result)`` for each call."""
-    seen, inner = [], getattr(wsd, name)
+def _recorded(monkeypatch, name, keep, seen=None):
+    """Wrap ``wsd.<name>``; the returned list (``seen``, or a new one) gets ``keep(args, result)`` for each call."""
+    seen, inner = [] if seen is None else seen, getattr(wsd, name)
 
     def wrapper(*args):
         result = inner(*args)
@@ -795,8 +826,10 @@ class TestLoadedRowsWidened:
         assert len(seen) == len(self._queried(case)) > 100
 
     def test_predict_all_batched(self, case, monkeypatch):
-        # the vectors and norms each batched vote starts from, and its winners and certificates
-        seen = _recorded(monkeypatch, "_knn_block", lambda args, result: [*args[:2], *result])
+        # the vectors and norms each block of distances starts from, the distances,
+        # and each vote's neighbour codes and distances, winners and margins
+        seen = _recorded(monkeypatch, "_cosine_distances", lambda args, distances: [*args, distances])
+        _recorded(monkeypatch, "_vote", lambda args, result: [*args[:2], *result], seen)
         self._same(case, seen, self._predict_all(case, monkeypatch))
 
     def test_predict_all_every_query_falls_back(self, case, monkeypatch):
@@ -804,7 +837,8 @@ class TestLoadedRowsWidened:
         calls = _counted_knn(monkeypatch)
         seen = _recorded(monkeypatch, "_cosine_distances", lambda args, distances: [distances])
         self._same(case, seen, self._predict_all(case, monkeypatch))
-        assert len(calls) == 2 * len(seen) == 2 * len(self._queried(case))
+        # each query's distances, once in its block and once in its fallback
+        assert len(calls) == sum(len(distances) for (distances,) in seen) == 2 * len(self._queried(case))
 
     def test_sense_embeddings_and_cosine(self, case, monkeypatch):
         seen = _recorded(monkeypatch, "_cosine_distances", lambda args, distances: [distances])
