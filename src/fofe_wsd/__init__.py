@@ -3,11 +3,13 @@
 A feed-forward pseudo language model is trained on unlabelled text over
 fixed-size forgetting encodings of each word's surroundings; its held-out
 layer turns labeled occurrences into context embeddings, and per-lemma
-kNN classifiers with first-sense backoff predict senses.
+kNN classifiers with first-sense backoff predict senses. A labeled file is
+read once into a columnar ``LabeledCorpus``, which the classifier store,
+prediction and scoring take as it is.
 """
 
 from .corpus import (
-    LabeledInstance,
+    LabeledCorpus,
     SenseInventory,
     Vocabulary,
     build_vocabulary,
@@ -48,7 +50,7 @@ __all__ = [
     "DataError",
     "EvalReport",
     "FofeConfig",
-    "LabeledInstance",
+    "LabeledCorpus",
     "LmConfig",
     "LmModel",
     "NoClassifierError",

@@ -47,7 +47,7 @@ def read_lines(path: str | Path, what: str) -> Iterator[str]:
 def read_records(path: str | Path, what: str, n_fields: int) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, tab-separated fields) per line; blank and ``#`` lines are skipped."""
     for lineno, line in enumerate(read_lines(path, what), start=1):
-        if not line.strip() or line.startswith("#"):
+        if not line or line[0] == "#" or line.isspace():
             continue
         fields = line.split("\t")
         if len(fields) != n_fields:

@@ -168,10 +168,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
     )
     model = lm.with_run_settings(lm.load_checkpoint(checkpoint), lm_config)
     inventory = read_sense_inventory(inventory_path)
-    instances = read_labeled_corpus(train)
-    if not instances:
+    corpus = read_labeled_corpus(train)
+    if not len(corpus):
         log.warning("labeled corpus %s has no instances; writing an empty store", train)
-    store = wsd.build_classifier_store(model, instances, inventory)
+    store = wsd.build_classifier_store(model, corpus, inventory)
     if log.isEnabledFor(logging.INFO):  # the sense counts are work, not just formatting
         for lemma, codes in store.codes.items():
             counts = Counter(codes.tolist())
@@ -190,9 +190,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     model = lm.with_run_settings(lm.load_checkpoint(checkpoint), lm_config)
     store = wsd.load_store(store_path)
     inventory = read_sense_inventory(inventory_path)
-    instances = read_labeled_corpus(test)
-    senses = wsd.predict_all(store, inventory, model, classifier_config, instances)
-    rows = [(inst.instance_id, sense) for inst, sense in zip(instances, senses)]
+    corpus = read_labeled_corpus(test)
+    senses = wsd.predict_all(store, inventory, model, classifier_config, corpus)
+    rows = list(zip(corpus.ids, senses))
     wsd.write_predictions(rows, predictions)
     print(f"predictions written to {predictions} ({len(rows)} instances)")
     return 0

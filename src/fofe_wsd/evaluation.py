@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
+
+import numpy as np
 
 from ._files import write_file
-from .corpus import LabeledInstance
+from .corpus import LabeledCorpus
 from .errors import DataError
 
 
@@ -22,43 +25,39 @@ class EvalReport:
     per_lemma: dict[str, tuple[int, int]]  # lemma -> (attempted, correct)
 
 
-def score(predictions: Mapping[str, str], gold: Sequence[LabeledInstance]) -> EvalReport:
+def score(predictions: Mapping[str, str], gold: LabeledCorpus) -> EvalReport:
     """Count a prediction as correct when it is one of the instance's gold keys.
 
     Precision pools over predicted instances, recall over all gold instances;
     micro F1 is their harmonic mean (0 when nothing was attempted).
     """
-    gold_ids = {inst.instance_id for inst in gold}
+    gold_ids = set(gold.ids)
     for instance_id in predictions:
         if instance_id not in gold_ids:
             raise DataError(f"prediction for unknown instance id {instance_id!r}")
 
-    attempted = 0
-    correct = 0
-    per_lemma: dict[str, tuple[int, int]] = {}
-    for inst in gold:
-        la, lc = per_lemma.get(inst.lemma, (0, 0))
-        predicted = predictions.get(inst.instance_id)
-        if predicted is not None:
-            attempted += 1
-            la += 1
-            if predicted in inst.sense_keys:
-                correct += 1
-                lc += 1
-        per_lemma[inst.lemma] = (la, lc)
-
     total = len(gold)
-    precision = correct / attempted if attempted else 0.0
-    recall = correct / total if total else 0.0
+    attempted = np.fromiter(map(predictions.__contains__, gold.ids), dtype=bool, count=total)
+    code_of = {key: code for code, key in enumerate(gold.keys)}
+    predicted = np.fromiter(map(code_of.get, map(predictions.get, gold.ids), itertools.repeat(-1)), np.intp, total)
+    counts = np.diff(gold.gold_offsets)
+    hits = np.repeat(predicted, counts) == gold.gold  # a gold key matches once at most
+    correct = np.repeat(np.arange(total), counts)[hits]
+    lemmas = len(gold.lemmas)
+    per_attempted = np.bincount(gold.lemma_codes[attempted], minlength=lemmas).tolist()
+    per_correct = np.bincount(gold.lemma_codes[correct], minlength=lemmas).tolist()
+    n_attempted, n_correct = int(attempted.sum()), len(correct)
+    precision = n_correct / n_attempted if n_attempted else 0.0
+    recall = n_correct / total if total else 0.0
     micro_f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return EvalReport(
-        attempted=attempted,
-        correct=correct,
+        attempted=n_attempted,
+        correct=n_correct,
         total=total,
         precision=precision,
         recall=recall,
         micro_f1=micro_f1,
-        per_lemma=per_lemma,
+        per_lemma=dict(zip(gold.lemmas, zip(per_attempted, per_correct))),
     )
 
 

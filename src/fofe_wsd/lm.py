@@ -5,7 +5,8 @@ sentence position into one example (target word, encoded bidirectional
 context), and minimizes mean softmax cross-entropy of target prediction.
 After training, the activation of the second-last layer (the held-out
 layer) for a target occurrence is its context embedding; the output layer
-plays no further role.
+plays no further role. ``context_embeddings`` takes its contexts in the
+form ``training_examples`` gives: model-id arrays, not token strings.
 
 Training runs in float32, the precision the checkpoint keeps; ``train_lm``
 returns the trained parameters widened to float64, which is exact, so the
@@ -116,15 +117,6 @@ def with_run_settings(model: LmModel, config: LmConfig) -> LmModel:
     return LmModel(vocab=model.vocab, config=replace(config, **fixed), params=model.params)
 
 
-def _concatenate(sentences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All sentences back to back as one id array, with each one's start and length."""
-    lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
-    tokens = np.fromiter(
-        itertools.chain.from_iterable(sentences), dtype=np.intp, count=int(lengths.sum())
-    )
-    return tokens, np.cumsum(lengths) - lengths, lengths
-
-
 def training_examples(
     sentences: Sequence[Sequence[int]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -134,31 +126,35 @@ def training_examples(
     example the start and length of its sentence and its target position,
     sentence by sentence in position order. Memory is linear in the tokens.
     """
-    tokens, starts, lengths = _concatenate(sentences)
-    starts, lengths = np.repeat(starts, lengths), np.repeat(lengths, lengths)
-    return tokens, starts, lengths, np.arange(len(tokens)) - starts
+    lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
+    tokens = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.intp, count=int(lengths.sum()))
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return tokens, starts, np.repeat(lengths, lengths), np.arange(len(tokens)) - starts
 
 
-def context_embeddings(model: LmModel, contexts: Sequence[tuple[Sequence[str], int]]) -> np.ndarray:
-    """Held-out-layer activations of the (tokens, target index) contexts, one row each.
+def context_embeddings(
+    model: LmModel, tokens: np.ndarray, starts: np.ndarray, lengths: np.ndarray, positions: np.ndarray
+) -> np.ndarray:
+    """Held-out-layer activations of the contexts given as in ``training_examples``, one row each.
 
-    Returns a ``(len(contexts), held_out_dim)`` matrix in the parameters'
-    dtype. Unknown words map to the unknown id; the target word itself is
-    excluded from the context, and the output layer is not evaluated. The
-    contexts go ``_EMBED_BATCH`` at a time through the FOFE layer and one
-    ``nn.held_out`` product, which bounds the FOFE buffers held at once. A
-    row may differ in its last bits from a one-row product's.
+    ``tokens`` holds model ids; context i is the sentence of ``lengths[i]``
+    ids from ``starts[i]``, around the target at ``positions[i]``. Returns
+    a ``(len(positions), held_out_dim)`` matrix in the parameters' dtype.
+    The target word itself is excluded from the context, and the output
+    layer is not evaluated. The contexts go ``_EMBED_BATCH`` at a time
+    through the FOFE layer and one ``nn.held_out`` product, which bounds
+    the FOFE buffers held at once. A row may differ in its last bits from
+    a one-row product's.
     """
     cfg = model.config
-    embeddings = np.empty((len(contexts), cfg.held_out_dim), dtype=model.params.flat.dtype)
-    for first in range(0, len(contexts), _EMBED_BATCH):
-        chunk = contexts[first : first + _EMBED_BATCH]
-        sentences = [model.vocab.encode(tokens) for tokens, _ in chunk]
-        positions = [target_index for _, target_index in chunk]
-        tokens, starts, lengths = _concatenate(sentences)
-        layout = fofe.context_ids(tokens, starts, lengths, positions, cfg.fofe.order, cfg.window_cap)
+    embeddings = np.empty((len(positions), cfg.held_out_dim), dtype=model.params.flat.dtype)
+    for first in range(0, len(positions), _EMBED_BATCH):
+        chunk = slice(first, first + _EMBED_BATCH)
+        layout = fofe.context_ids(
+            tokens, starts[chunk], lengths[chunk], positions[chunk], cfg.fofe.order, cfg.window_cap
+        )
         codes = fofe.encode_contexts(layout, cfg.fofe, model.params.embedding)
-        embeddings[first : first + len(chunk)] = nn.held_out(model.params, codes)
+        embeddings[chunk] = nn.held_out(model.params, codes)
     return embeddings
 
 

@@ -187,13 +187,6 @@ def held_out(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax along the last axis."""
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
 def _targets(target: int | np.ndarray, logits: np.ndarray) -> np.ndarray:
     """``target`` as one class index per row of the 2-D ``logits``; a ValueError unless each is a class."""
     targets = np.atleast_1d(np.asarray(target, dtype=np.intp))

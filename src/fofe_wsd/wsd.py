@@ -5,6 +5,8 @@ occurrence of a lemma; the baseline averages each sense's embeddings into
 one sense embedding and picks the most similar. Lemmas with no training
 pairs at all fall back to the inventory's first-listed sense. The store
 holds each lemma as its file does (below); distances and means are float64.
+``build_classifier_store`` and ``predict_all`` take a ``LabeledCorpus`` and
+group its instances by lemma with one stable sort of its lemma codes.
 
 Every distance comes from ``_cosine_distances`` and every vote from
 ``_vote``. ``predict_knn`` votes for one query. ``predict_all`` votes for a
@@ -33,12 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ._files import Reader, container, put_floats, put_str, put_u32, read_records, write_container, write_file
-from .corpus import LabeledInstance, SenseInventory
+from .corpus import LabeledCorpus, SenseInventory
 from .errors import DataError, UsageError
 from .lm import LmModel, context_embeddings
 
@@ -85,63 +87,86 @@ class ClassifierStore:
         return len(self.pairs.get(lemma, ())) > 0
 
 
-def _check_lemmas(instances: Sequence[LabeledInstance], inventory: SenseInventory) -> None:
-    """A ``DataError`` listing every instance whose lemma the inventory lacks."""
-    unknown = [inst.instance_id for inst in instances if inst.lemma not in inventory]
-    if unknown:
-        raise DataError("unknown lemma (not in the inventory) for instance(s): " + ", ".join(unknown))
+def _check_lemmas(corpus: LabeledCorpus, inventory: SenseInventory) -> None:
+    """A ``DataError`` listing, in file order, every instance whose lemma the inventory lacks."""
+    unknown = np.array([lemma not in inventory for lemma in corpus.lemmas], dtype=bool)
+    if unknown.any():
+        ids = [corpus.ids[i] for i in np.flatnonzero(unknown[corpus.lemma_codes]).tolist()]
+        raise DataError("unknown lemma (not in the inventory) for instance(s): " + ", ".join(ids))
 
 
-def _embed_by_lemma(
-    model: LmModel, instances: Sequence[LabeledInstance], copies: Callable[[LabeledInstance], int]
-) -> tuple[dict[str, list[LabeledInstance]], dict[str, np.ndarray]]:
-    """The instances grouped by lemma, and each group's context embeddings.
+def _check_keys(corpus: LabeledCorpus, inventory: SenseInventory) -> None:
+    """A ``DataError`` naming, in file order, every instance with a gold key its lemma's entry lacks, and those keys."""
+    code_of, width = {key: code for code, key in enumerate(corpus.keys)}, len(corpus.keys)
+    listed = [
+        lemma * width + code_of[key]
+        for lemma, name in enumerate(corpus.lemmas)
+        for key in inventory.senses(name)
+        if key in code_of
+    ]
+    owners = np.repeat(np.arange(len(corpus)), np.diff(corpus.gold_offsets))
+    extra = ~np.isin(corpus.lemma_codes[owners].astype(np.int64) * width + corpus.gold, listed)
+    unlisted: dict[int, list[str]] = {}
+    for row, code in zip(owners[extra].tolist(), corpus.gold[extra].tolist()):
+        unlisted.setdefault(row, []).append(corpus.keys[code])
+    if unlisted:
+        raise DataError(
+            "sense key(s) not listed in the inventory for instance(s): "
+            + ", ".join(f"{corpus.ids[row]} ({', '.join(keys)})" for row, keys in unlisted.items())
+        )
 
-    Lemmas come in first-use order and instances in the given order within a
-    lemma; each instance's context is embedded ``copies(instance)`` times in a
-    row. One ``context_embeddings`` call embeds them all, so each lemma's rows
-    are one slice of one matrix.
+
+def _by_lemma(corpus: LabeledCorpus, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The instances of the lemmas ``chosen`` (a mask over ``corpus.lemmas``) grouped by lemma.
+
+    Lemmas come in first-use order and instances in file order within one:
+    a stable sort of the lemma codes. Returns the instances and each
+    lemma's count of them.
     """
-    groups: dict[str, list[LabeledInstance]] = {}
-    for inst in instances:
-        groups.setdefault(inst.lemma, []).append(inst)
-    embeddings = context_embeddings(
-        model,
-        [(inst.tokens, inst.target_index) for group in groups.values() for inst in group for _ in range(copies(inst))],
-    )
-    counts = [sum(map(copies, group)) for group in groups.values()]
-    return groups, dict(zip(groups, np.split(embeddings, np.cumsum(counts)[:-1])))
+    picked = np.flatnonzero(chosen[corpus.lemma_codes])
+    rows = picked[np.argsort(corpus.lemma_codes[picked], kind="stable")]
+    return rows, np.bincount(corpus.lemma_codes[rows], minlength=len(corpus.lemmas))
 
 
-def build_classifier_store(
-    model: LmModel, instances: Sequence[LabeledInstance], inventory: SenseInventory
-) -> ClassifierStore:
+def _embed(model: LmModel, corpus: LabeledCorpus, rows: np.ndarray) -> np.ndarray:
+    """The context embedding of each instance in ``rows``, from one ``context_embeddings`` call.
+
+    The corpus's token types map to model ids once each (unknown words to
+    the unknown id); one ``take`` maps its tokens.
+    """
+    ids = np.array(model.vocab.encode(corpus.types), dtype=np.intp).take(corpus.tokens)
+    starts = corpus.offsets[rows]
+    return context_embeddings(model, ids, starts, corpus.offsets[rows + 1] - starts, corpus.targets[rows])
+
+
+def build_classifier_store(model: LmModel, corpus: LabeledCorpus, inventory: SenseInventory) -> ClassifierStore:
     """Embed every labeled instance and group the pairs by lemma.
 
-    A multi-gold instance contributes one pair per gold sense key (keys in
-    sorted order), each with the same embedding. Lemmas come in first-use
-    order and pairs in instance order, and each lemma's pairs are a slice of
-    one matrix. Before any embedding, a ``DataError`` names every instance
+    A multi-gold instance contributes one pair per gold key (keys in sorted
+    order), each with the same embedding. Lemmas come in first-use order
+    and pairs in instance order, and each lemma's pairs are a slice of one
+    matrix. Before any embedding, a ``DataError`` names every instance
     whose lemma, or any of whose gold keys, the inventory lacks.
     """
-    _check_lemmas(instances, inventory)
-    unlisted = [
-        f"{inst.instance_id} ({', '.join(sorted(extra))})"
-        for inst in instances
-        if (extra := inst.sense_keys.difference(inventory.senses(inst.lemma)))
-    ]
-    if unlisted:
-        raise DataError("sense key(s) not listed in the inventory for instance(s): " + ", ".join(unlisted))
-    groups, pairs = _embed_by_lemma(model, instances, lambda inst: len(inst.sense_keys))
-    store = ClassifierStore(dim=model.config.held_out_dim, pairs=pairs)
-    for lemma, group in groups.items():
-        rows, index, codes = pairs[lemma], {}, []  # index: sense key -> code
-        for inst in group:
-            senses = sorted(inst.sense_keys)
-            if len(senses) > 1:  # two products of one context may round apart, so copy the first
-                rows[len(codes) + 1 : len(codes) + len(senses)] = rows[len(codes)]
-            codes.extend(index.setdefault(sense, len(index)) for sense in senses)
-        store.keys[lemma], store.codes[lemma] = list(index), np.array(codes, dtype=np.uint32)
+    _check_lemmas(corpus, inventory)
+    _check_keys(corpus, inventory)
+    rows, _ = _by_lemma(corpus, np.ones(len(corpus.lemmas), dtype=bool))
+    copies = np.diff(corpus.gold_offsets)[rows]
+    owners = np.repeat(rows, copies)  # each pair's instance
+    firsts = np.repeat(np.cumsum(copies) - copies, copies)  # the first pair of each pair's instance
+    ranks = np.arange(len(owners)) - firsts  # each pair's place among its instance's gold keys
+    keys = corpus.gold[corpus.gold_offsets[owners] + ranks]
+    embeddings = _embed(model, corpus, owners)
+    later = ranks > 0  # two products of one context may round apart, so copy the first
+    embeddings[later] = embeddings[firsts[later]]
+    sizes = np.bincount(corpus.lemma_codes[owners], minlength=len(corpus.lemmas))
+    store = ClassifierStore(dim=model.config.held_out_dim)
+    for lemma, end, size in zip(corpus.lemmas, np.cumsum(sizes).tolist(), sizes.tolist()):
+        used, first, codes = np.unique(keys[end - size : end], return_index=True, return_inverse=True)
+        by_use = np.argsort(first)  # the lemma's keys in first-use order
+        store.keys[lemma] = [corpus.keys[code] for code in used[by_use].tolist()]
+        store.codes[lemma] = np.argsort(by_use).astype(np.uint32)[codes]
+        store.pairs[lemma] = embeddings[end - size : end]
     return store
 
 
@@ -252,8 +277,8 @@ def predict_cosine(
 
 def _knn_lemma(
     store: ClassifierStore, cfg: ClassifierConfig, lemma: str, queries: np.ndarray, inventory: SenseInventory
-) -> list[str]:
-    """``predict_knn`` of each query (a row) of ``lemma``, batched under the certificate.
+) -> np.ndarray:
+    """The code of ``predict_knn``'s sense for each query (a row) of ``lemma``, batched under the certificate.
 
     A k-th and (k+1)-th distance, or a vote margin, within ``_CERTIFY_BOUND``
     (or not comparable, as NaN is) sends the query to ``predict_knn``.
@@ -261,7 +286,7 @@ def _knn_lemma(
     (vectors, norms), keys, codes = _widened(store, lemma), store.keys[lemma], store.codes[lemma]
     tie_order, k = _tie_order(lemma, keys, inventory), min(cfg.k, len(vectors))
     per_block = max(1, _BLOCK_ELEMENTS // len(vectors))
-    senses: list[str] = []
+    senses = np.empty(len(queries), dtype=np.intp)
     for first in range(0, len(queries), per_block):
         block = queries[first : first + per_block]
         distances = _cosine_distances(block, vectors, norms)
@@ -272,9 +297,9 @@ def _knn_lemma(
         if k < len(vectors):
             after = np.take_along_axis(distances, order[:, k : k + 1], axis=1)[:, 0]
             certified &= after - near.max(axis=1) > _CERTIFY_BOUND
-        senses.extend(keys[w] for w in winners.tolist())
+        senses[first : first + len(block)] = winners
         for i in np.flatnonzero(~certified):
-            senses[first + i] = predict_knn(store, cfg, lemma, block[i], inventory)
+            senses[first + i] = keys.index(predict_knn(store, cfg, lemma, block[i], inventory))
     return senses
 
 
@@ -283,9 +308,9 @@ def predict_all(
     inventory: SenseInventory,
     model: LmModel,
     cfg: ClassifierConfig,
-    instances: Sequence[LabeledInstance],
+    corpus: LabeledCorpus,
 ) -> list[str]:
-    """Predicted sense of each instance, in order.
+    """Predicted sense of each instance, in file order.
 
     kNN when the instance's lemma has training pairs, else the inventory's
     first sense. The queries are grouped and embedded as in
@@ -298,17 +323,25 @@ def predict_all(
     from the inventory (listing every such instance) or a store whose width
     is not the model's is a ``DataError``.
     """
-    _check_lemmas(instances, inventory)
+    _check_lemmas(corpus, inventory)
     if store.dim != model.config.held_out_dim:
         raise DataError(
             f"classifier store holds {store.dim}-wide embeddings, "
             f"but the model's are {model.config.held_out_dim} wide"
         )
-    _, queries = _embed_by_lemma(model, [inst for inst in instances if inst.lemma in store], lambda inst: 1)
-    answers = {lemma: iter(_knn_lemma(store, cfg, lemma, rows, inventory)) for lemma, rows in queries.items()}
-    return [
-        next(answers[inst.lemma]) if inst.lemma in answers else inventory.first_sense(inst.lemma) for inst in instances
-    ]
+    known = np.array([lemma in store for lemma in corpus.lemmas], dtype=bool)
+    rows, sizes = _by_lemma(corpus, known)
+    queries = _embed(model, corpus, rows)
+    senses: list[str] = []  # each lemma's candidate answers, one lemma after another
+    first = np.zeros(len(corpus.lemmas), dtype=np.intp)  # where each lemma's answers begin in it
+    for code, lemma in enumerate(corpus.lemmas):
+        first[code] = len(senses)
+        senses.extend(store.keys[lemma] if known[code] else [inventory.first_sense(lemma)])
+    answers = first[corpus.lemma_codes]
+    for lemma, end, size in zip(corpus.lemmas, np.cumsum(sizes).tolist(), sizes.tolist()):
+        if size:
+            answers[rows[end - size : end]] += _knn_lemma(store, cfg, lemma, queries[end - size : end], inventory)
+    return [senses[i] for i in answers.tolist()]
 
 
 def write_predictions(rows: Sequence[tuple[str, str]], path: str | Path) -> None:

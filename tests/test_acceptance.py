@@ -246,14 +246,12 @@ def test_criterion_08_backoff_totality(tmp_path):
 
 
 def test_criterion_09_scorer_correctness():
-    from fofe_wsd.corpus import LabeledInstance
+    from labeled import corpus_of
 
     def inst(iid, senses):
-        return LabeledInstance(
-            instance_id=iid, tokens=["w"], target_index=0, lemma="w", sense_keys=frozenset(senses)
-        )
+        return iid, ["w"], 0, "w", senses
 
-    gold = [inst("i1", {"s1"}), inst("i2", {"s1"}), inst("i3", {"s1"}), inst("i4", {"s1"})]
+    gold = corpus_of([inst("i1", {"s1"}), inst("i2", {"s1"}), inst("i3", {"s1"}), inst("i4", {"s1"})])
     full = score({"i1": "s1", "i2": "s1", "i3": "s1", "i4": "x"}, gold)
     partial = score({"i1": "s1", "i2": "s1"}, gold)
     ok = (

@@ -16,6 +16,7 @@ from fofe_wsd import cli, lm, synthetic, wsd
 from fofe_wsd._files import checksum
 from fofe_wsd.cli import main
 from fofe_wsd.fofe import FofeConfig
+from labeled import embed, instances_of
 
 
 def _write(path, text):
@@ -498,8 +499,8 @@ class TestBuildPredictEval:
         store = wsd.load_store(tmp_path / "store.fwsd")
         model = lm.load_checkpoint(tmp_path / "model.fofe")
         model.config = dataclasses.replace(model.config, window_cap=1)
-        first = read_labeled_corpus(tmp_path / "train.tsv")[0]
-        (expected,) = lm.context_embeddings(model, [(first.tokens, first.target_index)])
+        first = instances_of(read_labeled_corpus(tmp_path / "train.tsv"))[0]
+        (expected,) = embed(model, [(first.tokens, first.target_index)])
         stored = store.pairs[first.lemma][0]
         assert np.allclose(stored, expected, atol=1e-6)
 

@@ -1,27 +1,22 @@
 import numpy as np
 import pytest
 
-from fofe_wsd.corpus import LabeledInstance
 from fofe_wsd.errors import DataError
 from fofe_wsd.evaluation import render_report, score
+from labeled import corpus_of
 
 
 def _gold(instance_id, lemma, senses):
-    return LabeledInstance(
-        instance_id=instance_id,
-        tokens=["the", lemma],
-        target_index=1,
-        lemma=lemma,
-        sense_keys=frozenset(senses),
-    )
+    return instance_id, ["the", lemma], 1, lemma, senses
 
 
-GOLD4 = [
+GOLD4_ROWS = [
     _gold("i1", "bank", {"bank%1"}),
     _gold("i2", "bank", {"bank%2"}),
     _gold("i3", "rose", {"rose%1"}),
     _gold("i4", "rose", {"rose%2"}),
 ]
+GOLD4 = corpus_of(GOLD4_ROWS)
 
 
 class TestScore:
@@ -40,7 +35,7 @@ class TestScore:
         assert report.micro_f1 == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_multi_gold_membership(self):
-        gold = [_gold("i1", "w", {"s1", "s2"})]
+        gold = corpus_of([_gold("i1", "w", {"s1", "s2"})])
         assert score({"i1": "s2"}, gold).correct == 1
         assert score({"i1": "s3"}, gold).correct == 0
 
@@ -56,19 +51,19 @@ class TestScore:
 
     def test_full_coverage_collapses_to_accuracy(self):
         rng = np.random.default_rng(0)
-        gold = [_gold(f"i{j}", f"w{j % 3}", {f"s{j}"}) for j in range(30)]
+        rows = [_gold(f"i{j}", f"w{j % 3}", {f"s{j}"}) for j in range(30)]
         preds = {
-            g.instance_id: (next(iter(g.sense_keys)) if rng.random() < 0.6 else "wrong")
-            for g in gold
+            instance_id: (next(iter(senses)) if rng.random() < 0.6 else "wrong")
+            for instance_id, *_, senses in rows
         }
-        report = score(preds, gold)
-        accuracy = report.correct / len(gold)
+        report = score(preds, corpus_of(rows))
+        accuracy = report.correct / len(rows)
         assert report.precision == report.recall == report.micro_f1 == accuracy
 
     def test_order_invariance(self):
         preds = {"i1": "bank%1", "i3": "rose%1"}
         a = score(preds, GOLD4)
-        b = score(preds, GOLD4[::-1])
+        b = score(preds, corpus_of(GOLD4_ROWS[::-1]))
         assert (a.precision, a.recall, a.micro_f1) == (b.precision, b.recall, b.micro_f1)
 
     def test_per_lemma_sums_to_global(self):

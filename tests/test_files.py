@@ -7,11 +7,12 @@ import pytest
 
 import fofe_wsd
 from fofe_wsd._files import checksum, read_lines, write_file
-from fofe_wsd.corpus import LabeledInstance, SenseInventory, read_labeled_corpus
+from fofe_wsd.corpus import SenseInventory, read_labeled_corpus
 from fofe_wsd.errors import DataError
 from fofe_wsd.fofe import FofeConfig
 from fofe_wsd.lm import LmConfig, LmModel, load_checkpoint, save_checkpoint, train_lm
 from fofe_wsd.wsd import ClassifierStore, build_classifier_store, load_store, save_store, write_predictions
+from labeled import corpus_of, instances_of
 
 FILE_CALLS = {"open", "read_bytes", "read_text", "write_bytes", "write_text"}
 
@@ -46,7 +47,7 @@ class TestReadLines:
         labeled = tmp_path / "train.tsv"
         labeled.write_text(f"t1\t{sentence}\t1\tteller\tteller%1\n", encoding="utf-8")
         assert list(read_lines(corpus, "corpus")) == [sentence]
-        assert read_labeled_corpus(labeled)[0].tokens == sentence.split()
+        assert instances_of(read_labeled_corpus(labeled))[0].tokens == sentence.split()
 
 
 class TestWriteFile:
@@ -168,12 +169,12 @@ class TestSingleBitFlips:
 
     def test_every_store_bit(self, tiny_model, tmp_path):
         words = tiny_model.vocab.tokens[1:7]
-        instances = [
-            LabeledInstance(f"t{i}", words[i:], 1, lemma, frozenset(senses))
+        instances = corpus_of(
+            (f"t{i}", words[i:], 1, lemma, senses)
             for i, (lemma, senses) in enumerate(
                 [("bank", ["bank%1"]), ("bank", ["bank%1", "bank%2"]), ("rose", ["rose%1"])]
             )
-        ]
+        )
         path = tmp_path / "s.fwsd"
         inventory = SenseInventory({"bank": ["bank%1", "bank%2"], "rose": ["rose%1"]})
         save_store(build_classifier_store(tiny_model, instances, inventory), path)
@@ -186,11 +187,11 @@ def small_containers(tmp_path_factory):
     """(bytes, loader) of a checkpoint and a store of a few hundred bytes each."""
     config = LmConfig(fofe=FofeConfig(alpha=0.7, order=1), embed_dim=2, hidden_dims=(3,), epochs=1)
     model = train_lm(["the bank lent money", "the river bank flooded", "money in the river"], config)
-    instances = [
-        LabeledInstance("t1", ["the", "bank", "lent"], 1, "bank", frozenset(["bank%1"])),
-        LabeledInstance("t2", ["river", "bank", "flooded"], 1, "bank", frozenset(["bank%2"])),
-        LabeledInstance("t3", ["the", "river"], 1, "river", frozenset(["river%1", "river%2"])),
-    ]
+    instances = corpus_of([
+        ("t1", ["the", "bank", "lent"], 1, "bank", ["bank%1"]),
+        ("t2", ["river", "bank", "flooded"], 1, "bank", ["bank%2"]),
+        ("t3", ["the", "river"], 1, "river", ["river%1", "river%2"]),
+    ])
     inventory = SenseInventory({"bank": ["bank%1", "bank%2"], "river": ["river%1", "river%2"]})
     path = tmp_path_factory.mktemp("small") / "c.bin"
     save_checkpoint(model, path)

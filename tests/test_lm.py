@@ -24,6 +24,7 @@ from fofe_wsd.lm import (
     train_lm,
     training_examples,
 )
+from labeled import embed
 
 
 class TestMakeTrainingExamples:
@@ -122,7 +123,7 @@ class TestTrainLm:
 
 def embed_one(model, tokens, target_index):
     """The embedding of one context, through ``context_embeddings``."""
-    (embedding,) = context_embeddings(model, [(tokens, target_index)])
+    (embedding,) = embed(model, [(tokens, target_index)])
     return embedding
 
 
@@ -197,12 +198,12 @@ class TestContextEmbedding:
             tokens = [words[int(i)] for i in rng.integers(0, len(words), length)]
             contexts.append((tokens, int(rng.integers(0, length))))
 
-        embeddings = context_embeddings(model, contexts)
+        embeddings = embed(model, contexts)
         dim, dtype = model.config.held_out_dim, model.params.flat.dtype
         assert embeddings.shape == (count, dim) and embeddings.dtype == dtype
         chunks = -(-count // 3)
         assert calls == ["encode_contexts", "held_out"] * chunks
-        none = context_embeddings(model, [])
+        none = embed(model, [])
         assert none.shape == (0, dim) and none.dtype == dtype and len(calls) == 2 * chunks
         for start in range(0, count, 3):
             codes = np.stack([
@@ -213,7 +214,21 @@ class TestContextEmbedding:
             for got, want in zip(embeddings[start : start + 3], expected, strict=True):
                 assert got.tobytes() == want.tobytes()
         narrow = LmModel(model.vocab, model.config, model.params.astype(np.float32))
-        assert context_embeddings(narrow, contexts).dtype == np.float32  # the parameters' dtype
+        assert embed(narrow, contexts).dtype == np.float32  # the parameters' dtype
+
+    def test_contexts_index_one_token_array(self, tiny_model, monkeypatch):
+        # contexts picked out of one array of sentences, out of order and repeated,
+        # embed as the same contexts laid out back to back
+        monkeypatch.setattr(lm, "_EMBED_BATCH", 3)
+        rng = np.random.default_rng(2)
+        words = tiny_model.vocab.tokens[1:] + ["qqqqq"]
+        sentences = [[words[int(i)] for i in rng.integers(0, len(words), n)] for n in (4, 1, 7, 3)]
+        ids = np.array([tiny_model.vocab.lookup(w) for sentence in sentences for w in sentence], dtype=np.intp)
+        lengths = np.array([len(sentence) for sentence in sentences])
+        rows, positions = np.array([2, 0, 2, 3, 1, 0]), np.array([6, 3, 0, 1, 0, 0])
+        got = context_embeddings(tiny_model, ids, (np.cumsum(lengths) - lengths)[rows], lengths[rows], positions)
+        want = embed(tiny_model, [(sentences[r], p) for r, p in zip(rows, positions)])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestLongSentenceMemory:
@@ -246,7 +261,7 @@ class TestLongSentenceMemory:
         vocab, config, contexts = inputs
         params = nn.init_network(config.layer_dims(len(vocab)), 0, (len(vocab), config.embed_dim))
         model = LmModel(vocab, config, params)
-        assert self.peak_bytes(lambda: context_embeddings(model, contexts)) < 13e6
+        assert self.peak_bytes(lambda: embed(model, contexts)) < 13e6
 
     def test_train_step_of_one_batch(self, inputs):
         vocab, config, contexts = inputs

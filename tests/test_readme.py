@@ -15,4 +15,4 @@ def test_library_snippet_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(snippet, str(README), "exec"), {})
     printed = [line.split(" ")[0] for line in capsys.readouterr().out.splitlines()]
-    assert printed == [inst.instance_id for inst in read_labeled_corpus(tmp_path / "test.tsv")]
+    assert printed == read_labeled_corpus(tmp_path / "test.tsv").ids

@@ -12,9 +12,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from fofe_wsd import lm, wsd
 from fofe_wsd._files import checksum, container, put_floats, put_str, put_u32, write_file
-from fofe_wsd.corpus import LabeledInstance, SenseInventory
+from fofe_wsd.corpus import UNK_TOKEN, SenseInventory, Vocabulary
 from fofe_wsd.errors import DataError
-from fofe_wsd.lm import context_embeddings
 from fofe_wsd.wsd import (
     ClassifierConfig,
     ClassifierStore,
@@ -29,6 +28,7 @@ from fofe_wsd.wsd import (
     save_store,
     write_predictions,
 )
+from labeled import Instance, corpus_of, embed
 
 
 def _store(dim, lemma_pairs):
@@ -51,13 +51,12 @@ def _senses(store):
 
 
 def _instance(instance_id, tokens, target, lemma, senses):
-    return LabeledInstance(
-        instance_id=instance_id,
-        tokens=tokens,
-        target_index=target,
-        lemma=lemma,
-        sense_keys=frozenset(senses),
-    )
+    return Instance(instance_id, list(tokens), target, lemma, frozenset(senses))
+
+
+def _corpus(instances):
+    """The instances as ``read_labeled_corpus`` reads them from a file."""
+    return corpus_of((i.instance_id, i.tokens, i.target_index, i.lemma, i.sense_keys) for i in instances)
 
 
 class TestBuildClassifierStore:
@@ -67,21 +66,21 @@ class TestBuildClassifierStore:
             _instance("i1", words, 2, "bank", {"bank%1"}),
             _instance("i2", words[::-1], 1, "bank", {"bank%2"}),
         ]
-        store = build_classifier_store(tiny_model, instances, SenseInventory({"bank": ["bank%1", "bank%2"]}))
+        store = build_classifier_store(tiny_model, _corpus(instances), SenseInventory({"bank": ["bank%1", "bank%2"]}))
         assert list(store.pairs) == ["bank"]
         assert store.pairs["bank"].shape == (2, tiny_model.config.hidden_dims[-1])
         assert _senses(store)["bank"] == ["bank%1", "bank%2"]
         contexts = [(inst.tokens, inst.target_index) for inst in instances]
-        assert_array_equal(store.pairs["bank"], context_embeddings(tiny_model, contexts))
+        assert_array_equal(store.pairs["bank"], embed(tiny_model, contexts))
 
     def test_empty_instances(self, tiny_model):
-        store = build_classifier_store(tiny_model, [], SenseInventory({}))
+        store = build_classifier_store(tiny_model, _corpus([]), SenseInventory({}))
         assert store.pairs == {}
 
     def test_multi_gold_shares_one_embedding(self, tiny_model):
         words = tiny_model.vocab.tokens[1:5]
         store = build_classifier_store(
-            tiny_model, [_instance("i1", words, 1, "w", {"w%2", "w%1"})], SenseInventory({"w": ["w%1", "w%2"]})
+            tiny_model, _corpus([_instance("i1", words, 1, "w", {"w%2", "w%1"})]), SenseInventory({"w": ["w%1", "w%2"]})
         )
         assert _senses(store)["w"] == ["w%1", "w%2"]  # sorted key order
         assert_array_equal(store.pairs["w"][0], store.pairs["w"][1])
@@ -99,7 +98,7 @@ class TestBuildClassifierStore:
             for n, (lemma, gold) in enumerate(zip(lemmas, golds))
         ]
         inventory = SenseInventory({"a": ["a%1", "a%2"], "b": ["b%1", "b%2"]})
-        store = build_classifier_store(tiny_model, instances, inventory)
+        store = build_classifier_store(tiny_model, _corpus(instances), inventory)
         assert list(store.pairs) == list(store.keys) == list(store.codes) == ["b", "a"]  # first-use order
         assert store.keys == {"b": ["b%1", "b%2"], "a": ["a%2", "a%1"]}
         assert {lemma: codes.tolist() for lemma, codes in store.codes.items()} == {"b": [0, 1, 0], "a": [0, 1, 1, 0]}
@@ -108,7 +107,7 @@ class TestBuildClassifierStore:
         order = [instances[n] for n in (0, 2, 4, 1, 3, 5, 5)]
         rows = np.concatenate([store.pairs["b"], store.pairs["a"]])
         for row, inst in zip(rows, order, strict=True):
-            assert_allclose(row, context_embeddings(tiny_model, [(inst.tokens, inst.target_index)])[0], atol=1e-12)
+            assert_allclose(row, embed(tiny_model, [(inst.tokens, inst.target_index)])[0], atol=1e-12)
         assert store.pairs["b"].base is store.pairs["a"].base is not None
         assert store.pairs["a"][2].tobytes() == store.pairs["a"][3].tobytes()
 
@@ -128,8 +127,8 @@ class TestBuildClassifierStore:
 
         monkeypatch.setattr(wsd, "context_embeddings", no_embedding)
         with pytest.raises(DataError, match=r"unknown lemma .*: i3, i5$"):
-            build_classifier_store(tiny_model, instances, inventory)
-        listed_lemmas = [inst for inst in instances if inst.lemma == "bank"]
+            build_classifier_store(tiny_model, _corpus(instances), inventory)
+        listed_lemmas = _corpus(inst for inst in instances if inst.lemma == "bank")
         with pytest.raises(DataError, match=r"not listed .*: i2 \(bank%8, bank%9\), i4 \(bank%7\)$"):
             build_classifier_store(tiny_model, listed_lemmas, inventory)
 
@@ -349,36 +348,36 @@ class TestPredictCosine:
 class TestPredictWithBackoff:
     def test_knn_path_when_pairs_exist(self, tiny_model):
         words = tiny_model.vocab.tokens[1:6]
-        train = [_instance("t1", words, 2, "bank", {"bank%1"})]
+        train = _corpus([_instance("t1", words, 2, "bank", {"bank%1"})])
         inv = SenseInventory(entries={"bank": ["bank%2", "bank%1"]})
         store = build_classifier_store(tiny_model, train, inv)
-        test = _instance("q1", words, 2, "bank", {"bank%1"})
-        assert predict_all(store, inv, tiny_model, ClassifierConfig(), [test]) == ["bank%1"]
+        test = _corpus([_instance("q1", words, 2, "bank", {"bank%1"})])
+        assert predict_all(store, inv, tiny_model, ClassifierConfig(), test) == ["bank%1"]
 
     def test_backoff_to_first_sense(self, tiny_model):
         inv = SenseInventory(entries={"bank": ["bank%1", "bank%2"]})
         store = ClassifierStore(dim=tiny_model.config.hidden_dims[-1])
-        test = _instance("q1", tiny_model.vocab.tokens[1:4], 1, "bank", {"bank%2"})
-        assert predict_all(store, inv, tiny_model, ClassifierConfig(), [test]) == ["bank%1"]
+        test = _corpus([_instance("q1", tiny_model.vocab.tokens[1:4], 1, "bank", {"bank%2"})])
+        assert predict_all(store, inv, tiny_model, ClassifierConfig(), test) == ["bank%1"]
 
     def test_unknown_lemma_everywhere(self, tiny_model):
         inv = SenseInventory(entries={})
         store = ClassifierStore(dim=tiny_model.config.hidden_dims[-1])
-        test = _instance("q1", tiny_model.vocab.tokens[1:4], 1, "ghost", {"g%1"})
+        test = _corpus([_instance("q1", tiny_model.vocab.tokens[1:4], 1, "ghost", {"g%1"})])
         with pytest.raises(DataError, match="unknown lemma"):
-            predict_all(store, inv, tiny_model, ClassifierConfig(), [test])
+            predict_all(store, inv, tiny_model, ClassifierConfig(), test)
 
     def test_lemma_in_store_but_not_inventory(self, tiny_model, monkeypatch):
         words = tiny_model.vocab.tokens[1:6]
         store = build_classifier_store(
-            tiny_model, [_instance("t1", words, 2, "bank", {"bank%1"})], SenseInventory({"bank": ["bank%1"]})
+            tiny_model, _corpus([_instance("t1", words, 2, "bank", {"bank%1"})]), SenseInventory({"bank": ["bank%1"]})
         )
         inv = SenseInventory(entries={"rose": ["rose%1"]})
-        test = [
+        test = _corpus([
             _instance("q1", words, 2, "bank", {"bank%1"}),
             _instance("q2", words, 1, "rose", {"rose%1"}),
             _instance("q3", words, 3, "bank", {"bank%1"}),
-        ]
+        ])
 
         def no_embedding(*args):
             raise AssertionError("embedded before the lemma check")
@@ -395,7 +394,7 @@ class TestPredictWithBackoff:
             _instance("t3", words[1:7], 0, "rose", {"rose%1"}),
         ]
         inv = SenseInventory(entries={"bank": ["bank%2", "bank%1"], "rose": ["rose%1"], "oak": ["oak%3"]})
-        store = build_classifier_store(tiny_model, train, inv)
+        store = build_classifier_store(tiny_model, _corpus(train), inv)
         cfg = ClassifierConfig(k=1)
         test = [
             _instance("q1", words[:4], 1, "oak", {"oak%3"}),
@@ -408,39 +407,42 @@ class TestPredictWithBackoff:
                 store,
                 cfg,
                 inst.lemma,
-                context_embeddings(tiny_model, [(inst.tokens, inst.target_index)])[0],
+                embed(tiny_model, [(inst.tokens, inst.target_index)])[0],
                 inv,
             )
             if inst.lemma in store
             else inv.first_sense(inst.lemma)
             for inst in test
         ]
-        assert predict_all(store, inv, tiny_model, cfg, test) == expected
-        assert predict_all(store, inv, tiny_model, cfg, []) == []
+        assert predict_all(store, inv, tiny_model, cfg, _corpus(test)) == expected
+        assert predict_all(store, inv, tiny_model, cfg, _corpus([])) == []
 
 
 def _fed_queries(monkeypatch, store, queries):
     """A stand-in model; instance ``q{i}`` embeds to ``queries[i]``.
 
-    The instance's one token is ``i``, and ``wsd.context_embeddings`` is
-    replaced by a lookup of it.
+    The instance's one token is ``i``, whose model id is ``i + 1``, and
+    ``wsd.context_embeddings`` is replaced by a lookup of it.
     """
 
-    def lookup(model, contexts):
-        return np.array([queries[int(t[0])] for t, _ in contexts], dtype=float).reshape(len(contexts), store.dim)
+    def lookup(model, tokens, starts, lengths, positions):
+        rows = [queries[i - 1] for i in tokens[starts + positions].tolist()]
+        return np.array(rows, dtype=float).reshape(len(positions), store.dim)
 
     monkeypatch.setattr(wsd, "context_embeddings", lookup)
-    return SimpleNamespace(config=SimpleNamespace(held_out_dim=store.dim))
+    vocab = Vocabulary.from_tokens([UNK_TOKEN, *map(str, range(len(queries)))])
+    return SimpleNamespace(vocab=vocab, config=SimpleNamespace(held_out_dim=store.dim))
 
 
 def _query_instances(lemmas):
-    return [_instance(f"q{i}", (str(i),), 0, lemma, {"x"}) for i, lemma in enumerate(lemmas)]
+    return _corpus(_instance(f"q{i}", (str(i),), 0, lemma, {"x"}) for i, lemma in enumerate(lemmas))
 
 
-def _oracle(store, inv, cfg, instances, queries):
+def _oracle(store, inv, cfg, corpus, queries):
+    lemmas = [corpus.lemmas[code] for code in corpus.lemma_codes]
     return [
-        predict_knn(store, cfg, inst.lemma, queries[i], inv) if inst.lemma in store else inv.first_sense(inst.lemma)
-        for i, inst in enumerate(instances)
+        predict_knn(store, cfg, lemma, queries[i], inv) if lemma in store else inv.first_sense(lemma)
+        for i, lemma in enumerate(lemmas)
     ]
 
 
@@ -512,7 +514,7 @@ class TestPredictAllEqualsOracle:
             calls.clear()
             got = predict_all(store, inv, model, ClassifierConfig(k=k), instances)
             assert got == _oracle(store, inv, ClassifierConfig(k=k), instances, queries)
-            queried += sum(inst.lemma in store for inst in instances)
+            queried += sum(lemma in store for lemma in lemmas)
             fell_back += len(calls)
         # ties are common here, but most queries still take the batched path
         assert 0 < fell_back < queried / 2
@@ -533,7 +535,7 @@ class TestPredictAllEqualsOracle:
         assert predict_all(store, inv, model, cfg, instances) == expected
         # each fallback to predict_knn adds a one-row call
         assert len(blocks) - len(calls) > len(store.pairs)
-        assert sum(blocks) - len(calls) == sum(inst.lemma in store for inst in instances)
+        assert sum(blocks) - len(calls) == sum(lemma in store for lemma in lemmas)
         assert max(blocks) == max(1, budget // min(map(len, store.pairs.values())))
 
     def test_zero_rows_and_zero_query(self, monkeypatch):
