@@ -8,12 +8,11 @@ training log included; no other module opens a file.
 * The binary container (checkpoint and store) is little-endian: a 4-byte
   magic, a u32 format version, the body (u32 counts, dims and blocks, f64
   scalars, u32-length-prefixed UTF-8 strings, f32 row-major values), then
-  a u64 checksum of everything before it: its CRC32 from format version 2
-  on, its byte sum mod 2**64 in version 1, which is read but never
-  written. A tensor is read into an array of the shape the reader expects,
-  and its stored rank and dims are checked against that shape before any
-  value is read. A non-finite f32 value makes the file corrupt, and a
-  writer raises ``DataError`` before writing one.
+  the u64 CRC32 of everything before it. A reader takes one format version
+  and refuses any other. A tensor is read into an array of the shape the
+  reader expects, and its stored rank and dims are checked against that
+  shape before any value is read. A non-finite f32 value makes the file
+  corrupt, and a writer raises ``DataError`` before writing one.
 
 Read and write failures raise ``DataError`` naming the path.
 """
@@ -74,10 +73,8 @@ def write_file(path: str | Path, data: str | bytes | bytearray) -> None:
             os.remove(tmp)
 
 
-def checksum(buf: bytes | bytearray | memoryview, version: int = 2) -> int:
-    """The trailer of a container of format ``version`` holding ``buf``: CRC32, or the v1 byte sum."""
-    if version == 1:
-        return int(np.frombuffer(buf, dtype=np.uint8).sum(dtype=np.uint64))
+def checksum(buf: bytes | bytearray | memoryview) -> int:
+    """The trailer of a container holding ``buf``: its CRC32."""
     return zlib.crc32(buf)
 
 
@@ -129,11 +126,10 @@ class Reader:
 
     def __init__(self, buf: bytes, what: str, path: str | Path):
         self.buf, self.pos, self.what, self.path = memoryview(buf), 0, what, path
-        self.version = 0  # the format version, which ``open`` reads
 
     @classmethod
-    def open(cls, path: str | Path, what: str, magic: bytes, versions: tuple[int, ...]) -> "Reader":
-        """Read ``path`` whole and check its magic and that its format version is one of ``versions``."""
+    def open(cls, path: str | Path, what: str, magic: bytes, version: int) -> "Reader":
+        """Read ``path`` whole and check its magic and that its format version is ``version``."""
         try:
             buf = Path(path).read_bytes()
         except (OSError, ValueError) as exc:
@@ -141,9 +137,9 @@ class Reader:
         rd = cls(buf, what, path)
         if rd.take(len(magic)) != magic:
             raise DataError(f"incompatible {what}: {path} (bad magic)")
-        rd.version = rd.u32()
-        if rd.version not in versions:
-            raise DataError(f"incompatible {what}: {path} (version {rd.version})")
+        found = rd.u32()
+        if found != version:
+            raise DataError(f"incompatible {what}: {path} (version {found})")
         return rd
 
     def corrupt(self, detail: str) -> DataError:
@@ -199,7 +195,7 @@ class Reader:
 
     def close(self) -> None:
         """Check the trailing checksum and that nothing follows it."""
-        summed = checksum(self.buf[: self.pos], self.version)
+        summed = checksum(self.buf[: self.pos])
         stored = struct.unpack("<Q", self.take(8))[0]
         if self.pos != len(self.buf):
             raise self.corrupt("trailing bytes")

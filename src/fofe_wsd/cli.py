@@ -132,7 +132,10 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     tokens = tokenize_line(args.tokens)
     vocabulary = sorted(set(tokens))
     ids = [vocabulary.index(t) for t in tokens]
-    code = fofe.encode_order(ids, cfg, len(vocabulary), args.direction)
+    try:
+        code = fofe.encode_order(ids, cfg, len(vocabulary), args.direction)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        raise UsageError(f"cannot allocate a code of order {cfg.order:,}") from exc
     print(" ".join(f"{v:.12g}" for v in code))
     return 0
 

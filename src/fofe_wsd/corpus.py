@@ -41,7 +41,6 @@ class Vocabulary:
 
     tokens: list[str]
     index: dict[str, int] = field(repr=False)
-    unk_id: int = UNK_ID
 
     @classmethod
     def from_tokens(cls, tokens: list[str]) -> "Vocabulary":
@@ -55,12 +54,9 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def lookup(self, token: str) -> int:
-        """Id of ``token``, or the unknown id when absent."""
-        return self.index.get(token, self.unk_id)
-
     def encode(self, tokens: Iterable[str]) -> list[int]:
-        return [self.index.get(t, self.unk_id) for t in tokens]
+        """The id of each token, ``UNK_ID`` for one not in the vocabulary."""
+        return [self.index.get(t, UNK_ID) for t in tokens]
 
 
 def build_vocabulary(corpus: Iterable[str], max_size: int) -> Vocabulary:

@@ -127,9 +127,11 @@ def context_ids(
     if np.minimum.reduce(sides, initial=0) < 0:  # only for a position outside its sentence
         i = int(sides.argmin()) % len(positions)
         raise ValueError(f"target index {positions[i]} out of range for {lengths[i]} tokens")
-    if window_cap > 0:
+    longest = int(np.maximum.reduce(sides, initial=0))
+    if 0 < window_cap < longest:  # a wider cap keeps every token, and may not fit an intp
         np.minimum(sides, window_cap, out=sides)
-    width = max(order, int(np.maximum.reduce(sides, initial=0)))
+        longest = window_cap
+    width = max(order, longest)
     distance = np.arange(width, 0, -1)  # column c is this many tokens from the target
     at = ((starts + positions)[:, None] + _SIDES * distance).reshape(len(sides), width)
     return np.where(distance <= sides[:, None], tokens.take(at, mode="clip"), -1)

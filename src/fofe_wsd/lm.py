@@ -20,9 +20,8 @@ plus length-prefixed UTF-8 tokens in id order, then the parameter tensors in
 ``NetworkParams.tensors()`` order (embedding, then each layer's weight and
 bias) as f32 row-major arrays each preceded by its u32 rank and dims. A
 trained model's float64 tensors hold float32 values, so they are stored
-exactly; other float64 values are rounded to the nearest f32. A version 1
-checkpoint holds the same body under a byte-sum checksum; it still loads,
-because training is costly to redo, but is never written.
+exactly; other float64 values are rounded to the nearest f32. Any other
+version, such as version 1 with its byte-sum checksum, is incompatible.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .errors import DataError, NumericalError, UsageError
 
 CHECKPOINT_MAGIC = b"FOFE"
 CHECKPOINT_VERSION = 2
-_READ_VERSIONS = (1, CHECKPOINT_VERSION)  # version 1 differs only in its checksum
 _EMBED_BATCH = 256  # contexts per FOFE layer call in ``context_embeddings``
 _TRAIN_DTYPE = np.float32  # training arithmetic: the precision the checkpoint keeps
 # The LmConfig fields a trained model fixes; the others are run settings.
@@ -209,7 +207,7 @@ def train_lm(
             params = nn.init_network(
                 config.layer_dims(len(vocab)), init_seed, (len(vocab), config.embed_dim), _TRAIN_DTYPE
             )
-        except MemoryError as exc:
+        except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
             count = config.parameter_count(len(vocab))
             raise UsageError(f"cannot allocate a network of {count:,} parameters") from exc
         model = LmModel(vocab=vocab, config=config, params=params)
@@ -281,7 +279,7 @@ def save_checkpoint(model: LmModel, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> LmModel:
     """Read a checkpoint; the file is self-describing (vocab and dims included)."""
-    rd = Reader.open(path, "checkpoint", CHECKPOINT_MAGIC, _READ_VERSIONS)
+    rd = Reader.open(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     alpha = rd.f64()
     order = rd.u32()
     dims = [rd.u32() for _ in range(rd.u32())]

@@ -94,19 +94,13 @@ class NetworkParams:
         """A copy with every tensor in ``dtype``."""
         return NetworkParams(self.flat.astype(dtype), self.layout)
 
-    @property
-    def layer_dims(self) -> list[int]:
-        if not self.layers:
-            return []
-        return [self.layers[0][0].shape[0]] + [w.shape[1] for w, _ in self.layers]
-
 
 @dataclass
 class ForwardTrace:
     """Per-layer pre-activations and activations of one forward pass.
 
-    ``activations[0]`` is the input, ``activations[-1]`` the logits; the
-    held-out layer is the activation of the second-last layer.
+    ``activations[0]`` is the input, ``activations[-1]`` the logits and
+    ``activations[-2]`` the held-out layer's activation.
     """
 
     activations: list[np.ndarray]
@@ -115,10 +109,6 @@ class ForwardTrace:
     @property
     def logits(self) -> np.ndarray:
         return self.activations[-1]
-
-    @property
-    def held_out(self) -> np.ndarray:
-        return self.activations[-2]
 
 
 class Gradients(NetworkParams):
@@ -180,7 +170,7 @@ def forward(params: NetworkParams, x: np.ndarray) -> ForwardTrace:
 
 
 def held_out(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """``forward(params, x).held_out`` without evaluating the output layer."""
+    """``forward(params, x).activations[-2]`` without evaluating the output layer."""
     a = _network_input(params, x)
     for w, b in params.layers[:-1]:
         a = np.maximum(a @ w + b, 0.0)

@@ -397,7 +397,7 @@ def save_store(store: ClassifierStore, path: str | Path) -> None:
 
 
 def load_store(path: str | Path) -> ClassifierStore:
-    rd = Reader.open(path, "classifier store", STORE_MAGIC, (STORE_VERSION,))
+    rd = Reader.open(path, "classifier store", STORE_MAGIC, STORE_VERSION)
     dim = rd.u32()
     store = ClassifierStore(dim=dim)
     for _ in range(rd.u32()):

@@ -95,6 +95,13 @@ class TestEncode:
     def test_unknown_flag(self, capsys):
         assert main(["encode", "--tokens", "a", "--bogus", "x"]) == 1
 
+    def test_order_too_large_to_allocate_exits_1(self, capsys):
+        # the layout of 2**62 columns is beyond numpy's size limit, so nothing is allocated
+        assert main(["encode", "--tokens", "a b", "--order", str(2**62)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: cannot allocate a code of order [\d,]+$", err, re.M)
+        assert "Traceback" not in err
+
 
 class TestConfigHandling:
     def test_unknown_key_is_usage_error(self, tmp_path, capsys):
@@ -287,13 +294,17 @@ class TestTrainCommand:
             pytest.param(["--hidden-dims", "100000000000", "--embed-dim", "1000"], id="hidden-dims"),
             pytest.param(["--embed-dim", "1000000000000"], id="embed-dim"),
             pytest.param(["--order", "100000000000", "--embed-dim", "1000", "--epochs", "1"], id="order"),
+            pytest.param(["--embed-dim", str(2**62)], id="embed-dim-beyond-numpy"),
+            pytest.param(["--hidden-dims", f"{2**40},{2**40}"], id="hidden-dims-beyond-numpy"),
+            pytest.param(["--order", str(2**62), "--epochs", "1"], id="order-beyond-numpy"),
         ],
     )
     def test_network_too_large_to_allocate_exits_1(self, workspace, capsys, flags):
-        # Each case's first large tensor (the first weight, the embedding of
-        # about 30 rows, the first weight) is over 2**47 bytes, more than a
-        # process can address, so it fails at once under any overcommit
-        # policy: nothing is allocated.
+        # Each of the first three cases' first large tensor (the first weight,
+        # the embedding of about 30 rows, the first weight) is over 2**47
+        # bytes, more than a process can address, so it fails at once under
+        # any overcommit policy. The others' parameter count is beyond
+        # numpy's size limit, which it checks before allocating anything.
         tmp_path, config = workspace
         assert main(["train", "-c", str(config), *flags]) == 1
         err = capsys.readouterr().err
@@ -503,6 +514,31 @@ class TestBuildPredictEval:
         (expected,) = embed(model, [(first.tokens, first.target_index)])
         stored = store.pairs[first.lemma][0]
         assert np.allclose(stored, expected, atol=1e-6)
+
+    def test_window_cap_beyond_intp_keeps_every_token(self, workspace):
+        # a cap at or above the longest context is no cap, even one no intp holds
+        tmp_path, config = workspace
+        outputs = [tmp_path / name for name in ("model.fofe", "model.fofe.log", "store.fwsd", "pred.tsv")]
+        runs = []
+        for cap in ("0", str(2**63)):
+            for command in ("train", "build", "predict"):
+                assert main([command, "-c", str(config), "--window-cap", cap]) == 0
+            runs.append([path.read_bytes() for path in outputs])
+        assert runs[0] == runs[1]
+
+    def test_predict_version_1_checkpoint_exits_2(self, workspace, capsys):
+        # version 1, the byte-sum container, is refused like any other unknown version
+        tmp_path, config = workspace
+        assert main(["train", "-c", str(config), "--epochs", "0"]) == 0
+        assert main(["build", "-c", str(config)]) == 0
+        path = tmp_path / "model.fofe"
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (1).to_bytes(4, "little")
+        raw[-8:] = (sum(raw[:-8]) % 2**64).to_bytes(8, "little")  # the version 1 trailer
+        path.write_bytes(raw)
+        assert main(["predict", "-c", str(config)]) == 2
+        assert f"error: incompatible checkpoint: {path} (version 1)" in capsys.readouterr().err
+        assert not (tmp_path / "pred.tsv").exists()
 
 
 class TestUnwritableOutput:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fofe_wsd.corpus import (
+    UNK_ID,
     UNK_TOKEN,
     Vocabulary,
     build_vocabulary,
@@ -64,20 +65,19 @@ class TestBuildVocabulary:
 class TestLookup:
     def test_known_token(self):
         vocab = Vocabulary.from_tokens([UNK_TOKEN, "a", "b"])
-        assert vocab.lookup("a") == 1
+        assert vocab.encode(["a"]) == [1]
 
     def test_unknown_maps_to_unk(self):
         vocab = Vocabulary.from_tokens([UNK_TOKEN, "a", "b"])
-        assert vocab.lookup("zzz") == 0
+        assert vocab.encode(["zzz", "b", "A"]) == [UNK_ID, 2, UNK_ID]
 
     def test_case_folding_happens_upstream(self):
         vocab = Vocabulary.from_tokens([UNK_TOKEN, "a", "b"])
-        assert vocab.lookup(tokenize_line("A")[0]) == 1
+        assert vocab.encode(tokenize_line("A")) == [1]
 
     def test_roundtrip_every_token(self):
         vocab = build_vocabulary(["the bank rose over the river bank"], max_size=10)
-        for i, token in enumerate(vocab.tokens):
-            assert vocab.lookup(token) == i
+        assert vocab.encode(vocab.tokens) == list(range(len(vocab)))
 
 
 class TestReadLabeledCorpus:

@@ -98,10 +98,11 @@ class TestContainerChecks:
         path = tmp_path / "c.bin"
         load, what = save(tiny_model, path)
         raw = bytearray(path.read_bytes())
-        raw[4:8] = (7).to_bytes(4, "little")
-        path.write_bytes(raw)
-        with pytest.raises(DataError, match=rf"incompatible {what}: .* \(version 7\)"):
-            load(path)
+        for version in (1, 7):  # version 1, the byte-sum container, is read no more
+            raw[4:8] = version.to_bytes(4, "little")
+            path.write_bytes(raw)
+            with pytest.raises(DataError, match=rf"incompatible {what}: .* \(version {version}\)"):
+                load(path)
 
     def test_appended_byte_is_trailing_bytes(self, tiny_model, tmp_path, save):
         path = tmp_path / "c.bin"
@@ -208,7 +209,7 @@ class TestContainerFuzz:
         assert {n: o for n, o in outcomes.items() if o != "rejected"} == {}
 
     def test_byte_swaps_are_rejected_or_load_finite_values(self, small_containers, tmp_path, what):
-        # a swap keeps the byte sum of a v1 container, but CRC32 sees it
+        # a swap of two different bytes keeps their sum, but not the CRC32 trailer
         raw, load = small_containers[what]
         rng = np.random.default_rng(0)
         outcomes = {}

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from fofe_wsd import fofe, lm, nn, synthetic
 from fofe_wsd._files import checksum, container, put_f64, put_str, put_tensor, put_u32, write_file
-from fofe_wsd.corpus import UNK_TOKEN, Vocabulary
+from fofe_wsd.corpus import UNK_ID, UNK_TOKEN, Vocabulary
 from fofe_wsd.errors import DataError, NumericalError
 from fofe_wsd.fofe import context_code, context_ids
 from fofe_wsd.lm import (
@@ -138,7 +138,7 @@ class TestContextEmbedding:
         model = LmModel(
             vocab=tiny_model.vocab,
             config=cfg,
-            params=nn.NetworkParams.zeros(params.layer_dims, params.embedding.shape),
+            params=nn.NetworkParams.zeros(cfg.layer_dims(len(tiny_model.vocab)), params.embedding.shape),
         )
         assert_array_equal(embed_one(model, ["time", "year"], 0), np.zeros(cfg.hidden_dims[-1]))
 
@@ -151,8 +151,7 @@ class TestContextEmbedding:
     def test_unknown_words_are_interchangeable(self, tiny_model):
         base = ["time", "qqqqq", "way", "day"]
         swapped = ["time", "zzzzz", "way", "day"]
-        assert tiny_model.vocab.lookup("qqqqq") == 0
-        assert tiny_model.vocab.lookup("zzzzz") == 0
+        assert tiny_model.vocab.encode(["qqqqq", "zzzzz"]) == [UNK_ID, UNK_ID]
         assert_array_equal(
             embed_one(tiny_model, base, 2), embed_one(tiny_model, swapped, 2)
         )
@@ -223,7 +222,7 @@ class TestContextEmbedding:
         rng = np.random.default_rng(2)
         words = tiny_model.vocab.tokens[1:] + ["qqqqq"]
         sentences = [[words[int(i)] for i in rng.integers(0, len(words), n)] for n in (4, 1, 7, 3)]
-        ids = np.array([tiny_model.vocab.lookup(w) for sentence in sentences for w in sentence], dtype=np.intp)
+        ids = np.array([i for sentence in sentences for i in tiny_model.vocab.encode(sentence)], dtype=np.intp)
         lengths = np.array([len(sentence) for sentence in sentences])
         rows, positions = np.array([2, 0, 2, 3, 1, 0]), np.array([6, 3, 0, 1, 0, 0])
         got = context_embeddings(tiny_model, ids, (np.cumsum(lengths) - lengths)[rows], lengths[rows], positions)
@@ -281,9 +280,9 @@ class TestLongSentenceMemory:
         assert self.peak_bytes(step) < 3.3e6
 
 
-def write_checkpoint(model, path, tensors, dims=None, version=lm.CHECKPOINT_VERSION):
-    """A checkpoint of ``model`` that stores ``tensors`` (and ``dims``), with the checksum of its ``version``."""
-    out = container(lm.CHECKPOINT_MAGIC, version)
+def write_checkpoint(model, path, tensors, dims=None):
+    """A checkpoint of ``model`` that stores ``tensors`` (and ``dims``), with a valid checksum."""
+    out = container(lm.CHECKPOINT_MAGIC, lm.CHECKPOINT_VERSION)
     put_f64(out, model.config.fofe.alpha)
     put_u32(out, model.config.fofe.order)
     dims = dims or model.config.layer_dims(len(model.vocab))
@@ -293,7 +292,7 @@ def write_checkpoint(model, path, tensors, dims=None, version=lm.CHECKPOINT_VERS
         put_str(out, token)
     for tensor in tensors:
         put_tensor(out, tensor)
-    out += struct.pack("<Q", checksum(out, version))
+    out += struct.pack("<Q", checksum(out))
     write_file(path, out)
 
 
@@ -361,23 +360,6 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_checkpoint(tmp_path / "absent.fofe")
-
-    def test_version_1_checkpoint_still_loads(self, tiny_model, tmp_path):
-        path = tmp_path / "v1.fofe"
-        write_checkpoint(tiny_model, path, tiny_model.params.tensors(), version=1)
-        raw = path.read_bytes()
-        assert raw[4:8] == (1).to_bytes(4, "little")
-        assert raw[-8:] == (sum(raw[:-8]) % 2**64).to_bytes(8, "little")  # the byte sum
-        loaded = load_checkpoint(path)
-        assert loaded.vocab.tokens == tiny_model.vocab.tokens
-        for got, want in zip(loaded.params.tensors(), tiny_model.params.tensors(), strict=True):
-            assert_array_equal(got, want)
-        # the version picks the checksum: a v1 body under a v2 header fails it
-        raw = bytearray(raw)
-        raw[4:8] = (2).to_bytes(4, "little")
-        path.write_bytes(raw)
-        with pytest.raises(DataError, match="checksum mismatch"):
-            load_checkpoint(path)
 
     def test_saved_checkpoint_is_version_2_with_crc32(self, tiny_model, tmp_path):
         path = tmp_path / "m.fofe"

@@ -639,7 +639,7 @@ def _write_store(path, dim, lemma, keys, codes, rows, version=wsd.STORE_VERSION)
             put_str(out, key)
         put_u32(out, *codes)
         put_floats(out, rows)
-    out += struct.pack("<Q", checksum(out, version))
+    out += struct.pack("<Q", checksum(out))
     write_file(path, out)
 
 
