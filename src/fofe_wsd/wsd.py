@@ -10,13 +10,15 @@ group its instances by lemma with one stable sort of its lemma codes.
 
 Every distance comes from ``_cosine_distances`` and every vote from
 ``_vote``. ``predict_knn`` votes for one query. ``predict_all`` votes for a
-lemma's queries together: one product per block of queries, an exact top k
-by partition, and the same vote. A block may round a distance differently
-from a one-query product, and the partition sums a sense's distances in
-another order, each by far less than ``_CERTIFY_BOUND``. So a query whose
-k-th and (k+1)-th distances, or whose vote margin, are within that bound is
-recomputed with ``predict_knn``: the batched answers equal the per-query
-ones by construction.
+lemma's queries together: one product per block of queries (a whole lemma
+when it fits), the k-th and (k+1)-th distances by one ``np.partition``, and
+the same vote over each query's distances at or below its k-th. A block may
+round a distance differently from a one-query product, and the vote sums a
+sense's distances in column order rather than by distance, each by far less
+than ``_CERTIFY_BOUND``. So a query whose k-th and (k+1)-th distances, or
+whose vote margin, are within that bound is recomputed with
+``predict_knn``: the batched answers equal the per-query ones by
+construction.
 
 Store file format: a ``_files`` container (magic ``FWSD``, version 2, which
 frames and checksums it) whose body is embedding dim u32, lemma count u32,
@@ -48,10 +50,13 @@ STORE_MAGIC = b"FWSD"
 STORE_VERSION = 2
 # A batched kNN decision closer than this is recomputed per query.
 _CERTIFY_BOUND = 1e-12
-# Elements of one block of query-by-pair distances in ``predict_all``: 64 KiB
-# of float64. With 1 MiB blocks, repeated pipeline runs in one process grew
-# its peak RSS run by run (the freed blocks fragment the heap).
-_BLOCK_ELEMENTS = 1 << 13
+# Elements of one block of query-by-pair distances in ``predict_all``: 512 KiB
+# of float64, so a lemma of 300 pairs scores 150 queries in one block. Against
+# 64 KiB blocks, perfbench wsd-lemmas peak RSS read 59.96 -> 58.89, 60.18 ->
+# 58.86, 59.52 -> 59.16, 58.89 -> 59.08 and 58.57 -> 61.25 MB (seeds 1-5,
+# 2-vCPU host; median of seeds 1-10 59.74 -> 59.70 MB). Over 30 pipeline rounds
+# in one process, 128 KiB and 256 KiB blocks levelled off as high as 512 KiB.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class NoClassifierError(LookupError):
@@ -290,14 +295,19 @@ def _knn_lemma(
     for first in range(0, len(queries), per_block):
         block = queries[first : first + per_block]
         distances = _cosine_distances(block, vectors, norms)
-        order = np.argpartition(distances, min(k, len(vectors) - 1), axis=1)  # the k nearest, then the (k+1)-th
-        near = np.take_along_axis(distances, order[:, :k], axis=1)
-        winners, margins = _vote(codes[order[:, :k]], near, tie_order)
-        certified = margins > _CERTIFY_BOUND
         if k < len(vectors):
-            after = np.take_along_axis(distances, order[:, k : k + 1], axis=1)[:, 0]
-            certified &= after - near.max(axis=1) > _CERTIFY_BOUND
-        senses[first : first + len(block)] = winners
+            edge = np.partition(distances, k, axis=1)  # the k nearest first, then the (k+1)-th
+            kth = np.maximum.reduce(edge[:, :k], axis=1)
+            certified = edge[:, k] - kth > _CERTIFY_BOUND
+            # a certified row's k nearest are exactly its distances at or below its k-th; keep them in column order
+            near = np.flatnonzero(distances <= np.where(certified, kth, np.nan)[:, None])
+            neighbours, distances = codes[near % len(vectors)].reshape(-1, k), distances.take(near).reshape(-1, k)
+        else:  # every pair is a neighbour
+            neighbours, certified = np.broadcast_to(codes, distances.shape), np.ones(len(block), dtype=bool)
+        winners, margins = _vote(neighbours, distances, tie_order)
+        voted = np.flatnonzero(certified)
+        certified[voted] = margins > _CERTIFY_BOUND
+        senses[first + voted] = winners
         for i in np.flatnonzero(~certified):
             senses[first + i] = keys.index(predict_knn(store, cfg, lemma, block[i], inventory))
     return senses

@@ -560,6 +560,48 @@ class TestPredictAllEqualsOracle:
         assert predict_all(store, inv, model, ClassifierConfig(k=3), _query_instances(["w"])) == ["A"]
         assert calls == []
 
+    def test_non_finite_queries(self, monkeypatch):
+        # an inf component puts every pair at NaN distance; a NaN query sits at distance 1 from every pair
+        rows = [("A", (1.0, 0.0)), ("B", (0.0, 1.0)), ("A", (1.0, 0.2)), ("B", (0.1, 1.0)), ("A", (0.9, 0.1))]
+        store = _store(2, [("w", sense, vec) for sense, vec in rows])
+        inv = SenseInventory({"w": ["B", "A"]})
+        queries = [np.array([np.inf, 0.0]), np.array([1.0, np.nan]), np.array([-np.inf, np.inf]), np.array([1.0, 0.1])]
+        instances = _query_instances(["w"] * len(queries))
+        model = _fed_queries(monkeypatch, store, queries)
+        fell_back = []  # the query of each call of ``wsd.predict_knn``
+
+        def recorded(store, cfg, lemma, query, inventory=None):
+            fell_back.append(next(i for i, q in enumerate(queries) if np.array_equal(q, query, equal_nan=True)))
+            return predict_knn(store, cfg, lemma, query, inventory)
+
+        monkeypatch.setattr(wsd, "predict_knn", recorded)
+        for k in (2, 5, 9):  # below, at and beyond the pair count
+            cfg = ClassifierConfig(k=k)
+            fell_back.clear()
+            assert predict_all(store, inv, model, cfg, instances) == _oracle(store, inv, cfg, instances, queries)
+            assert {0, 2} <= set(fell_back)
+            # every distance of the NaN query is 1: a tie at the k-th below the pair count, a 3-2 vote at or beyond it
+            assert (1 in fell_back) == (k < len(rows))
+
+    def test_one_block_per_lemma_within_the_budget(self, monkeypatch):
+        # the benchmark's shape of lemma, 150 queries of 300 pairs, and a smaller lemma interleaved with it
+        rng = np.random.default_rng(11)
+        store = _store(8, [(lemma, f"{lemma}%{rng.integers(3)}", rng.normal(size=8)) for lemma in "w" * 300 + "v" * 40])
+        inv = SenseInventory({lemma: sorted(keys) for lemma, keys in store.keys.items()})
+        lemmas = rng.permutation(list("w" * 150 + "v" * 60)).tolist()
+        queries = _random_queries(rng, store, lemmas)
+        instances = _query_instances(lemmas)
+        model = _fed_queries(monkeypatch, store, queries)
+        cfg = ClassifierConfig(k=8)
+        expected = _oracle(store, inv, cfg, instances, queries)
+        assert 300 * 150 <= wsd._BLOCK_ELEMENTS
+        calls = _counted_knn(monkeypatch)
+        blocks = _recorded(monkeypatch, "_cosine_distances", lambda args, distances: len(args[0]))
+        assert predict_all(store, inv, model, cfg, instances) == expected
+        # one block per lemma; each fallback to predict_knn adds a one-row call
+        assert len(blocks) - len(calls) == 2
+        assert sorted(blocks, reverse=True)[:2] == [150, 60]
+
 
 class TestCertificate:
     """Near-ties go to ``predict_knn``; a clear vote stays on the batched path."""
