@@ -4,7 +4,7 @@ Settings come from a flat ``key = value`` config file (``-c``), overridden
 by command-line flags; unknown config keys are errors. Exit codes: 0
 success, 1 usage error, 2 data error, 3 numerical abort. The only
 environment variable is FOFE_WSD_LOG (debug/info/warning/error, any case)
-for log verbosity; any other value is a usage error.
+for log verbosity, read on each ``main`` call; any other is a usage error.
 """
 
 from __future__ import annotations
@@ -298,7 +298,8 @@ def main(argv: list[str] | None = None) -> int:
         level = os.environ.get("FOFE_WSD_LOG", "warning")
         if level.lower() not in _LOG_LEVELS:
             raise UsageError(f"FOFE_WSD_LOG must be one of {', '.join(_LOG_LEVELS)}, got {level!r}")
-        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
+        log.setLevel(level.upper())  # on every call: basicConfig acts only while the root logger has no handler
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help

@@ -8,10 +8,10 @@ layer) for a target occurrence is its context embedding; the output layer
 plays no further role. ``context_embeddings`` takes its contexts in the
 form ``training_examples`` gives: model-id arrays, not token strings.
 
-Training runs in float32, the precision the checkpoint keeps; ``train_lm``
-returns the trained parameters widened to float64, which is exact, so the
-model it returns holds the same floats as ``load_checkpoint`` of its
-checkpoint. Embedding and prediction run in float64.
+A model holds its parameters in float32, the precision the checkpoint
+keeps, whether ``train_lm`` trained them or ``load_checkpoint`` read them.
+``context_embeddings`` computes in float64: it widens the embedding table
+once, and numpy widens the float32 weights exactly inside its products.
 
 Checkpoint format: a ``_files`` container (magic ``FOFE``, version 2, which
 frames it and checksums it with CRC32) whose body is alpha f64, order u32,
@@ -19,9 +19,9 @@ layer dims as a u32 count plus u32 values, vocabulary as a u32 token count
 plus length-prefixed UTF-8 tokens in id order, then the parameter tensors in
 ``NetworkParams.tensors()`` order (embedding, then each layer's weight and
 bias) as f32 row-major arrays each preceded by its u32 rank and dims. A
-trained model's float64 tensors hold float32 values, so they are stored
-exactly; other float64 values are rounded to the nearest f32. Any other
-version, such as version 1 with its byte-sum checksum, is incompatible.
+model's float32 tensors are stored as they are; wider values from other
+callers are rounded to the nearest f32. Any other version, such as
+version 1 with its byte-sum checksum, is incompatible.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import DataError, NumericalError, UsageError
 CHECKPOINT_MAGIC = b"FOFE"
 CHECKPOINT_VERSION = 2
 _EMBED_BATCH = 256  # contexts per FOFE layer call in ``context_embeddings``
-_TRAIN_DTYPE = np.float32  # training arithmetic: the precision the checkpoint keeps
+_TRAIN_DTYPE = np.float32  # the parameters, in training and at rest: the precision the checkpoint keeps
 # The LmConfig fields a trained model fixes; the others are run settings.
 _ARCHITECTURE = ("fofe", "embed_dim", "hidden_dims", "max_vocab")
 
@@ -131,28 +131,29 @@ def training_examples(
 
 
 def context_embeddings(
-    model: LmModel, tokens: np.ndarray, starts: np.ndarray, lengths: np.ndarray, positions: np.ndarray
+    model: LmModel, tokens: np.ndarray, starts: np.ndarray, lengths: np.ndarray, positions: np.ndarray,
+    dtype: np.dtype | type = np.float64,
 ) -> np.ndarray:
     """Held-out-layer activations of the contexts given as in ``training_examples``, one row each.
 
     ``tokens`` holds model ids; context i is the sentence of ``lengths[i]``
     ids from ``starts[i]``, around the target at ``positions[i]``. Returns
-    a ``(len(positions), held_out_dim)`` matrix in the parameters' dtype.
-    The target word itself is excluded from the context, and the output
-    layer is not evaluated. The contexts go ``_EMBED_BATCH`` at a time
-    through the FOFE layer and one ``nn.held_out`` product, which bounds
-    the FOFE buffers held at once. A row may differ in its last bits from
-    a one-row product's.
+    a ``(len(positions), held_out_dim)`` matrix in ``dtype``. The target
+    word itself is excluded from the context, and the output layer is not
+    evaluated. The contexts go ``_EMBED_BATCH`` at a time through the FOFE
+    layer and one ``nn.held_out`` product, in float64, which bounds the FOFE
+    buffers held at once; each chunk is rounded into ``dtype`` as ``astype``
+    would. A row may differ in its last bits from a one-row product's.
     """
     cfg = model.config
-    embeddings = np.empty((len(positions), cfg.held_out_dim), dtype=model.params.flat.dtype)
+    table = model.params.embedding.astype(np.float64)
+    embeddings = np.empty((len(positions), cfg.held_out_dim), dtype=dtype)
     for first in range(0, len(positions), _EMBED_BATCH):
         chunk = slice(first, first + _EMBED_BATCH)
         layout = fofe.context_ids(
             tokens, starts[chunk], lengths[chunk], positions[chunk], cfg.fofe.order, cfg.window_cap
         )
-        codes = fofe.encode_contexts(layout, cfg.fofe, model.params.embedding)
-        embeddings[chunk] = nn.held_out(model.params, codes)
+        embeddings[chunk] = nn.held_out(model.params, fofe.encode_contexts(layout, cfg.fofe, table))
     return embeddings
 
 
@@ -195,9 +196,9 @@ def train_lm(
     architecture are kept, as in ``with_run_settings``; optimizer moments
     restart; its arrays are not changed). ``progress`` receives (epoch
     number, mean training loss) once per epoch. Training runs on float32
-    parameters, drawn straight into float32 or copied from ``model``; the
-    returned model holds them widened to float64. A network too large to
-    allocate is a ``UsageError``.
+    parameters, drawn straight into float32 or copied from ``model``, and
+    the returned model holds them. A network too large to allocate is a
+    ``UsageError``.
     """
     lines = corpus if isinstance(corpus, list) else list(corpus)
     init_seed, shuffle_seed = np.random.SeedSequence(config.seed).spawn(2)
@@ -221,7 +222,7 @@ def train_lm(
     if not len(tokens):
         raise DataError("empty corpus")
     _fit(model, (tokens, starts, lengths, positions), np.random.default_rng(shuffle_seed), progress)
-    return replace(model, params=model.params.astype(np.float64))
+    return model
 
 
 def _fit(
@@ -260,9 +261,9 @@ def _fit(
 def save_checkpoint(model: LmModel, path: str | Path) -> None:
     """Write the model to ``path``; its tensors are stored as f32.
 
-    That is exact for a trained model's tensors (see ``train_lm``); wider
-    floats from other callers are rounded to the nearest f32, and one that
-    is not finite as f32 is a ``DataError``, before any byte is written.
+    A model's float32 tensors are written as they are; wider floats from
+    other callers are rounded to the nearest f32, and one that is not
+    finite as f32 is a ``DataError``, before any byte is written.
     """
     out = container(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     put_f64(out, model.config.fofe.alpha)
@@ -278,7 +279,7 @@ def save_checkpoint(model: LmModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> LmModel:
-    """Read a checkpoint; the file is self-describing (vocab and dims included)."""
+    """Read a checkpoint into float32 tensors; the file is self-describing (vocab and dims included)."""
     rd = Reader.open(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     alpha = rd.f64()
     order = rd.u32()
@@ -296,7 +297,7 @@ def load_checkpoint(path: str | Path) -> LmModel:
         if config.layer_dims(len(tokens)) != dims:
             raise ValueError(f"layer dims {dims} for order {order} and {len(tokens)} vocabulary tokens")
         vocab = Vocabulary.from_tokens(tokens)
-        params = nn.NetworkParams.zeros(dims, (len(tokens), config.embed_dim))
+        params = nn.NetworkParams.zeros(dims, (len(tokens), config.embed_dim), _TRAIN_DTYPE)
     except (MemoryError, ValueError) as exc:  # MemoryError: dims that no file could hold
         raise rd.corrupt(str(exc)) from exc
     for tensor in params.tensors():

@@ -1,10 +1,10 @@
 """Minimal fully-connected network kernel: forward, loss, exact backprop,
 optimizer step, finite-difference gradient verification.
 
-Arithmetic runs in the parameters' dtype: training passes float32 tensors,
-the gradient check and the other callers float64. Hidden layers apply an
-affine map followed by a rectifier max(0, x); the final layer is affine
-only and produces logits.
+Arithmetic runs in the wider of the input's and the tensors' dtype: float32
+in training, float64 elsewhere (numpy widens float32 tensors exactly).
+Hidden layers apply an affine map followed by a rectifier max(0, x); the
+final layer is affine only and produces logits.
 Inputs may be a single vector ``(d,)`` or a batch ``(n, d)``; batch losses
 and gradients are means over the batch. A training step's arrays hold a few KB, so
 it calls ufuncs, their ``reduce`` and ndarray methods, not wrappers such as ``np.sum``

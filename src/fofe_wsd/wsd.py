@@ -3,8 +3,9 @@
 The primary path is a cosine-distance kNN over every labeled training
 occurrence of a lemma; the baseline averages each sense's embeddings into
 one sense embedding and picks the most similar. Lemmas with no training
-pairs at all fall back to the inventory's first-listed sense. The store
-holds each lemma as its file does (below); distances and means are float64.
+pairs at all fall back to the inventory's first-listed sense. Built or
+loaded, the store holds each lemma as its file does (below), in float32;
+distances and means are float64.
 ``build_classifier_store`` and ``predict_all`` take a ``LabeledCorpus`` and
 group its instances by lemma with one stable sort of its lemma codes.
 
@@ -78,9 +79,9 @@ class ClassifierStore:
 
     ``keys[lemma]`` lists the lemma's distinct sense keys in the order of
     their first pair, and ``codes[lemma][i]`` (uint32) is pair i's index into
-    it. ``pairs[lemma][i]`` is pair i's context embedding: a row of a
-    (pairs, dim) view, float64 into the one matrix ``build_classifier_store``
-    embeds, or f32 into the file's bytes from ``load_store`` (read-only).
+    it. ``pairs[lemma][i]`` is pair i's context embedding: a float32 row of
+    a (pairs, dim) view, into the one matrix ``build_classifier_store``
+    embeds or into the file's bytes from ``load_store`` (read-only).
     """
 
     dim: int
@@ -133,7 +134,7 @@ def _by_lemma(corpus: LabeledCorpus, chosen: np.ndarray) -> tuple[np.ndarray, np
     return rows, np.bincount(corpus.lemma_codes[rows], minlength=len(corpus.lemmas))
 
 
-def _embed(model: LmModel, corpus: LabeledCorpus, rows: np.ndarray) -> np.ndarray:
+def _embed(model: LmModel, corpus: LabeledCorpus, rows: np.ndarray, **dtype: type) -> np.ndarray:
     """The context embedding of each instance in ``rows``, from one ``context_embeddings`` call.
 
     The corpus's token types map to model ids once each (unknown words to
@@ -141,7 +142,7 @@ def _embed(model: LmModel, corpus: LabeledCorpus, rows: np.ndarray) -> np.ndarra
     """
     ids = np.array(model.vocab.encode(corpus.types), dtype=np.intp).take(corpus.tokens)
     starts = corpus.offsets[rows]
-    return context_embeddings(model, ids, starts, corpus.offsets[rows + 1] - starts, corpus.targets[rows])
+    return context_embeddings(model, ids, starts, corpus.offsets[rows + 1] - starts, corpus.targets[rows], **dtype)
 
 
 def build_classifier_store(model: LmModel, corpus: LabeledCorpus, inventory: SenseInventory) -> ClassifierStore:
@@ -150,8 +151,9 @@ def build_classifier_store(model: LmModel, corpus: LabeledCorpus, inventory: Sen
     A multi-gold instance contributes one pair per gold key (keys in sorted
     order), each with the same embedding. Lemmas come in first-use order
     and pairs in instance order, and each lemma's pairs are a slice of one
-    matrix. Before any embedding, a ``DataError`` names every instance
-    whose lemma, or any of whose gold keys, the inventory lacks.
+    float32 matrix, which ``save_store`` writes as it is. Before any
+    embedding, a ``DataError`` names every instance whose lemma, or any of
+    whose gold keys, the inventory lacks.
     """
     _check_lemmas(corpus, inventory)
     _check_keys(corpus, inventory)
@@ -161,7 +163,7 @@ def build_classifier_store(model: LmModel, corpus: LabeledCorpus, inventory: Sen
     firsts = np.repeat(np.cumsum(copies) - copies, copies)  # the first pair of each pair's instance
     ranks = np.arange(len(owners)) - firsts  # each pair's place among its instance's gold keys
     keys = corpus.gold[corpus.gold_offsets[owners] + ranks]
-    embeddings = _embed(model, corpus, owners)
+    embeddings = _embed(model, corpus, owners, dtype=np.float32)
     later = ranks > 0  # two products of one context may round apart, so copy the first
     embeddings[later] = embeddings[firsts[later]]
     sizes = np.bincount(corpus.lemma_codes[owners], minlength=len(corpus.lemmas))
@@ -175,24 +177,19 @@ def build_classifier_store(model: LmModel, corpus: LabeledCorpus, inventory: Sen
     return store
 
 
-def _widened(store: ClassifierStore, lemma: str) -> tuple[np.ndarray, np.ndarray]:
-    """A lemma's pairs as float64, and their norms."""
-    vectors = np.asarray(store.pairs[lemma], dtype=np.float64)
-    return vectors, np.linalg.norm(vectors, axis=1)
-
-
-def _cosine_distances(queries: np.ndarray, vectors: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """1 - cosine similarity of each query (row) to each vector, in float64.
-
-    ``norms`` are the vectors' norms. One matrix product computes the block;
-    a zero-norm query or vector sits at distance 1.
-    """
-    queries = np.asarray(queries, dtype=np.float64)
-    qn = np.linalg.norm(queries, axis=1)
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """A float64 copy of ``rows``, each divided by its norm; a row of norm 0 or NaN becomes all zeros."""
+    rows = np.array(rows, dtype=np.float64, ndmin=2)
+    norms = np.linalg.norm(rows, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        distances = (queries @ vectors.T) / (qn[:, None] * norms)
-    distances[:, ~(norms > 0.0)] = 0.0
-    distances[~(qn > 0.0)] = 0.0
+        rows /= norms[:, None]
+    rows[~(norms > 0.0)] = 0.0
+    return rows
+
+
+def _cosine_distances(unit_queries: np.ndarray, unit_rows: np.ndarray) -> np.ndarray:
+    """1 - cosine similarity of each query to each row, both from ``_unit_rows``; 1 if either is all zeros."""
+    distances = unit_queries @ unit_rows.T
     return np.subtract(1.0, distances, out=distances)
 
 
@@ -241,7 +238,7 @@ def predict_knn(
     if lemma not in store:
         raise NoClassifierError(lemma)
     keys, codes = store.keys[lemma], store.codes[lemma]
-    distances = _cosine_distances(np.reshape(query, (1, -1)), *_widened(store, lemma))
+    distances = _cosine_distances(_unit_rows(query), _unit_rows(store.pairs[lemma]))
     nearest = np.argsort(distances[0], kind="stable")[None, : cfg.k]
     winners, _ = _vote(codes[nearest], distances[:, nearest[0]], _tie_order(lemma, keys, inventory))
     return keys[winners[0]]
@@ -288,13 +285,13 @@ def _knn_lemma(
     A k-th and (k+1)-th distance, or a vote margin, within ``_CERTIFY_BOUND``
     (or not comparable, as NaN is) sends the query to ``predict_knn``.
     """
-    (vectors, norms), keys, codes = _widened(store, lemma), store.keys[lemma], store.codes[lemma]
+    vectors, keys, codes = _unit_rows(store.pairs[lemma]), store.keys[lemma], store.codes[lemma]
     tie_order, k = _tie_order(lemma, keys, inventory), min(cfg.k, len(vectors))
     per_block = max(1, _BLOCK_ELEMENTS // len(vectors))
     senses = np.empty(len(queries), dtype=np.intp)
     for first in range(0, len(queries), per_block):
         block = queries[first : first + per_block]
-        distances = _cosine_distances(block, vectors, norms)
+        distances = _cosine_distances(_unit_rows(block), vectors)
         if k < len(vectors):
             edge = np.partition(distances, k, axis=1)  # the k nearest first, then the (k+1)-th
             kth = np.maximum.reduce(edge[:, :k], axis=1)

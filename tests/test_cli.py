@@ -374,8 +374,8 @@ class TestBuildPredictEval:
     def test_build_logs_sense_counts_only_at_info(self, workspace, caplog, monkeypatch):
         tmp_path, config = workspace
         assert main(["train", "-c", str(config), "--epochs", "0"]) == 0
-        with caplog.at_level("INFO", logger="fofe_wsd"):
-            assert main(["build", "-c", str(config)]) == 0
+        monkeypatch.setenv("FOFE_WSD_LOG", "info")
+        assert main(["build", "-c", str(config)]) == 0
         assert "lemma blick: 4 pairs (blick%1=2, blick%2=2)" in caplog.messages
         caplog.clear()
 
@@ -383,9 +383,19 @@ class TestBuildPredictEval:
             raise AssertionError("sense counts built below info level")
 
         monkeypatch.setattr(cli, "Counter", no_counts)
-        with caplog.at_level("WARNING", logger="fofe_wsd"):
-            assert main(["build", "-c", str(config)]) == 0
+        monkeypatch.setenv("FOFE_WSD_LOG", "warning")
+        assert main(["build", "-c", str(config)]) == 0
         assert not caplog.messages
+
+    def test_log_level_read_on_every_call(self, workspace, caplog, monkeypatch):
+        # logging.basicConfig acts once per process, so the level must not depend on it
+        tmp_path, config = workspace
+        assert main(["train", "-c", str(config), "--epochs", "0"]) == 0
+        for level, logged in (("warning", False), ("info", True), ("error", False), ("INFO", True)):
+            monkeypatch.setenv("FOFE_WSD_LOG", level)
+            caplog.clear()
+            assert main(["build", "-c", str(config)]) == 0
+            assert ("lemma blick: 4 pairs (blick%1=2, blick%2=2)" in caplog.messages) == logged, level
 
     def test_predict_unknown_lemma_lists_ids(self, workspace, capsys):
         tmp_path, config = workspace

@@ -1,4 +1,3 @@
-import copy
 import os
 import struct
 import tracemalloc
@@ -64,8 +63,8 @@ class TestTrainLm:
         fresh = nn.init_network(
             cfg.layer_dims(len(model.vocab)), init_seed, embed_shape=(len(model.vocab), 4)
         )
-        # training runs on the draws rounded to float32; they come back as float64
-        assert model.params.embedding.dtype == np.float64
+        # training runs on the draws rounded to float32, and returns them
+        assert model.params.flat.dtype == np.float32
         assert_array_equal(model.params.embedding, fresh.embedding.astype(np.float32))
         for (w, b), (fw, fb) in zip(model.params.layers, fresh.layers):
             assert_array_equal(w, fw.astype(np.float32))
@@ -198,22 +197,38 @@ class TestContextEmbedding:
             contexts.append((tokens, int(rng.integers(0, length))))
 
         embeddings = embed(model, contexts)
-        dim, dtype = model.config.held_out_dim, model.params.flat.dtype
+        dim, dtype = model.config.held_out_dim, np.float64
+        assert model.params.flat.dtype == np.float32
         assert embeddings.shape == (count, dim) and embeddings.dtype == dtype
         chunks = -(-count // 3)
         assert calls == ["encode_contexts", "held_out"] * chunks
         none = embed(model, [])
         assert none.shape == (0, dim) and none.dtype == dtype and len(calls) == 2 * chunks
+        table = model.params.embedding.astype(np.float64)  # the codes are float64; the weights stay float32
         for start in range(0, count, 3):
             codes = np.stack([
-                context_code(model.vocab.encode(tokens), target, model.config.fofe, model.params.embedding, window_cap)
+                context_code(model.vocab.encode(tokens), target, model.config.fofe, table, window_cap)
                 for tokens, target in contexts[start : start + 3]
             ])
             expected = nn.held_out(model.params, codes)
             for got, want in zip(embeddings[start : start + 3], expected, strict=True):
-                assert got.tobytes() == want.tobytes()
-        narrow = LmModel(model.vocab, model.config, model.params.astype(np.float32))
-        assert embed(narrow, contexts).dtype == np.float32  # the parameters' dtype
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # in float32, each row is the float64 row rounded
+        narrow = embed(model, contexts, dtype=np.float32)
+        assert narrow.dtype == np.float32 and narrow.tobytes() == embeddings.astype(np.float32).tobytes()
+
+    def test_float64_whatever_the_parameters_dtype(self, tiny_model):
+        narrow = LmModel(tiny_model.vocab, tiny_model.config, tiny_model.params.astype(np.float32))
+        wide = LmModel(tiny_model.vocab, tiny_model.config, narrow.params.astype(np.float64))
+        rng = np.random.default_rng(3)
+        words = tiny_model.vocab.tokens[1:] + ["qqqqq"]
+        contexts = []
+        for length in (1, 9, 3, 25):
+            tokens = [words[int(i)] for i in rng.integers(0, len(words), length)]
+            contexts.append((tokens, int(rng.integers(0, length))))
+        got, want = embed(narrow, contexts), embed(wide, contexts)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
     def test_contexts_index_one_token_array(self, tiny_model, monkeypatch):
         # contexts picked out of one array of sentences, out of order and repeated,
@@ -372,7 +387,7 @@ class TestCheckpoint:
         path = tmp_path / "m.fofe"
         save_checkpoint(tiny_model, path)
         old = path.read_bytes()
-        params = copy.deepcopy(tiny_model.params)
+        params = tiny_model.params.astype(np.float64)  # wider than f32, so 1e39 can be held
         params.layers[-1][1][-1] = 1e39  # inf as f32
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy overflow warning either
@@ -393,8 +408,8 @@ class TestCheckpoint:
             save_checkpoint(model, path)
             loaded = load_checkpoint(path)
             for ours, theirs in zip(model.params.tensors(), loaded.params.tensors(), strict=True):
-                assert ours.dtype == theirs.dtype == np.float64
-                assert np.array_equal(ours, theirs)
+                assert ours.dtype == theirs.dtype == np.float32
+                assert ours.tobytes() == theirs.tobytes()
             return loaded
 
         loaded = checkpointed(train_lm(lines, cfg))

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fofe_wsd import lm, wsd
+from fofe_wsd import lm, synthetic, wsd
 from fofe_wsd._files import checksum, container, put_floats, put_str, put_u32, write_file
-from fofe_wsd.corpus import UNK_TOKEN, SenseInventory, Vocabulary
+from fofe_wsd.corpus import UNK_TOKEN, SenseInventory, Vocabulary, read_labeled_corpus, read_sense_inventory
 from fofe_wsd.errors import DataError
 from fofe_wsd.wsd import (
     ClassifierConfig,
@@ -71,7 +71,9 @@ class TestBuildClassifierStore:
         assert store.pairs["bank"].shape == (2, tiny_model.config.hidden_dims[-1])
         assert _senses(store)["bank"] == ["bank%1", "bank%2"]
         contexts = [(inst.tokens, inst.target_index) for inst in instances]
-        assert_array_equal(store.pairs["bank"], embed(tiny_model, contexts))
+        # the float64 embeddings, rounded to the float32 the store holds
+        assert store.pairs["bank"].dtype == np.float32
+        assert_array_equal(store.pairs["bank"], embed(tiny_model, contexts).astype(np.float32))
 
     def test_empty_instances(self, tiny_model):
         store = build_classifier_store(tiny_model, _corpus([]), SenseInventory({}))
@@ -625,7 +627,7 @@ class TestCertificate:
         queries = [np.array([1.0, 0.0])]
         instances = _query_instances(["w"])
         model = _fed_queries(monkeypatch, store, queries)
-        (gap,) = wsd._cosine_distances(queries[0][None], *wsd._widened(store, "w"))
+        (gap,) = wsd._cosine_distances(wsd._unit_rows(queries[0]), wsd._unit_rows(store.pairs["w"]))
         assert 0.0 < gap[1] - gap[0] < wsd._CERTIFY_BOUND
         calls = _counted_knn(monkeypatch)
         cfg = ClassifierConfig(k=1)
@@ -898,6 +900,42 @@ class TestLoadedRowsWidened:
         for lemma, rows in expected.pairs.items():
             assert got.pairs[lemma].dtype == rows.dtype == np.float64
             assert got.pairs[lemma].tobytes() == rows.tobytes()
+
+
+class TestBuiltStoreIsTheLoadedStore:
+    """A store built in this process holds, and votes on, the floats ``load_store`` reads from its file."""
+
+    @pytest.fixture
+    def case(self, tmp_path):
+        paths = synthetic.generate(tmp_path, synthetic.SyntheticConfig(seed=3, n_train=60, n_test=40))
+        lines = paths["corpus"].read_text(encoding="utf-8").splitlines()[:200]
+        model = lm.train_lm(lines, lm.LmConfig(epochs=1))
+        inventory = read_sense_inventory(paths["inventory"])
+        built = build_classifier_store(model, read_labeled_corpus(paths["train"]), inventory)
+        save_store(built, tmp_path / "s.fwsd")
+        test = read_labeled_corpus(paths["test"])
+        return SimpleNamespace(model=model, inventory=inventory, built=built, loaded=load_store(tmp_path / "s.fwsd"), test=test)
+
+    def test_rows_are_the_file_rows(self, case):
+        assert list(case.built.pairs) == list(case.loaded.pairs) and case.built.keys == case.loaded.keys
+        for lemma, rows in case.built.pairs.items():
+            assert rows.dtype == case.loaded.pairs[lemma].dtype == np.float32
+            assert rows.tobytes() == case.loaded.pairs[lemma].tobytes()
+
+    def test_predict_all_votes_alike(self, case, monkeypatch):
+        # the same senses, from bit-equal distances and votes
+        seen = _recorded(monkeypatch, "_cosine_distances", lambda args, distances: [*args, distances])
+        _recorded(monkeypatch, "_vote", lambda args, result: [*args[:2], *result], seen)
+        answers = {}
+        for name in ("built", "loaded"):
+            start = len(seen)
+            answers[name] = predict_all(getattr(case, name), case.inventory, case.model, ClassifierConfig(), case.test)
+            answers[name + " arrays"] = seen[start:]
+        assert answers["built"] == answers["loaded"] and len(answers["built"]) == len(case.test)
+        assert len(answers["built arrays"]) == len(answers["loaded arrays"]) > 0
+        for got, expected in zip(answers["built arrays"], answers["loaded arrays"]):
+            for a, b in zip(got, expected, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_load_store_peak_memory_is_about_the_file_size(tmp_path):
