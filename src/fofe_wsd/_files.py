@@ -8,11 +8,14 @@ training log included; no other module opens a file.
 * The binary container (checkpoint and store) is little-endian: a 4-byte
   magic, a u32 format version, the body (u32 counts, dims and blocks, f64
   scalars, u32-length-prefixed UTF-8 strings, f32 row-major values), then
-  the u64 CRC32 of everything before it. A reader takes one format version
-  and refuses any other. A tensor is read into an array of the shape the
-  reader expects, and its stored rank and dims are checked against that
-  shape before any value is read. A non-finite f32 value makes the file
-  corrupt, and a writer raises ``DataError`` before writing one.
+  the u64 CRC32 of everything before it. ``Reader`` streams a container
+  from its open file, bounded by the size ``fstat`` gives, and sums each
+  byte into a running CRC32 as it reads it; a short read is a truncated
+  file. A reader takes one format version and refuses any other. A tensor
+  is read straight into the bytes of an array of the shape the reader
+  expects, and its stored rank and dims are checked against that shape
+  before any value is read. A non-finite f32 value makes the file corrupt,
+  and a writer raises ``DataError`` before writing one.
 
 Read and write failures raise ``DataError`` naming the path.
 """
@@ -20,15 +23,24 @@ Read and write failures raise ``DataError`` naming the path.
 from __future__ import annotations
 
 import contextlib
+import io
 import os
+import stat
 import struct
 import zlib
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
 from .errors import DataError
+
+_T = TypeVar("_T")
+_U32 = struct.Struct("<I")
+_F4 = np.dtype("<f4")
+# Elements per slice of a streamed array: 256 KiB of u32 or f32 values, each
+# slice summed and checked while it is in cache.
+_SLICE = 1 << 16
 
 
 def read_lines(path: str | Path, what: str) -> Iterator[str]:
@@ -122,82 +134,148 @@ def write_container(path: str | Path, out: bytearray) -> None:
 
 
 class Reader:
-    """Cursor over a container file; every overrun reports a truncated file."""
+    """Streaming cursor over a container file, summing its bytes into a running CRC32.
 
-    def __init__(self, buf: bytes, what: str, path: str | Path):
-        self.buf, self.pos, self.what, self.path = memoryview(buf), 0, what, path
+    The file must be a regular one: its size, from ``fstat`` at open, bounds
+    every read. A read past it, or one that comes back short, reports a
+    truncated file, and an ``OSError`` mid-read is ``cannot read``. Use it
+    in a ``with`` block, which closes the file on every path.
+    """
+
+    def __init__(self, fh: io.BufferedReader, what: str, path: str | Path):
+        self.fh, self.what, self.path, self.pos, self.crc = fh, what, path, 0, 0
+        status = self._io(os.fstat, fh.fileno())
+        if not stat.S_ISREG(status.st_mode):  # a pipe has no size to bound the reads
+            raise DataError(f"cannot read {what} {path}: not a regular file")
+        self.size = status.st_size
 
     @classmethod
     def open(cls, path: str | Path, what: str, magic: bytes, version: int) -> "Reader":
-        """Read ``path`` whole and check its magic and that its format version is ``version``."""
+        """Open ``path`` and check its magic and that its format version is ``version``."""
         try:
-            buf = Path(path).read_bytes()
-        except (OSError, ValueError) as exc:
+            fh = open(path, "rb")
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise DataError(f"cannot read {what} {path}: {exc}") from exc
-        rd = cls(buf, what, path)
-        if rd.take(len(magic)) != magic:
-            raise DataError(f"incompatible {what}: {path} (bad magic)")
-        found = rd.u32()
-        if found != version:
-            raise DataError(f"incompatible {what}: {path} (version {found})")
+        try:
+            rd = cls(fh, what, path)
+            if rd.take(len(magic)) != magic:
+                raise DataError(f"incompatible {what}: {path} (bad magic)")
+            found = rd.u32()
+            if found != version:
+                raise DataError(f"incompatible {what}: {path} (version {found})")
+        except BaseException:
+            fh.close()
+            raise
         return rd
+
+    def __enter__(self) -> "Reader":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.fh.close()
+
+    def _io(self, call: Callable[..., _T], *args: object) -> _T:
+        """``call(*args)``, its ``OSError`` a ``DataError`` naming the file."""
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise DataError(f"cannot read {self.what} {self.path}: {exc}") from exc
 
     def corrupt(self, detail: str) -> DataError:
         return DataError(f"corrupt {self.what}: {self.path} ({detail})")
 
+    def truncated(self) -> DataError:
+        return DataError(f"truncated {self.what}: {self.path}")
+
     def need(self, n: int) -> None:
         """Raise unless at least ``n`` bytes remain."""
-        if self.pos + n > len(self.buf):
-            raise DataError(f"truncated {self.what}: {self.path}")
+        if self.pos + n > self.size:
+            raise self.truncated()
 
-    def take(self, n: int) -> memoryview:
+    def take(self, n: int) -> bytes:
         self.need(n)
+        data = self._io(self.fh.read, n)
+        if len(data) < n:  # the file shrank since it was opened
+            raise self.truncated()
+        self.crc = zlib.crc32(data, self.crc)
         self.pos += n
-        return self.buf[self.pos - n : self.pos]
+        return data
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return _U32.unpack(self.take(4))[0]
 
     def f64(self) -> float:
         return struct.unpack("<d", self.take(8))[0]
 
-    def text(self) -> str:
-        raw = self.take(self.u32())
+    def texts(self, n: int) -> list[str]:
+        """``n`` u32-length-prefixed UTF-8 strings.
+
+        They are decoded from the file object's read buffer as far as whole
+        strings lie in it, and consumed with one ``take``; a string across
+        the buffer's end is taken on its own.
+        """
+        out: list[str] = []
         try:
-            return str(raw, "utf-8")
+            while len(out) < n:
+                buf, at = self._io(self.fh.peek), 0
+                while len(out) < n and at + 4 <= len(buf):
+                    end = at + 4 + _U32.unpack_from(buf, at)[0]
+                    if end > len(buf):
+                        break
+                    out.append(str(buf[at + 4 : end], "utf-8"))
+                    at = end
+                if at:
+                    self.take(at)
+                else:
+                    out.append(str(self.take(self.u32()), "utf-8"))
         except UnicodeDecodeError as exc:
             raise self.corrupt(f"string is not valid UTF-8: {exc}") from exc
+        return out
 
     def floats(self, n: int) -> np.ndarray:
-        """``n`` f32 values, as a read-only view of the file's bytes."""
-        return np.frombuffer(self.take(4 * n), dtype="<f4")
+        """``n`` f32 values, each finite, as a read-only array."""
+        return self._array(n, _F4)
 
     def u32s(self, n: int) -> np.ndarray:
-        """``n`` u32 values, as a read-only view of the file's bytes."""
-        return np.frombuffer(self.take(4 * n), dtype="<u4")
+        """``n`` u32 values, as a read-only array."""
+        return self._array(n, np.dtype("<u4"))
+
+    def _array(self, n: int, dtype: np.dtype) -> np.ndarray:
+        self.need(n * dtype.itemsize)
+        values = np.empty(n, dtype)
+        self._fill(values)
+        values.flags.writeable = False
+        return values
+
+    def _fill(self, values: np.ndarray) -> None:
+        """Read the flat ``values`` a slice at a time, each summed and, if f32, checked finite."""
+        for first in range(0, len(values), _SLICE):
+            part = values[first : first + _SLICE]
+            if self._io(self.fh.readinto, part) != part.nbytes:  # the file shrank since it was opened
+                raise self.truncated()
+            self.crc = zlib.crc32(part, self.crc)
+            self.pos += part.nbytes
+            if values.dtype == _F4 and not np.isfinite(part).all():
+                raise self.corrupt("non-finite value")
 
     def tensor_into(self, out: np.ndarray) -> None:
-        """Fill ``out`` from a tensor whose stored rank and dims must be ``out.shape``."""
+        """Fill the C-contiguous float32 ``out`` from a tensor whose stored rank and dims must be ``out.shape``."""
         ndim = self.u32()
         if ndim != out.ndim:
             raise self.corrupt(f"tensor of rank {ndim}, expected shape {out.shape}")
         dims = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
         if dims != out.shape:
             raise self.corrupt(f"tensor shape {dims}, expected {out.shape}")
-        values = self.floats(out.size)
-        self.check_finite(values)
-        out[...] = values.reshape(out.shape)
-
-    def check_finite(self, values: np.ndarray) -> None:
-        """Raise ``corrupt`` unless all ``values`` are finite; check f32 before a cast, which warns on NaN."""
-        if not np.isfinite(values).all():
-            raise self.corrupt("non-finite value")
+        self.need(out.nbytes)
+        self._fill(out.reshape(-1).view(_F4))
+        if out.dtype != _F4:  # native floats on a big-endian host
+            out.byteswap(inplace=True)
 
     def close(self) -> None:
-        """Check the trailing checksum and that nothing follows it."""
-        summed = checksum(self.buf[: self.pos])
+        """Check the trailing checksum and that nothing follows it; the ``with`` block closes the file."""
+        summed = self.crc
         stored = struct.unpack("<Q", self.take(8))[0]
-        if self.pos != len(self.buf):
+        if self.pos != self.size:
             raise self.corrupt("trailing bytes")
         if summed != stored:
             raise self.corrupt("checksum mismatch")

@@ -10,8 +10,10 @@ form ``training_examples`` gives: model-id arrays, not token strings.
 
 A model holds its parameters in float32, the precision the checkpoint
 keeps, whether ``train_lm`` trained them or ``load_checkpoint`` read them.
-``context_embeddings`` computes in float64: it widens the embedding table
-once, and numpy widens the float32 weights exactly inside its products.
+``load_checkpoint`` streams the file's tensors straight into one parameter
+buffer. ``context_embeddings`` computes in float64: it widens only the
+embedding rows its tokens reach, once per call, and numpy widens the
+float32 weights exactly inside its products.
 
 Checkpoint format: a ``_files`` container (magic ``FOFE``, version 2, which
 frames it and checksums it with CRC32) whose body is alpha f64, order u32,
@@ -140,13 +142,22 @@ def context_embeddings(
     ids from ``starts[i]``, around the target at ``positions[i]``. Returns
     a ``(len(positions), held_out_dim)`` matrix in ``dtype``. The target
     word itself is excluded from the context, and the output layer is not
-    evaluated. The contexts go ``_EMBED_BATCH`` at a time through the FOFE
+    evaluated. The embedding rows ``tokens`` reach are widened to float64,
+    so memory beyond one pass over the vocabulary follows the tokens, not
+    the table. The contexts go ``_EMBED_BATCH`` at a time through the FOFE
     layer and one ``nn.held_out`` product, in float64, which bounds the FOFE
     buffers held at once; each chunk is rounded into ``dtype`` as ``astype``
     would. A row may differ in its last bits from a one-row product's.
     """
     cfg = model.config
-    table = model.params.embedding.astype(np.float64)
+    # Only the rows ``tokens`` reach are widened: marked without a sort, and the ids renumbered into them.
+    reached = np.zeros(len(model.params.embedding), dtype=bool)
+    reached[tokens] = True
+    rows = np.flatnonzero(reached)
+    table = model.params.embedding.take(rows, axis=0).astype(np.float64)
+    renumber = np.empty(len(reached), dtype=np.intp)
+    renumber[rows] = np.arange(len(rows))
+    tokens = renumber[tokens]
     embeddings = np.empty((len(positions), cfg.held_out_dim), dtype=dtype)
     for first in range(0, len(positions), _EMBED_BATCH):
         chunk = slice(first, first + _EMBED_BATCH)
@@ -279,28 +290,31 @@ def save_checkpoint(model: LmModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> LmModel:
-    """Read a checkpoint into float32 tensors; the file is self-describing (vocab and dims included)."""
-    rd = Reader.open(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-    alpha = rd.f64()
-    order = rd.u32()
-    dims = [rd.u32() for _ in range(rd.u32())]
-    tokens = [rd.text() for _ in range(rd.u32())]
-    try:
-        if len(dims) < 2:
-            raise ValueError(f"layer dims {dims}: needs at least two")
-        config = LmConfig(
-            fofe=fofe.FofeConfig(alpha=alpha, order=order),
-            embed_dim=dims[0] // (2 * order),
-            hidden_dims=tuple(dims[1:-1]),
-            max_vocab=max(len(tokens), 2),
-        )
-        if config.layer_dims(len(tokens)) != dims:
-            raise ValueError(f"layer dims {dims} for order {order} and {len(tokens)} vocabulary tokens")
-        vocab = Vocabulary.from_tokens(tokens)
-        params = nn.NetworkParams.zeros(dims, (len(tokens), config.embed_dim), _TRAIN_DTYPE)
-    except (MemoryError, ValueError) as exc:  # MemoryError: dims that no file could hold
-        raise rd.corrupt(str(exc)) from exc
-    for tensor in params.tensors():
-        rd.tensor_into(tensor)
-    rd.close()
+    """Read a checkpoint into float32 tensors; the file is self-describing (vocab and dims included).
+
+    The tensors are read straight into one uninitialised parameter buffer.
+    """
+    with Reader.open(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as rd:
+        alpha = rd.f64()
+        order = rd.u32()
+        dims = [rd.u32() for _ in range(rd.u32())]
+        tokens = rd.texts(rd.u32())
+        try:
+            if len(dims) < 2:
+                raise ValueError(f"layer dims {dims}: needs at least two")
+            config = LmConfig(
+                fofe=fofe.FofeConfig(alpha=alpha, order=order),
+                embed_dim=dims[0] // (2 * order),
+                hidden_dims=tuple(dims[1:-1]),
+                max_vocab=max(len(tokens), 2),
+            )
+            if config.layer_dims(len(tokens)) != dims:
+                raise ValueError(f"layer dims {dims} for order {order} and {len(tokens)} vocabulary tokens")
+            vocab = Vocabulary.from_tokens(tokens)
+            params = nn.NetworkParams.empty(dims, (len(tokens), config.embed_dim), _TRAIN_DTYPE)
+        except (MemoryError, ValueError) as exc:  # MemoryError: dims that no file could hold
+            raise rd.corrupt(str(exc)) from exc
+        for tensor in params.tensors():
+            rd.tensor_into(tensor)
+        rd.close()
     return LmModel(vocab=vocab, config=config, params=params)

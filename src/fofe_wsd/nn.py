@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -79,12 +79,23 @@ class NetworkParams:
         self._carve()
 
     @classmethod
+    def empty(
+        cls,
+        layer_dims: Sequence[int],
+        embed_shape: tuple[int, int] = (0, 0),
+        dtype: np.dtype | type = np.float64,
+        alloc: Callable[..., np.ndarray] = np.empty,
+    ) -> "NetworkParams":
+        """Tensors of these shapes in one buffer from ``alloc``: unset by default, for a caller that sets them all."""
+        fans = zip(layer_dims[:-1], layer_dims[1:])
+        layout = [tuple(embed_shape), *(shape for i, o in fans for shape in ((i, o), (o,)))]
+        return cls(alloc(sum(map(math.prod, layout)), dtype), layout)
+
+    @classmethod
     def zeros(
         cls, layer_dims: Sequence[int], embed_shape: tuple[int, int] = (0, 0), dtype: np.dtype | type = np.float64
     ) -> "NetworkParams":
-        fans = zip(layer_dims[:-1], layer_dims[1:])
-        layout = [tuple(embed_shape), *(shape for i, o in fans for shape in ((i, o), (o,)))]
-        return cls(np.zeros(sum(map(math.prod, layout)), dtype), layout)
+        return cls.empty(layer_dims, embed_shape, dtype, np.zeros)
 
     def tensors(self) -> list[np.ndarray]:
         """The embedding, then each layer's weight and bias: the one order of the model's tensors."""

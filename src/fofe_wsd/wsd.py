@@ -27,7 +27,7 @@ then per lemma two blocks after a header: a length-prefixed name, the pair
 count and the distinct-sense count (u32 each), and the distinct sense keys,
 length-prefixed, in the order of their first pair; then one u32 block with
 each pair's index into that key list and one f32 (pairs, dim) block,
-row-major. Each block is read with one ``np.frombuffer``. A code beyond the
+row-major. Each block is read straight into its own array. A code beyond the
 key list, a key listed twice, and keys not in first-use order (an unused key
 among them) make the file corrupt, so a loaded store saves to the same
 bytes. Version 1 stores, one record per pair, are rejected as incompatible;
@@ -80,8 +80,9 @@ class ClassifierStore:
     ``keys[lemma]`` lists the lemma's distinct sense keys in the order of
     their first pair, and ``codes[lemma][i]`` (uint32) is pair i's index into
     it. ``pairs[lemma][i]`` is pair i's context embedding: a float32 row of
-    a (pairs, dim) view, into the one matrix ``build_classifier_store``
-    embeds or into the file's bytes from ``load_store`` (read-only).
+    a (pairs, dim) matrix: a view into the one matrix
+    ``build_classifier_store`` embeds, or the lemma's block as ``load_store``
+    read it (read-only).
     """
 
     dim: int
@@ -404,21 +405,20 @@ def save_store(store: ClassifierStore, path: str | Path) -> None:
 
 
 def load_store(path: str | Path) -> ClassifierStore:
-    rd = Reader.open(path, "classifier store", STORE_MAGIC, STORE_VERSION)
-    dim = rd.u32()
-    store = ClassifierStore(dim=dim)
-    for _ in range(rd.u32()):
-        lemma = rd.text()
-        if lemma in store.pairs:
-            raise rd.corrupt(f"duplicate lemma {lemma!r}")
-        n_pairs, n_keys = rd.u32(), rd.u32()
-        rd.need(4 * n_keys)  # each key's length prefix
-        keys = [rd.text() for _ in range(n_keys)]
-        codes = rd.u32s(n_pairs)
-        if problem := _key_list_problem(lemma, keys, codes):
-            raise rd.corrupt(problem)
-        vectors = rd.floats(n_pairs * dim)
-        rd.check_finite(vectors)
-        store.keys[lemma], store.codes[lemma], store.pairs[lemma] = keys, codes, vectors.reshape(n_pairs, dim)
-    rd.close()
+    with Reader.open(path, "classifier store", STORE_MAGIC, STORE_VERSION) as rd:
+        dim = rd.u32()
+        store = ClassifierStore(dim=dim)
+        for _ in range(rd.u32()):
+            (lemma,) = rd.texts(1)
+            if lemma in store.pairs:
+                raise rd.corrupt(f"duplicate lemma {lemma!r}")
+            n_pairs, n_keys = rd.u32(), rd.u32()
+            rd.need(4 * n_keys)  # each key's length prefix
+            keys = rd.texts(n_keys)
+            codes = rd.u32s(n_pairs)
+            if problem := _key_list_problem(lemma, keys, codes):
+                raise rd.corrupt(problem)
+            store.keys[lemma], store.codes[lemma] = keys, codes
+            store.pairs[lemma] = rd.floats(n_pairs * dim).reshape(n_pairs, dim)
+        rd.close()
     return store

@@ -1,6 +1,8 @@
 import argparse
 import ast
+import builtins
 import dataclasses
+import errno
 import os
 import re
 import struct
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import fofe_wsd
-from fofe_wsd import cli, lm, synthetic, wsd
+from fofe_wsd import _files, cli, lm, synthetic, wsd
 from fofe_wsd._files import checksum
 from fofe_wsd.cli import main
 from fofe_wsd.fofe import FofeConfig
@@ -439,6 +441,32 @@ class TestBuildPredictEval:
         path.write_bytes(raw)
         assert main(["predict", "-c", str(config)]) == 2
         assert f"corrupt {what}: {path} (non-finite value)" in capsys.readouterr().err
+        assert not (tmp_path / "pred.tsv").exists()
+
+    @pytest.mark.parametrize("name, what", [("model.fofe", "checkpoint"), ("store.fwsd", "classifier store")])
+    def test_predict_read_error_mid_file_exits_2(self, workspace, capsys, monkeypatch, name, what):
+        tmp_path, config = workspace
+        assert main(["train", "-c", str(config), "--epochs", "0"]) == 0
+        assert main(["build", "-c", str(config)]) == 0
+        path = tmp_path / name
+
+        class Failing:  # the file object, but its array reads fail as a bad disk would
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __getattr__(self, attr):
+                return getattr(self.fh, attr)
+
+            def readinto(self, buffer):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = builtins.open(file, mode, *args, **kwargs)
+            return Failing(fh) if Path(file) == path else fh
+
+        monkeypatch.setattr(_files, "open", failing_open, raising=False)
+        assert main(["predict", "-c", str(config)]) == 2
+        assert f"cannot read {what} {path}: [Errno {errno.EIO}]" in capsys.readouterr().err
         assert not (tmp_path / "pred.tsv").exists()
 
     def test_predict_backoff_for_unseen_lemma(self, workspace):

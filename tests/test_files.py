@@ -1,12 +1,16 @@
 import ast
+import builtins
+import errno
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fofe_wsd
-from fofe_wsd._files import checksum, read_lines, write_file
+from fofe_wsd import _files
+from fofe_wsd._files import Reader, checksum, container, put_tensor, read_lines, write_container, write_file
 from fofe_wsd.corpus import SenseInventory, read_labeled_corpus
 from fofe_wsd.errors import DataError
 from fofe_wsd.fofe import FofeConfig
@@ -221,3 +225,143 @@ class TestContainerFuzz:
             swapped[i], swapped[j] = raw[j], raw[i]
             outcomes[i, j] = _outcome(tmp_path / "c.bin", swapped, load)
         assert {ij: o for ij, o in outcomes.items() if o != "rejected"} == {}
+
+
+class _FailingFile:
+    """The file object ``open`` returned, but a read that would pass byte ``at`` raises EIO."""
+
+    def __init__(self, fh, at):
+        self.fh, self.at = fh, at
+
+    def __getattr__(self, name):  # fileno, close, closed
+        return getattr(self.fh, name)
+
+    def fault(self, n):
+        if self.fh.tell() + n > self.at:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    def read(self, n):
+        self.fault(n)
+        return self.fh.read(n)
+
+    def readinto(self, buffer):
+        self.fault(memoryview(buffer).nbytes)
+        return self.fh.readinto(buffer)
+
+    def peek(self, n=0):
+        self.fault(1)
+        return self.fh.peek(n)
+
+
+class _ShrinkingFile(_FailingFile):
+    """The file object ``open`` returned; its first read, after the reader's ``fstat``, cuts the file to ``at`` bytes.
+
+    A read after one that came back short fails the test: the short read is the truncation.
+    """
+
+    came_short = False
+
+    def fault(self, n):
+        if self.came_short:
+            raise RuntimeError("read on after a short read")
+        if self.at is not None:
+            os.truncate(self.fh.name, self.at)
+            self.at = None
+
+    def read(self, n):
+        data = super().read(n)
+        self.came_short = len(data) < n
+        return data
+
+    def readinto(self, buffer):
+        got = super().readinto(buffer)
+        self.came_short = got < memoryview(buffer).nbytes
+        return got
+
+
+@pytest.fixture
+def faulty_open(monkeypatch):
+    """``install(wrapper, at)``: the binary files that ``_files`` opens come wrapped; returns those opened."""
+    opened = []
+
+    def install(wrapper, at):
+        def fake_open(path, mode="r", *args, **kwargs):
+            fh = builtins.open(path, mode, *args, **kwargs)
+            if mode == "rb":
+                opened.append(fh := wrapper(fh, at))
+            return fh
+
+        monkeypatch.setattr(_files, "open", fake_open, raising=False)
+        return opened
+
+    return install
+
+
+@pytest.mark.parametrize("what, name", [("checkpoint", "checkpoint"), ("store", "classifier store")])
+class TestStreamedReadFaults:
+    """Each read position, with arrays read two values at a time so every slice is a position."""
+
+    @pytest.fixture(autouse=True)
+    def small_slices(self, monkeypatch):
+        monkeypatch.setattr(_files, "_SLICE", 2)
+
+    def test_os_error_mid_read_is_cannot_read(self, small_containers, tmp_path, faulty_open, what, name):
+        raw, load = small_containers[what]
+        path = tmp_path / "c.bin"
+        path.write_bytes(raw)
+        for at in range(len(raw)):
+            opened = faulty_open(_FailingFile, at)
+            with pytest.raises(DataError, match=rf"^cannot read {name} {re.escape(str(path))}: \[Errno {errno.EIO}\]"):
+                load(path)
+            assert opened[-1].closed
+        faulty_open(_FailingFile, len(raw))
+        load(path)
+
+    def test_read_shorter_than_fstat_is_truncated(self, small_containers, tmp_path, faulty_open, what, name):
+        raw, load = small_containers[what]
+        path = tmp_path / "c.bin"
+        for at in range(len(raw)):
+            path.write_bytes(raw)
+            opened = faulty_open(_ShrinkingFile, at)
+            with pytest.raises(DataError, match=rf"^truncated {name}: {re.escape(str(path))}$"):
+                load(path)
+            assert opened[-1].closed and path.stat().st_size == at
+
+    def test_every_check_closes_the_file(self, small_containers, tmp_path, faulty_open, what, name):
+        raw, load = small_containers[what]
+        path = tmp_path / "c.bin"
+        opened = faulty_open(_FailingFile, len(raw))
+        for n in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[n] ^= 0x40
+            assert _outcome(path, flipped, load) == "rejected"
+        assert len(opened) == len(raw) and all(fh.closed for fh in opened)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe through /dev/fd")
+@pytest.mark.parametrize("what, name", [("checkpoint", "checkpoint"), ("store", "classifier store")])
+def test_a_pipe_is_not_read(small_containers, what, name):
+    # its size cannot bound the reads, so it is refused as a whole rather than read as truncated
+    raw, load = small_containers[what]
+    r, w = os.pipe()
+    os.write(w, raw)
+    os.close(w)
+    try:
+        with pytest.raises(DataError, match=rf"^cannot read {name} /dev/fd/{r}: not a regular file$"):
+            load(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+def test_tensor_into_keeps_the_file_byte_order_on_any_host(tmp_path):
+    # a big-endian host reads into native '>f4' floats; here the array's byte order stands in for the host's
+    values = np.arange(-3.0, 3.0, 0.75, dtype=np.float32).reshape(2, 4)
+    out = container(b"TEST", 1)
+    put_tensor(out, values)
+    write_container(tmp_path / "t.bin", out)
+    for dtype in ("<f4", ">f4"):
+        got = np.empty(values.shape, dtype)
+        with Reader.open(tmp_path / "t.bin", "test file", b"TEST", 1) as rd:
+            rd.tensor_into(got)
+            rd.close()
+        assert got.dtype == np.dtype(dtype) and (got == values).all()

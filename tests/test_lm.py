@@ -245,6 +245,47 @@ class TestContextEmbedding:
         assert got.tobytes() == want.tobytes()
 
 
+def peak_bytes(run):
+    """The tracemalloc peak of ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestVocabularyWideMemory:
+    """Memory that must not follow the vocabulary size V beyond one pass over V."""
+
+    def test_context_embeddings_widen_only_the_rows_reached(self):
+        # a 100,000-row table, 12.8 MB as float64; four sentences reach at most 48 of its rows,
+        # so the peak is one pass over V (a bool mark and an id map, 0.9 MB) and the FOFE buffers
+        vocab = Vocabulary.from_tokens([UNK_TOKEN] + [f"w{i}" for i in range(99_999)])
+        config = LmConfig(embed_dim=16, hidden_dims=(8,))
+        params = nn.init_network(config.layer_dims(len(vocab)), 0, (len(vocab), config.embed_dim), np.float32)
+        model = LmModel(vocab, config, params)
+        rng = np.random.default_rng(0)
+        contexts = training_examples([rng.integers(0, len(vocab), n).tolist() for n in (5, 12, 1, 30)])
+        wide = params.embedding.astype(np.float64)
+        assert peak_bytes(lambda: context_embeddings(model, *contexts)) < wide.nbytes / 4
+        # the rows of one product over a float64 copy of the whole table, bit for bit
+        layout = context_ids(*contexts, config.fofe.order)
+        want = nn.held_out(params, fofe.encode_contexts(layout, config.fofe, wide))
+        assert context_embeddings(model, *contexts).tobytes() == want.tobytes()
+
+    def test_load_checkpoint_holds_one_parameter_buffer(self, tmp_path):
+        # 1,000 tokens and a 1,024-wide hidden layer: 1.25 M parameters, 5.0 MB as float32
+        tokens = [UNK_TOKEN] + [f"w{i}" for i in range(999)]
+        config = LmConfig(embed_dim=32, hidden_dims=(1024,))
+        params = nn.init_network(config.layer_dims(len(tokens)), 0, (len(tokens), config.embed_dim), np.float32)
+        assert params.flat.size >= 1_000_000
+        path = tmp_path / "m.fofe"
+        save_checkpoint(LmModel(Vocabulary.from_tokens(tokens), config, params), path)
+        vocabulary = peak_bytes(lambda: Vocabulary.from_tokens([str(t.encode(), "utf-8") for t in tokens]))
+        assert peak_bytes(lambda: load_checkpoint(path)) <= params.flat.nbytes + vocabulary + (256 << 10)
+
+
 class TestLongSentenceMemory:
     """One 1,000-token sentence among short ones: the FOFE layer takes its
     layout a bounded block of columns at a time, so the peak stays near the
@@ -262,20 +303,11 @@ class TestLongSentenceMemory:
         config = LmConfig(embed_dim=32)
         return vocab, config, [(words(8), 3) for _ in range(255)] + [(words(1000), 500)]
 
-    @staticmethod
-    def peak_bytes(run):
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_context_embeddings_of_one_chunk(self, inputs):
         vocab, config, contexts = inputs
         params = nn.init_network(config.layer_dims(len(vocab)), 0, (len(vocab), config.embed_dim))
         model = LmModel(vocab, config, params)
-        assert self.peak_bytes(lambda: embed(model, contexts)) < 13e6
+        assert peak_bytes(lambda: embed(model, contexts)) < 13e6
 
     def test_train_step_of_one_batch(self, inputs):
         vocab, config, contexts = inputs
@@ -292,7 +324,7 @@ class TestLongSentenceMemory:
             lm._train_step(model, tokens, starts[batch], lengths[batch], positions[batch], state, grads)
 
         step()  # the first Adam step makes the moments
-        assert self.peak_bytes(step) < 3.3e6
+        assert peak_bytes(step) < 3.3e6
 
 
 def write_checkpoint(model, path, tensors, dims=None):

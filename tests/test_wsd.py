@@ -939,7 +939,7 @@ class TestBuiltStoreIsTheLoadedStore:
 
 
 def test_load_store_peak_memory_is_about_the_file_size(tmp_path):
-    """The loaded pairs are views of the file's bytes, not float64 copies of them."""
+    """The loaded pairs are the file's f32 blocks, not float64 copies of them."""
     rng = np.random.default_rng(40)
     lemmas = [f"w{i}" for i in range(40)]
     store = ClassifierStore(
