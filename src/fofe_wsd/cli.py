@@ -5,6 +5,9 @@ by command-line flags; unknown config keys are errors. Exit codes: 0
 success, 1 usage error, 2 data error, 3 numerical abort. The only
 environment variable is FOFE_WSD_LOG (debug/info/warning/error, any case)
 for log verbosity, read on each ``main`` call; any other is a usage error.
+
+``main`` adds flags only to the subcommand it runs, as no other output lists
+them: adding all six subcommands' flags was a quarter of a synthetic ``build``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import os
 import sys
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
-from typing import Callable, get_type_hints
+from functools import partial
+from typing import Callable, Container, get_type_hints
 
 from . import evaluation, fofe, lm, synthetic, wsd
 from ._files import read_lines, write_file
@@ -47,12 +51,7 @@ _FOFE_SETTINGS = _setting_parsers(fofe.FofeConfig)
 _LM_SETTINGS = _setting_parsers(lm.LmConfig)
 _CLASSIFIER_SETTINGS = _setting_parsers(wsd.ClassifierConfig)
 _PATH_KEYS = ("corpus", "train", "test", "inventory", "checkpoint", "store", "predictions", "report")
-_VALUE_PARSERS = {
-    **_FOFE_SETTINGS,
-    **_LM_SETTINGS,
-    **_CLASSIFIER_SETTINGS,
-    **dict.fromkeys(_PATH_KEYS, str),
-}
+_VALUE_PARSERS = {**_FOFE_SETTINGS, **_LM_SETTINGS, **_CLASSIFIER_SETTINGS, **dict.fromkeys(_PATH_KEYS, str)}
 
 
 def _bad_value(key: str, value: str) -> str:
@@ -130,10 +129,10 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     defaults = fofe.FofeConfig(alpha=lm.LmConfig().fofe.alpha)
     cfg = replace(defaults, **_given(vars(args), _FOFE_SETTINGS))
     tokens = tokenize_line(args.tokens)
-    vocabulary = sorted(set(tokens))
-    ids = [vocabulary.index(t) for t in tokens]
+    index = {token: i for i, token in enumerate(sorted(set(tokens)))}
+    ids = [index[t] for t in tokens]
     try:
-        code = fofe.encode_order(ids, cfg, len(vocabulary), args.direction)
+        code = fofe.encode_order(ids, cfg, len(index), args.direction)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
         raise UsageError(f"cannot allocate a code of order {cfg.order:,}") from exc
     print(" ".join(f"{v:.12g}" for v in code))
@@ -230,23 +229,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
-def _flag_parser(key: str, parse: Callable[[str], object]) -> Callable[[str], object]:
-    """``parse`` for the flag of setting ``key``: a rejected value reads as in a config file."""
-
-    def parse_flag(text: str) -> object:
-        try:
-            return parse(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(_bad_value(key, text)) from None
-
-    return parse_flag
+def _parse_flag(key: str, parse: Callable[[str], object], text: str) -> object:
+    """``parse(text)`` for the flag of setting ``key``: a rejected value reads as in a config file."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(_bad_value(key, text)) from None
 
 
 def _add_setting_flags(parser: argparse.ArgumentParser, parsers: dict) -> None:
     for key, parse in parsers.items():
         metavar = "PATH" if key in _PATH_KEYS else None
         flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=key, type=_flag_parser(key, parse), metavar=metavar)
+        parser.add_argument(flag, dest=key, type=partial(_parse_flag, key, parse), metavar=metavar)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -254,46 +249,51 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     _add_setting_flags(parser, _VALUE_PARSERS)
 
 
-def _build_parser() -> _Parser:
+def _add_encode_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tokens", required=True, help="whitespace-separated tokens (may be empty)")
+    parser.add_argument("--direction", choices=("left", "right"), default="left")
+    _add_setting_flags(parser, _FOFE_SETTINGS)
+
+
+def _add_train_flags(parser: argparse.ArgumentParser) -> None:
+    _add_config_flags(parser)
+    parser.add_argument("--resume", action="store_true", help="continue from the existing checkpoint")
+
+
+def _add_gen_synthetic_flags(parser: argparse.ArgumentParser) -> None:
+    defaults = synthetic.SyntheticConfig()
+    parser.add_argument("--outdir", required=True)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--train-n", dest="train_n", type=int, default=defaults.n_train)
+    parser.add_argument("--test-n", dest="test_n", type=int, default=defaults.n_test)
+
+
+# Subcommand -> (help, handler, flag adder), in the order the top-level help lists them.
+_COMMANDS = {
+    "encode": ("print the vocab-space code of a token string", _cmd_encode, _add_encode_flags),
+    "train": ("train the language model on an unlabelled corpus", _cmd_train, _add_train_flags),
+    "build": ("build per-lemma classifiers from a labeled corpus", _cmd_build, _add_config_flags),
+    "predict": ("predict senses for a labeled test file", _cmd_predict, _add_config_flags),
+    "eval": ("score predictions against gold labels", _cmd_eval, _add_config_flags),
+    "gen-synthetic": ("generate a seeded pseudoword benchmark", _cmd_gen_synthetic, _add_gen_synthetic_flags),
+}
+
+
+def _build_parser(flagged: Container[str] = _COMMANDS) -> _Parser:
+    """The CLI parser, in which only the subcommands named in ``flagged`` get their flags."""
     parser = _Parser(prog="fofe-wsd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("encode", help="print the vocab-space code of a token string")
-    p.add_argument("--tokens", required=True, help="whitespace-separated tokens (may be empty)")
-    p.add_argument("--direction", choices=("left", "right"), default="left")
-    _add_setting_flags(p, _FOFE_SETTINGS)
-    p.set_defaults(func=_cmd_encode)
-
-    p = sub.add_parser("train", help="train the language model on an unlabelled corpus")
-    _add_config_flags(p)
-    p.add_argument("--resume", action="store_true", help="continue from the existing checkpoint")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("build", help="build per-lemma classifiers from a labeled corpus")
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("predict", help="predict senses for a labeled test file")
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_predict)
-
-    p = sub.add_parser("eval", help="score predictions against gold labels")
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("gen-synthetic", help="generate a seeded pseudoword benchmark")
-    p.add_argument("--outdir", required=True)
-    synthetic_defaults = synthetic.SyntheticConfig()
-    p.add_argument("--seed", type=int, default=synthetic_defaults.seed)
-    p.add_argument("--train-n", dest="train_n", type=int, default=synthetic_defaults.n_train)
-    p.add_argument("--test-n", dest="test_n", type=int, default=synthetic_defaults.n_test)
-    p.set_defaults(func=_cmd_gen_synthetic)
-
+    for name, (help_text, _, add_flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name in flagged:
+            add_flags(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the first word not starting with "-" names the only subparser that can run
+    parser = _build_parser({next((a for a in argv if not a.startswith("-")), None)})
     try:
         level = os.environ.get("FOFE_WSD_LOG", "warning")
         if level.lower() not in _LOG_LEVELS:
@@ -301,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         log.setLevel(level.upper())  # on every call: basicConfig acts only while the root logger has no handler
         logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
         args = parser.parse_args(argv)
-        return args.func(args)
+        return _COMMANDS[args.command][1](args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (UsageError, DataError, NumericalError) as exc:

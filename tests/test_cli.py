@@ -94,6 +94,21 @@ class TestEncode:
         assert main(["encode", "--tokens", "a b c", "--alpha", "0.7", "--direction", "right"]) == 0
         assert capsys.readouterr().out.strip() == "1 0.7 0.49"
 
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--alpha", "0.5"], "0.25 1.015625 0.125 0.03125 0.5703125"),
+            (
+                ["--alpha", "0.5", "--order", "2", "--direction", "right"],
+                "0.0625 1.015625 0.125 0.5 0.28125 0.03125 0.5078125 0.0625 0.25 1.140625",
+            ),
+        ],
+    )
+    def test_repeated_tokens_share_an_id(self, capsys, flags, code):
+        # ids follow the sorted distinct tokens: and, cat, dog, saw, the
+        assert main(["encode", "--tokens", "the cat saw the dog and the cat", *flags]) == 0
+        assert capsys.readouterr().out == code + "\n"
+
     def test_unknown_flag(self, capsys):
         assert main(["encode", "--tokens", "a", "--bogus", "x"]) == 1
 
@@ -762,3 +777,60 @@ class TestEntryPoints:
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
+
+
+@pytest.fixture()
+def flagged_parsers(monkeypatch):
+    """The ``prog`` of each parser given a flag other than ``-h``, in order, per call."""
+    progs = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(parser, *args, **kwargs):
+        if kwargs.get("action") != "help":
+            progs.append(parser.prog)
+        return add_argument(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    return progs
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["-h"],
+            [],
+            ["bogus"],
+            *([command, "--help"] for command in ("encode", "train", "build", "predict", "eval", "gen-synthetic")),
+            ["train", "--bogus"],
+            ["encode", "--corpus", "x"],  # a flag of another subcommand
+            ["train", "--epochs", "x"],
+            ["gen-synthetic", "--seed", "x"],
+            ["-x", "build", "-c", "x"],  # an unknown flag before the subcommand
+        ],
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )
+    def test_output_matches_a_parser_with_every_flag(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        build_parser = cli._build_parser
+        outcomes = []
+        for parser in (build_parser, lambda *_: build_parser()):
+            monkeypatch.setattr(cli, "_build_parser", parser)
+            outcomes.append((main(argv), *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] or outcomes[0][2]
+
+    def test_only_the_invoked_subcommand_gets_flags(self, capsys, flagged_parsers):
+        assert main(["build", "--k", "x"]) == 1
+        assert "argument --k: bad value for 'k': 'x'" in capsys.readouterr().err
+        assert set(flagged_parsers) == {"fofe-wsd build"}
+
+    def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys, flagged_parsers):
+        argv = ["predict", "--k", "x"]
+        outcomes = [(main(argv), capsys.readouterr(), set(flagged_parsers))]
+        flagged_parsers.clear()
+        monkeypatch.setattr(sys, "argv", ["fofe-wsd", *argv])
+        outcomes.append((main(), capsys.readouterr(), set(flagged_parsers)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] == {"fofe-wsd predict"}
