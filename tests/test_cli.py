@@ -781,7 +781,7 @@ class TestEntryPoints:
 
 @pytest.fixture()
 def flagged_parsers(monkeypatch):
-    """The ``prog`` of each parser given a flag other than ``-h``, in order, per call."""
+    """The ``prog`` of the parser of each flag added, other than ``-h``."""
     progs = []
     add_argument = argparse.ArgumentParser.add_argument
 
