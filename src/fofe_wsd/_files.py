@@ -78,11 +78,12 @@ def write_file(path: str | Path, data: str | bytes | bytearray) -> None:
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
-    finally:
-        with contextlib.suppress(OSError, ValueError):  # after os.replace it is gone
+    except BaseException as exc:  # only a failed write leaves the temp file behind
+        with contextlib.suppress(OSError, ValueError):
             os.remove(tmp)
+        if isinstance(exc, (OSError, ValueError)):
+            raise DataError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def checksum(buf: bytes | bytearray | memoryview) -> int:

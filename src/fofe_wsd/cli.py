@@ -6,8 +6,14 @@ success, 1 usage error, 2 data error, 3 numerical abort. The only
 environment variable is FOFE_WSD_LOG (debug/info/warning/error, any case)
 for log verbosity, read on each ``main`` call; any other is a usage error.
 
-``main`` adds flags only to the subcommand it runs, as no other output lists
-them: adding all six subcommands' flags was a quarter of a synthetic ``build``.
+``main`` builds only the parser its arguments can reach. When the first one
+names a subcommand, the parser holds that one subparser with its flags: the
+only top-level message argparse can then print is "unrecognized arguments"
+with the usage line, which the subparsers' metavar keeps listing all six.
+Any other argument list (none, ``-h`` or ``--help`` first, an unknown command,
+an option or ``--`` before the command) gets all six subparsers, flags only on
+the first word not starting with ``-``, and no metavar, as a metavar would
+replace ``command`` in the "required" and "invalid choice" errors.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import sys
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 from functools import partial
-from typing import Callable, Container, get_type_hints
+from typing import Callable, Collection, Container, get_type_hints
 
 from . import evaluation, fofe, lm, synthetic, wsd
 from ._files import read_lines, write_file
@@ -279,11 +285,16 @@ _COMMANDS = {
 }
 
 
-def _build_parser(flagged: Container[str] = _COMMANDS) -> _Parser:
-    """The CLI parser, in which only the subcommands named in ``flagged`` get their flags."""
+def _build_parser(commands: Collection[str] = _COMMANDS, flagged: Container[str] = _COMMANDS) -> _Parser:
+    """The CLI parser with the subcommands in ``commands``, of which only those in ``flagged`` get their flags."""
     parser = _Parser(prog="fofe-wsd", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (help_text, _, add_flags) in _COMMANDS.items():
+    # With fewer than six subparsers, the metavar keeps the usage line listing all six.
+    # With all six it stays unset: it would replace "command" in the "required" and
+    # "invalid choice" errors, which only that parser can print.
+    metavar = None if len(commands) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, metavar=metavar)
+    for name in commands:
+        help_text, _, add_flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         if name in flagged:
             add_flags(p)
@@ -292,8 +303,13 @@ def _build_parser(flagged: Container[str] = _COMMANDS) -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the first word not starting with "-" names the only subparser that can run
-    parser = _build_parser({next((a for a in argv if not a.startswith("-")), None)})
+    if argv and argv[0] in _COMMANDS:
+        # after a leading command the one top-level message is "unrecognized
+        # arguments" with the usage line, so that command's subparser is enough
+        parser = _build_parser(argv[:1], argv[:1])
+    else:
+        # the first word not starting with "-" names the only subparser that can run
+        parser = _build_parser(_COMMANDS, {next((a for a in argv if not a.startswith("-")), None)})
     try:
         level = os.environ.get("FOFE_WSD_LOG", "warning")
         if level.lower() not in _LOG_LEVELS:

@@ -794,6 +794,23 @@ def flagged_parsers(monkeypatch):
     return progs
 
 
+@pytest.fixture()
+def subparsers(monkeypatch):
+    """The name of each subparser created."""
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(action, name, **kwargs):
+        names.append(name)
+        return add_parser(action, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    return names
+
+
+USAGE = "usage: fofe-wsd [-h] {encode,train,build,predict,eval,gen-synthetic} ...\n"
+
+
 class TestParser:
     @pytest.mark.parametrize(
         "argv",
@@ -808,6 +825,10 @@ class TestParser:
             ["train", "--epochs", "x"],
             ["gen-synthetic", "--seed", "x"],
             ["-x", "build", "-c", "x"],  # an unknown flag before the subcommand
+            ["build", "--bogus"],
+            ["build", "stray"],
+            ["--help", "build"],
+            ["build", "--e", "3"],  # a prefix of several of build's flags
         ],
         ids=lambda argv: " ".join(argv) or "no-arguments",
     )
@@ -834,3 +855,62 @@ class TestParser:
         outcomes.append((main(), capsys.readouterr(), set(flagged_parsers)))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][2] == {"fofe-wsd predict"}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param([], "the following arguments are required: command", id="no-arguments"),
+            pytest.param(
+                ["bogus"],
+                "argument command: invalid choice: 'bogus' "
+                "(choose from 'encode', 'train', 'build', 'predict', 'eval', 'gen-synthetic')",
+                id="bogus",
+            ),
+            pytest.param(["build", "--bogus"], "unrecognized arguments: --bogus", id="build --bogus"),
+            pytest.param(
+                ["build", "-c", "x", "extra", "--bogus"],
+                "unrecognized arguments: extra --bogus",
+                id="build -c x extra --bogus",
+            ),
+        ],
+    )
+    def test_top_level_error_text(self, monkeypatch, capsys, argv, message):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n{USAGE}")
+
+    def test_help_before_a_command_lists_every_command(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(["--help", "build"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(USAGE)
+        for name, (help_text, _, _) in cli._COMMANDS.items():
+            assert re.search(rf"^    {re.escape(name)} +{re.escape(help_text)}$", out, re.M), name
+
+    @pytest.mark.parametrize("from_sys_argv", [False, True], ids=["argv", "sys.argv"])
+    @pytest.mark.parametrize(
+        "argv, created",
+        [
+            pytest.param(["predict", "-c", "{tmp}/missing.conf"], ["predict"], id="predict"),
+            pytest.param(
+                ["gen-synthetic", "--outdir", "{tmp}/out", "--train-n", "2", "--test-n", "2"],
+                ["gen-synthetic"],
+                id="gen-synthetic",
+            ),
+            *(
+                pytest.param(argv, list(cli._COMMANDS), id=" ".join(argv) or "no-arguments")
+                for argv in ([], ["--help"], ["--help", "build"], ["-x", "build"], ["bogus"])
+            ),
+        ],
+    )
+    def test_a_leading_command_creates_only_its_subparser(
+        self, monkeypatch, capsys, tmp_path, subparsers, from_sys_argv, argv, created
+    ):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if from_sys_argv:
+            monkeypatch.setattr(sys, "argv", ["fofe-wsd", *argv])
+            main()
+        else:
+            main(argv)
+        capsys.readouterr()
+        assert subparsers == created

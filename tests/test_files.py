@@ -70,6 +70,22 @@ class TestWriteFile:
             write_file(target, "x\n")
         assert os.listdir(tmp_path) == ["out"]
 
+    def test_successful_write_removes_nothing(self, tmp_path, monkeypatch):
+        removed = []
+        monkeypatch.setattr(os, "remove", removed.append)
+        write_file(tmp_path / "out", "x\n")
+        assert removed == []
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_interrupted_write_removes_tmp(self, tmp_path, monkeypatch):
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            write_file(tmp_path / "out", "x\n")
+        assert os.listdir(tmp_path) == []
+
     def test_replaces_with_plain_open_mode(self, tmp_path):
         path, plain = tmp_path / "new.txt", tmp_path / "plain.txt"
         path.write_text("old and longer\n", encoding="utf-8")
