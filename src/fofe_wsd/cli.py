@@ -11,9 +11,9 @@ names a subcommand, the parser holds that one subparser with its flags: the
 only top-level message argparse can then print is "unrecognized arguments"
 with the usage line, which the subparsers' metavar keeps listing all six.
 Any other argument list (none, ``-h`` or ``--help`` first, an unknown command,
-an option or ``--`` before the command) gets all six subparsers, flags only on
-the first word not starting with ``-``, and no metavar, as a metavar would
-replace ``command`` in the "required" and "invalid choice" errors.
+an option or ``--`` before the command) gets all six subparsers with their
+flags and no metavar, as a metavar would replace ``command`` in the
+"required" and "invalid choice" errors.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 from functools import partial
-from typing import Callable, Collection, Container, get_type_hints
+from typing import Callable, Collection, get_type_hints
 
 from . import evaluation, fofe, lm, synthetic, wsd
 from ._files import read_lines, write_file
@@ -285,8 +285,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser(commands: Collection[str] = _COMMANDS, flagged: Container[str] = _COMMANDS) -> _Parser:
-    """The CLI parser with the subcommands in ``commands``, of which only those in ``flagged`` get their flags."""
+def _build_parser(commands: Collection[str] = _COMMANDS) -> _Parser:
+    """The CLI parser with the subcommands in ``commands`` and their flags."""
     parser = _Parser(prog="fofe-wsd", description=__doc__.splitlines()[0])
     # With fewer than six subparsers, the metavar keeps the usage line listing all six.
     # With all six it stays unset: it would replace "command" in the "required" and
@@ -295,21 +295,15 @@ def _build_parser(commands: Collection[str] = _COMMANDS, flagged: Container[str]
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, metavar=metavar)
     for name in commands:
         help_text, _, add_flags = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        if name in flagged:
-            add_flags(p)
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _COMMANDS:
-        # after a leading command the one top-level message is "unrecognized
-        # arguments" with the usage line, so that command's subparser is enough
-        parser = _build_parser(argv[:1], argv[:1])
-    else:
-        # the first word not starting with "-" names the only subparser that can run
-        parser = _build_parser(_COMMANDS, {next((a for a in argv if not a.startswith("-")), None)})
+    # after a leading command the one top-level message is "unrecognized
+    # arguments" with the usage line, so that command's subparser is enough
+    parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         level = os.environ.get("FOFE_WSD_LOG", "warning")
         if level.lower() not in _LOG_LEVELS:
