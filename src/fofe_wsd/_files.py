@@ -211,10 +211,13 @@ class Reader:
     def texts(self, n: int) -> list[str]:
         """``n`` u32-length-prefixed UTF-8 strings.
 
-        They are decoded from the file object's read buffer as far as whole
-        strings lie in it, and consumed with one ``take``; a string across
-        the buffer's end is taken on its own.
+        Fewer than ``4 * n`` bytes left, one length prefix each, is a
+        truncated file before any string is decoded. The strings are decoded
+        from the file object's read buffer as far as whole strings lie in
+        it, and consumed with one ``take``; a string across the buffer's end
+        is taken on its own.
         """
+        self.need(4 * n)
         out: list[str] = []
         try:
             while len(out) < n:

@@ -22,10 +22,11 @@ import argparse
 import logging
 import os
 import sys
-from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 from functools import partial
 from typing import Callable, Collection, get_type_hints
+
+import numpy as np
 
 from . import evaluation, fofe, lm, synthetic, wsd
 from ._files import read_lines, write_file
@@ -182,8 +183,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     store = wsd.build_classifier_store(model, corpus, inventory)
     if log.isEnabledFor(logging.INFO):  # the sense counts are work, not just formatting
         for lemma, codes in store.codes.items():
-            counts = Counter(codes.tolist())
-            per_key = sorted((key, counts[code]) for code, key in enumerate(store.keys[lemma]))
+            counts = np.bincount(codes, minlength=len(store.keys[lemma])).tolist()
+            per_key = sorted(zip(store.keys[lemma], counts))
             log.info("lemma %s: %d pairs (%s)", lemma, len(codes), ", ".join(f"{key}={n}" for key, n in per_key))
     wsd.save_store(store, store_path)
     print(f"classifier store written to {store_path} ({len(store.pairs)} lemmas)")

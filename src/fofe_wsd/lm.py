@@ -11,9 +11,9 @@ form ``training_examples`` gives: model-id arrays, not token strings.
 A model holds its parameters in float32, the precision the checkpoint
 keeps, whether ``train_lm`` trained them or ``load_checkpoint`` read them.
 ``load_checkpoint`` streams the file's tensors straight into one parameter
-buffer. ``context_embeddings`` computes in float64: it widens only the
-embedding rows its tokens reach, once per call, and numpy widens the
-float32 weights exactly inside its products.
+buffer. ``context_embeddings`` runs the network in the parameters' dtype,
+so for such a model it is the float32 arithmetic of the training forward
+pass.
 
 Checkpoint format: a ``_files`` container (magic ``FOFE``, version 2, which
 frames it and checksums it with CRC32) whose body is alpha f64, order u32,
@@ -133,38 +133,29 @@ def training_examples(
 
 
 def context_embeddings(
-    model: LmModel, tokens: np.ndarray, starts: np.ndarray, lengths: np.ndarray, positions: np.ndarray,
-    dtype: np.dtype | type = np.float64,
+    model: LmModel, tokens: np.ndarray, starts: np.ndarray, lengths: np.ndarray, positions: np.ndarray
 ) -> np.ndarray:
     """Held-out-layer activations of the contexts given as in ``training_examples``, one row each.
 
     ``tokens`` holds model ids; context i is the sentence of ``lengths[i]``
     ids from ``starts[i]``, around the target at ``positions[i]``. Returns
-    a ``(len(positions), held_out_dim)`` matrix in ``dtype``. The target
-    word itself is excluded from the context, and the output layer is not
-    evaluated. The embedding rows ``tokens`` reach are widened to float64,
-    so memory beyond one pass over the vocabulary follows the tokens, not
-    the table. The contexts go ``_EMBED_BATCH`` at a time through the FOFE
-    layer and one ``nn.held_out`` product, in float64, which bounds the FOFE
-    buffers held at once; each chunk is rounded into ``dtype`` as ``astype``
-    would. A row may differ in its last bits from a one-row product's.
+    a ``(len(positions), held_out_dim)`` float32 matrix, the precision the
+    store keeps. The target word itself is excluded from the context, and
+    the output layer is not evaluated. The contexts go ``_EMBED_BATCH`` at a
+    time through the FOFE layer and one ``nn.held_out`` product, which
+    bounds the FOFE buffers held at once. Both run in the parameters' dtype,
+    so a chunk's rows are ``nn.forward``'s held-out activations of its
+    layout, bit for bit. A row may differ in its last bits from a one-row
+    product's.
     """
     cfg = model.config
-    # Only the rows ``tokens`` reach are widened: marked without a sort, and the ids renumbered into them.
-    reached = np.zeros(len(model.params.embedding), dtype=bool)
-    reached[tokens] = True
-    rows = np.flatnonzero(reached)
-    table = model.params.embedding.take(rows, axis=0).astype(np.float64)
-    renumber = np.empty(len(reached), dtype=np.intp)
-    renumber[rows] = np.arange(len(rows))
-    tokens = renumber[tokens]
-    embeddings = np.empty((len(positions), cfg.held_out_dim), dtype=dtype)
+    embeddings = np.empty((len(positions), cfg.held_out_dim), dtype=np.float32)
     for first in range(0, len(positions), _EMBED_BATCH):
         chunk = slice(first, first + _EMBED_BATCH)
         layout = fofe.context_ids(
             tokens, starts[chunk], lengths[chunk], positions[chunk], cfg.fofe.order, cfg.window_cap
         )
-        embeddings[chunk] = nn.held_out(model.params, fofe.encode_contexts(layout, cfg.fofe, table))
+        embeddings[chunk] = nn.held_out(model.params, fofe.encode_contexts(layout, cfg.fofe, model.params.embedding))
     return embeddings
 
 
@@ -180,7 +171,7 @@ def _train_step(
     """One update on the examples given as in ``training_examples``.
 
     ``grads`` is the run's gradient buffer, its embedding slot zeroed; the
-    step zeroes again the rows its contexts touched, so it ends zeroed.
+    step zeroes that slot again, so it ends zeroed.
     """
     params = model.params
     cfg = model.config.fofe
@@ -190,7 +181,7 @@ def _train_step(
     nn.backward(params, nn.forward(params, x), words, out=grads)
     fofe.contexts_backward(ids, cfg, grads.input, grads.embedding)
     nn.apply_update(params, grads, state)
-    grads.embedding[ids[ids >= 0]] = 0.0
+    grads.embedding.fill(0.0)
     return grads.loss
 
 

@@ -1,8 +1,8 @@
 """Minimal fully-connected network kernel: forward, loss, exact backprop,
 optimizer step, finite-difference gradient verification.
 
-Arithmetic runs in the wider of the input's and the tensors' dtype: float32
-in training, float64 elsewhere (numpy widens float32 tensors exactly).
+Arithmetic runs in the wider of the input's and the tensors' dtype: the
+language model's float32, in training and in its context embeddings alike.
 Hidden layers apply an affine map followed by a rectifier max(0, x); the
 final layer is affine only and produces logits.
 Inputs may be a single vector ``(d,)`` or a batch ``(n, d)``; batch losses

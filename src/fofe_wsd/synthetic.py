@@ -40,6 +40,8 @@ _FILLERS = [
 
 _POOLS = {"money": _MONEY, "river": _RIVER}
 _SENSES = {"money": f"{PSEUDOWORD}%1", "river": f"{PSEUDOWORD}%2"}
+_N_EXTRA = 150  # unlabelled pseudoword sentences per flavor
+_N_BACKGROUND = 100  # plain sentences per flavor, no pseudoword
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,6 @@ class SyntheticConfig:
     seed: int = 0
     n_train: int = 200
     n_test: int = 100
-    n_extra: int = 150  # unlabelled pseudoword sentences per flavor
-    n_background: int = 100  # plain sentences per flavor, no pseudoword
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -106,9 +106,9 @@ def generate(outdir: str | Path, config: SyntheticConfig = SyntheticConfig()) ->
     test_rows = labeled_rows("test", config.n_test)
 
     corpus_lines = [row.split("\t")[1] for row in train_rows]
-    for i in range(2 * config.n_extra):
+    for i in range(2 * _N_EXTRA):
         corpus_lines.append(" ".join(_pseudo_sentence(rng, flavors[i % 2])[0]))
-    for i in range(2 * config.n_background):
+    for i in range(2 * _N_BACKGROUND):
         corpus_lines.append(" ".join(_background_sentence(rng, flavors[i % 2])))
     perm = rng.permutation(len(corpus_lines))
     corpus_lines = [corpus_lines[i] for i in perm]

@@ -135,7 +135,7 @@ def _by_lemma(corpus: LabeledCorpus, chosen: np.ndarray) -> tuple[np.ndarray, np
     return rows, np.bincount(corpus.lemma_codes[rows], minlength=len(corpus.lemmas))
 
 
-def _embed(model: LmModel, corpus: LabeledCorpus, rows: np.ndarray, **dtype: type) -> np.ndarray:
+def _embed(model: LmModel, corpus: LabeledCorpus, rows: np.ndarray) -> np.ndarray:
     """The context embedding of each instance in ``rows``, from one ``context_embeddings`` call.
 
     The corpus's token types map to model ids once each (unknown words to
@@ -143,7 +143,7 @@ def _embed(model: LmModel, corpus: LabeledCorpus, rows: np.ndarray, **dtype: typ
     """
     ids = np.array(model.vocab.encode(corpus.types), dtype=np.intp).take(corpus.tokens)
     starts = corpus.offsets[rows]
-    return context_embeddings(model, ids, starts, corpus.offsets[rows + 1] - starts, corpus.targets[rows], **dtype)
+    return context_embeddings(model, ids, starts, corpus.offsets[rows + 1] - starts, corpus.targets[rows])
 
 
 def build_classifier_store(model: LmModel, corpus: LabeledCorpus, inventory: SenseInventory) -> ClassifierStore:
@@ -164,7 +164,7 @@ def build_classifier_store(model: LmModel, corpus: LabeledCorpus, inventory: Sen
     firsts = np.repeat(np.cumsum(copies) - copies, copies)  # the first pair of each pair's instance
     ranks = np.arange(len(owners)) - firsts  # each pair's place among its instance's gold keys
     keys = corpus.gold[corpus.gold_offsets[owners] + ranks]
-    embeddings = _embed(model, corpus, owners, dtype=np.float32)
+    embeddings = _embed(model, corpus, owners)
     later = ranks > 0  # two products of one context may round apart, so copy the first
     embeddings[later] = embeddings[firsts[later]]
     sizes = np.bincount(corpus.lemma_codes[owners], minlength=len(corpus.lemmas))
@@ -413,7 +413,6 @@ def load_store(path: str | Path) -> ClassifierStore:
             if lemma in store.pairs:
                 raise rd.corrupt(f"duplicate lemma {lemma!r}")
             n_pairs, n_keys = rd.u32(), rd.u32()
-            rd.need(4 * n_keys)  # each key's length prefix
             keys = rd.texts(n_keys)
             codes = rd.u32s(n_pairs)
             if problem := _key_list_problem(lemma, keys, codes):

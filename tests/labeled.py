@@ -84,10 +84,10 @@ def corpus_of(rows) -> LabeledCorpus:
         return read_labeled_corpus(path)
 
 
-def embed(model, contexts, dtype=np.float64) -> np.ndarray:
-    """``context_embeddings`` of the (tokens, target index) contexts, in ``dtype``."""
+def embed(model, contexts) -> np.ndarray:
+    """``context_embeddings`` of the (tokens, target index) contexts."""
     ids = [model.vocab.encode(tokens) for tokens, _ in contexts]
     lengths = np.array([len(sentence) for sentence in ids], dtype=np.intp)
     tokens = np.array([i for sentence in ids for i in sentence], dtype=np.intp)
     positions = np.array([target for _, target in contexts], dtype=np.intp)
-    return context_embeddings(model, tokens, np.cumsum(lengths) - lengths, lengths, positions, dtype)
+    return context_embeddings(model, tokens, np.cumsum(lengths) - lengths, lengths, positions)

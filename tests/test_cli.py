@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -396,10 +397,10 @@ class TestBuildPredictEval:
         assert "lemma blick: 4 pairs (blick%1=2, blick%2=2)" in caplog.messages
         caplog.clear()
 
-        def no_counts(senses):
+        def no_counts(codes, minlength):
             raise AssertionError("sense counts built below info level")
 
-        monkeypatch.setattr(cli, "Counter", no_counts)
+        monkeypatch.setattr(cli, "np", SimpleNamespace(bincount=no_counts))  # cli's only use of numpy
         monkeypatch.setenv("FOFE_WSD_LOG", "warning")
         assert main(["build", "-c", str(config)]) == 0
         assert not caplog.messages
@@ -733,7 +734,7 @@ class TestGenSynthetic:
             assert "must be >= 0" in capsys.readouterr().err
             assert not outdir.exists()
         with pytest.raises(ValueError):
-            synthetic.SyntheticConfig(n_extra=-1)
+            synthetic.SyntheticConfig(n_test=-1)
 
 
 class TestEntryPoints:

@@ -197,14 +197,14 @@ class TestContextEmbedding:
             contexts.append((tokens, int(rng.integers(0, length))))
 
         embeddings = embed(model, contexts)
-        dim, dtype = model.config.held_out_dim, np.float64
+        dim = model.config.held_out_dim
         assert model.params.flat.dtype == np.float32
-        assert embeddings.shape == (count, dim) and embeddings.dtype == dtype
+        assert embeddings.shape == (count, dim) and embeddings.dtype == np.float32
         chunks = -(-count // 3)
         assert calls == ["encode_contexts", "held_out"] * chunks
         none = embed(model, [])
-        assert none.shape == (0, dim) and none.dtype == dtype and len(calls) == 2 * chunks
-        table = model.params.embedding.astype(np.float64)  # the codes are float64; the weights stay float32
+        assert none.shape == (0, dim) and none.dtype == np.float32 and len(calls) == 2 * chunks
+        table = model.params.embedding  # the float32 table as it is: codes and products stay float32
         for start in range(0, count, 3):
             codes = np.stack([
                 context_code(model.vocab.encode(tokens), target, model.config.fofe, table, window_cap)
@@ -213,22 +213,39 @@ class TestContextEmbedding:
             expected = nn.held_out(model.params, codes)
             for got, want in zip(embeddings[start : start + 3], expected, strict=True):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        # in float32, each row is the float64 row rounded
-        narrow = embed(model, contexts, dtype=np.float32)
-        assert narrow.dtype == np.float32 and narrow.tobytes() == embeddings.astype(np.float32).tobytes()
 
-    def test_float64_whatever_the_parameters_dtype(self, tiny_model):
-        narrow = LmModel(tiny_model.vocab, tiny_model.config, tiny_model.params.astype(np.float32))
-        wide = LmModel(tiny_model.vocab, tiny_model.config, narrow.params.astype(np.float64))
+    def test_float32_rows_in_the_parameters_dtype(self, tiny_model):
+        wide = LmModel(tiny_model.vocab, tiny_model.config, tiny_model.params.astype(np.float64))
         rng = np.random.default_rng(3)
         words = tiny_model.vocab.tokens[1:] + ["qqqqq"]
-        contexts = []
-        for length in (1, 9, 3, 25):
-            tokens = [words[int(i)] for i in rng.integers(0, len(words), length)]
-            contexts.append((tokens, int(rng.integers(0, length))))
-        got, want = embed(narrow, contexts), embed(wide, contexts)
-        assert got.dtype == want.dtype == np.float64
-        assert got.tobytes() == want.tobytes()
+        sentences = [[words[int(i)] for i in rng.integers(0, len(words), n)] for n in (1, 9, 3, 25)]
+        positions = np.array([int(rng.integers(0, len(sentence))) for sentence in sentences])
+        lengths = np.array([len(sentence) for sentence in sentences])
+        tokens = np.array([i for sentence in sentences for i in tiny_model.vocab.encode(sentence)])
+        layout = context_ids(tokens, np.cumsum(lengths) - lengths, lengths, positions, tiny_model.config.fofe.order)
+        for model in (tiny_model, wide):
+            codes = fofe.encode_contexts(layout, model.config.fofe, model.params.embedding)
+            want = nn.held_out(model.params, codes)
+            assert want.dtype == model.params.flat.dtype
+            got = embed(model, list(zip(sentences, positions.tolist())))
+            assert got.dtype == np.float32 and got.tobytes() == want.astype(np.float32).tobytes()
+
+    def test_rows_are_the_training_forward_pass(self, tiny_model, toy_lines, monkeypatch):
+        # the held-out activations of one training step's forward pass, with the update skipped
+        # so the parameters stay as they were, are the context embeddings of its examples
+        examples = training_examples([tiny_model.vocab.encode(line.split()) for line in toy_lines[:8]])
+        batch = np.random.default_rng(4).permutation(len(examples[0]))[:40]
+        seen = []
+        forward = nn.forward
+        monkeypatch.setattr(nn, "forward", lambda *a: seen.append(forward(*a)) or seen[-1])
+        monkeypatch.setattr(nn, "apply_update", lambda *a: None)
+        grads = nn.Gradients(np.zeros_like(tiny_model.params.flat), tiny_model.params.layout)
+        args = examples[0], *(column[batch] for column in examples[1:])
+        lm._train_step(tiny_model, *args, nn.OptimizerState(), grads)
+        (trace,) = seen
+        got = context_embeddings(tiny_model, *args)
+        assert got.dtype == trace.activations[-2].dtype == np.float32
+        assert got.tobytes() == trace.activations[-2].tobytes()
 
     def test_contexts_index_one_token_array(self, tiny_model, monkeypatch):
         # contexts picked out of one array of sentences, out of order and repeated,
@@ -258,20 +275,20 @@ def peak_bytes(run):
 class TestVocabularyWideMemory:
     """Memory that must not follow the vocabulary size V beyond one pass over V."""
 
-    def test_context_embeddings_widen_only_the_rows_reached(self):
-        # a 100,000-row table, 12.8 MB as float64; four sentences reach at most 48 of its rows,
-        # so the peak is one pass over V (a bool mark and an id map, 0.9 MB) and the FOFE buffers
+    def test_context_embeddings_copy_no_rows(self):
+        # a 100,000-row table, 6.4 MB as float32; four sentences reach at most 48 of its rows,
+        # and the embedding copies none of it and makes no pass over it, so the peak is the
+        # FOFE buffers (0.32 MB); a bool mark and an id map over the table alone take 0.9 MB
         vocab = Vocabulary.from_tokens([UNK_TOKEN] + [f"w{i}" for i in range(99_999)])
         config = LmConfig(embed_dim=16, hidden_dims=(8,))
         params = nn.init_network(config.layer_dims(len(vocab)), 0, (len(vocab), config.embed_dim), np.float32)
         model = LmModel(vocab, config, params)
         rng = np.random.default_rng(0)
         contexts = training_examples([rng.integers(0, len(vocab), n).tolist() for n in (5, 12, 1, 30)])
-        wide = params.embedding.astype(np.float64)
-        assert peak_bytes(lambda: context_embeddings(model, *contexts)) < wide.nbytes / 4
-        # the rows of one product over a float64 copy of the whole table, bit for bit
+        assert peak_bytes(lambda: context_embeddings(model, *contexts)) < 512 << 10
+        # the rows of one product over the table as it is, bit for bit
         layout = context_ids(*contexts, config.fofe.order)
-        want = nn.held_out(params, fofe.encode_contexts(layout, config.fofe, wide))
+        want = nn.held_out(params, fofe.encode_contexts(layout, config.fofe, params.embedding))
         assert context_embeddings(model, *contexts).tobytes() == want.tobytes()
 
     def test_load_checkpoint_holds_one_parameter_buffer(self, tmp_path):
@@ -380,6 +397,21 @@ class TestCheckpoint:
         save_checkpoint(tiny_model, path)
         path.write_bytes(path.read_bytes()[:50])
         with pytest.raises(DataError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_vocabulary_count_beyond_file_is_truncation(self, tiny_model, tmp_path):
+        # too few bytes left for the tokens' length prefixes: refused before any token is
+        # decoded, so the first token, made invalid UTF-8, is never read
+        path = tmp_path / "m.fofe"
+        save_checkpoint(tiny_model, path)
+        raw = bytearray(path.read_bytes())
+        at = 24 + 4 * len(tiny_model.config.layer_dims(len(tiny_model.vocab)))  # after magic .. dims
+        assert raw[at : at + 4] == len(tiny_model.vocab).to_bytes(4, "little")
+        raw[at : at + 4] = (len(raw) // 4).to_bytes(4, "little")
+        raw[at + 8] ^= 0xFF  # the first token's first byte
+        raw[-8:] = checksum(raw[:-8]).to_bytes(8, "little")
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=r"^truncated checkpoint: "):
             load_checkpoint(path)
 
     def test_corrupted_byte_fails_checksum(self, tiny_model, tmp_path):
