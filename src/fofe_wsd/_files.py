@@ -3,8 +3,9 @@ training log included; no other module opens a file.
 
 * Text is UTF-8. A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only, so a
   ``\\x0c``, ``\\x85`` or ``\\u2028`` inside a field stays in its line.
-* An output is written whole to ``<path>.tmp`` in the same directory, which
-  is then renamed over ``path``: a failed write leaves the old file as it was.
+* An output is streamed to ``<path>.tmp`` in the same directory, which is
+  then renamed over ``path``: a failed write leaves the old file as it was,
+  and no temp file behind.
 * The binary container (checkpoint and store) is little-endian: a 4-byte
   magic, a u32 format version, the body (u32 counts, dims and blocks, f64
   scalars, u32-length-prefixed UTF-8 strings, f32 row-major values), then
@@ -14,8 +15,12 @@ training log included; no other module opens a file.
   file. A reader takes one format version and refuses any other. A tensor
   is read straight into the bytes of an array of the shape the reader
   expects, and its stored rank and dims are checked against that shape
-  before any value is read. A non-finite f32 value makes the file corrupt,
-  and a writer raises ``DataError`` before writing one.
+  before any value is read. ``Writer`` streams a container the same way:
+  its fields gather in a small buffer and each array goes out a slice at a
+  time from the array's own memory, so a save holds one slice of extra
+  memory whatever the file's size. A non-finite f32 value makes the file
+  corrupt, and a writer raises ``DataError`` before writing one, which
+  removes the temp file.
 
 Read and write failures raise ``DataError`` naming the path.
 """
@@ -28,14 +33,16 @@ import os
 import stat
 import struct
 import zlib
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
 from .errors import DataError
 
 _T = TypeVar("_T")
+_Buffer = bytes | bytearray | memoryview | np.ndarray
 _U32 = struct.Struct("<I")
 _F4 = np.dtype("<f4")
 # Elements per slice of a streamed array: 256 KiB of u32 or f32 values, each
@@ -69,69 +76,142 @@ def read_records(path: str | Path, what: str, n_fields: int) -> Iterator[tuple[i
         yield lineno, fields
 
 
-def write_file(path: str | Path, data: str | bytes | bytearray) -> None:
-    """Replace ``path`` by ``data`` (text as UTF-8) through ``<path>.tmp``."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+@contextlib.contextmanager
+def _replacing(path: str | Path) -> Iterator[Callable[[_Buffer], object]]:
+    """``write(data)`` into ``<path>.tmp``, which is renamed over ``path`` when the block ends.
+
+    If the block raises, the temp file is removed and ``path`` stays as it
+    was. An ``OSError`` of the temp file's open, writes, close or rename,
+    and a ``ValueError`` of its open (a NUL in the path), is ``cannot write
+    <path>``; whatever the block itself raises passes through.
+    """
     tmp = f"{path}.tmp"
+
+    def attempt(call: Callable[..., _T], *args: object) -> _T:
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc}") from exc
+
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException as exc:  # only a failed write leaves the temp file behind
+        fh = open(tmp, "wb")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    try:
+        yield partial(attempt, fh.write)
+        attempt(fh.close)
+        attempt(os.replace, tmp, path)
+    except BaseException:  # only a failed write leaves the temp file behind
+        with contextlib.suppress(OSError):
+            fh.close()
         with contextlib.suppress(OSError, ValueError):
             os.remove(tmp)
-        if isinstance(exc, (OSError, ValueError)):
-            raise DataError(f"cannot write {path}: {exc}") from exc
         raise
 
 
-def checksum(buf: bytes | bytearray | memoryview) -> int:
+def write_file(path: str | Path, data: str | _Buffer) -> None:
+    """Replace ``path`` by ``data`` (text as UTF-8) through ``<path>.tmp``."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    with _replacing(path) as write:
+        write(data)
+
+
+def checksum(buf: _Buffer) -> int:
     """The trailer of a container holding ``buf``: its CRC32."""
     return zlib.crc32(buf)
 
 
-# Binary container, write side: container(), the put_* calls, write_container().
-def container(magic: bytes, version: int) -> bytearray:
-    """A buffer holding the container header; append the body with ``put_*``."""
-    out = bytearray(magic)
-    put_u32(out, version)
-    return out
+def _slices(arr: np.ndarray) -> Iterator[np.ndarray]:
+    """The values of ``arr`` in row-major order, as runs of at most ``_SLICE`` values; views of ``arr``."""
+    if arr.flags.c_contiguous or arr.ndim < 2:
+        flat = arr.reshape(-1)  # a view: ``arr`` is contiguous, or it has one axis
+        for first in range(0, len(flat), _SLICE):
+            yield flat[first : first + _SLICE]
+    elif arr[0].size > _SLICE:
+        for row in arr:
+            yield from _slices(row)
+    else:
+        step = _SLICE // arr[0].size
+        for first in range(0, len(arr), step):
+            yield arr[first : first + step]
 
 
-def put_u32(out: bytearray, *values: int) -> None:
-    out += struct.pack(f"<{len(values)}I", *values)
+class Writer:
+    """Streaming writer of a container to ``<path>.tmp``, summing its bytes into a running CRC32.
 
+    The fields (u32, f64, strings) gather in a small buffer. An array goes
+    a ``_SLICE`` at a time from its own memory, each slice converted only
+    if its layout or dtype differs from the file's, then summed, checked
+    finite if f32, and written. Use it as ``with Writer.create(...) as wr``:
+    when the block ends the CRC32 trailer is appended and the temp file
+    renamed over ``path``; if it raises, the temp file is removed and the
+    old file stays as it was (see ``write_file``). So a save holds one
+    slice, not the file, whatever the file's size.
+    """
 
-def put_f64(out: bytearray, value: float) -> None:
-    out += struct.pack("<d", value)
+    def __init__(self, write: Callable[[_Buffer], object]):
+        self.write, self.crc, self.buf = write, 0, bytearray()
 
+    @classmethod
+    @contextlib.contextmanager
+    def create(cls, path: str | Path, magic: bytes, version: int) -> Iterator["Writer"]:
+        """A writer of a container with ``magic`` and format ``version`` to ``path``."""
+        with _replacing(path) as write:
+            wr = cls(write)
+            wr.buf += magic
+            wr.u32(version)
+            yield wr
+            wr._flush()
+            wr.write(struct.pack("<Q", wr.crc))
 
-def put_str(out: bytearray, text: str) -> None:
-    raw = text.encode("utf-8")
-    out += struct.pack("<I", len(raw))
-    out += raw
+    def _flush(self) -> None:
+        """Sum and write the buffered fields."""
+        if self.buf:
+            self.crc = zlib.crc32(self.buf, self.crc)
+            self.write(self.buf)
+            self.buf.clear()
 
+    def _put(self, data: bytes) -> None:
+        self.buf += data
+        if len(self.buf) >= 4 * _SLICE:
+            self._flush()
 
-def put_floats(out: bytearray, arr: np.ndarray) -> None:
-    """The values of ``arr`` as f32, row-major, without their dims; one that is not finite as f32 is a ``DataError``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = arr.astype("<f4", copy=False)
-    if not np.isfinite(values).all():
-        bad = float(arr.ravel()[~np.isfinite(values.ravel())][0])
-        raise DataError(f"value {bad!r} is not finite as f32, so it cannot be written")
-    out += values.tobytes()
+    def u32(self, *values: int) -> None:
+        self._put(struct.pack(f"<{len(values)}I", *values))
 
+    def f64(self, value: float) -> None:
+        self._put(struct.pack("<d", value))
 
-def put_tensor(out: bytearray, arr: np.ndarray) -> None:
-    put_u32(out, arr.ndim, *arr.shape)
-    put_floats(out, arr)
+    def texts(self, texts: Iterable[str]) -> None:
+        """Each of ``texts`` as a u32-length-prefixed UTF-8 string."""
+        for text in texts:
+            raw = text.encode("utf-8")
+            self._put(_U32.pack(len(raw)) + raw)
 
+    def floats(self, arr: np.ndarray) -> None:
+        """The values of ``arr`` as f32, row-major, without its dims; one not finite as f32 is a ``DataError``."""
+        self._array(arr, _F4)
 
-def write_container(path: str | Path, out: bytearray) -> None:
-    """Append the CRC32 trailer to ``out`` and write it to ``path``; ``out`` is not copied."""
-    out += struct.pack("<Q", checksum(out))
-    write_file(path, out)
+    def u32s(self, arr: np.ndarray) -> None:
+        """The values of ``arr`` as u32, row-major, without its dims."""
+        self._array(arr, np.dtype("<u4"))
+
+    def tensor(self, arr: np.ndarray) -> None:
+        """``arr``'s u32 rank and dims, then its values as in ``floats``."""
+        self.u32(arr.ndim, *arr.shape)
+        self.floats(arr)
+
+    def _array(self, arr: np.ndarray, dtype: np.dtype) -> None:
+        self._flush()
+        for part in _slices(arr):
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = np.ascontiguousarray(part, dtype=dtype).reshape(-1)
+            if dtype == _F4 and not np.isfinite(values).all():
+                bad = float(part.reshape(-1)[~np.isfinite(values)][0])
+                raise DataError(f"value {bad!r} is not finite as f32, so it cannot be written")
+            self.crc = zlib.crc32(values, self.crc)
+            self.write(values)
 
 
 class Reader:

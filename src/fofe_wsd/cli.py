@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import shutil
 import sys
 from dataclasses import fields, is_dataclass, replace
 from functools import partial
@@ -288,7 +289,10 @@ _COMMANDS = {
 
 def _build_parser(commands: Collection[str] = _COMMANDS) -> _Parser:
     """The CLI parser with the subcommands in ``commands`` and their flags."""
-    parser = _Parser(prog="fofe-wsd", description=__doc__.splitlines()[0])
+    # argparse's own help width, read once: a default HelpFormatter reads the
+    # terminal size again for every flag that add_argument checks
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="fofe-wsd", description=__doc__.splitlines()[0], formatter_class=formatter)
     # With fewer than six subparsers, the metavar keeps the usage line listing all six.
     # With all six it stays unset: it would replace "command" in the "required" and
     # "invalid choice" errors, which only that parser can print.
@@ -296,7 +300,7 @@ def _build_parser(commands: Collection[str] = _COMMANDS) -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, metavar=metavar)
     for name in commands:
         help_text, _, add_flags = _COMMANDS[name]
-        add_flags(sub.add_parser(name, help=help_text))
+        add_flags(sub.add_parser(name, help=help_text, formatter_class=formatter))
     return parser
 
 

@@ -11,9 +11,9 @@ form ``training_examples`` gives: model-id arrays, not token strings.
 A model holds its parameters in float32, the precision the checkpoint
 keeps, whether ``train_lm`` trained them or ``load_checkpoint`` read them.
 ``load_checkpoint`` streams the file's tensors straight into one parameter
-buffer. ``context_embeddings`` runs the network in the parameters' dtype,
-so for such a model it is the float32 arithmetic of the training forward
-pass.
+buffer, and ``save_checkpoint`` streams them out of it a slice at a time.
+``context_embeddings`` runs the network in the parameters' dtype, so for
+such a model it is the float32 arithmetic of the training forward pass.
 
 Checkpoint format: a ``_files`` container (magic ``FOFE``, version 2, which
 frames it and checksums it with CRC32) whose body is alpha f64, order u32,
@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import fofe, nn
-from ._files import Reader, container, put_f64, put_str, put_tensor, put_u32, write_container
+from ._files import Reader, Writer
 from .corpus import Vocabulary, build_vocabulary, tokenize_line
 from .errors import DataError, NumericalError, UsageError
 
@@ -265,19 +265,18 @@ def save_checkpoint(model: LmModel, path: str | Path) -> None:
 
     A model's float32 tensors are written as they are; wider floats from
     other callers are rounded to the nearest f32, and one that is not
-    finite as f32 is a ``DataError``, before any byte is written.
+    finite as f32 is a ``DataError``, before the file is replaced. The
+    tensors are streamed to the file from the parameters' own memory.
     """
-    out = container(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-    put_f64(out, model.config.fofe.alpha)
-    put_u32(out, model.config.fofe.order)
     dims = model.config.layer_dims(len(model.vocab))
-    put_u32(out, len(dims), *dims)
-    put_u32(out, len(model.vocab))
-    for token in model.vocab.tokens:
-        put_str(out, token)
-    for tensor in model.params.tensors():
-        put_tensor(out, tensor)
-    write_container(path, out)
+    with Writer.create(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as wr:
+        wr.f64(model.config.fofe.alpha)
+        wr.u32(model.config.fofe.order)
+        wr.u32(len(dims), *dims)
+        wr.u32(len(model.vocab))
+        wr.texts(model.vocab.tokens)
+        for tensor in model.params.tensors():
+            wr.tensor(tensor)
 
 
 def load_checkpoint(path: str | Path) -> LmModel:

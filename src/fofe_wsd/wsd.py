@@ -27,8 +27,9 @@ then per lemma two blocks after a header: a length-prefixed name, the pair
 count and the distinct-sense count (u32 each), and the distinct sense keys,
 length-prefixed, in the order of their first pair; then one u32 block with
 each pair's index into that key list and one f32 (pairs, dim) block,
-row-major. Each block is read straight into its own array. A code beyond the
-key list, a key listed twice, and keys not in first-use order (an unused key
+row-major. Each block is read straight into its own array, and written
+straight from the store's arrays a slice at a time. A code beyond the key
+list, a key listed twice, and keys not in first-use order (an unused key
 among them) make the file corrupt, so a loaded store saves to the same
 bytes. Version 1 stores, one record per pair, are rejected as incompatible;
 ``build`` writes them anew.
@@ -42,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._files import Reader, container, put_floats, put_str, put_u32, read_records, write_container, write_file
+from ._files import Reader, Writer, read_records, write_file
 from .corpus import LabeledCorpus, SenseInventory
 from .errors import DataError, UsageError
 from .lm import LmModel, context_embeddings
@@ -147,10 +148,10 @@ def _embed(model: LmModel, corpus: LabeledCorpus, rows: np.ndarray) -> np.ndarra
 
 
 def build_classifier_store(model: LmModel, corpus: LabeledCorpus, inventory: SenseInventory) -> ClassifierStore:
-    """Embed every labeled instance and group the pairs by lemma.
+    """Embed every labeled instance once and group the pairs by lemma.
 
     A multi-gold instance contributes one pair per gold key (keys in sorted
-    order), each with the same embedding. Lemmas come in first-use order
+    order), each a copy of its one embedding. Lemmas come in first-use order
     and pairs in instance order, and each lemma's pairs are a slice of one
     float32 matrix, which ``save_store`` writes as it is. Before any
     embedding, a ``DataError`` names every instance whose lemma, or any of
@@ -159,14 +160,13 @@ def build_classifier_store(model: LmModel, corpus: LabeledCorpus, inventory: Sen
     _check_lemmas(corpus, inventory)
     _check_keys(corpus, inventory)
     rows, _ = _by_lemma(corpus, np.ones(len(corpus.lemmas), dtype=bool))
+    embeddings = _embed(model, corpus, rows)
     copies = np.diff(corpus.gold_offsets)[rows]
     owners = np.repeat(rows, copies)  # each pair's instance
-    firsts = np.repeat(np.cumsum(copies) - copies, copies)  # the first pair of each pair's instance
-    ranks = np.arange(len(owners)) - firsts  # each pair's place among its instance's gold keys
+    if len(owners) > len(rows):  # a multi-gold instance: its one row once per gold key
+        embeddings = np.repeat(embeddings, copies, axis=0)
+    ranks = np.arange(len(owners)) - np.repeat(np.cumsum(copies) - copies, copies)  # place among its instance's keys
     keys = corpus.gold[corpus.gold_offsets[owners] + ranks]
-    embeddings = _embed(model, corpus, owners)
-    later = ranks > 0  # two products of one context may round apart, so copy the first
-    embeddings[later] = embeddings[firsts[later]]
     sizes = np.bincount(corpus.lemma_codes[owners], minlength=len(corpus.lemmas))
     store = ClassifierStore(dim=model.config.held_out_dim)
     for lemma, end, size in zip(corpus.lemmas, np.cumsum(sizes).tolist(), sizes.tolist()):
@@ -381,27 +381,26 @@ def _key_list_problem(lemma: str, keys: Sequence[str], codes: np.ndarray) -> str
 def save_store(store: ClassifierStore, path: str | Path) -> None:
     """Write the store to ``path``; embeddings narrow to f32 on disk.
 
-    Before any byte is written, a value that is not finite as f32 is a
+    Before the file is replaced, a value that is not finite as f32 is a
     ``DataError``, and pairs not of shape (codes, dim) or a bad key list a
-    ``ValueError``: the loader would reject either file.
+    ``ValueError``: the loader would reject either file. Each lemma's
+    blocks are streamed to the file from its arrays' own memory.
     """
-    out = container(STORE_MAGIC, STORE_VERSION)
-    put_u32(out, store.dim, len(store.pairs))
-    for lemma, vectors in store.pairs.items():
-        keys, codes = store.keys[lemma], store.codes[lemma].astype("<u4", copy=False)
-        if vectors.shape != (len(codes), store.dim):
-            raise ValueError(
-                f"lemma {lemma!r}: {len(codes)} sense keys, pairs of shape {vectors.shape}, dim {store.dim}"
-            )
-        if problem := _key_list_problem(lemma, keys, codes):
-            raise ValueError(problem)
-        put_str(out, lemma)
-        put_u32(out, len(codes), len(keys))
-        for key in keys:
-            put_str(out, key)
-        out += codes.tobytes()
-        put_floats(out, vectors)
-    write_container(path, out)
+    with Writer.create(path, STORE_MAGIC, STORE_VERSION) as wr:
+        wr.u32(store.dim, len(store.pairs))
+        for lemma, vectors in store.pairs.items():
+            keys, codes = store.keys[lemma], store.codes[lemma].astype("<u4", copy=False)
+            if vectors.shape != (len(codes), store.dim):
+                raise ValueError(
+                    f"lemma {lemma!r}: {len(codes)} sense keys, pairs of shape {vectors.shape}, dim {store.dim}"
+                )
+            if problem := _key_list_problem(lemma, keys, codes):
+                raise ValueError(problem)
+            wr.texts([lemma])
+            wr.u32(len(codes), len(keys))
+            wr.texts(keys)
+            wr.u32s(codes)
+            wr.floats(vectors)
 
 
 def load_store(path: str | Path) -> ClassifierStore:

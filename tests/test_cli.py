@@ -5,6 +5,7 @@ import dataclasses
 import errno
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -908,3 +909,18 @@ class TestParser:
         main([a.format(tmp=tmp_path) for a in argv])
         capsys.readouterr()
         assert subparsers == created
+
+    def test_terminal_size_is_read_once_per_main(self, monkeypatch, capsys, tmp_path):
+        # one help width per parser build, not one per flag that add_argument checks
+        calls = []
+        get_terminal_size = shutil.get_terminal_size
+
+        def spy(*args):
+            calls.append(args)
+            return get_terminal_size(*args)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", spy)
+        for _ in range(2):
+            assert main(["predict", "-c", str(tmp_path / "missing.conf"), "--k", "3"]) == 1
+        assert "cannot read config file" in capsys.readouterr().err
+        assert len(calls) <= 2

@@ -3,19 +3,22 @@ import builtins
 import errno
 import os
 import re
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fofe_wsd
-from fofe_wsd import _files
-from fofe_wsd._files import Reader, checksum, container, put_tensor, read_lines, write_container, write_file
-from fofe_wsd.corpus import SenseInventory, read_labeled_corpus
+from fofe_wsd import _files, nn
+from fofe_wsd._files import Reader, checksum, read_lines, write_file
+from fofe_wsd.corpus import UNK_TOKEN, SenseInventory, Vocabulary, read_labeled_corpus
 from fofe_wsd.errors import DataError
 from fofe_wsd.fofe import FofeConfig
 from fofe_wsd.lm import LmConfig, LmModel, load_checkpoint, save_checkpoint, train_lm
 from fofe_wsd.wsd import ClassifierStore, build_classifier_store, load_store, save_store, write_predictions
+from containers import checkpoint_bytes, container, put_tensor, sealed, store_bytes, write_container
 from labeled import corpus_of, instances_of
 
 FILE_CALLS = {"open", "read_bytes", "read_text", "write_bytes", "write_text"}
@@ -204,8 +207,8 @@ class TestSingleBitFlips:
 
 
 @pytest.fixture(scope="module")
-def small_containers(tmp_path_factory):
-    """(bytes, loader) of a checkpoint and a store of a few hundred bytes each."""
+def small_outputs():
+    """(object, save function) of a checkpoint and a store of a few hundred bytes each."""
     config = LmConfig(fofe=FofeConfig(alpha=0.7, order=1), embed_dim=2, hidden_dims=(3,), epochs=1)
     model = train_lm(["the bank lent money", "the river bank flooded", "money in the river"], config)
     instances = corpus_of([
@@ -214,11 +217,20 @@ def small_containers(tmp_path_factory):
         ("t3", ["the", "river"], 1, "river", ["river%1", "river%2"]),
     ])
     inventory = SenseInventory({"bank": ["bank%1", "bank%2"], "river": ["river%1", "river%2"]})
+    store = build_classifier_store(model, instances, inventory)
+    return {"checkpoint": (model, save_checkpoint), "store": (store, save_store)}
+
+
+@pytest.fixture(scope="module")
+def small_containers(small_outputs, tmp_path_factory):
+    """(bytes, loader) of the checkpoint and the store of ``small_outputs``."""
     path = tmp_path_factory.mktemp("small") / "c.bin"
-    save_checkpoint(model, path)
-    checkpoint = path.read_bytes()
-    save_store(build_classifier_store(model, instances, inventory), path)
-    return {"checkpoint": (checkpoint, load_checkpoint), "store": (path.read_bytes(), load_store)}
+    containers = {}
+    for what, load in (("checkpoint", load_checkpoint), ("store", load_store)):
+        saved, save = small_outputs[what]
+        save(saved, path)
+        containers[what] = (path.read_bytes(), load)
+    return containers
 
 
 @pytest.mark.parametrize("what", ["checkpoint", "store"])
@@ -297,13 +309,13 @@ class _ShrinkingFile(_FailingFile):
 
 @pytest.fixture
 def faulty_open(monkeypatch):
-    """``install(wrapper, at)``: the binary files that ``_files`` opens come wrapped; returns those opened."""
+    """``install(wrapper, at, mode)``: files ``_files`` opens in ``mode`` come wrapped; returns those opened."""
     opened = []
 
-    def install(wrapper, at):
-        def fake_open(path, mode="r", *args, **kwargs):
-            fh = builtins.open(path, mode, *args, **kwargs)
-            if mode == "rb":
+    def install(wrapper, at, mode="rb"):
+        def fake_open(path, how="r", *args, **kwargs):
+            fh = builtins.open(path, how, *args, **kwargs)
+            if how == mode:
                 opened.append(fh := wrapper(fh, at))
             return fh
 
@@ -381,3 +393,210 @@ def test_tensor_into_keeps_the_file_byte_order_on_any_host(tmp_path):
             rd.tensor_into(got)
             rd.close()
         assert got.dtype == np.dtype(dtype) and (got == values).all()
+
+
+# Write side: ``Writer`` streams the bytes that ``containers``' whole-file builder makes.
+
+
+def _model(rng, n_tokens, embed_dim, hidden_dims, dtype=np.float32, strided=False):
+    """A seeded model of ``n_tokens`` Unicode tokens, its parameters ``dtype`` (every other value if ``strided``)."""
+    tokens = [UNK_TOKEN] + [f"w{i}{'é河🙂'[i % 3]}" for i in range(n_tokens - 1)]
+    config = LmConfig(
+        fofe=FofeConfig(alpha=float(rng.uniform(0.1, 0.9)), order=int(rng.integers(1, 4))),
+        embed_dim=embed_dim,
+        hidden_dims=hidden_dims,
+        max_vocab=n_tokens,
+    )
+    count = config.parameter_count(n_tokens)
+    values = rng.normal(size=2 * count if strided else count).astype(dtype)
+    flat = values[::2] if strided else values
+    params = nn.NetworkParams.empty(config.layer_dims(n_tokens), (n_tokens, embed_dim), alloc=lambda *_: flat)
+    return LmModel(Vocabulary.from_tokens(tokens), config, params)
+
+
+def _random_store(rng, dim, sizes, dtype=np.float32, layout="contiguous"):
+    """A seeded store of one lemma per entry of ``sizes`` (its pair count), with Unicode names and keys."""
+    store = ClassifierStore(dim=dim)
+    for n, size in enumerate(sizes):
+        lemma = f"lemma{n}{'äß河🙂'[n % 4]}"
+        keys = [f"{lemma}%{k}" for k in range(min(1 + n % 3, size))]
+        codes = np.arange(size) % len(keys)  # first-use order
+        values = rng.normal(size=(dim, 2 * size)).astype(dtype)
+        pairs = {
+            "contiguous": values[:, :size].copy().T.copy(),
+            "transposed": values[:, :size].T,  # Fortran order
+            "strided": values.T[::2],  # every other row
+        }[layout]
+        store.keys[lemma], store.codes[lemma], store.pairs[lemma] = keys, codes.astype(np.uint32), pairs
+    return store
+
+
+@pytest.fixture(params=[None, 7], ids=["slice", "slice-7"])
+def slice_size(request, monkeypatch):
+    """The default ``_SLICE``, and 7 values, which cuts slices across rows."""
+    if request.param:
+        monkeypatch.setattr(_files, "_SLICE", request.param)
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize(
+        "dtype, strided",
+        [(np.float32, False), (np.float64, False), (np.float64, True), (">f4", False), (">f8", True)],
+        ids=["f32", "f64", "f64-strided", "big-endian-f32", "big-endian-f64-strided"],
+    )
+    def test_checkpoint_equals_the_whole_file_builder(self, tmp_path, slice_size, dtype, strided):
+        rng = np.random.default_rng(0)
+        # a 600 x 128 embedding: 76,800 values, more than one default slice
+        for model in (_model(rng, 600, 128, (16,), dtype, strided), _model(rng, 5, 2, (), dtype, strided)):
+            save_checkpoint(model, tmp_path / "m.fofe")
+            assert (tmp_path / "m.fofe").read_bytes() == checkpoint_bytes(model)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, ">f8"], ids=["f32", "f64", "big-endian-f64"])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided"])
+    def test_store_equals_the_whole_file_builder(self, tmp_path, slice_size, dtype, layout):
+        rng = np.random.default_rng(1)
+        # 300 x 256 pairs: 76,800 values, more than one default slice
+        for sizes in ([3, 300, 1, 20], []):
+            store = _random_store(rng, 256, sizes, dtype, layout)
+            save_store(store, tmp_path / "s.fwsd")
+            assert (tmp_path / "s.fwsd").read_bytes() == store_bytes(store)
+
+    def test_any_array_layout(self, tmp_path, slice_size):
+        rng = np.random.default_rng(2)
+        arrays = [
+            rng.normal(size=(3, 50, 4)),
+            rng.normal(size=(50, 4, 3)).transpose(2, 0, 1),
+            rng.normal(size=(5, 40)).astype(np.float32)[:, ::3],
+            np.float32(1.5).reshape(()),
+            np.empty((0, 9)),
+            np.empty((9, 0), order="F"),
+        ]
+        path = tmp_path / "t.bin"
+        with _files.Writer.create(path, b"TEST", 1) as wr:
+            for arr in arrays:
+                wr.tensor(arr)
+            wr.u32s(np.arange(40, dtype=np.int64)[::-3])
+        out = container(b"TEST", 1)
+        for arr in arrays:
+            put_tensor(out, arr)
+        out += np.arange(40)[::-3].astype("<u4").tobytes()
+        assert path.read_bytes() == sealed(out)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_saving_holds_one_slice_not_the_file(tmp_path):
+    rng = np.random.default_rng(3)
+    model = _model(rng, 5000, 128, (128,))
+    store = _random_store(rng, 256, [1100, 1100, 1100, 1100])
+    for save, saved, path in ((save_checkpoint, model, tmp_path / "m.fofe"), (save_store, store, tmp_path / "s.fwsd")):
+        peak = _peak_bytes(lambda: save(saved, path))
+        assert path.stat().st_size > 4e6
+        assert peak < 1e6, (path.name, peak)
+
+
+class _InterruptedFile:
+    """The temp file ``open`` returned; its write number ``at`` (from 0), or its close after ``at`` writes, fails."""
+
+    @staticmethod
+    def error():
+        return OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+
+    def __init__(self, fh, at):
+        self.fh, self.at, self.writes = fh, at, 0
+
+    def __getattr__(self, name):  # closed
+        return getattr(self.fh, name)
+
+    def fail(self):
+        self.at = None
+        raise self.error()
+
+    def write(self, data):
+        if self.writes == self.at:
+            self.fail()
+        self.writes += 1
+        return self.fh.write(data)
+
+    def close(self):
+        self.fh.close()
+        if self.writes == self.at:
+            self.fail()
+
+
+class _KeyboardInterruptedFile(_InterruptedFile):
+    error = KeyboardInterrupt
+
+
+def _with_last_value(saved, value):
+    """A copy of a model or a store whose last stored value is ``value``, held as float64."""
+    if isinstance(saved, LmModel):
+        params = saved.params.astype(np.float64)
+        params.flat[-1] = value
+        return replace(saved, params=params)
+    pairs = {lemma: np.array(rows, dtype=np.float64) for lemma, rows in saved.pairs.items()}
+    pairs[list(pairs)[-1]][-1, -1] = value
+    return replace(saved, pairs=pairs)
+
+
+@pytest.mark.parametrize("what", ["checkpoint", "store"])
+class TestStreamedWriteFaults:
+    """Each write position, with arrays written two values at a time: the old file stays, and no temp file."""
+
+    @pytest.fixture(autouse=True)
+    def small_slices(self, monkeypatch):
+        monkeypatch.setattr(_files, "_SLICE", 2)
+
+    @pytest.fixture
+    def old(self, tmp_path):
+        path = tmp_path / "c.bin"
+        path.write_bytes(b"the old file\n")
+        return path
+
+    def _writes(self, faulty_open, small_outputs, what, path):
+        """The temp file's write calls in one save."""
+        opened = faulty_open(_InterruptedFile, None, "wb")
+        saved, save = small_outputs[what]
+        save(saved, path)
+        assert opened[-1].closed
+        return opened[-1].writes
+
+    @pytest.mark.parametrize("wrapper", [_InterruptedFile, _KeyboardInterruptedFile], ids=["os-error", "interrupt"])
+    def test_failed_write_keeps_the_old_file(self, small_outputs, small_containers, faulty_open, old, what, wrapper):
+        saved, save = small_outputs[what]
+        raised = DataError if wrapper is _InterruptedFile else KeyboardInterrupt
+        writes = self._writes(faulty_open, small_outputs, what, old)
+        assert writes > 10  # many slices
+        old.write_bytes(b"the old file\n")
+        for at in range(writes + 1):  # each write, then the close that flushes the last
+            opened = faulty_open(wrapper, at, "wb")
+            with pytest.raises(raised) as caught:
+                save(saved, old)
+            if raised is DataError:
+                assert str(caught.value) == f"cannot write {old}: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+            assert opened[-1].closed and opened[-1].writes == min(at, writes)
+            assert old.read_bytes() == b"the old file\n"
+            assert os.listdir(old.parent) == [old.name]
+        faulty_open(wrapper, None, "wb")
+        save(saved, old)
+        assert old.read_bytes() == small_containers[what][0]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+    def test_non_finite_last_value_keeps_the_old_file(self, small_outputs, faulty_open, old, what, value):
+        saved, save = small_outputs[what]
+        writes = self._writes(faulty_open, small_outputs, what, old)
+        old.write_bytes(b"the old file\n")
+        opened = faulty_open(_InterruptedFile, None, "wb")
+        message = rf"^value {re.escape(repr(value))} is not finite as f32, so it cannot be written$"
+        with pytest.raises(DataError, match=message):
+            save(_with_last_value(saved, value), old)
+        assert opened[-1].closed and opened[-1].writes == writes - 2  # all but the last slice and the trailer
+        assert old.read_bytes() == b"the old file\n"
+        assert os.listdir(old.parent) == [old.name]

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fofe_wsd import fofe, lm, nn, synthetic
-from fofe_wsd._files import checksum, container, put_f64, put_str, put_tensor, put_u32, write_file
+from fofe_wsd._files import checksum, write_file
 from fofe_wsd.corpus import UNK_ID, UNK_TOKEN, Vocabulary
 from fofe_wsd.errors import DataError, NumericalError
 from fofe_wsd.fofe import context_code, context_ids
@@ -23,6 +23,7 @@ from fofe_wsd.lm import (
     train_lm,
     training_examples,
 )
+from containers import checkpoint_bytes
 from labeled import embed
 
 
@@ -346,18 +347,7 @@ class TestLongSentenceMemory:
 
 def write_checkpoint(model, path, tensors, dims=None):
     """A checkpoint of ``model`` that stores ``tensors`` (and ``dims``), with a valid checksum."""
-    out = container(lm.CHECKPOINT_MAGIC, lm.CHECKPOINT_VERSION)
-    put_f64(out, model.config.fofe.alpha)
-    put_u32(out, model.config.fofe.order)
-    dims = dims or model.config.layer_dims(len(model.vocab))
-    put_u32(out, len(dims), *dims)
-    put_u32(out, len(model.vocab))
-    for token in model.vocab.tokens:
-        put_str(out, token)
-    for tensor in tensors:
-        put_tensor(out, tensor)
-    out += struct.pack("<Q", checksum(out))
-    write_file(path, out)
+    write_file(path, checkpoint_bytes(model, tensors, dims))
 
 
 class TestCheckpoint:

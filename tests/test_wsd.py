@@ -1,7 +1,6 @@
 import math
 import os
 import re
-import struct
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -11,7 +10,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fofe_wsd import lm, synthetic, wsd
-from fofe_wsd._files import checksum, container, put_floats, put_str, put_u32, write_file
 from fofe_wsd.corpus import UNK_TOKEN, SenseInventory, Vocabulary, read_labeled_corpus, read_sense_inventory
 from fofe_wsd.errors import DataError
 from fofe_wsd.wsd import (
@@ -28,6 +26,7 @@ from fofe_wsd.wsd import (
     save_store,
     write_predictions,
 )
+from containers import container, put_floats, put_str, put_u32, write_container
 from labeled import Instance, corpus_of, embed
 
 
@@ -88,9 +87,8 @@ class TestBuildClassifierStore:
         assert_array_equal(store.pairs["w"][0], store.pairs["w"][1])
 
     def test_interleaved_lemmas_and_a_split_multi_gold_instance(self, tiny_model, monkeypatch):
-        # 3 contexts per chunk: b's pairs fill the first chunk, then a's 4 pairs end
-        # with the multi-gold i6, whose two contexts straddle the chunk boundary and
-        # the second of which is a 1-row final chunk
+        # 3 contexts per chunk: b's 3 instances fill the first chunk and a's the
+        # second, whose last, the multi-gold i6, gives a's last two pairs
         monkeypatch.setattr(lm, "_EMBED_BATCH", 3)
         words = tiny_model.vocab.tokens[1:9]
         lemmas = ["b", "a", "b", "a", "b", "a"]
@@ -112,6 +110,31 @@ class TestBuildClassifierStore:
             assert_allclose(row, embed(tiny_model, [(inst.tokens, inst.target_index)])[0], atol=1e-12)
         assert store.pairs["b"].base is store.pairs["a"].base is not None
         assert store.pairs["a"][2].tobytes() == store.pairs["a"][3].tobytes()
+
+    def test_each_instance_is_embedded_once(self, tiny_model, monkeypatch):
+        words = tiny_model.vocab.tokens[1:9]
+        instances = [
+            _instance("i1", words[:4], 1, "w", {"w%2", "w%1"}),
+            _instance("i2", words[2:], 2, "w", {"w%1"}),
+            _instance("i3", words[1:6], 3, "v", {"v%1", "v%3", "v%2"}),
+        ]
+        inventory = SenseInventory({"w": ["w%1", "w%2"], "v": ["v%1", "v%2", "v%3"]})
+        returned = []
+        context_embeddings = wsd.context_embeddings
+
+        def counted(*args):
+            returned.append(context_embeddings(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(wsd, "context_embeddings", counted)
+        store = build_classifier_store(tiny_model, _corpus(instances), inventory)
+        assert sum(map(len, returned)) == len(instances)
+        assert _senses(store) == {"w": ["w%1", "w%2", "w%1"], "v": ["v%1", "v%2", "v%3"]}
+        # each pair is its instance's one row, bit for bit
+        assert_array_equal(np.concatenate([store.pairs["w"], store.pairs["v"]]), returned[0][[0, 0, 1, 2, 2, 2]])
+        # with one key per instance, the pairs are views of the embedded rows
+        store = build_classifier_store(tiny_model, _corpus(instances[1:2]), inventory)
+        assert store.pairs["w"].base is returned[-1]
 
     def test_inventory_checked_before_embedding(self, tiny_model, monkeypatch):
         words = tiny_model.vocab.tokens[1:6]
@@ -683,8 +706,7 @@ def _write_store(path, dim, lemma, keys, codes, rows, version=wsd.STORE_VERSION)
             put_str(out, key)
         put_u32(out, *codes)
         put_floats(out, rows)
-    out += struct.pack("<Q", checksum(out))
-    write_file(path, out)
+    write_container(path, out)
 
 
 def _hand_built(keys, codes, rows):
