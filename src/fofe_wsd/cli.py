@@ -25,7 +25,7 @@ import shutil
 import sys
 from dataclasses import fields, is_dataclass, replace
 from functools import partial
-from typing import Callable, Collection, get_type_hints
+from typing import Callable, Collection, Iterator, get_type_hints
 
 import numpy as np
 
@@ -181,15 +181,21 @@ def _cmd_build(args: argparse.Namespace) -> int:
     corpus = read_labeled_corpus(train)
     if not len(corpus):
         log.warning("labeled corpus %s has no instances; writing an empty store", train)
-    store = wsd.build_classifier_store(model, corpus, inventory)
+    store = wsd.stream_classifier_store(model, corpus, inventory)
     if log.isEnabledFor(logging.INFO):  # the sense counts are work, not just formatting
-        for lemma, codes in store.codes.items():
-            counts = np.bincount(codes, minlength=len(store.keys[lemma])).tolist()
-            per_key = sorted(zip(store.keys[lemma], counts))
-            log.info("lemma %s: %d pairs (%s)", lemma, len(codes), ", ".join(f"{key}={n}" for key, n in per_key))
+        store = store._replace(blocks=_logged_sense_counts(store.blocks))
     wsd.save_store(store, store_path)
-    print(f"classifier store written to {store_path} ({len(store.pairs)} lemmas)")
+    print(f"classifier store written to {store_path} ({store.n_lemmas} lemmas)")
     return 0
+
+
+def _logged_sense_counts(blocks: Iterator[wsd.LemmaBlock]) -> Iterator[wsd.LemmaBlock]:
+    """``blocks``, each logged at info level with its pair count per sense key as it passes."""
+    for block in blocks:
+        counts = np.bincount(block.codes, minlength=len(block.keys)).tolist()
+        per_key = sorted(zip(block.keys, counts))
+        log.info("lemma %s: %d pairs (%s)", block.lemma, len(block.codes), ", ".join(f"{key}={n}" for key, n in per_key))
+        yield block
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
@@ -198,10 +204,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         paths, "checkpoint", "store", "test", "inventory", "predictions"
     )
     model = lm.with_run_settings(lm.load_checkpoint(checkpoint), lm_config)
-    store = wsd.load_store(store_path)
-    inventory = read_sense_inventory(inventory_path)
-    corpus = read_labeled_corpus(test)
-    senses = wsd.predict_all(store, inventory, model, classifier_config, corpus)
+    with wsd.open_store(store_path) as store:  # each lemma's pairs are read as predict_all scores them
+        inventory = read_sense_inventory(inventory_path)
+        corpus = read_labeled_corpus(test)
+        senses = wsd.predict_all(store, inventory, model, classifier_config, corpus)
     rows = list(zip(corpus.ids, senses))
     wsd.write_predictions(rows, predictions)
     print(f"predictions written to {predictions} ({len(rows)} instances)")

@@ -3,11 +3,20 @@
 The primary path is a cosine-distance kNN over every labeled training
 occurrence of a lemma; the baseline averages each sense's embeddings into
 one sense embedding and picks the most similar. Lemmas with no training
-pairs at all fall back to the inventory's first-listed sense. Built or
-loaded, the store holds each lemma as its file does (below), in float32;
-distances and means are float64.
-``build_classifier_store`` and ``predict_all`` take a ``LabeledCorpus`` and
-group its instances by lemma with one stable sort of its lemma codes.
+pairs at all fall back to the inventory's first-listed sense. The store
+holds each lemma as its file does (below), in float32; distances and means
+are float64.
+
+A store passes between stages one lemma at a time, as a ``StoreStream``:
+``stream_classifier_store`` embeds each lemma's block as soon as its last
+instance is embedded, and ``open_store`` reads each block from the file
+when it is asked for. ``save_store`` and ``predict_all`` take either form
+(a ``ClassifierStore`` streams its dicts), and ``build_classifier_store``
+and ``load_store`` collect the two streams into a ``ClassifierStore``. The
+``build`` and ``predict`` commands pass the streams straight on, so they
+hold one lemma's pairs at a time. Both stages group a
+``LabeledCorpus``'s instances by lemma with one stable sort of its lemma
+codes.
 
 Every distance comes from ``_cosine_distances`` and every vote from
 ``_vote``. ``predict_knn`` votes for one query. ``predict_all`` votes for a
@@ -28,7 +37,7 @@ count and the distinct-sense count (u32 each), and the distinct sense keys,
 length-prefixed, in the order of their first pair; then one u32 block with
 each pair's index into that key list and one f32 (pairs, dim) block,
 row-major. Each block is read straight into its own array, and written
-straight from the store's arrays a slice at a time. A code beyond the key
+straight from its lemma's arrays a slice at a time. A code beyond the key
 list, a key listed twice, and keys not in first-use order (an unused key
 among them) make the file corrupt, so a loaded store saves to the same
 bytes. Version 1 stores, one record per pair, are rejected as incompatible;
@@ -37,12 +46,14 @@ bytes. Version 1 stores, one record per pair, are rejected as incompatible;
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import lm
 from ._files import Reader, Writer, read_records, write_file
 from .corpus import LabeledCorpus, SenseInventory
 from .errors import DataError, UsageError
@@ -74,6 +85,32 @@ class ClassifierConfig:
             raise UsageError(f"k must be >= 1, got {self.k}")
 
 
+class LemmaBlock(NamedTuple):
+    """One lemma's pairs as the store file holds them (see ``ClassifierStore``)."""
+
+    lemma: str
+    keys: list[str]
+    codes: np.ndarray
+    pairs: np.ndarray
+
+
+class StoreStream(NamedTuple):
+    """A classifier store one lemma at a time: its width, its lemma count, and its blocks in store order.
+
+    ``blocks`` is an iterator, consumed once. Each block is made when it is
+    asked for (embedded by ``stream_classifier_store``, read by
+    ``open_store``), so a consumer that drops each block before the next
+    holds one lemma's pairs at a time.
+    """
+
+    dim: int
+    n_lemmas: int
+    blocks: Iterator[LemmaBlock]
+
+    def stream(self) -> StoreStream:
+        return self
+
+
 @dataclass
 class ClassifierStore:
     """Per-lemma training pairs, in build order, in the store file's layout.
@@ -81,9 +118,8 @@ class ClassifierStore:
     ``keys[lemma]`` lists the lemma's distinct sense keys in the order of
     their first pair, and ``codes[lemma][i]`` (uint32) is pair i's index into
     it. ``pairs[lemma][i]`` is pair i's context embedding: a float32 row of
-    a (pairs, dim) matrix: a view into the one matrix
-    ``build_classifier_store`` embeds, or the lemma's block as ``load_store``
-    read it (read-only).
+    the lemma's (pairs, dim) matrix, as ``build_classifier_store`` embedded
+    it or ``load_store`` read it (read-only).
     """
 
     dim: int
@@ -93,6 +129,19 @@ class ClassifierStore:
 
     def __contains__(self, lemma: str) -> bool:
         return len(self.pairs.get(lemma, ())) > 0
+
+    def stream(self) -> StoreStream:
+        """The store's lemmas as a ``StoreStream``, in store order."""
+        blocks = (LemmaBlock(lemma, self.keys[lemma], self.codes[lemma], pairs) for lemma, pairs in self.pairs.items())
+        return StoreStream(self.dim, len(self.pairs), blocks)
+
+
+def _collect(stream: StoreStream) -> ClassifierStore:
+    """The blocks of ``stream``, all of them, as a ``ClassifierStore``."""
+    store = ClassifierStore(dim=stream.dim)
+    for lemma, keys, codes, pairs in stream.blocks:
+        store.keys[lemma], store.codes[lemma], store.pairs[lemma] = keys, codes, pairs
+    return store
 
 
 def _check_lemmas(corpus: LabeledCorpus, inventory: SenseInventory) -> None:
@@ -124,58 +173,90 @@ def _check_keys(corpus: LabeledCorpus, inventory: SenseInventory) -> None:
         )
 
 
-def _by_lemma(corpus: LabeledCorpus, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The instances of the lemmas ``chosen`` (a mask over ``corpus.lemmas``) grouped by lemma.
+def _by_lemma(corpus: LabeledCorpus) -> tuple[np.ndarray, np.ndarray]:
+    """The instances grouped by lemma, and each lemma's count of them.
 
-    Lemmas come in first-use order and instances in file order within one:
-    a stable sort of the lemma codes. Returns the instances and each
-    lemma's count of them.
+    Lemmas come in ``corpus.lemmas``'s first-use order and instances in
+    file order within one: a stable sort of the lemma codes.
     """
-    picked = np.flatnonzero(chosen[corpus.lemma_codes])
-    rows = picked[np.argsort(corpus.lemma_codes[picked], kind="stable")]
-    return rows, np.bincount(corpus.lemma_codes[rows], minlength=len(corpus.lemmas))
+    return np.argsort(corpus.lemma_codes, kind="stable"), np.bincount(corpus.lemma_codes, minlength=len(corpus.lemmas))
 
 
-def _embed(model: LmModel, corpus: LabeledCorpus, rows: np.ndarray) -> np.ndarray:
-    """The context embedding of each instance in ``rows``, from one ``context_embeddings`` call.
+def _embedder(model: LmModel, corpus: LabeledCorpus) -> Callable[[np.ndarray], np.ndarray]:
+    """A function giving the context embedding of each instance in ``rows`` from one ``context_embeddings`` call.
 
     The corpus's token types map to model ids once each (unknown words to
     the unknown id); one ``take`` maps its tokens.
     """
     ids = np.array(model.vocab.encode(corpus.types), dtype=np.intp).take(corpus.tokens)
-    starts = corpus.offsets[rows]
-    return context_embeddings(model, ids, starts, corpus.offsets[rows + 1] - starts, corpus.targets[rows])
+
+    def embed(rows: np.ndarray) -> np.ndarray:
+        starts = corpus.offsets[rows]
+        return context_embeddings(model, ids, starts, corpus.offsets[rows + 1] - starts, corpus.targets[rows])
+
+    return embed
+
+
+def _take(held: list[np.ndarray], n: int) -> np.ndarray:
+    """The first ``n`` rows of the arrays in ``held``, removed from it; a view when they lie in the first one."""
+    parts = []
+    while n > len(held[0]):
+        n -= len(held[0])
+        parts.append(held.pop(0))
+    parts.append(held[0][:n])
+    held[0] = held[0][n:]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _built_blocks(model: LmModel, corpus: LabeledCorpus) -> Iterator[LemmaBlock]:
+    """Each lemma's block, as soon as its last instance is embedded.
+
+    The instances go through ``context_embeddings`` in ``_by_lemma``'s
+    order, ``lm._EMBED_BATCH`` at a time, so the chunks are those of one
+    call over them all. A multi-gold instance's one row repeats once per
+    gold key, keys in sorted order. A lemma's keys come in first-use order.
+    """
+    embed, (rows, sizes) = _embedder(model, corpus), _by_lemma(corpus)
+    copies = np.diff(corpus.gold_offsets)
+    held: list[np.ndarray] = []  # embedded rows not yet in a block, in ``rows`` order
+    done = 0  # instances embedded
+    for lemma, end, size in zip(corpus.lemmas, np.cumsum(sizes).tolist(), sizes.tolist()):
+        while done < end:
+            held.append(embed(rows[done : done + lm._EMBED_BATCH]))
+            done += len(held[-1])
+        instances, embeddings = rows[end - size : end], _take(held, size)
+        counts = copies[instances]
+        owners = np.repeat(instances, counts)  # each pair's instance
+        if len(owners) > size:  # a multi-gold instance: its one row once per gold key
+            embeddings = np.repeat(embeddings, counts, axis=0)
+        ranks = np.arange(len(owners)) - np.repeat(np.cumsum(counts) - counts, counts)  # place among its instance's keys
+        gold = corpus.gold[corpus.gold_offsets[owners] + ranks]
+        used, first, codes = np.unique(gold, return_index=True, return_inverse=True)
+        by_use = np.argsort(first)  # the lemma's keys in first-use order
+        keys = [corpus.keys[code] for code in used[by_use].tolist()]
+        yield LemmaBlock(lemma, keys, np.argsort(by_use).astype(np.uint32)[codes], embeddings)
+
+
+def stream_classifier_store(model: LmModel, corpus: LabeledCorpus, inventory: SenseInventory) -> StoreStream:
+    """The store of ``build_classifier_store``, embedded one lemma at a time as its blocks are asked for.
+
+    At the call, before any embedding, a ``DataError`` names every instance
+    whose lemma, or any of whose gold keys, the inventory lacks.
+    """
+    _check_lemmas(corpus, inventory)
+    _check_keys(corpus, inventory)
+    return StoreStream(model.config.held_out_dim, len(corpus.lemmas), _built_blocks(model, corpus))
 
 
 def build_classifier_store(model: LmModel, corpus: LabeledCorpus, inventory: SenseInventory) -> ClassifierStore:
     """Embed every labeled instance once and group the pairs by lemma.
 
     A multi-gold instance contributes one pair per gold key (keys in sorted
-    order), each a copy of its one embedding. Lemmas come in first-use order
-    and pairs in instance order, and each lemma's pairs are a slice of one
-    float32 matrix, which ``save_store`` writes as it is. Before any
-    embedding, a ``DataError`` names every instance whose lemma, or any of
-    whose gold keys, the inventory lacks.
+    order), each its one embedding. Lemmas come in first-use order and
+    pairs in instance order. This collects ``stream_classifier_store``,
+    whose checks it makes.
     """
-    _check_lemmas(corpus, inventory)
-    _check_keys(corpus, inventory)
-    rows, _ = _by_lemma(corpus, np.ones(len(corpus.lemmas), dtype=bool))
-    embeddings = _embed(model, corpus, rows)
-    copies = np.diff(corpus.gold_offsets)[rows]
-    owners = np.repeat(rows, copies)  # each pair's instance
-    if len(owners) > len(rows):  # a multi-gold instance: its one row once per gold key
-        embeddings = np.repeat(embeddings, copies, axis=0)
-    ranks = np.arange(len(owners)) - np.repeat(np.cumsum(copies) - copies, copies)  # place among its instance's keys
-    keys = corpus.gold[corpus.gold_offsets[owners] + ranks]
-    sizes = np.bincount(corpus.lemma_codes[owners], minlength=len(corpus.lemmas))
-    store = ClassifierStore(dim=model.config.held_out_dim)
-    for lemma, end, size in zip(corpus.lemmas, np.cumsum(sizes).tolist(), sizes.tolist()):
-        used, first, codes = np.unique(keys[end - size : end], return_index=True, return_inverse=True)
-        by_use = np.argsort(first)  # the lemma's keys in first-use order
-        store.keys[lemma] = [corpus.keys[code] for code in used[by_use].tolist()]
-        store.codes[lemma] = np.argsort(by_use).astype(np.uint32)[codes]
-        store.pairs[lemma] = embeddings[end - size : end]
-    return store
+    return _collect(stream_classifier_store(model, corpus, inventory))
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -312,7 +393,7 @@ def _knn_lemma(
 
 
 def predict_all(
-    store: ClassifierStore,
+    store: ClassifierStore | StoreStream,
     inventory: SenseInventory,
     model: LmModel,
     cfg: ClassifierConfig,
@@ -321,34 +402,41 @@ def predict_all(
     """Predicted sense of each instance, in file order.
 
     kNN when the instance's lemma has training pairs, else the inventory's
-    first sense. The queries are grouped and embedded as in
-    ``build_classifier_store``, so a query's last bits may depend on the
-    contexts it is embedded with. Each lemma's queries are scored together,
-    in blocks of at most ``_BLOCK_ELEMENTS`` distances; a query whose vote is
-    within ``_CERTIFY_BOUND`` of a tie (see the module docstring) is
-    recomputed with ``predict_knn``, so each answer is ``predict_knn``'s for
-    the query vector computed here. Before any embedding, a lemma missing
-    from the inventory (listing every such instance) or a store whose width
-    is not the model's is a ``DataError``.
+    first sense. Every instance is embedded first, in one
+    ``context_embeddings`` call in ``_by_lemma``'s order, so a query's last
+    bits may depend on the contexts it is embedded with. Then each lemma's
+    queries are scored as its block arrives from ``store``, in blocks of at
+    most ``_BLOCK_ELEMENTS`` distances; a query whose vote is within
+    ``_CERTIFY_BOUND`` of a tie (see the module docstring) is recomputed
+    with ``predict_knn``, so each answer is ``predict_knn``'s for the query
+    vector computed here. Nothing is returned before the stream is
+    exhausted, which is when ``open_store``'s stream checks the file's end.
+    Before any embedding, a lemma missing from the inventory (listing every
+    such instance) or a store whose width is not the model's is a
+    ``DataError``.
     """
+    stream = store.stream()
     _check_lemmas(corpus, inventory)
-    if store.dim != model.config.held_out_dim:
+    if stream.dim != model.config.held_out_dim:
         raise DataError(
-            f"classifier store holds {store.dim}-wide embeddings, "
+            f"classifier store holds {stream.dim}-wide embeddings, "
             f"but the model's are {model.config.held_out_dim} wide"
         )
-    known = np.array([lemma in store for lemma in corpus.lemmas], dtype=bool)
-    rows, sizes = _by_lemma(corpus, known)
-    queries = _embed(model, corpus, rows)
+    rows, sizes = _by_lemma(corpus)
+    queries = _embedder(model, corpus)(rows)
+    ends = np.cumsum(sizes).tolist()
+    spans = {lemma: slice(end - size, end) for lemma, end, size in zip(corpus.lemmas, ends, sizes.tolist())}
     senses: list[str] = []  # each lemma's candidate answers, one lemma after another
-    first = np.zeros(len(corpus.lemmas), dtype=np.intp)  # where each lemma's answers begin in it
-    for code, lemma in enumerate(corpus.lemmas):
-        first[code] = len(senses)
-        senses.extend(store.keys[lemma] if known[code] else [inventory.first_sense(lemma)])
-    answers = first[corpus.lemma_codes]
-    for lemma, end, size in zip(corpus.lemmas, np.cumsum(sizes).tolist(), sizes.tolist()):
-        if size:
-            answers[rows[end - size : end]] += _knn_lemma(store, cfg, lemma, queries[end - size : end], inventory)
+    answers = np.empty(len(corpus), dtype=np.intp)  # each instance's index into them
+    for lemma, keys, codes, pairs in stream.blocks:
+        if lemma in spans and len(pairs):
+            one = ClassifierStore(stream.dim, {lemma: keys}, {lemma: codes}, {lemma: pairs})
+            span = spans.pop(lemma)
+            answers[rows[span]] = len(senses) + _knn_lemma(one, cfg, lemma, queries[span], inventory)
+            senses.extend(keys)
+    for lemma, span in spans.items():  # no training pairs: first-sense backoff
+        answers[rows[span]] = len(senses)
+        senses.append(inventory.first_sense(lemma))
     return [senses[i] for i in answers.tolist()]
 
 
@@ -378,21 +466,25 @@ def _key_list_problem(lemma: str, keys: Sequence[str], codes: np.ndarray) -> str
     return None
 
 
-def save_store(store: ClassifierStore, path: str | Path) -> None:
-    """Write the store to ``path``; embeddings narrow to f32 on disk.
+def save_store(store: ClassifierStore | StoreStream, path: str | Path) -> None:
+    """Write the store to ``path``, one lemma's blocks at a time; embeddings narrow to f32 on disk.
 
     Before the file is replaced, a value that is not finite as f32 is a
-    ``DataError``, and pairs not of shape (codes, dim) or a bad key list a
-    ``ValueError``: the loader would reject either file. Each lemma's
-    blocks are streamed to the file from its arrays' own memory.
+    ``DataError``, and pairs not of shape (codes, dim), a bad key list or a
+    stream of other than its count of lemmas a ``ValueError``: the loader
+    would reject any such file. Each lemma is checked as it is reached,
+    after the lemmas before it are in the temp file, and its blocks are
+    streamed to the file from its arrays' own memory.
     """
+    stream = store.stream()
     with Writer.create(path, STORE_MAGIC, STORE_VERSION) as wr:
-        wr.u32(store.dim, len(store.pairs))
-        for lemma, vectors in store.pairs.items():
-            keys, codes = store.keys[lemma], store.codes[lemma].astype("<u4", copy=False)
-            if vectors.shape != (len(codes), store.dim):
+        wr.u32(stream.dim, stream.n_lemmas)
+        written = 0
+        for lemma, keys, codes, vectors in stream.blocks:
+            codes = codes.astype("<u4", copy=False)
+            if vectors.shape != (len(codes), stream.dim):
                 raise ValueError(
-                    f"lemma {lemma!r}: {len(codes)} sense keys, pairs of shape {vectors.shape}, dim {store.dim}"
+                    f"lemma {lemma!r}: {len(codes)} sense keys, pairs of shape {vectors.shape}, dim {stream.dim}"
                 )
             if problem := _key_list_problem(lemma, keys, codes):
                 raise ValueError(problem)
@@ -401,22 +493,43 @@ def save_store(store: ClassifierStore, path: str | Path) -> None:
             wr.texts(keys)
             wr.u32s(codes)
             wr.floats(vectors)
+            written += 1
+        if written != stream.n_lemmas:
+            raise ValueError(f"a stream of {stream.n_lemmas} lemmas gave {written}")
+
+
+def _read_blocks(rd: Reader, dim: int, n_lemmas: int) -> Iterator[LemmaBlock]:
+    """The ``n_lemmas`` blocks ``rd`` is at, each checked as it is read; then the file's checksum and end."""
+    seen: set[str] = set()
+    for _ in range(n_lemmas):
+        (lemma,) = rd.texts(1)
+        if lemma in seen:
+            raise rd.corrupt(f"duplicate lemma {lemma!r}")
+        seen.add(lemma)
+        n_pairs, n_keys = rd.u32(), rd.u32()
+        keys = rd.texts(n_keys)
+        codes = rd.u32s(n_pairs)
+        if problem := _key_list_problem(lemma, keys, codes):
+            raise rd.corrupt(problem)
+        yield LemmaBlock(lemma, keys, codes, rd.floats(n_pairs * dim).reshape(n_pairs, dim))
+    rd.close()
+
+
+@contextlib.contextmanager
+def open_store(path: str | Path) -> Iterator[StoreStream]:
+    """The store file at ``path`` as a ``StoreStream``, open while the ``with`` block runs.
+
+    Its width and lemma count are read at once. Each block is read when it
+    is asked for, its arrays read-only; a repeated lemma or a bad key list
+    is corrupt. The stream ends only once the checksum and the file's end
+    have checked, so whoever exhausts it has read an intact file.
+    """
+    with Reader.open(path, "classifier store", STORE_MAGIC, STORE_VERSION) as rd:
+        dim, n_lemmas = rd.u32(), rd.u32()
+        yield StoreStream(dim, n_lemmas, _read_blocks(rd, dim, n_lemmas))
 
 
 def load_store(path: str | Path) -> ClassifierStore:
-    with Reader.open(path, "classifier store", STORE_MAGIC, STORE_VERSION) as rd:
-        dim = rd.u32()
-        store = ClassifierStore(dim=dim)
-        for _ in range(rd.u32()):
-            (lemma,) = rd.texts(1)
-            if lemma in store.pairs:
-                raise rd.corrupt(f"duplicate lemma {lemma!r}")
-            n_pairs, n_keys = rd.u32(), rd.u32()
-            keys = rd.texts(n_keys)
-            codes = rd.u32s(n_pairs)
-            if problem := _key_list_problem(lemma, keys, codes):
-                raise rd.corrupt(problem)
-            store.keys[lemma], store.codes[lemma] = keys, codes
-            store.pairs[lemma] = rd.floats(n_pairs * dim).reshape(n_pairs, dim)
-        rd.close()
-    return store
+    """The whole store file at ``path``: ``open_store``'s stream, collected."""
+    with open_store(path) as stream:
+        return _collect(stream)

@@ -9,6 +9,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -594,6 +595,102 @@ class TestBuildPredictEval:
         assert main(["predict", "-c", str(config)]) == 2
         assert f"error: incompatible checkpoint: {path} (version 1)" in capsys.readouterr().err
         assert not (tmp_path / "pred.tsv").exists()
+
+
+def _three_lemmas(tmp_path):
+    """Train, test and inventory files of the lemmas dax, wug and zup, three train instances each."""
+    lemmas = ("dax", "wug", "zup")
+    _write(
+        tmp_path / "train.tsv",
+        "".join(
+            f"{lemma}{n}\t{context}\t{n + 1}\t{lemma}\t{lemma}%{n % 2 + 1}\n"
+            for lemma in lemmas
+            for n, context in enumerate(("the teller counted money", "a canoe drifted down", "reeds grew along muddy"))
+        ),
+    )
+    _write(tmp_path / "test.tsv", "".join(f"q-{lemma}\tthe ferry crossed past\t2\t{lemma}\t{lemma}%1\n" for lemma in lemmas))
+    _write(tmp_path / "inventory.tsv", "".join(f"{lemma}\t{lemma}%1,{lemma}%2\n" for lemma in lemmas))
+
+
+def _with_checksum(raw):
+    raw[-8:] = struct.pack("<Q", checksum(raw[:-8]))
+    return raw
+
+
+def _crc_flipped(raw):
+    raw[-1] ^= 1
+    return raw
+
+
+def _last_lemma_repeats_the_first(raw):
+    at = raw.index(b"\x03\x00\x00\x00zup")  # the last block's lemma name
+    raw[at + 4 : at + 7] = b"dax"
+    return _with_checksum(raw)
+
+
+def _cut_in_the_last_block(raw):
+    return raw[: len(raw) - 8 - 20]  # inside the last block's f32 values
+
+
+class TestStreamedStoreReadOrder:
+    """predict scores each block as it is read, yet a store the loader rejects still writes no prediction."""
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (_crc_flipped, "corrupt classifier store: {path} (checksum mismatch)"),
+            (_last_lemma_repeats_the_first, "corrupt classifier store: {path} (duplicate lemma 'dax')"),
+            (_cut_in_the_last_block, "truncated classifier store: {path}"),
+        ],
+        ids=["checksum", "repeated-lemma", "cut"],
+    )
+    def test_damaged_store_keeps_the_old_predictions(self, workspace, capsys, damage, message):
+        tmp_path, config = workspace
+        _three_lemmas(tmp_path)
+        assert main(["train", "-c", str(config), "--epochs", "0"]) == 0
+        assert main(["build", "-c", str(config)]) == 0
+        path, predictions = tmp_path / "store.fwsd", tmp_path / "pred.tsv"
+        assert list(wsd.load_store(path).pairs) == ["dax", "wug", "zup"]
+        path.write_bytes(damage(bytearray(path.read_bytes())))
+        _write(predictions, "q-dax\tdax%2\n")
+        capsys.readouterr()
+        assert main(["predict", "-c", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert predictions.read_bytes() == b"q-dax\tdax%2\n"
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+
+def test_build_and_predict_hold_one_lemma_at_a_time(workspace):
+    """Neither stage holds the store's pairs at once: each peaks below half of them under tracemalloc."""
+    tmp_path, config = workspace
+    rng = np.random.default_rng(30)
+    words = (tmp_path / "corpus.txt").read_text(encoding="utf-8").split()
+    lemmas, per_lemma = [f"w{i}" for i in range(32)], 256  # 8,192 pairs of 256 f32 values: 8 MiB
+
+    def labeled(prefix, count):
+        return "".join(
+            f"{prefix}{i}-{lemma}\t{' '.join(rng.choice(words, size=8))}\t{i % 8}\t{lemma}\t{lemma}%{i % 3 + 1}\n"
+            for i in range(count)
+            for lemma in lemmas
+        )
+
+    _write(tmp_path / "train.tsv", labeled("t", per_lemma))
+    _write(tmp_path / "test.tsv", labeled("q", 4))
+    _write(tmp_path / "inventory.tsv", "".join(f"{lemma}\t{lemma}%1,{lemma}%2,{lemma}%3\n" for lemma in lemmas))
+    wide = ["-c", str(config), "--hidden-dims", "256"]
+    assert main(["train", *wide, "--epochs", "0"]) == 0
+    peaks = {}
+    for command in ("build", "predict"):
+        tracemalloc.start()
+        try:
+            assert main([command, *wide]) == 0
+            peaks[command] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    pairs = wsd.load_store(tmp_path / "store.fwsd").pairs
+    pair_bytes = sum(rows.nbytes for rows in pairs.values())
+    assert len(pairs) == 32 and pair_bytes == 8 << 20
+    assert peaks["build"] < pair_bytes / 2 and peaks["predict"] < pair_bytes / 2, peaks
 
 
 class TestUnwritableOutput:

@@ -98,18 +98,27 @@ class TestBuildClassifierStore:
             for n, (lemma, gold) in enumerate(zip(lemmas, golds))
         ]
         inventory = SenseInventory({"a": ["a%1", "a%2"], "b": ["b%1", "b%2"]})
+        chunks = _recorded(monkeypatch, "context_embeddings", lambda args, rows: len(rows))
         store = build_classifier_store(tiny_model, _corpus(instances), inventory)
+        assert chunks == [3, 3]  # the chunks of one call over every instance, each its own call
         assert list(store.pairs) == list(store.keys) == list(store.codes) == ["b", "a"]  # first-use order
         assert store.keys == {"b": ["b%1", "b%2"], "a": ["a%2", "a%1"]}
         assert {lemma: codes.tolist() for lemma, codes in store.codes.items()} == {"b": [0, 1, 0], "a": [0, 1, 1, 0]}
         assert _senses(store) == {"b": ["b%1", "b%2", "b%1"], "a": ["a%2", "a%1", "a%1", "a%2"]}
-        # pairs in instance order, then sorted keys: rows of one matrix
+        # pairs in instance order, then sorted keys
         order = [instances[n] for n in (0, 2, 4, 1, 3, 5, 5)]
         rows = np.concatenate([store.pairs["b"], store.pairs["a"]])
         for row, inst in zip(rows, order, strict=True):
             assert_allclose(row, embed(tiny_model, [(inst.tokens, inst.target_index)])[0], atol=1e-12)
-        assert store.pairs["b"].base is store.pairs["a"].base is not None
         assert store.pairs["a"][2].tobytes() == store.pairs["a"][3].tobytes()
+        # streamed, b's block comes as soon as the first chunk is embedded, and equals the built one
+        chunks.clear()
+        stream = wsd.stream_classifier_store(tiny_model, _corpus(instances), inventory)
+        assert chunks == []
+        lemma, keys, codes, pairs = next(stream.blocks)
+        assert (lemma, keys, codes.tolist(), chunks) == ("b", ["b%1", "b%2"], [0, 1, 0], [3])
+        assert pairs.tobytes() == store.pairs["b"].tobytes()
+        assert [block.lemma for block in stream.blocks] == ["a"] and chunks == [3, 3]
 
     def test_each_instance_is_embedded_once(self, tiny_model, monkeypatch):
         words = tiny_model.vocab.tokens[1:9]
@@ -748,9 +757,37 @@ class TestStorePersistence:
 
     @_INCONSISTENT_KEY_LISTS
     def test_inconsistent_key_list_is_not_written(self, tmp_path, keys, codes, detail):
-        # the loader's checks, run before any byte is written
+        # the loader's checks, run as each lemma is written, before the file is replaced
         with pytest.raises(ValueError, match=rf"^{re.escape(detail)}$"):
             save_store(_hand_built(keys, codes, np.ones((len(codes), 2))), tmp_path / "s.fwsd")
+        assert os.listdir(tmp_path) == []
+
+    def test_bad_key_list_in_the_last_lemma_is_not_written(self, tmp_path, monkeypatch):
+        path, earlier = tmp_path / "s.fwsd", tmp_path / "earlier.fwsd"
+        save_store(_store(2, [("w", "A", (0.5, 0.5))]), path)
+        old = path.read_bytes()
+        # a and b hold 512 KiB of pairs each, more than the temp file's write buffer
+        sizes = {"a": 1 << 16, "b": 1 << 16, "c": 1}
+        store = ClassifierStore(
+            dim=2,
+            keys={lemma: ["A"] for lemma in sizes},
+            codes={lemma: np.zeros(n, dtype=np.uint32) for lemma, n in sizes.items()},
+            pairs={lemma: np.full((n, 2), 0.5, dtype=np.float32) for lemma, n in sizes.items()},
+        )
+        save_store(ClassifierStore(2, store.keys, store.codes, {lemma: store.pairs[lemma] for lemma in "ab"}), earlier)
+        store.codes["c"] = np.array([1], dtype=np.uint32)  # beyond c's one key
+        in_temp = _recorded(monkeypatch, "_key_list_problem", lambda args, problem: os.path.getsize(f"{path}.tmp"))
+        with pytest.raises(ValueError, match=r"^sense code 1 beyond the 1 keys of lemma 'c'$"):
+            save_store(store, path)
+        # a and b were in the temp file, all but its trailer, when c was checked
+        assert in_temp[-1] == earlier.stat().st_size - 8
+        assert path.read_bytes() == old
+        assert sorted(os.listdir(tmp_path)) == ["earlier.fwsd", "s.fwsd"]
+
+    def test_stream_of_another_lemma_count_is_not_written(self, tmp_path):
+        store = _store(2, [("w", "A", (0.5, 0.5))])
+        with pytest.raises(ValueError, match=r"^a stream of 2 lemmas gave 1$"):
+            save_store(wsd.StoreStream(2, 2, store.stream().blocks), tmp_path / "s.fwsd")
         assert os.listdir(tmp_path) == []
 
     def test_version_1_store_is_incompatible(self, tmp_path):
@@ -933,16 +970,26 @@ class TestBuiltStoreIsTheLoadedStore:
         lines = paths["corpus"].read_text(encoding="utf-8").splitlines()[:200]
         model = lm.train_lm(lines, lm.LmConfig(epochs=1))
         inventory = read_sense_inventory(paths["inventory"])
-        built = build_classifier_store(model, read_labeled_corpus(paths["train"]), inventory)
+        train = read_labeled_corpus(paths["train"])
+        built = build_classifier_store(model, train, inventory)
         save_store(built, tmp_path / "s.fwsd")
         test = read_labeled_corpus(paths["test"])
-        return SimpleNamespace(model=model, inventory=inventory, built=built, loaded=load_store(tmp_path / "s.fwsd"), test=test)
+        return SimpleNamespace(
+            model=model, inventory=inventory, train=train, built=built, loaded=load_store(tmp_path / "s.fwsd"), test=test
+        )
 
     def test_rows_are_the_file_rows(self, case):
         assert list(case.built.pairs) == list(case.loaded.pairs) and case.built.keys == case.loaded.keys
         for lemma, rows in case.built.pairs.items():
             assert rows.dtype == case.loaded.pairs[lemma].dtype == np.float32
             assert rows.tobytes() == case.loaded.pairs[lemma].tobytes()
+
+    def test_streams_write_and_predict_alike(self, case, tmp_path):
+        save_store(wsd.stream_classifier_store(case.model, case.train, case.inventory), tmp_path / "streamed.fwsd")
+        assert (tmp_path / "streamed.fwsd").read_bytes() == (tmp_path / "s.fwsd").read_bytes()
+        with wsd.open_store(tmp_path / "s.fwsd") as stream:
+            streamed = predict_all(stream, case.inventory, case.model, ClassifierConfig(), case.test)
+        assert streamed == predict_all(case.loaded, case.inventory, case.model, ClassifierConfig(), case.test)
 
     def test_predict_all_votes_alike(self, case, monkeypatch):
         # the same senses, from bit-equal distances and votes
