@@ -32,6 +32,7 @@ from .lm import (
 from .wsd import (
     ClassifierConfig,
     ClassifierStore,
+    LemmaBlock,
     NoClassifierError,
     build_classifier_store,
     build_sense_embeddings,
@@ -51,6 +52,7 @@ __all__ = [
     "EvalReport",
     "FofeConfig",
     "LabeledCorpus",
+    "LemmaBlock",
     "LmConfig",
     "LmModel",
     "NoClassifierError",

@@ -184,7 +184,9 @@ def held_out(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """``forward(params, x).activations[-2]`` without evaluating the output layer."""
     a = _network_input(params, x)
     for w, b in params.layers[:-1]:
-        a = np.maximum(a @ w + b, 0.0)
+        a = a @ w
+        a += b  # in place, as ``forward`` does: one chunk-sized array per layer
+        np.maximum(a, 0.0, out=a)
     return a
 
 

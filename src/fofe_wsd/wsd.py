@@ -3,19 +3,19 @@
 The primary path is a cosine-distance kNN over every labeled training
 occurrence of a lemma; the baseline averages each sense's embeddings into
 one sense embedding and picks the most similar. Lemmas with no training
-pairs at all fall back to the inventory's first-listed sense. The store
-holds each lemma as its file does (below), in float32; distances and means
-are float64.
+pairs at all fall back to the inventory's first-listed sense. A lemma's
+pairs are one ``LemmaBlock``, laid out as its file holds them (below), in
+float32; distances and means are float64.
 
-A store passes between stages one lemma at a time, as a ``StoreStream``:
-``stream_classifier_store`` embeds each lemma's block as soon as its last
-instance is embedded, and ``open_store`` reads each block from the file
-when it is asked for. ``save_store`` and ``predict_all`` take either form
-(a ``ClassifierStore`` streams its dicts), and ``build_classifier_store``
-and ``load_store`` collect the two streams into a ``ClassifierStore``. The
-``build`` and ``predict`` commands pass the streams straight on, so they
-hold one lemma's pairs at a time. Both stages group a
-``LabeledCorpus``'s instances by lemma with one stable sort of its lemma
+A ``ClassifierStore`` is a width, a lemma count and the blocks in store
+order. Its ``blocks`` are a list when collected, and an iterator, consumed
+once, when streamed: ``stream_classifier_store`` embeds each lemma's block
+as soon as its last instance is embedded, and ``open_store`` reads each
+block from the file when it is asked for. ``build_classifier_store`` and
+``load_store`` collect those two. ``save_store`` and ``predict_all`` take
+either, and the ``build`` and ``predict`` commands pass the streamed ones
+straight on, so they hold one lemma's pairs at a time. Both stages group
+a ``LabeledCorpus``'s instances by lemma with one stable sort of its lemma
 codes.
 
 Every distance comes from ``_cosine_distances`` and every vote from
@@ -47,9 +47,9 @@ bytes. Version 1 stores, one record per pair, are rejected as incompatible;
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,7 +86,14 @@ class ClassifierConfig:
 
 
 class LemmaBlock(NamedTuple):
-    """One lemma's pairs as the store file holds them (see ``ClassifierStore``)."""
+    """One lemma's training pairs, as the store file holds them.
+
+    ``keys`` lists the lemma's distinct sense keys in the order of their
+    first pair, and ``codes[i]`` (uint32) is pair i's index into it.
+    ``pairs[i]`` is pair i's context embedding: a float32 row of the
+    lemma's (pairs, dim) matrix, as build embedded it or the loader read it
+    (read-only).
+    """
 
     lemma: str
     keys: list[str]
@@ -94,54 +101,19 @@ class LemmaBlock(NamedTuple):
     pairs: np.ndarray
 
 
-class StoreStream(NamedTuple):
-    """A classifier store one lemma at a time: its width, its lemma count, and its blocks in store order.
+class ClassifierStore(NamedTuple):
+    """Per-lemma training pairs: their width, their lemma count, and each lemma's block, in store order.
 
-    ``blocks`` is an iterator, consumed once. Each block is made when it is
-    asked for (embedded by ``stream_classifier_store``, read by
-    ``open_store``), so a consumer that drops each block before the next
-    holds one lemma's pairs at a time.
+    ``blocks`` is a list when the store is collected (``build_classifier_store``,
+    ``load_store``), and an iterator, consumed once, when it is streamed
+    (``stream_classifier_store``, ``open_store``). A streamed block is made
+    when it is asked for, so a consumer that drops each block before the
+    next holds one lemma's pairs at a time.
     """
 
     dim: int
     n_lemmas: int
-    blocks: Iterator[LemmaBlock]
-
-    def stream(self) -> StoreStream:
-        return self
-
-
-@dataclass
-class ClassifierStore:
-    """Per-lemma training pairs, in build order, in the store file's layout.
-
-    ``keys[lemma]`` lists the lemma's distinct sense keys in the order of
-    their first pair, and ``codes[lemma][i]`` (uint32) is pair i's index into
-    it. ``pairs[lemma][i]`` is pair i's context embedding: a float32 row of
-    the lemma's (pairs, dim) matrix, as ``build_classifier_store`` embedded
-    it or ``load_store`` read it (read-only).
-    """
-
-    dim: int
-    keys: dict[str, list[str]] = field(default_factory=dict)
-    codes: dict[str, np.ndarray] = field(default_factory=dict)
-    pairs: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __contains__(self, lemma: str) -> bool:
-        return len(self.pairs.get(lemma, ())) > 0
-
-    def stream(self) -> StoreStream:
-        """The store's lemmas as a ``StoreStream``, in store order."""
-        blocks = (LemmaBlock(lemma, self.keys[lemma], self.codes[lemma], pairs) for lemma, pairs in self.pairs.items())
-        return StoreStream(self.dim, len(self.pairs), blocks)
-
-
-def _collect(stream: StoreStream) -> ClassifierStore:
-    """The blocks of ``stream``, all of them, as a ``ClassifierStore``."""
-    store = ClassifierStore(dim=stream.dim)
-    for lemma, keys, codes, pairs in stream.blocks:
-        store.keys[lemma], store.codes[lemma], store.pairs[lemma] = keys, codes, pairs
-    return store
+    blocks: Iterable[LemmaBlock]
 
 
 def _check_lemmas(corpus: LabeledCorpus, inventory: SenseInventory) -> None:
@@ -237,7 +209,7 @@ def _built_blocks(model: LmModel, corpus: LabeledCorpus) -> Iterator[LemmaBlock]
         yield LemmaBlock(lemma, keys, np.argsort(by_use).astype(np.uint32)[codes], embeddings)
 
 
-def stream_classifier_store(model: LmModel, corpus: LabeledCorpus, inventory: SenseInventory) -> StoreStream:
+def stream_classifier_store(model: LmModel, corpus: LabeledCorpus, inventory: SenseInventory) -> ClassifierStore:
     """The store of ``build_classifier_store``, embedded one lemma at a time as its blocks are asked for.
 
     At the call, before any embedding, a ``DataError`` names every instance
@@ -245,7 +217,7 @@ def stream_classifier_store(model: LmModel, corpus: LabeledCorpus, inventory: Se
     """
     _check_lemmas(corpus, inventory)
     _check_keys(corpus, inventory)
-    return StoreStream(model.config.held_out_dim, len(corpus.lemmas), _built_blocks(model, corpus))
+    return ClassifierStore(model.config.held_out_dim, len(corpus.lemmas), _built_blocks(model, corpus))
 
 
 def build_classifier_store(model: LmModel, corpus: LabeledCorpus, inventory: SenseInventory) -> ClassifierStore:
@@ -256,7 +228,8 @@ def build_classifier_store(model: LmModel, corpus: LabeledCorpus, inventory: Sen
     pairs in instance order. This collects ``stream_classifier_store``,
     whose checks it makes.
     """
-    return _collect(stream_classifier_store(model, corpus, inventory))
+    store = stream_classifier_store(model, corpus, inventory)
+    return store._replace(blocks=list(store.blocks))
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -305,47 +278,43 @@ def _vote(codes: np.ndarray, distances: np.ndarray, tie_order: np.ndarray) -> tu
 
 
 def predict_knn(
-    store: ClassifierStore,
+    block: LemmaBlock,
     cfg: ClassifierConfig,
-    lemma: str,
     query: np.ndarray,
     inventory: SenseInventory | None = None,
 ) -> str:
-    """Majority sense of the k nearest training pairs by cosine distance.
+    """Majority sense of the lemma's k nearest training pairs by cosine distance.
 
     Vote ties break toward the tied sense whose voting neighbors have the
     smaller mean distance, then by inventory order (lexicographic order when
     no inventory is given).
     """
-    if lemma not in store:
+    lemma, keys, codes, pairs = block
+    if not len(pairs):
         raise NoClassifierError(lemma)
-    keys, codes = store.keys[lemma], store.codes[lemma]
-    distances = _cosine_distances(_unit_rows(query), _unit_rows(store.pairs[lemma]))
+    distances = _cosine_distances(_unit_rows(query), _unit_rows(pairs))
     nearest = np.argsort(distances[0], kind="stable")[None, : cfg.k]
     winners, _ = _vote(codes[nearest], distances[:, nearest[0]], _tie_order(lemma, keys, inventory))
     return keys[winners[0]]
 
 
-def build_sense_embeddings(store: ClassifierStore) -> ClassifierStore:
-    """A store with one pair per sense: the mean of its context embeddings.
+def build_sense_embeddings(block: LemmaBlock) -> LemmaBlock:
+    """The lemma's block with one pair per sense: the mean of its context embeddings.
 
     Pair i is key i's mean. Rows are widened to float64, and each sense's are
     summed one after the other (``cumsum``; ``sum`` may pair them up differently).
     """
-    means = ClassifierStore(dim=store.dim)
-    for lemma, vectors in store.pairs.items():
-        vectors, codes, keys = np.asarray(vectors, dtype=np.float64), store.codes[lemma], store.keys[lemma]
-        means.keys[lemma], means.codes[lemma] = list(keys), np.arange(len(keys), dtype=np.uint32)
-        rows = means.pairs[lemma] = np.empty((len(keys), store.dim))
-        for code in range(len(keys)):
-            mask = codes == code
-            rows[code] = np.cumsum(vectors[mask], axis=0)[-1] / np.count_nonzero(mask)
-    return means
+    lemma, keys, codes, vectors = block
+    vectors = np.asarray(vectors, dtype=np.float64)
+    rows = np.empty((len(keys), vectors.shape[1]))
+    for code in range(len(keys)):
+        mask = codes == code
+        rows[code] = np.cumsum(vectors[mask], axis=0)[-1] / np.count_nonzero(mask)
+    return LemmaBlock(lemma, list(keys), np.arange(len(keys), dtype=np.uint32), rows)
 
 
 def predict_cosine(
-    means: ClassifierStore,
-    lemma: str,
+    means: LemmaBlock,
     query: np.ndarray,
     inventory: SenseInventory | None = None,
 ) -> str:
@@ -354,26 +323,24 @@ def predict_cosine(
     ``means`` comes from ``build_sense_embeddings``. Ties go by inventory
     order, then by key: this is ``predict_knn`` over every mean, one vote each.
     """
-    if lemma not in means:
-        raise NoClassifierError(lemma)
-    return predict_knn(means, ClassifierConfig(k=len(means.keys[lemma])), lemma, query, inventory)
+    if not len(means.pairs):
+        raise NoClassifierError(means.lemma)
+    return predict_knn(means, ClassifierConfig(k=len(means.keys)), query, inventory)
 
 
-def _knn_lemma(
-    store: ClassifierStore, cfg: ClassifierConfig, lemma: str, queries: np.ndarray, inventory: SenseInventory
-) -> np.ndarray:
-    """The code of ``predict_knn``'s sense for each query (a row) of ``lemma``, batched under the certificate.
+def _knn_lemma(block: LemmaBlock, cfg: ClassifierConfig, queries: np.ndarray, inventory: SenseInventory) -> np.ndarray:
+    """The code of ``predict_knn``'s sense for each query (a row) of the block's lemma, batched under the certificate.
 
     A k-th and (k+1)-th distance, or a vote margin, within ``_CERTIFY_BOUND``
     (or not comparable, as NaN is) sends the query to ``predict_knn``.
     """
-    vectors, keys, codes = _unit_rows(store.pairs[lemma]), store.keys[lemma], store.codes[lemma]
-    tie_order, k = _tie_order(lemma, keys, inventory), min(cfg.k, len(vectors))
+    vectors, keys, codes = _unit_rows(block.pairs), block.keys, block.codes
+    tie_order, k = _tie_order(block.lemma, keys, inventory), min(cfg.k, len(vectors))
     per_block = max(1, _BLOCK_ELEMENTS // len(vectors))
     senses = np.empty(len(queries), dtype=np.intp)
     for first in range(0, len(queries), per_block):
-        block = queries[first : first + per_block]
-        distances = _cosine_distances(_unit_rows(block), vectors)
+        chunk = queries[first : first + per_block]
+        distances = _cosine_distances(_unit_rows(chunk), vectors)
         if k < len(vectors):
             edge = np.partition(distances, k, axis=1)  # the k nearest first, then the (k+1)-th
             kth = np.maximum.reduce(edge[:, :k], axis=1)
@@ -382,18 +349,18 @@ def _knn_lemma(
             near = np.flatnonzero(distances <= np.where(certified, kth, np.nan)[:, None])
             neighbours, distances = codes[near % len(vectors)].reshape(-1, k), distances.take(near).reshape(-1, k)
         else:  # every pair is a neighbour
-            neighbours, certified = np.broadcast_to(codes, distances.shape), np.ones(len(block), dtype=bool)
+            neighbours, certified = np.broadcast_to(codes, distances.shape), np.ones(len(chunk), dtype=bool)
         winners, margins = _vote(neighbours, distances, tie_order)
         voted = np.flatnonzero(certified)
         certified[voted] = margins > _CERTIFY_BOUND
         senses[first + voted] = winners
         for i in np.flatnonzero(~certified):
-            senses[first + i] = keys.index(predict_knn(store, cfg, lemma, block[i], inventory))
+            senses[first + i] = keys.index(predict_knn(block, cfg, chunk[i], inventory))
     return senses
 
 
 def predict_all(
-    store: ClassifierStore | StoreStream,
+    store: ClassifierStore,
     inventory: SenseInventory,
     model: LmModel,
     cfg: ClassifierConfig,
@@ -405,21 +372,20 @@ def predict_all(
     first sense. Every instance is embedded first, in one
     ``context_embeddings`` call in ``_by_lemma``'s order, so a query's last
     bits may depend on the contexts it is embedded with. Then each lemma's
-    queries are scored as its block arrives from ``store``, in blocks of at
-    most ``_BLOCK_ELEMENTS`` distances; a query whose vote is within
-    ``_CERTIFY_BOUND`` of a tie (see the module docstring) is recomputed
-    with ``predict_knn``, so each answer is ``predict_knn``'s for the query
-    vector computed here. Nothing is returned before the stream is
-    exhausted, which is when ``open_store``'s stream checks the file's end.
-    Before any embedding, a lemma missing from the inventory (listing every
-    such instance) or a store whose width is not the model's is a
-    ``DataError``.
+    queries are scored as its block comes from ``store.blocks``, a list or
+    a stream, in blocks of at most ``_BLOCK_ELEMENTS`` distances; a query
+    whose vote is within ``_CERTIFY_BOUND`` of a tie (see the module
+    docstring) is recomputed with ``predict_knn``, so each answer is
+    ``predict_knn``'s for the query vector computed here. Nothing is
+    returned before the blocks are exhausted, which is when ``open_store``'s
+    stream checks the file's end. Before any embedding, a lemma missing
+    from the inventory (listing every such instance) or a store whose width
+    is not the model's is a ``DataError``.
     """
-    stream = store.stream()
     _check_lemmas(corpus, inventory)
-    if stream.dim != model.config.held_out_dim:
+    if store.dim != model.config.held_out_dim:
         raise DataError(
-            f"classifier store holds {stream.dim}-wide embeddings, "
+            f"classifier store holds {store.dim}-wide embeddings, "
             f"but the model's are {model.config.held_out_dim} wide"
         )
     rows, sizes = _by_lemma(corpus)
@@ -428,12 +394,11 @@ def predict_all(
     spans = {lemma: slice(end - size, end) for lemma, end, size in zip(corpus.lemmas, ends, sizes.tolist())}
     senses: list[str] = []  # each lemma's candidate answers, one lemma after another
     answers = np.empty(len(corpus), dtype=np.intp)  # each instance's index into them
-    for lemma, keys, codes, pairs in stream.blocks:
-        if lemma in spans and len(pairs):
-            one = ClassifierStore(stream.dim, {lemma: keys}, {lemma: codes}, {lemma: pairs})
-            span = spans.pop(lemma)
-            answers[rows[span]] = len(senses) + _knn_lemma(one, cfg, lemma, queries[span], inventory)
-            senses.extend(keys)
+    for block in store.blocks:
+        if block.lemma in spans and len(block.pairs):
+            span = spans.pop(block.lemma)
+            answers[rows[span]] = len(senses) + _knn_lemma(block, cfg, queries[span], inventory)
+            senses.extend(block.keys)
     for lemma, span in spans.items():  # no training pairs: first-sense backoff
         answers[rows[span]] = len(senses)
         senses.append(inventory.first_sense(lemma))
@@ -466,25 +431,24 @@ def _key_list_problem(lemma: str, keys: Sequence[str], codes: np.ndarray) -> str
     return None
 
 
-def save_store(store: ClassifierStore | StoreStream, path: str | Path) -> None:
+def save_store(store: ClassifierStore, path: str | Path) -> None:
     """Write the store to ``path``, one lemma's blocks at a time; embeddings narrow to f32 on disk.
 
     Before the file is replaced, a value that is not finite as f32 is a
-    ``DataError``, and pairs not of shape (codes, dim), a bad key list or a
-    stream of other than its count of lemmas a ``ValueError``: the loader
+    ``DataError``, and pairs not of shape (codes, dim), a bad key list or
+    blocks of other than its count of lemmas a ``ValueError``: the loader
     would reject any such file. Each lemma is checked as it is reached,
     after the lemmas before it are in the temp file, and its blocks are
     streamed to the file from its arrays' own memory.
     """
-    stream = store.stream()
     with Writer.create(path, STORE_MAGIC, STORE_VERSION) as wr:
-        wr.u32(stream.dim, stream.n_lemmas)
+        wr.u32(store.dim, store.n_lemmas)
         written = 0
-        for lemma, keys, codes, vectors in stream.blocks:
+        for lemma, keys, codes, vectors in store.blocks:
             codes = codes.astype("<u4", copy=False)
-            if vectors.shape != (len(codes), stream.dim):
+            if vectors.shape != (len(codes), store.dim):
                 raise ValueError(
-                    f"lemma {lemma!r}: {len(codes)} sense keys, pairs of shape {vectors.shape}, dim {stream.dim}"
+                    f"lemma {lemma!r}: {len(codes)} sense keys, pairs of shape {vectors.shape}, dim {store.dim}"
                 )
             if problem := _key_list_problem(lemma, keys, codes):
                 raise ValueError(problem)
@@ -494,8 +458,8 @@ def save_store(store: ClassifierStore | StoreStream, path: str | Path) -> None:
             wr.u32s(codes)
             wr.floats(vectors)
             written += 1
-        if written != stream.n_lemmas:
-            raise ValueError(f"a stream of {stream.n_lemmas} lemmas gave {written}")
+        if written != store.n_lemmas:
+            raise ValueError(f"a stream of {store.n_lemmas} lemmas gave {written}")
 
 
 def _read_blocks(rd: Reader, dim: int, n_lemmas: int) -> Iterator[LemmaBlock]:
@@ -516,8 +480,8 @@ def _read_blocks(rd: Reader, dim: int, n_lemmas: int) -> Iterator[LemmaBlock]:
 
 
 @contextlib.contextmanager
-def open_store(path: str | Path) -> Iterator[StoreStream]:
-    """The store file at ``path`` as a ``StoreStream``, open while the ``with`` block runs.
+def open_store(path: str | Path) -> Iterator[ClassifierStore]:
+    """The store file at ``path`` as a streamed ``ClassifierStore``, open while the ``with`` block runs.
 
     Its width and lemma count are read at once. Each block is read when it
     is asked for, its arrays read-only; a repeated lemma or a bad key list
@@ -526,10 +490,10 @@ def open_store(path: str | Path) -> Iterator[StoreStream]:
     """
     with Reader.open(path, "classifier store", STORE_MAGIC, STORE_VERSION) as rd:
         dim, n_lemmas = rd.u32(), rd.u32()
-        yield StoreStream(dim, n_lemmas, _read_blocks(rd, dim, n_lemmas))
+        yield ClassifierStore(dim, n_lemmas, _read_blocks(rd, dim, n_lemmas))
 
 
 def load_store(path: str | Path) -> ClassifierStore:
     """The whole store file at ``path``: ``open_store``'s stream, collected."""
-    with open_store(path) as stream:
-        return _collect(stream)
+    with open_store(path) as store:
+        return store._replace(blocks=list(store.blocks))

@@ -83,9 +83,9 @@ def checkpoint_bytes(model: lm.LmModel, tensors=None, dims=None) -> bytearray:
 def store_bytes(store: wsd.ClassifierStore) -> bytearray:
     """The store file of ``store``, which must pass ``save_store``'s checks."""
     out = container(wsd.STORE_MAGIC, wsd.STORE_VERSION)
-    put_u32(out, store.dim, len(store.pairs))
-    for lemma, vectors in store.pairs.items():
-        keys, codes = store.keys[lemma], store.codes[lemma].astype("<u4", copy=False)
+    put_u32(out, store.dim, store.n_lemmas)
+    for lemma, keys, codes, vectors in store.blocks:
+        codes = codes.astype("<u4", copy=False)
         put_str(out, lemma)
         put_u32(out, len(codes), len(keys))
         for key in keys:

@@ -389,7 +389,7 @@ class TestBuildPredictEval:
         with caplog.at_level("WARNING"):
             assert main(["build", "-c", str(config)]) == 0
         assert any("empty" in message for message in caplog.messages)
-        assert wsd.load_store(tmp_path / "store.fwsd").pairs == {}
+        assert wsd.load_store(tmp_path / "store.fwsd").blocks == []
 
     def test_build_logs_sense_counts_only_at_info(self, workspace, caplog, monkeypatch):
         tmp_path, config = workspace
@@ -568,7 +568,7 @@ class TestBuildPredictEval:
         model.config = dataclasses.replace(model.config, window_cap=1)
         first = instances_of(read_labeled_corpus(tmp_path / "train.tsv"))[0]
         (expected,) = embed(model, [(first.tokens, first.target_index)])
-        stored = store.pairs[first.lemma][0]
+        stored = {block.lemma: block for block in store.blocks}[first.lemma].pairs[0]
         assert np.allclose(stored, expected, atol=1e-6)
 
     def test_window_cap_beyond_intp_keeps_every_token(self, workspace):
@@ -650,7 +650,7 @@ class TestStreamedStoreReadOrder:
         assert main(["train", "-c", str(config), "--epochs", "0"]) == 0
         assert main(["build", "-c", str(config)]) == 0
         path, predictions = tmp_path / "store.fwsd", tmp_path / "pred.tsv"
-        assert list(wsd.load_store(path).pairs) == ["dax", "wug", "zup"]
+        assert [block.lemma for block in wsd.load_store(path).blocks] == ["dax", "wug", "zup"]
         path.write_bytes(damage(bytearray(path.read_bytes())))
         _write(predictions, "q-dax\tdax%2\n")
         capsys.readouterr()
@@ -687,9 +687,9 @@ def test_build_and_predict_hold_one_lemma_at_a_time(workspace):
             peaks[command] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    pairs = wsd.load_store(tmp_path / "store.fwsd").pairs
-    pair_bytes = sum(rows.nbytes for rows in pairs.values())
-    assert len(pairs) == 32 and pair_bytes == 8 << 20
+    blocks = wsd.load_store(tmp_path / "store.fwsd").blocks
+    pair_bytes = sum(block.pairs.nbytes for block in blocks)
+    assert len(blocks) == 32 and pair_bytes == 8 << 20
     assert peaks["build"] < pair_bytes / 2 and peaks["predict"] < pair_bytes / 2, peaks
 
 

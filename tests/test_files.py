@@ -17,7 +17,7 @@ from fofe_wsd.corpus import UNK_TOKEN, SenseInventory, Vocabulary, read_labeled_
 from fofe_wsd.errors import DataError
 from fofe_wsd.fofe import FofeConfig
 from fofe_wsd.lm import LmConfig, LmModel, load_checkpoint, save_checkpoint, train_lm
-from fofe_wsd.wsd import ClassifierStore, build_classifier_store, load_store, save_store, write_predictions
+from fofe_wsd.wsd import ClassifierStore, LemmaBlock, build_classifier_store, load_store, save_store, write_predictions
 from containers import checkpoint_bytes, container, put_tensor, sealed, store_bytes, write_container
 from labeled import corpus_of, instances_of
 
@@ -106,12 +106,7 @@ def _save_checkpoint(tiny_model, path):
 
 
 def _save_store(tiny_model, path):
-    save_store(
-        ClassifierStore(
-            dim=2, keys={"w": ["A"]}, codes={"w": np.zeros(1, dtype=np.uint32)}, pairs={"w": np.array([[0.5, 0.5]])}
-        ),
-        path,
-    )
+    save_store(ClassifierStore(2, 1, [LemmaBlock("w", ["A"], np.zeros(1, dtype=np.uint32), np.array([[0.5, 0.5]]))]), path)
     return load_store, "classifier store"
 
 
@@ -156,7 +151,7 @@ def _outcome(path, data, load):
         return "rejected"
     except Exception as exc:  # a traceback, where the CLI needs a DataError (exit code 2)
         return repr(exc)
-    values = loaded.params.tensors() if isinstance(loaded, LmModel) else loaded.pairs.values()
+    values = loaded.params.tensors() if isinstance(loaded, LmModel) else [block.pairs for block in loaded.blocks]
     return "loaded" if all(np.isfinite(v).all() for v in values) else "loaded a non-finite value"
 
 
@@ -416,7 +411,7 @@ def _model(rng, n_tokens, embed_dim, hidden_dims, dtype=np.float32, strided=Fals
 
 def _random_store(rng, dim, sizes, dtype=np.float32, layout="contiguous"):
     """A seeded store of one lemma per entry of ``sizes`` (its pair count), with Unicode names and keys."""
-    store = ClassifierStore(dim=dim)
+    blocks = []
     for n, size in enumerate(sizes):
         lemma = f"lemma{n}{'äß河🙂'[n % 4]}"
         keys = [f"{lemma}%{k}" for k in range(min(1 + n % 3, size))]
@@ -427,8 +422,8 @@ def _random_store(rng, dim, sizes, dtype=np.float32, layout="contiguous"):
             "transposed": values[:, :size].T,  # Fortran order
             "strided": values.T[::2],  # every other row
         }[layout]
-        store.keys[lemma], store.codes[lemma], store.pairs[lemma] = keys, codes.astype(np.uint32), pairs
-    return store
+        blocks.append(LemmaBlock(lemma, keys, codes.astype(np.uint32), pairs))
+    return ClassifierStore(dim, len(blocks), blocks)
 
 
 @pytest.fixture(params=[None, 7], ids=["slice", "slice-7"])
@@ -541,9 +536,9 @@ def _with_last_value(saved, value):
         params = saved.params.astype(np.float64)
         params.flat[-1] = value
         return replace(saved, params=params)
-    pairs = {lemma: np.array(rows, dtype=np.float64) for lemma, rows in saved.pairs.items()}
-    pairs[list(pairs)[-1]][-1, -1] = value
-    return replace(saved, pairs=pairs)
+    blocks = [block._replace(pairs=np.array(block.pairs, dtype=np.float64)) for block in saved.blocks]
+    blocks[-1].pairs[-1, -1] = value
+    return saved._replace(blocks=blocks)
 
 
 @pytest.mark.parametrize("what", ["checkpoint", "store"])

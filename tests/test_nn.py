@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +184,20 @@ class TestHeldOut:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             nn.held_out(nn.init_network([3, 4, 2], 1), np.zeros(4))
+
+    def test_holds_one_chunk_sized_array_per_layer(self):
+        # one 256-context chunk at a 768-wide input and hidden 512,512, in float32 as build embeds it
+        params = nn.init_network([768, 512, 512, 8], 3, dtype=np.float32)
+        x = np.random.default_rng(9).normal(size=(256, 768)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            rows = nn.held_out(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(rows, nn.forward(params, x).activations[-2])
+        # the layer's input and its result; ``np.maximum(a @ w + b, 0.0)`` also held ``a @ w + b``
+        assert peak < 2.5 * rows.nbytes, peak / rows.nbytes
 
 
 class TestSoftmaxLoss:

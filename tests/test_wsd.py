@@ -15,6 +15,7 @@ from fofe_wsd.errors import DataError
 from fofe_wsd.wsd import (
     ClassifierConfig,
     ClassifierStore,
+    LemmaBlock,
     NoClassifierError,
     build_classifier_store,
     build_sense_embeddings,
@@ -31,22 +32,32 @@ from labeled import Instance, corpus_of, embed
 
 
 def _store(dim, lemma_pairs):
+    """A collected store of the (lemma, sense, vector) pairs; lemmas and each lemma's keys in first-use order."""
     index, codes, vectors = {}, {}, {}
     for lemma, sense, vec in lemma_pairs:
         keys = index.setdefault(lemma, {})
         codes.setdefault(lemma, []).append(keys.setdefault(sense, len(keys)))
         vectors.setdefault(lemma, []).append(np.asarray(vec, dtype=float))
-    return ClassifierStore(
-        dim=dim,
-        keys={lemma: list(keys) for lemma, keys in index.items()},
-        codes={lemma: np.array(c, dtype=np.uint32) for lemma, c in codes.items()},
-        pairs={lemma: np.array(rows).reshape(len(rows), dim) for lemma, rows in vectors.items()},
-    )
+    blocks = [
+        LemmaBlock(lemma, list(keys), np.array(codes[lemma], dtype=np.uint32), np.array(vectors[lemma]).reshape(-1, dim))
+        for lemma, keys in index.items()
+    ]
+    return ClassifierStore(dim, len(blocks), blocks)
+
+
+def _empty_block(dim, lemma="w"):
+    """A block of no pairs."""
+    return LemmaBlock(lemma, [], np.zeros(0, dtype=np.uint32), np.zeros((0, dim)))
+
+
+def _blocks(store):
+    """Each lemma's block, by lemma."""
+    return {block.lemma: block for block in store.blocks}
 
 
 def _senses(store):
     """Each lemma's sense key per pair, in pair order."""
-    return {lemma: [store.keys[lemma][c] for c in codes] for lemma, codes in store.codes.items()}
+    return {block.lemma: [block.keys[c] for c in block.codes] for block in store.blocks}
 
 
 def _instance(instance_id, tokens, target, lemma, senses):
@@ -66,17 +77,18 @@ class TestBuildClassifierStore:
             _instance("i2", words[::-1], 1, "bank", {"bank%2"}),
         ]
         store = build_classifier_store(tiny_model, _corpus(instances), SenseInventory({"bank": ["bank%1", "bank%2"]}))
-        assert list(store.pairs) == ["bank"]
-        assert store.pairs["bank"].shape == (2, tiny_model.config.hidden_dims[-1])
+        (block,) = store.blocks
+        assert block.lemma == "bank" and store.n_lemmas == 1
+        assert block.pairs.shape == (2, tiny_model.config.hidden_dims[-1])
         assert _senses(store)["bank"] == ["bank%1", "bank%2"]
         contexts = [(inst.tokens, inst.target_index) for inst in instances]
         # the float32 embeddings, as the store holds them
-        assert store.pairs["bank"].dtype == np.float32
-        assert_array_equal(store.pairs["bank"], embed(tiny_model, contexts))
+        assert block.pairs.dtype == np.float32
+        assert_array_equal(block.pairs, embed(tiny_model, contexts))
 
     def test_empty_instances(self, tiny_model):
         store = build_classifier_store(tiny_model, _corpus([]), SenseInventory({}))
-        assert store.pairs == {}
+        assert store.blocks == [] and store.n_lemmas == 0
 
     def test_multi_gold_shares_one_embedding(self, tiny_model):
         words = tiny_model.vocab.tokens[1:5]
@@ -84,7 +96,8 @@ class TestBuildClassifierStore:
             tiny_model, _corpus([_instance("i1", words, 1, "w", {"w%2", "w%1"})]), SenseInventory({"w": ["w%1", "w%2"]})
         )
         assert _senses(store)["w"] == ["w%1", "w%2"]  # sorted key order
-        assert_array_equal(store.pairs["w"][0], store.pairs["w"][1])
+        (block,) = store.blocks
+        assert_array_equal(block.pairs[0], block.pairs[1])
 
     def test_interleaved_lemmas_and_a_split_multi_gold_instance(self, tiny_model, monkeypatch):
         # 3 contexts per chunk: b's 3 instances fill the first chunk and a's the
@@ -101,23 +114,24 @@ class TestBuildClassifierStore:
         chunks = _recorded(monkeypatch, "context_embeddings", lambda args, rows: len(rows))
         store = build_classifier_store(tiny_model, _corpus(instances), inventory)
         assert chunks == [3, 3]  # the chunks of one call over every instance, each its own call
-        assert list(store.pairs) == list(store.keys) == list(store.codes) == ["b", "a"]  # first-use order
-        assert store.keys == {"b": ["b%1", "b%2"], "a": ["a%2", "a%1"]}
-        assert {lemma: codes.tolist() for lemma, codes in store.codes.items()} == {"b": [0, 1, 0], "a": [0, 1, 1, 0]}
+        b, a = store.blocks
+        assert (b.lemma, a.lemma, store.n_lemmas) == ("b", "a", 2)  # first-use order
+        assert (b.keys, a.keys) == (["b%1", "b%2"], ["a%2", "a%1"])
+        assert (b.codes.tolist(), a.codes.tolist()) == ([0, 1, 0], [0, 1, 1, 0])
         assert _senses(store) == {"b": ["b%1", "b%2", "b%1"], "a": ["a%2", "a%1", "a%1", "a%2"]}
         # pairs in instance order, then sorted keys
         order = [instances[n] for n in (0, 2, 4, 1, 3, 5, 5)]
-        rows = np.concatenate([store.pairs["b"], store.pairs["a"]])
+        rows = np.concatenate([b.pairs, a.pairs])
         for row, inst in zip(rows, order, strict=True):
             assert_allclose(row, embed(tiny_model, [(inst.tokens, inst.target_index)])[0], atol=1e-12)
-        assert store.pairs["a"][2].tobytes() == store.pairs["a"][3].tobytes()
+        assert a.pairs[2].tobytes() == a.pairs[3].tobytes()
         # streamed, b's block comes as soon as the first chunk is embedded, and equals the built one
         chunks.clear()
         stream = wsd.stream_classifier_store(tiny_model, _corpus(instances), inventory)
         assert chunks == []
         lemma, keys, codes, pairs = next(stream.blocks)
         assert (lemma, keys, codes.tolist(), chunks) == ("b", ["b%1", "b%2"], [0, 1, 0], [3])
-        assert pairs.tobytes() == store.pairs["b"].tobytes()
+        assert pairs.tobytes() == b.pairs.tobytes()
         assert [block.lemma for block in stream.blocks] == ["a"] and chunks == [3, 3]
 
     def test_each_instance_is_embedded_once(self, tiny_model, monkeypatch):
@@ -140,10 +154,10 @@ class TestBuildClassifierStore:
         assert sum(map(len, returned)) == len(instances)
         assert _senses(store) == {"w": ["w%1", "w%2", "w%1"], "v": ["v%1", "v%2", "v%3"]}
         # each pair is its instance's one row, bit for bit
-        assert_array_equal(np.concatenate([store.pairs["w"], store.pairs["v"]]), returned[0][[0, 0, 1, 2, 2, 2]])
+        assert_array_equal(np.concatenate([block.pairs for block in store.blocks]), returned[0][[0, 0, 1, 2, 2, 2]])
         # with one key per instance, the pairs are views of the embedded rows
-        store = build_classifier_store(tiny_model, _corpus(instances[1:2]), inventory)
-        assert store.pairs["w"].base is returned[-1]
+        (block,) = build_classifier_store(tiny_model, _corpus(instances[1:2]), inventory).blocks
+        assert block.pairs.base is returned[-1]
 
     def test_inventory_checked_before_embedding(self, tiny_model, monkeypatch):
         words = tiny_model.vocab.tokens[1:6]
@@ -169,7 +183,7 @@ class TestBuildClassifierStore:
 
 class TestPredictKnn:
     def test_majority_of_three_nearest(self):
-        store = _store(
+        (block,) = _store(
             2,
             [
                 ("w", "A", (1.0, 0.0)),
@@ -178,68 +192,67 @@ class TestPredictKnn:
                 ("w", "B", (0.0, 1.0)),
                 ("w", "B", (0.1, 1.0)),
             ],
-        )
-        assert predict_knn(store, ClassifierConfig(k=3), "w", np.array([1.0, 0.0])) == "A"
+        ).blocks
+        assert predict_knn(block, ClassifierConfig(k=3), np.array([1.0, 0.0])) == "A"
 
     def test_single_pair(self):
-        store = _store(2, [("w", "B", (0.3, 0.4))])
-        assert predict_knn(store, ClassifierConfig(k=1), "w", np.array([1.0, 1.0])) == "B"
+        (block,) = _store(2, [("w", "B", (0.3, 0.4))]).blocks
+        assert predict_knn(block, ClassifierConfig(k=1), np.array([1.0, 1.0])) == "B"
 
     def test_vote_tie_broken_by_mean_distance(self):
         # A sits at distance 0.0, B at cosine distance 0.3 from the query
         b = (0.7, math.sqrt(1.0 - 0.7**2))
-        store = _store(2, [("w", "A", (1.0, 0.0)), ("w", "B", b)])
-        assert predict_knn(store, ClassifierConfig(k=2), "w", np.array([1.0, 0.0])) == "A"
+        (block,) = _store(2, [("w", "A", (1.0, 0.0)), ("w", "B", b)]).blocks
+        assert predict_knn(block, ClassifierConfig(k=2), np.array([1.0, 0.0])) == "A"
 
     def test_residual_tie_uses_inventory_order(self):
-        store = _store(2, [("w", "zz", (1.0, 0.0)), ("w", "aa", (1.0, 0.0))])
+        (block,) = _store(2, [("w", "zz", (1.0, 0.0)), ("w", "aa", (1.0, 0.0))]).blocks
         cfg = ClassifierConfig(k=2)
         query = np.array([1.0, 0.0])
         inv = SenseInventory(entries={"w": ["zz", "aa"]})
-        assert predict_knn(store, cfg, "w", query, inv) == "zz"
+        assert predict_knn(block, cfg, query, inv) == "zz"
         # without an inventory the fallback is lexicographic
-        assert predict_knn(store, cfg, "w", query) == "aa"
+        assert predict_knn(block, cfg, query) == "aa"
 
     def test_missing_lemma_signals_no_classifier(self):
-        store = _store(2, [("w", "A", (1.0, 0.0))])
-        with pytest.raises(NoClassifierError):
-            predict_knn(store, ClassifierConfig(), "other", np.array([1.0, 0.0]))
+        with pytest.raises(NoClassifierError, match="^other$"):
+            predict_knn(_empty_block(2, "other"), ClassifierConfig(), np.array([1.0, 0.0]))
 
     def test_zero_norm_vectors_at_distance_one(self):
-        store = _store(2, [("w", "A", (0.0, 0.0)), ("w", "B", (1.0, 0.0))])
+        (block,) = _store(2, [("w", "A", (0.0, 0.0)), ("w", "B", (1.0, 0.0))]).blocks
         # zero-norm training vector never beats an aligned one
-        assert predict_knn(store, ClassifierConfig(k=1), "w", np.array([1.0, 0.0])) == "B"
+        assert predict_knn(block, ClassifierConfig(k=1), np.array([1.0, 0.0])) == "B"
         # zero-norm query: every distance is 1, majority over all pairs applies
-        store2 = _store(2, [("w", "A", (1.0, 0.0)), ("w", "A", (0.0, 1.0)), ("w", "B", (1.0, 1.0))])
-        assert predict_knn(store2, ClassifierConfig(k=3), "w", np.zeros(2)) == "A"
+        (block2,) = _store(2, [("w", "A", (1.0, 0.0)), ("w", "A", (0.0, 1.0)), ("w", "B", (1.0, 1.0))]).blocks
+        assert predict_knn(block2, ClassifierConfig(k=3), np.zeros(2)) == "A"
 
     def test_k_at_least_total_pairs_is_global_majority(self):
-        store = _store(
+        (block,) = _store(
             2,
             [
                 ("w", "A", (1.0, 0.0)),
                 ("w", "B", (0.99, 0.01)),
                 ("w", "B", (0.98, 0.02)),
             ],
-        )
-        assert predict_knn(store, ClassifierConfig(k=50), "w", np.array([1.0, 0.0])) == "B"
+        ).blocks
+        assert predict_knn(block, ClassifierConfig(k=50), np.array([1.0, 0.0])) == "B"
 
     def test_scale_invariance_of_query(self):
         rng = np.random.default_rng(0)
-        store = _store(3, [("w", f"s{j % 3}", rng.normal(size=3)) for j in range(12)])
+        (block,) = _store(3, [("w", f"s{j % 3}", rng.normal(size=3)) for j in range(12)]).blocks
         cfg = ClassifierConfig(k=5)
         for _ in range(50):
             q = rng.normal(size=3)
-            base = predict_knn(store, cfg, "w", q)
+            base = predict_knn(block, cfg, q)
             for scale in (1e-3, 7.3, 1e4):
-                assert predict_knn(store, cfg, "w", scale * q) == base
+                assert predict_knn(block, cfg, scale * q) == base
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
-        store = _store(4, [("w", f"s{j % 4}", rng.normal(size=4)) for j in range(20)])
+        (block,) = _store(4, [("w", f"s{j % 4}", rng.normal(size=4)) for j in range(20)]).blocks
         q = rng.normal(size=4)
         cfg = ClassifierConfig(k=8)
-        assert predict_knn(store, cfg, "w", q) == predict_knn(store, cfg, "w", q)
+        assert predict_knn(block, cfg, q) == predict_knn(block, cfg, q)
 
 
 def _reference_knn(pairs, k, query, sense_order):
@@ -278,18 +291,19 @@ class TestKnnBruteForceEquivalence:
             dim = int(rng.integers(1, 5))
             n = int(rng.integers(1, 21))
             pairs = [(f"s{int(rng.integers(0, 3))}", rng.normal(size=dim)) for _ in range(n)]
-            store = _store(dim, [("w", s, v) for s, v in pairs])
+            (block,) = _store(dim, [("w", s, v) for s, v in pairs]).blocks
             k = int(rng.integers(1, 12))
             cfg = ClassifierConfig(k=k)
             for _ in range(50):
                 q = rng.normal(size=dim)
                 expected = _reference_knn(pairs, k, list(q), ["s0", "s1", "s2"])
-                assert predict_knn(store, cfg, "w", q, inv) == expected
+                assert predict_knn(block, cfg, q, inv) == expected
 
 
 def _means(store):
-    """Each lemma's sense -> mean embedding, from ``build_sense_embeddings``."""
-    return {lemma: dict(zip(_senses(store)[lemma], store.pairs[lemma])) for lemma in store.pairs}
+    """Each lemma's sense -> mean embedding, from ``build_sense_embeddings`` of its block."""
+    means = [build_sense_embeddings(block) for block in store.blocks]
+    return {block.lemma: dict(zip([block.keys[c] for c in block.codes], block.pairs)) for block in means}
 
 
 def oracle_sense_embeddings(lemma_pairs):
@@ -317,7 +331,7 @@ class TestSenseEmbeddings:
                 for j in range(int(rng.integers(1, 4)))
             }
             store = _store(dim, [(lemma, s, v) for lemma, pairs in lemma_pairs.items() for s, v in pairs])
-            means = _means(build_sense_embeddings(store))
+            means = _means(store)
             expected = oracle_sense_embeddings(lemma_pairs)
             assert [list(m) for m in means.values()] == [list(m) for m in expected.values()]
             for lemma in expected:
@@ -326,57 +340,59 @@ class TestSenseEmbeddings:
 
     def test_single_pair_mean_is_the_pair(self):
         store = _store(2, [("w", "A", (0.25, 0.75))])
-        senses = build_sense_embeddings(store)
-        assert_array_equal(_means(senses)["w"]["A"], [0.25, 0.75])
+        assert_array_equal(_means(store)["w"]["A"], [0.25, 0.75])
 
     def test_two_pair_mean(self):
         store = _store(2, [("w", "A", (1.0, 0.0)), ("w", "A", (0.0, 1.0))])
-        senses = build_sense_embeddings(store)
-        assert_array_equal(_means(senses)["w"]["A"], [0.5, 0.5])
+        assert_array_equal(_means(store)["w"]["A"], [0.5, 0.5])
 
     def test_empty_store(self):
-        assert _means(build_sense_embeddings(ClassifierStore(dim=3))) == {}
+        lemma, keys, codes, rows = build_sense_embeddings(_empty_block(3))
+        assert (lemma, keys, codes.tolist(), rows.shape) == ("w", [], [], (0, 3))
 
     def test_mean_inside_coordinatewise_hull(self):
         rng = np.random.default_rng(2)
         vecs = [rng.normal(size=4) for _ in range(9)]
         store = _store(4, [("w", "A", v) for v in vecs])
-        mean = _means(build_sense_embeddings(store))["w"]["A"]
+        mean = _means(store)["w"]["A"]
         stacked = np.stack(vecs)
         assert np.all(mean >= stacked.min(axis=0) - 1e-12)
         assert np.all(mean <= stacked.max(axis=0) + 1e-12)
 
 
 class TestPredictCosine:
+    @staticmethod
+    def _sense_means(sense_vectors):
+        """``build_sense_embeddings`` of lemma ``w``'s block of the (sense, vector) pairs."""
+        (block,) = _store(2, [("w", sense, vec) for sense, vec in sense_vectors]).blocks
+        return build_sense_embeddings(block)
+
     def test_nearest_sense_embedding(self):
-        store = _store(2, [("w", "A", (1.0, 0.0)), ("w", "B", (0.0, 1.0))])
-        senses = build_sense_embeddings(store)
-        assert predict_cosine(senses, "w", np.array([0.9, 0.1])) == "A"
+        means = self._sense_means([("A", (1.0, 0.0)), ("B", (0.0, 1.0))])
+        assert predict_cosine(means, np.array([0.9, 0.1])) == "A"
 
     def test_exact_match_wins(self):
-        store = _store(2, [("w", "A", (1.0, 0.0)), ("w", "B", (0.6, 0.8))])
-        senses = build_sense_embeddings(store)
-        assert predict_cosine(senses, "w", np.array([0.6, 0.8])) == "B"
+        means = self._sense_means([("A", (1.0, 0.0)), ("B", (0.6, 0.8))])
+        assert predict_cosine(means, np.array([0.6, 0.8])) == "B"
 
     def test_tie_broken_by_inventory_order(self):
-        store = _store(2, [("w", "bbb", (1.0, 0.0)), ("w", "aaa", (0.0, 1.0))])
-        senses = build_sense_embeddings(store)
+        means = self._sense_means([("bbb", (1.0, 0.0)), ("aaa", (0.0, 1.0))])
         inv = SenseInventory(entries={"w": ["bbb", "aaa"]})
-        assert predict_cosine(senses, "w", np.array([1.0, 1.0]), inv) == "bbb"
-        assert predict_cosine(senses, "w", np.array([1.0, 1.0])) == "aaa"
+        assert predict_cosine(means, np.array([1.0, 1.0]), inv) == "bbb"
+        assert predict_cosine(means, np.array([1.0, 1.0])) == "aaa"
 
     def test_missing_lemma(self):
-        senses = build_sense_embeddings(ClassifierStore(dim=2))
-        with pytest.raises(NoClassifierError):
-            predict_cosine(senses, "w", np.array([1.0, 0.0]))
+        means = build_sense_embeddings(_empty_block(2))
+        with pytest.raises(NoClassifierError, match="^w$"):
+            predict_cosine(means, np.array([1.0, 0.0]))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
-        store = _store(3, [("w", f"s{j}", rng.normal(size=3)) for j in range(4)])
-        senses = build_sense_embeddings(store)
+        (block,) = _store(3, [("w", f"s{j}", rng.normal(size=3)) for j in range(4)]).blocks
+        means = build_sense_embeddings(block)
         for _ in range(25):
             q = rng.normal(size=3)
-            assert predict_cosine(senses, "w", q) == predict_cosine(senses, "w", 100.0 * q)
+            assert predict_cosine(means, q) == predict_cosine(means, 100.0 * q)
 
 
 class TestPredictWithBackoff:
@@ -390,13 +406,13 @@ class TestPredictWithBackoff:
 
     def test_backoff_to_first_sense(self, tiny_model):
         inv = SenseInventory(entries={"bank": ["bank%1", "bank%2"]})
-        store = ClassifierStore(dim=tiny_model.config.hidden_dims[-1])
+        store = ClassifierStore(tiny_model.config.hidden_dims[-1], 0, [])
         test = _corpus([_instance("q1", tiny_model.vocab.tokens[1:4], 1, "bank", {"bank%2"})])
         assert predict_all(store, inv, tiny_model, ClassifierConfig(), test) == ["bank%1"]
 
     def test_unknown_lemma_everywhere(self, tiny_model):
         inv = SenseInventory(entries={})
-        store = ClassifierStore(dim=tiny_model.config.hidden_dims[-1])
+        store = ClassifierStore(tiny_model.config.hidden_dims[-1], 0, [])
         test = _corpus([_instance("q1", tiny_model.vocab.tokens[1:4], 1, "ghost", {"g%1"})])
         with pytest.raises(DataError, match="unknown lemma"):
             predict_all(store, inv, tiny_model, ClassifierConfig(), test)
@@ -436,15 +452,15 @@ class TestPredictWithBackoff:
             _instance("q3", words, 5, "rose", {"rose%1"}),
             _instance("q4", words[:6], 0, "bank", {"bank%2"}),
         ]
+        blocks = _blocks(store)
         expected = [
             predict_knn(
-                store,
+                blocks[inst.lemma],
                 cfg,
-                inst.lemma,
                 embed(tiny_model, [(inst.tokens, inst.target_index)])[0],
                 inv,
             )
-            if inst.lemma in store
+            if inst.lemma in blocks
             else inv.first_sense(inst.lemma)
             for inst in test
         ]
@@ -473,9 +489,9 @@ def _query_instances(lemmas):
 
 
 def _oracle(store, inv, cfg, corpus, queries):
-    lemmas = [corpus.lemmas[code] for code in corpus.lemma_codes]
+    lemmas, blocks = [corpus.lemmas[code] for code in corpus.lemma_codes], _blocks(store)
     return [
-        predict_knn(store, cfg, lemma, queries[i], inv) if lemma in store else inv.first_sense(lemma)
+        predict_knn(blocks[lemma], cfg, queries[i], inv) if lemma in blocks else inv.first_sense(lemma)
         for i, lemma in enumerate(lemmas)
     ]
 
@@ -484,9 +500,9 @@ def _counted_knn(monkeypatch):
     """Replace ``wsd.predict_knn`` by a wrapper; returns its list of call lemmas."""
     calls = []
 
-    def counted(store, cfg, lemma, query, inventory=None):
-        calls.append(lemma)
-        return predict_knn(store, cfg, lemma, query, inventory)
+    def counted(block, cfg, query, inventory=None):
+        calls.append(block.lemma)
+        return predict_knn(block, cfg, query, inventory)
 
     monkeypatch.setattr(wsd, "predict_knn", counted)
     return calls
@@ -516,13 +532,13 @@ def _random_store(rng, dim, n_lemmas):
 
 def _random_queries(rng, store, lemmas):
     """Random queries, all-zero ones and exact copies of a pair of the lemma."""
-    queries = []
+    queries, blocks = [], _blocks(store)
     for lemma in lemmas:
         pick = rng.random()
         if pick < 0.1:
             queries.append(np.zeros(store.dim))
-        elif pick < 0.3 and lemma in store:
-            vectors = store.pairs[lemma]
+        elif pick < 0.3 and lemma in blocks:
+            vectors = blocks[lemma].pairs
             queries.append(vectors[int(rng.integers(len(vectors)))].copy())
         elif pick < 0.5:
             queries.append(rng.integers(-1, 2, size=store.dim).astype(float))
@@ -548,7 +564,7 @@ class TestPredictAllEqualsOracle:
             calls.clear()
             got = predict_all(store, inv, model, ClassifierConfig(k=k), instances)
             assert got == _oracle(store, inv, ClassifierConfig(k=k), instances, queries)
-            queried += sum(lemma in store for lemma in lemmas)
+            queried += sum(lemma in _blocks(store) for lemma in lemmas)
             fell_back += len(calls)
         # ties are common here, but most queries still take the batched path
         assert 0 < fell_back < queried / 2
@@ -568,9 +584,9 @@ class TestPredictAllEqualsOracle:
         monkeypatch.setattr(wsd, "_BLOCK_ELEMENTS", budget)
         assert predict_all(store, inv, model, cfg, instances) == expected
         # each fallback to predict_knn adds a one-row call
-        assert len(blocks) - len(calls) > len(store.pairs)
-        assert sum(blocks) - len(calls) == sum(lemma in store for lemma in lemmas)
-        assert max(blocks) == max(1, budget // min(map(len, store.pairs.values())))
+        assert len(blocks) - len(calls) > len(store.blocks)
+        assert sum(blocks) - len(calls) == sum(lemma in _blocks(store) for lemma in lemmas)
+        assert max(blocks) == max(1, budget // min(len(block.pairs) for block in store.blocks))
 
     def test_zero_rows_and_zero_query(self, monkeypatch):
         store = _store(
@@ -604,9 +620,9 @@ class TestPredictAllEqualsOracle:
         model = _fed_queries(monkeypatch, store, queries)
         fell_back = []  # the query of each call of ``wsd.predict_knn``
 
-        def recorded(store, cfg, lemma, query, inventory=None):
+        def recorded(block, cfg, query, inventory=None):
             fell_back.append(next(i for i, q in enumerate(queries) if np.array_equal(q, query, equal_nan=True)))
-            return predict_knn(store, cfg, lemma, query, inventory)
+            return predict_knn(block, cfg, query, inventory)
 
         monkeypatch.setattr(wsd, "predict_knn", recorded)
         for k in (2, 5, 9):  # below, at and beyond the pair count
@@ -621,7 +637,7 @@ class TestPredictAllEqualsOracle:
         # the benchmark's shape of lemma, 150 queries of 300 pairs, and a smaller lemma interleaved with it
         rng = np.random.default_rng(11)
         store = _store(8, [(lemma, f"{lemma}%{rng.integers(3)}", rng.normal(size=8)) for lemma in "w" * 300 + "v" * 40])
-        inv = SenseInventory({lemma: sorted(keys) for lemma, keys in store.keys.items()})
+        inv = SenseInventory({block.lemma: sorted(block.keys) for block in store.blocks})
         lemmas = rng.permutation(list("w" * 150 + "v" * 60)).tolist()
         queries = _random_queries(rng, store, lemmas)
         instances = _query_instances(lemmas)
@@ -659,7 +675,7 @@ class TestCertificate:
         queries = [np.array([1.0, 0.0])]
         instances = _query_instances(["w"])
         model = _fed_queries(monkeypatch, store, queries)
-        (gap,) = wsd._cosine_distances(wsd._unit_rows(queries[0]), wsd._unit_rows(store.pairs["w"]))
+        (gap,) = wsd._cosine_distances(wsd._unit_rows(queries[0]), wsd._unit_rows(store.blocks[0].pairs))
         assert 0.0 < gap[1] - gap[0] < wsd._CERTIFY_BOUND
         calls = _counted_knn(monkeypatch)
         cfg = ClassifierConfig(k=1)
@@ -720,9 +736,7 @@ def _write_store(path, dim, lemma, keys, codes, rows, version=wsd.STORE_VERSION)
 
 def _hand_built(keys, codes, rows):
     """A 2-wide store of one lemma ``w`` holding the given key list, codes and rows as they are."""
-    return ClassifierStore(
-        dim=2, keys={"w": list(keys)}, codes={"w": np.array(codes, dtype=np.uint32)}, pairs={"w": rows}
-    )
+    return ClassifierStore(2, 1, [LemmaBlock("w", list(keys), np.array(codes, dtype=np.uint32), rows)])
 
 
 _INCONSISTENT_KEY_LISTS = pytest.mark.parametrize(
@@ -744,7 +758,7 @@ class TestStorePersistence:
         _write_store(a, 2, "w", ["B", "A"], [0, 1, 0], rows)
         loaded = load_store(a)
         assert _senses(loaded) == {"w": ["B", "A", "B"]}
-        assert_array_equal(loaded.pairs["w"], rows)
+        assert_array_equal(loaded.blocks[0].pairs, rows)
         save_store(loaded, b)
         assert a.read_bytes() == b.read_bytes()
 
@@ -768,17 +782,15 @@ class TestStorePersistence:
         old = path.read_bytes()
         # a and b hold 512 KiB of pairs each, more than the temp file's write buffer
         sizes = {"a": 1 << 16, "b": 1 << 16, "c": 1}
-        store = ClassifierStore(
-            dim=2,
-            keys={lemma: ["A"] for lemma in sizes},
-            codes={lemma: np.zeros(n, dtype=np.uint32) for lemma, n in sizes.items()},
-            pairs={lemma: np.full((n, 2), 0.5, dtype=np.float32) for lemma, n in sizes.items()},
-        )
-        save_store(ClassifierStore(2, store.keys, store.codes, {lemma: store.pairs[lemma] for lemma in "ab"}), earlier)
-        store.codes["c"] = np.array([1], dtype=np.uint32)  # beyond c's one key
+        blocks = [
+            LemmaBlock(lemma, ["A"], np.zeros(n, dtype=np.uint32), np.full((n, 2), 0.5, dtype=np.float32))
+            for lemma, n in sizes.items()
+        ]
+        save_store(ClassifierStore(2, 2, blocks[:2]), earlier)
+        blocks[2] = blocks[2]._replace(codes=np.array([1], dtype=np.uint32))  # beyond c's one key
         in_temp = _recorded(monkeypatch, "_key_list_problem", lambda args, problem: os.path.getsize(f"{path}.tmp"))
         with pytest.raises(ValueError, match=r"^sense code 1 beyond the 1 keys of lemma 'c'$"):
-            save_store(store, path)
+            save_store(ClassifierStore(2, 3, iter(blocks)), path)
         # a and b were in the temp file, all but its trailer, when c was checked
         assert in_temp[-1] == earlier.stat().st_size - 8
         assert path.read_bytes() == old
@@ -787,7 +799,7 @@ class TestStorePersistence:
     def test_stream_of_another_lemma_count_is_not_written(self, tmp_path):
         store = _store(2, [("w", "A", (0.5, 0.5))])
         with pytest.raises(ValueError, match=r"^a stream of 2 lemmas gave 1$"):
-            save_store(wsd.StoreStream(2, 2, store.stream().blocks), tmp_path / "s.fwsd")
+            save_store(store._replace(n_lemmas=2), tmp_path / "s.fwsd")
         assert os.listdir(tmp_path) == []
 
     def test_version_1_store_is_incompatible(self, tmp_path):
@@ -824,7 +836,7 @@ class TestStorePersistence:
         a, b = tmp_path / "a.fwsd", tmp_path / "b.fwsd"
         save_store(store, a)
         loaded = load_store(a)
-        assert list(loaded.pairs) == ["bank", "rose"]
+        assert [block.lemma for block in loaded.blocks] == ["bank", "rose"]
         save_store(loaded, b)
         assert a.read_bytes() == b.read_bytes()
 
@@ -834,7 +846,7 @@ class TestStorePersistence:
         path = tmp_path / "s.fwsd"
         save_store(store, path)
         loaded = load_store(path)
-        assert_allclose(loaded.pairs["w"][0], store.pairs["w"][0], atol=1e-6)
+        assert_allclose(loaded.blocks[0].pairs[0], store.blocks[0].pairs[0], atol=1e-6)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "s.fwsd"
@@ -888,13 +900,8 @@ class TestLoadedRowsWidened:
         store, inv = _random_store(rng, 6, 8)
         save_store(store, tmp_path / "s.fwsd")
         loaded = load_store(tmp_path / "s.fwsd")
-        assert all(rows.dtype == np.float32 and not rows.flags.writeable for rows in loaded.pairs.values())
-        widened = ClassifierStore(
-            dim=loaded.dim,
-            keys=loaded.keys,
-            codes=loaded.codes,
-            pairs={lemma: rows.astype(np.float64) for lemma, rows in loaded.pairs.items()},
-        )
+        assert all(block.pairs.dtype == np.float32 and not block.pairs.flags.writeable for block in loaded.blocks)
+        widened = loaded._replace(blocks=[block._replace(pairs=block.pairs.astype(np.float64)) for block in loaded.blocks])
         lemmas = [str(rng.choice(list(inv.entries))) for _ in range(200)]
         queries = _random_queries(rng, loaded, lemmas)
         return SimpleNamespace(loaded=loaded, widened=widened, inv=inv, lemmas=lemmas, queries=queries)
@@ -913,7 +920,7 @@ class TestLoadedRowsWidened:
 
     @staticmethod
     def _queried(case):
-        return [(lemma, q) for lemma, q in zip(case.lemmas, case.queries) if lemma in case.loaded]
+        return [(lemma, q) for lemma, q in zip(case.lemmas, case.queries) if lemma in _blocks(case.loaded)]
 
     def _predict_all(self, case, monkeypatch):
         cfg, instances = ClassifierConfig(k=5), _query_instances(case.lemmas)
@@ -925,7 +932,8 @@ class TestLoadedRowsWidened:
         cfg = ClassifierConfig(k=5)
 
         def run(store):
-            return [predict_knn(store, cfg, lemma, q, case.inv) for lemma, q in self._queried(case)]
+            blocks = _blocks(store)
+            return [predict_knn(blocks[lemma], cfg, q, case.inv) for lemma, q in self._queried(case)]
 
         self._same(case, seen, run)
         assert len(seen) == len(self._queried(case)) > 100
@@ -950,15 +958,16 @@ class TestLoadedRowsWidened:
         means = {}
 
         def run(store):
-            means[id(store)] = build_sense_embeddings(store)
-            return [predict_cosine(means[id(store)], lemma, q, case.inv) for lemma, q in self._queried(case)]
+            means[id(store)] = {block.lemma: build_sense_embeddings(block) for block in store.blocks}
+            return [predict_cosine(means[id(store)][lemma], q, case.inv) for lemma, q in self._queried(case)]
 
         self._same(case, seen, run)
         got, expected = means[id(case.loaded)], means[id(case.widened)]
-        assert got.keys == expected.keys
-        for lemma, rows in expected.pairs.items():
-            assert got.pairs[lemma].dtype == rows.dtype == np.float64
-            assert got.pairs[lemma].tobytes() == rows.tobytes()
+        assert list(got) == list(expected)
+        for lemma, block in expected.items():
+            assert got[lemma].keys == block.keys
+            assert got[lemma].pairs.dtype == block.pairs.dtype == np.float64
+            assert got[lemma].pairs.tobytes() == block.pairs.tobytes()
 
 
 class TestBuiltStoreIsTheLoadedStore:
@@ -979,10 +988,11 @@ class TestBuiltStoreIsTheLoadedStore:
         )
 
     def test_rows_are_the_file_rows(self, case):
-        assert list(case.built.pairs) == list(case.loaded.pairs) and case.built.keys == case.loaded.keys
-        for lemma, rows in case.built.pairs.items():
-            assert rows.dtype == case.loaded.pairs[lemma].dtype == np.float32
-            assert rows.tobytes() == case.loaded.pairs[lemma].tobytes()
+        assert len(case.built.blocks) == len(case.loaded.blocks) == case.built.n_lemmas == case.loaded.n_lemmas
+        for built, loaded in zip(case.built.blocks, case.loaded.blocks):
+            assert (built.lemma, built.keys) == (loaded.lemma, loaded.keys)
+            assert built.pairs.dtype == loaded.pairs.dtype == np.float32
+            assert built.pairs.tobytes() == loaded.pairs.tobytes()
 
     def test_streams_write_and_predict_alike(self, case, tmp_path):
         save_store(wsd.stream_classifier_store(case.model, case.train, case.inventory), tmp_path / "streamed.fwsd")
@@ -990,6 +1000,17 @@ class TestBuiltStoreIsTheLoadedStore:
         with wsd.open_store(tmp_path / "s.fwsd") as stream:
             streamed = predict_all(stream, case.inventory, case.model, ClassifierConfig(), case.test)
         assert streamed == predict_all(case.loaded, case.inventory, case.model, ClassifierConfig(), case.test)
+
+    def test_collected_stores_save_and_predict_twice(self, case, tmp_path):
+        # a collected store's blocks are a list, which saving leaves for predict_all, and predict_all for itself
+        with wsd.open_store(tmp_path / "s.fwsd") as stream:
+            streamed = predict_all(stream, case.inventory, case.model, ClassifierConfig(), case.test)
+        for name in ("built", "loaded"):
+            store = getattr(case, name)
+            save_store(store, tmp_path / f"{name}.fwsd")
+            assert (tmp_path / f"{name}.fwsd").read_bytes() == (tmp_path / "s.fwsd").read_bytes()
+            for _ in range(2):
+                assert predict_all(store, case.inventory, case.model, ClassifierConfig(), case.test) == streamed
 
     def test_predict_all_votes_alike(self, case, monkeypatch):
         # the same senses, from bit-equal distances and votes
@@ -1011,12 +1032,9 @@ def test_load_store_peak_memory_is_about_the_file_size(tmp_path):
     """The loaded pairs are the file's f32 blocks, not float64 copies of them."""
     rng = np.random.default_rng(40)
     lemmas = [f"w{i}" for i in range(40)]
-    store = ClassifierStore(
-        dim=64,
-        keys={lemma: [f"{lemma}%{s}" for s in range(3)] for lemma in lemmas},
-        codes={lemma: (np.arange(300) % 3).astype(np.uint32) for lemma in lemmas},
-        pairs={lemma: rng.normal(size=(300, 64)) for lemma in lemmas},
-    )
+    codes = (np.arange(300) % 3).astype(np.uint32)
+    blocks = [LemmaBlock(lemma, [f"{lemma}%{s}" for s in range(3)], codes, rng.normal(size=(300, 64))) for lemma in lemmas]
+    store = ClassifierStore(64, len(blocks), blocks)
     path = tmp_path / "s.fwsd"
     save_store(store, path)
     tracemalloc.start()
@@ -1025,7 +1043,7 @@ def test_load_store_peak_memory_is_about_the_file_size(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(len(rows) for rows in loaded.pairs.values()) == 40 * 300
+    assert sum(len(block.pairs) for block in loaded.blocks) == 40 * 300
     assert peak <= 1.5 * path.stat().st_size
 
 
