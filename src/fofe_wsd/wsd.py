@@ -14,9 +14,10 @@ as soon as its last instance is embedded, and ``open_store`` reads each
 block from the file when it is asked for. ``build_classifier_store`` and
 ``load_store`` collect those two. ``save_store`` and ``predict_all`` take
 either, and the ``build`` and ``predict`` commands pass the streamed ones
-straight on, so they hold one lemma's pairs at a time. Both stages group
-a ``LabeledCorpus``'s instances by lemma with one stable sort of its lemma
-codes.
+straight on, so they hold one lemma's pairs at a time, and both check the
+blocks' count against ``n_lemmas``. Both stages embed in one pass,
+``_embedded_by_lemma``, so an instance embeds to the same bits in each
+when both read one file.
 
 Every distance comes from ``_cosine_distances`` and every vote from
 ``_vote``. ``predict_knn`` votes for one query. ``predict_all`` votes for a
@@ -49,7 +50,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -145,30 +146,6 @@ def _check_keys(corpus: LabeledCorpus, inventory: SenseInventory) -> None:
         )
 
 
-def _by_lemma(corpus: LabeledCorpus) -> tuple[np.ndarray, np.ndarray]:
-    """The instances grouped by lemma, and each lemma's count of them.
-
-    Lemmas come in ``corpus.lemmas``'s first-use order and instances in
-    file order within one: a stable sort of the lemma codes.
-    """
-    return np.argsort(corpus.lemma_codes, kind="stable"), np.bincount(corpus.lemma_codes, minlength=len(corpus.lemmas))
-
-
-def _embedder(model: LmModel, corpus: LabeledCorpus) -> Callable[[np.ndarray], np.ndarray]:
-    """A function giving the context embedding of each instance in ``rows`` from one ``context_embeddings`` call.
-
-    The corpus's token types map to model ids once each (unknown words to
-    the unknown id); one ``take`` maps its tokens.
-    """
-    ids = np.array(model.vocab.encode(corpus.types), dtype=np.intp).take(corpus.tokens)
-
-    def embed(rows: np.ndarray) -> np.ndarray:
-        starts = corpus.offsets[rows]
-        return context_embeddings(model, ids, starts, corpus.offsets[rows + 1] - starts, corpus.targets[rows])
-
-    return embed
-
-
 def _take(held: list[np.ndarray], n: int) -> np.ndarray:
     """The first ``n`` rows of the arrays in ``held``, removed from it; a view when they lie in the first one."""
     parts = []
@@ -180,26 +157,40 @@ def _take(held: list[np.ndarray], n: int) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _built_blocks(model: LmModel, corpus: LabeledCorpus) -> Iterator[LemmaBlock]:
-    """Each lemma's block, as soon as its last instance is embedded.
+def _embedded_by_lemma(model: LmModel, corpus: LabeledCorpus) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
+    """Each lemma, its instances and their float32 context embeddings, as soon as its last instance is embedded.
 
-    The instances go through ``context_embeddings`` in ``_by_lemma``'s
-    order, ``lm._EMBED_BATCH`` at a time, so the chunks are those of one
-    call over them all. A multi-gold instance's one row repeats once per
-    gold key, keys in sorted order. A lemma's keys come in first-use order.
+    Lemmas come in first-use order and instances in file order within one (a
+    stable sort of the lemma codes). They go through ``context_embeddings``
+    ``lm._EMBED_BATCH`` at a time in that order, the chunks of one call over
+    them all. The types map to model ids once each; one ``take`` maps the tokens.
     """
-    embed, (rows, sizes) = _embedder(model, corpus), _by_lemma(corpus)
-    copies = np.diff(corpus.gold_offsets)
-    held: list[np.ndarray] = []  # embedded rows not yet in a block, in ``rows`` order
-    done = 0  # instances embedded
-    for lemma, end, size in zip(corpus.lemmas, np.cumsum(sizes).tolist(), sizes.tolist()):
+    ids = np.array(model.vocab.encode(corpus.types), dtype=np.intp).take(corpus.tokens)
+    rows = np.argsort(corpus.lemma_codes, kind="stable")
+    ends = np.cumsum(np.bincount(corpus.lemma_codes, minlength=len(corpus.lemmas))).tolist()
+    held: list[np.ndarray] = []  # embedded rows not yet yielded, in ``rows`` order
+    done = start = 0  # instances embedded, and yielded
+    for lemma, end in zip(corpus.lemmas, ends):
         while done < end:
-            held.append(embed(rows[done : done + lm._EMBED_BATCH]))
-            done += len(held[-1])
-        instances, embeddings = rows[end - size : end], _take(held, size)
+            chunk = rows[done : done + lm._EMBED_BATCH]
+            starts, stops = corpus.offsets[chunk], corpus.offsets[chunk + 1]
+            held.append(context_embeddings(model, ids, starts, stops - starts, corpus.targets[chunk]))
+            done += len(chunk)
+        yield lemma, rows[start:end], _take(held, end - start)
+        start = end
+
+
+def _built_blocks(model: LmModel, corpus: LabeledCorpus) -> Iterator[LemmaBlock]:
+    """Each lemma's block, as soon as ``_embedded_by_lemma`` gives its embeddings.
+
+    A multi-gold instance's one row repeats once per gold key, keys in
+    sorted order. A lemma's keys come in first-use order.
+    """
+    copies = np.diff(corpus.gold_offsets)
+    for lemma, instances, embeddings in _embedded_by_lemma(model, corpus):
         counts = copies[instances]
         owners = np.repeat(instances, counts)  # each pair's instance
-        if len(owners) > size:  # a multi-gold instance: its one row once per gold key
+        if len(owners) > len(instances):  # a multi-gold instance: its one row once per gold key
             embeddings = np.repeat(embeddings, counts, axis=0)
         ranks = np.arange(len(owners)) - np.repeat(np.cumsum(counts) - counts, counts)  # place among its instance's keys
         gold = corpus.gold[corpus.gold_offsets[owners] + ranks]
@@ -359,6 +350,15 @@ def _knn_lemma(block: LemmaBlock, cfg: ClassifierConfig, queries: np.ndarray, in
     return senses
 
 
+def _counted_blocks(store: ClassifierStore) -> Iterator[LemmaBlock]:
+    """``store.blocks``, then a ``ValueError`` if they were not ``store.n_lemmas`` (a spent or cut stream)."""
+    given = 0
+    for given, block in enumerate(store.blocks, 1):
+        yield block
+    if given != store.n_lemmas:
+        raise ValueError(f"a stream of {store.n_lemmas} lemmas gave {given}")
+
+
 def predict_all(
     store: ClassifierStore,
     inventory: SenseInventory,
@@ -369,18 +369,18 @@ def predict_all(
     """Predicted sense of each instance, in file order.
 
     kNN when the instance's lemma has training pairs, else the inventory's
-    first sense. Every instance is embedded first, in one
-    ``context_embeddings`` call in ``_by_lemma``'s order, so a query's last
-    bits may depend on the contexts it is embedded with. Then each lemma's
-    queries are scored as its block comes from ``store.blocks``, a list or
-    a stream, in blocks of at most ``_BLOCK_ELEMENTS`` distances; a query
-    whose vote is within ``_CERTIFY_BOUND`` of a tie (see the module
+    first sense. The queries come from build's embedding pass, so on build's
+    labelled file each is its instance's first pair bit for bit. Each
+    lemma's queries are scored as its block comes from ``store.blocks``, a
+    list or a stream, in blocks of at most ``_BLOCK_ELEMENTS`` distances; a
+    query whose vote is within ``_CERTIFY_BOUND`` of a tie (see the module
     docstring) is recomputed with ``predict_knn``, so each answer is
     ``predict_knn``'s for the query vector computed here. Nothing is
     returned before the blocks are exhausted, which is when ``open_store``'s
-    stream checks the file's end. Before any embedding, a lemma missing
-    from the inventory (listing every such instance) or a store whose width
-    is not the model's is a ``DataError``.
+    stream checks the file's end; blocks of other than ``store.n_lemmas``
+    lemmas, as a spent or cut stream gives, are a ``ValueError``. Before any
+    embedding, a lemma missing from the inventory (listing every such
+    instance) or a store whose width is not the model's is a ``DataError``.
     """
     _check_lemmas(corpus, inventory)
     if store.dim != model.config.held_out_dim:
@@ -388,19 +388,17 @@ def predict_all(
             f"classifier store holds {store.dim}-wide embeddings, "
             f"but the model's are {model.config.held_out_dim} wide"
         )
-    rows, sizes = _by_lemma(corpus)
-    queries = _embedder(model, corpus)(rows)
-    ends = np.cumsum(sizes).tolist()
-    spans = {lemma: slice(end - size, end) for lemma, end, size in zip(corpus.lemmas, ends, sizes.tolist())}
+    # a copy of each lemma's queries, so no embedded chunk outlives its lemmas
+    queries = {lemma: (rows, embedded.copy()) for lemma, rows, embedded in _embedded_by_lemma(model, corpus)}
     senses: list[str] = []  # each lemma's candidate answers, one lemma after another
     answers = np.empty(len(corpus), dtype=np.intp)  # each instance's index into them
-    for block in store.blocks:
-        if block.lemma in spans and len(block.pairs):
-            span = spans.pop(block.lemma)
-            answers[rows[span]] = len(senses) + _knn_lemma(block, cfg, queries[span], inventory)
+    for block in _counted_blocks(store):
+        if block.lemma in queries and len(block.pairs):
+            rows, embedded = queries.pop(block.lemma)
+            answers[rows] = len(senses) + _knn_lemma(block, cfg, embedded, inventory)
             senses.extend(block.keys)
-    for lemma, span in spans.items():  # no training pairs: first-sense backoff
-        answers[rows[span]] = len(senses)
+    for lemma, (rows, _) in queries.items():  # no training pairs: first-sense backoff
+        answers[rows] = len(senses)
         senses.append(inventory.first_sense(lemma))
     return [senses[i] for i in answers.tolist()]
 
@@ -443,8 +441,7 @@ def save_store(store: ClassifierStore, path: str | Path) -> None:
     """
     with Writer.create(path, STORE_MAGIC, STORE_VERSION) as wr:
         wr.u32(store.dim, store.n_lemmas)
-        written = 0
-        for lemma, keys, codes, vectors in store.blocks:
+        for lemma, keys, codes, vectors in _counted_blocks(store):
             codes = codes.astype("<u4", copy=False)
             if vectors.shape != (len(codes), store.dim):
                 raise ValueError(
@@ -457,9 +454,6 @@ def save_store(store: ClassifierStore, path: str | Path) -> None:
             wr.texts(keys)
             wr.u32s(codes)
             wr.floats(vectors)
-            written += 1
-        if written != store.n_lemmas:
-            raise ValueError(f"a stream of {store.n_lemmas} lemmas gave {written}")
 
 
 def _read_blocks(rd: Reader, dim: int, n_lemmas: int) -> Iterator[LemmaBlock]:

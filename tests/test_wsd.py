@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import os
 import re
@@ -158,6 +160,31 @@ class TestBuildClassifierStore:
         # with one key per instance, the pairs are views of the embedded rows
         (block,) = build_classifier_store(tiny_model, _corpus(instances[1:2]), inventory).blocks
         assert block.pairs.base is returned[-1]
+
+    def test_build_and_predict_embed_an_instance_alike(self, toy_lines, tiny_config, monkeypatch):
+        # 3 contexts a chunk, so both lemmas straddle chunks; predicted on the training file at k = 1. At a
+        # 32-wide layer a 1-context chunk rounds unlike a 3-context one (on OpenBLAS), so a lemma embedded
+        # on its own, whose 4th context would be a chunk alone, shows here
+        model = lm.train_lm(toy_lines[:25], dataclasses.replace(tiny_config, embed_dim=16, hidden_dims=(32,), epochs=1))
+        monkeypatch.setattr(lm, "_EMBED_BATCH", 3)
+        words = model.vocab.tokens[1:12]
+        lemmas = ["b", "a", "b", "a", "b", "a", "a", "b"]
+        golds = [{"b%1"}, {"a%2"}, {"b%2"}, {"a%1"}, {"b%2", "b%1"}, {"a%1"}, {"a%2"}, {"b%2"}]
+        instances = [
+            _instance(f"i{n + 1}", words[n : n + 4], n % 4, lemma, gold)
+            for n, (lemma, gold) in enumerate(zip(lemmas, golds))
+        ]
+        corpus, inventory = _corpus(instances), SenseInventory({"a": ["a%1", "a%2"], "b": ["b%1", "b%2"]})
+        store = build_classifier_store(model, corpus, inventory)
+        queried = _recorded(monkeypatch, "_knn_lemma", lambda args, senses: args[::2])
+        answers = predict_all(store, inventory, model, ClassifierConfig(k=1), corpus)
+        assert [block.lemma for block, _ in queried] == ["b", "a"]
+        for block, queries in queried:
+            gold_counts = [len(inst.sense_keys) for inst in instances if inst.lemma == block.lemma]
+            firsts = np.cumsum([0, *gold_counts[:-1]])  # each instance's first pair
+            assert queries.dtype == block.pairs.dtype and queries.tobytes() == block.pairs[firsts].tobytes()
+        single = [(answer, inst) for answer, inst in zip(answers, instances) if len(inst.sense_keys) == 1]
+        assert len(single) == 7 and all({answer} == inst.sense_keys for answer, inst in single)
 
     def test_inventory_checked_before_embedding(self, tiny_model, monkeypatch):
         words = tiny_model.vocab.tokens[1:6]
@@ -1026,6 +1053,35 @@ class TestBuiltStoreIsTheLoadedStore:
         for got, expected in zip(answers["built arrays"], answers["loaded arrays"]):
             for a, b in zip(got, expected, strict=True):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStreamLemmaCount:
+    """``predict_all`` answers only from as many blocks as the store's lemma count; else it raises, as saving does."""
+
+    @pytest.fixture
+    def case(self, tiny_model):
+        words = tiny_model.vocab.tokens[1:6]
+        corpus = _corpus([_instance("i1", words, 2, "bank", {"bank%1"}), _instance("i2", words, 1, "rose", {"rose%1"})])
+        # each lemma's first sense is not its trained one, so a silent backoff would show
+        inventory = SenseInventory({"bank": ["bank%2", "bank%1"], "rose": ["rose%2", "rose%1"]})
+        return tiny_model, corpus, inventory
+
+    def test_spent_stream(self, case, tmp_path):
+        model, corpus, inventory = case
+        stream = wsd.stream_classifier_store(model, corpus, inventory)
+        save_store(stream, tmp_path / "s.fwsd")  # takes every block
+        with pytest.raises(ValueError, match=r"^a stream of 2 lemmas gave 0$"):
+            predict_all(stream, inventory, model, ClassifierConfig(), corpus)
+
+    def test_cut_stream(self, case, tmp_path):
+        model, corpus, inventory = case
+        save_store(build_classifier_store(model, corpus, inventory), tmp_path / "s.fwsd")
+        with wsd.open_store(tmp_path / "s.fwsd") as stream:
+            assert predict_all(stream, inventory, model, ClassifierConfig(), corpus) == ["bank%1", "rose%1"]
+        with wsd.open_store(tmp_path / "s.fwsd") as stream:
+            cut = stream._replace(blocks=itertools.islice(stream.blocks, 1))
+            with pytest.raises(ValueError, match=r"^a stream of 2 lemmas gave 1$"):
+                predict_all(cut, inventory, model, ClassifierConfig(), corpus)
 
 
 def test_load_store_peak_memory_is_about_the_file_size(tmp_path):
