@@ -19,13 +19,14 @@ are its z after the last ``order`` columns. The network's codes are
 computed a batch at a time. The sentences are one flat id array, and an
 example is a (sentence start, sentence length, target position) triple.
 ``context_ids`` lays the n contexts of a batch out as one (2n, W) id
-matrix: the left contexts, then the right contexts reversed, so that the
-token next to the target is in the last column. ``encode_contexts`` folds
-it over the embedding rows; ``contexts_backward`` runs the adjoint back up
-the columns (where a row's padding comes after its last token, so those
-values go unused). Each token's value is the recursion's, bit for bit; the
-adjoint adds them with ``np.add.at`` as it goes, nearest tokens first and,
-at one distance, example by example, left side before right. Both take one
+matrix in the order of the codes: row 2i holds example i's left context,
+row 2i + 1 its right context reversed, so that the token next to the
+target is in the last column. ``encode_contexts`` folds it over the
+embedding rows; ``contexts_backward`` runs the adjoint back up the columns
+of its reversed-column view (where a row's padding comes after its last
+token, so those values go unused). Each token's value is the recursion's,
+bit for bit; the adjoint adds them with ``np.add.at`` as it goes, nearest
+tokens first and, at one distance, in row order. Both take one
 block of at most ``_BLOCK_CELLS`` layout cells at a time, so besides 2n x W
 integers their float buffers hold a block and a few rows of d per layout
 row, however many tokens the batch holds. The vocab-space codes
@@ -49,7 +50,7 @@ from .errors import UsageError
 
 _DIRECTIONS = ("left", "right")
 _BLOCK_CELLS = 4096  # layout cells per column block of ``_fold`` and ``contexts_backward`` (at least a column)
-_SIDES = np.array([-1, 1])[:, None, None]  # left rows run back from the target, right rows on from it
+_SIDES = np.array([-1, 1])[:, None]  # left rows run back from the target, right rows on from it
 
 
 @dataclass(frozen=True)
@@ -116,25 +117,25 @@ def context_ids(
 
     ``tokens`` holds all sentences back to back; example i is the word at
     ``positions[i]``, which must lie inside the sentence that starts at
-    ``starts[i]`` and has ``lengths[i]`` tokens (else ``ValueError``). Row i
-    of the result is the left context of example i and row n + i its right
-    context reversed, both left-padded with -1, so the token next to the
-    target sits in the last column. At most ``window_cap`` tokens per side
+    ``starts[i]`` and has ``lengths[i]`` tokens (else ``ValueError``). Row
+    2i of the result is the left context of example i and row 2i + 1 its
+    right context reversed, both left-padded with -1, so the token next to
+    the target sits in the last column. At most ``window_cap`` tokens per side
     are kept (0 keeps them all); the width is max(order, longest side).
     """
     tokens, starts, lengths, positions = (np.asarray(a, dtype=np.intp) for a in (tokens, starts, lengths, positions))
-    sides = np.concatenate([positions, lengths - 1 - positions])
-    if np.minimum.reduce(sides, initial=0) < 0:  # only for a position outside its sentence
-        i = int(sides.argmin()) % len(positions)
+    sides = np.concatenate([positions, lengths - 1 - positions]).reshape(2, -1).T  # each example's left, right
+    if np.minimum.reduce(sides, axis=None, initial=0) < 0:  # only for a position outside its sentence
+        i = int(sides.argmin()) // 2
         raise ValueError(f"target index {positions[i]} out of range for {lengths[i]} tokens")
-    longest = int(np.maximum.reduce(sides, initial=0))
+    longest = int(np.maximum.reduce(sides, axis=None, initial=0))
     if 0 < window_cap < longest:  # a wider cap keeps every token, and may not fit an intp
         np.minimum(sides, window_cap, out=sides)
         longest = window_cap
     width = max(order, longest)
     distance = np.arange(width, 0, -1)  # column c is this many tokens from the target
-    at = ((starts + positions)[:, None] + _SIDES * distance).reshape(len(sides), width)
-    return np.where(distance <= sides[:, None], tokens.take(at, mode="clip"), -1)
+    at = (starts + positions)[:, None, None] + _SIDES * distance
+    return np.where(distance <= sides[..., None], tokens.take(at, mode="clip"), -1).reshape(-1, width)
 
 
 def _fold(ids: np.ndarray, cfg: FofeConfig, embeddings: np.ndarray) -> np.ndarray:
@@ -162,11 +163,10 @@ def _fold(ids: np.ndarray, cfg: FofeConfig, embeddings: np.ndarray) -> np.ndarra
 def encode_contexts(ids: np.ndarray, cfg: FofeConfig, embeddings: np.ndarray) -> np.ndarray:
     """Context codes of a ``context_ids`` layout; returns (n, 2 * order * d).
 
-    Row i is [left slabs, right slabs] of example i.
+    Row i is [left slabs, right slabs] of example i, the slabs of layout rows 2i and 2i + 1.
     """
-    n, dim = ids.shape[0] // 2, embeddings.shape[1]
-    slabs = _fold(ids, cfg, embeddings)
-    return slabs.reshape(cfg.order, 2, n, dim).transpose(2, 1, 0, 3).reshape(n, 2 * cfg.order * dim)
+    slabs = _fold(ids, cfg, embeddings)  # (order, rows, d), so that the fold writes whole rows of z
+    return slabs.transpose(1, 0, 2).reshape(ids.shape[0] // 2, 2 * cfg.order * embeddings.shape[1])
 
 
 def contexts_backward(
@@ -188,8 +188,7 @@ def contexts_backward(
         raise ValueError(f"gradient has shape {grad.shape}, expected ({n}, {2 * cfg.order * dim})")
     if not embed_grad.flags.c_contiguous:
         raise ValueError("the embedding gradient must be C-contiguous")
-    # Example by example, left row before right, each row's tokens nearest first, then its padding.
-    near_ids = ids.reshape(2, n, width).swapaxes(0, 1)[..., ::-1].reshape(rows, width)
+    near_ids = ids[:, ::-1]  # each row's tokens nearest first, then its padding
     slabs = grad.reshape(rows, cfg.order, dim)  # row 2i + side holds that side's slabs of example i
     lam = np.zeros((rows, dim), embed_grad.dtype)
     alpha = float(cfg.alpha)

@@ -4,7 +4,9 @@ optimizer step, finite-difference gradient verification.
 Arithmetic runs in the wider of the input's and the tensors' dtype: the
 language model's float32, in training and in its context embeddings alike.
 Hidden layers apply an affine map followed by a rectifier max(0, x); the
-final layer is affine only and produces logits.
+final layer is affine only and produces logits. A trace keeps only the
+activations: a hidden one is > 0 exactly where its pre-activation is, so
+it gives the backward pass the rectifier's mask.
 Inputs may be a single vector ``(d,)`` or a batch ``(n, d)``; batch losses
 and gradients are means over the batch. A training step's arrays hold a few KB, so
 it calls ufuncs, their ``reduce`` and ndarray methods, not wrappers such as ``np.sum``
@@ -108,14 +110,13 @@ class NetworkParams:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer pre-activations and activations of one forward pass.
+    """The per-layer activations of one forward pass.
 
     ``activations[0]`` is the input, ``activations[-1]`` the logits and
     ``activations[-2]`` the held-out layer's activation.
     """
 
     activations: list[np.ndarray]
-    preacts: list[np.ndarray]
 
     @property
     def logits(self) -> np.ndarray:
@@ -166,18 +167,16 @@ def _network_input(params: NetworkParams, x: np.ndarray) -> np.ndarray:
 
 def forward(params: NetworkParams, x: np.ndarray) -> ForwardTrace:
     """Affine + rectifier through the hidden layers, affine logits at the end."""
-    x = _network_input(params, x)
-    activations = [x]
-    preacts = []
-    a = x
+    a = _network_input(params, x)
+    activations = [a]
     last = len(params.layers) - 1
     for li, (w, b) in enumerate(params.layers):
-        h = a @ w
-        h += b  # in place: w and b share a dtype, so h is as wide as ``a @ w + b``
-        preacts.append(h)
-        a = h if li == last else np.maximum(h, 0.0)
+        a = a @ w
+        a += b  # in place: w and b share a dtype, so these are the floats of ``a @ w + b``
+        if li < last:
+            np.maximum(a, 0.0, out=a)
         activations.append(a)
-    return ForwardTrace(activations=activations, preacts=preacts)
+    return ForwardTrace(activations=activations)
 
 
 def held_out(params: NetworkParams, x: np.ndarray) -> np.ndarray:
@@ -242,9 +241,7 @@ def backward(
     linear map themselves, and zero it again before the next step.
     """
     single = trace.logits.ndim == 1
-    activations, preacts = trace.activations, trace.preacts
-    if single:  # a single input as a batch of one
-        activations, preacts = [np.atleast_2d(a) for a in activations], [np.atleast_2d(h) for h in preacts]
+    activations = [np.atleast_2d(a) for a in trace.activations] if single else trace.activations
     if out is None:
         out = Gradients(np.zeros_like(params.flat), params.layout)
 
@@ -258,7 +255,7 @@ def backward(
         np.add.reduce(delta, axis=0, out=grad_b)
         delta = delta @ w.T
         if li > 0:
-            delta *= preacts[li - 1] > 0.0
+            delta *= activations[li] > 0.0
     out.input = delta[0] if single else delta
     return out
 

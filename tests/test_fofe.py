@@ -340,8 +340,8 @@ class TestContextIds:
         ids = context_ids(tokens, starts=[0, 5], lengths=[5, 2], positions=[1, 0], order=2)
         assert ids.tolist() == [
             [-1, -1, 10],  # left of 11
-            [-1, -1, -1],  # left of 20: empty
             [14, 13, 12],  # right of 11, reversed: the longest side sets the width
+            [-1, -1, -1],  # left of 20: empty
             [-1, -1, 21],  # right of 20, reversed
         ]
 
@@ -467,8 +467,9 @@ class TestEmbeddedBackward:
             )
             assert_allclose(analytic, numeric, atol=1e-8)
 
-    def test_float_buffers_bounded_by_a_block(self):
-        # 32 examples from one 1,000-token sentence hold 31,968 context tokens
+    @staticmethod
+    def long_sentence_peak():
+        """The traced peak of ``contexts_backward`` on 32 examples of one 1,000-token sentence, and their layout."""
         cfg = FofeConfig(alpha=0.7, order=3)
         rng = np.random.default_rng(8)
         sentence = list(rng.integers(0, 50, 1000))
@@ -478,10 +479,20 @@ class TestEmbeddedBackward:
         tracemalloc.start()
         try:
             contexts_backward(layout, cfg, grad, embed_grad)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1], layout
         finally:
             tracemalloc.stop()
+
+    def test_float_buffers_bounded_by_a_block(self):
+        # the 32 examples hold 31,968 context tokens
+        peak, _ = self.long_sentence_peak()
         assert peak < 31_968 * 32 * 4  # the bytes of one float32 row of d per context token
+
+    def test_holds_no_copy_of_the_layout(self):
+        # one 64-column block's values, their gathered copy and its flat index come to about
+        # four sizes of the (64, 999) layout (2.10 MB); a reordered copy of it would add a fifth
+        peak, layout = self.long_sentence_peak()
+        assert peak < 4.5 * layout.nbytes, peak / layout.nbytes
 
     def test_gradient_shape_checked(self):
         cfg = FofeConfig(alpha=0.7, order=2)
@@ -586,7 +597,7 @@ class TestBatchedEqualsOracle:
         assert_array_equal(codes[0], np.zeros(12))
         assert np.array_equal(codes[1], oracle_context_code([1, 2], 1, cfg, emb))
         embed_grad = np.zeros_like(emb)
-        contexts_backward(layout[[0, 2]], cfg, np.ones((1, 12)), embed_grad)
+        contexts_backward(layout[:2], cfg, np.ones((1, 12)), embed_grad)
         assert_array_equal(embed_grad, np.zeros_like(emb))
 
 

@@ -155,7 +155,7 @@ class TestForward:
         params = nn.init_network([3, 5, 4, 2], 1)
         trace = nn.forward(params, np.zeros(3))
         assert len(trace.activations) == len(params.layers) + 1
-        assert len(trace.preacts) == len(params.layers)
+        assert not hasattr(trace, "preacts")  # the backward pass reads the activations alone
         assert [a.shape for a in trace.activations] == [(3,), (5,), (4,), (2,)]  # held out: (4,)
 
     def test_dimension_mismatch(self):
@@ -167,6 +167,20 @@ class TestForward:
         params = nn.init_network([3, 4, 2], 5)
         x = np.random.default_rng(0).normal(size=3)
         assert_array_equal(nn.forward(params, x).logits, nn.forward(params, x).logits)
+
+    def test_holds_each_hidden_activation_once(self):
+        # a 256-row float32 batch at a 768-wide input and hidden 512,512: the trace keeps two
+        # hidden activations and 8-wide logits; a pre-activation kept beside each would make four
+        params = nn.init_network([768, 512, 512, 8], 3, dtype=np.float32)
+        x = np.random.default_rng(9).normal(size=(256, 768)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            trace = nn.forward(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        hidden = trace.activations[1].nbytes
+        assert peak < 2.5 * hidden, peak / hidden
 
 
 class TestHeldOut:
@@ -277,12 +291,13 @@ class TestStepLoss:
 def reference_backward(params, trace, target):
     """Loss, layer gradients and input gradient by the formulas ``backward`` started from, written out here.
 
+    Each hidden pre-activation is recomputed as ``a @ w + b`` from the trace's activations.
     ``np.max``, ``np.take_along_axis``, ``np.mean`` and ``np.sum(axis=0)``, each on its own
     array, with none of the kernel's helpers.
     """
     single = trace.logits.ndim == 1
     activations = [np.atleast_2d(a) for a in trace.activations]
-    preacts = [np.atleast_2d(h) for h in trace.preacts]
+    preacts = [np.atleast_2d(a @ w + b) for a, (w, b) in zip(trace.activations, params.layers[:-1])]
     logits = activations[-1]
     targets = np.atleast_1d(np.asarray(target, dtype=np.intp))
     n = len(targets)
@@ -317,7 +332,8 @@ class TestBackwardEqualsReference:
         x = rng.normal(size=shape).astype(dtype)
         target = int(rng.integers(0, 40)) if batch is None else rng.integers(0, 40, batch)
         trace = nn.forward(params, x)
-        assert any(np.any(h <= 0.0) for h in trace.preacts[:-1])  # the rectifier masks some units
+        preacts = [a @ w + b for a, (w, b) in zip(trace.activations, params.layers[:-1])]
+        assert any(np.any(h <= 0.0) for h in preacts)  # the rectifier masks some units
         grads = nn.backward(params, trace, target)
         loss, layers, input_grad = reference_backward(params, trace, target)
         assert grads.loss == loss
@@ -350,7 +366,7 @@ class TestSingleInput:
         rng = np.random.default_rng(13)
         params = nn.init_network([6, 8, 5, 4], 2).astype(dtype)
         batch = nn.forward(params, rng.normal(size=(1, 6)).astype(dtype))
-        vector = nn.ForwardTrace([a[0] for a in batch.activations], [h[0] for h in batch.preacts])
+        vector = nn.ForwardTrace([a[0] for a in batch.activations])
         from_batch = nn.backward(params, batch, [3])
         from_vector = nn.backward(params, vector, 3)
         assert from_batch.input.shape == (1, 6)
