@@ -15,6 +15,7 @@ from .corpus import (
     build_vocabulary,
     read_labeled_corpus,
     read_sense_inventory,
+    tokenize_corpus,
     tokenize_line,
 )
 from .errors import DataError, NumericalError, UsageError
@@ -79,6 +80,7 @@ __all__ = [
     "save_checkpoint",
     "save_store",
     "score",
+    "tokenize_corpus",
     "tokenize_line",
     "train_lm",
     "with_run_settings",

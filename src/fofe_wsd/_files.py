@@ -117,11 +117,6 @@ def write_file(path: str | Path, data: str | _Buffer) -> None:
         write(data)
 
 
-def checksum(buf: _Buffer) -> int:
-    """The trailer of a container holding ``buf``: its CRC32."""
-    return zlib.crc32(buf)
-
-
 def _slices(arr: np.ndarray) -> Iterator[np.ndarray]:
     """The values of ``arr`` in row-major order, as runs of at most ``_SLICE`` values; views of ``arr``."""
     if arr.flags.c_contiguous or arr.ndim < 2:

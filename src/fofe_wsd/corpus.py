@@ -16,10 +16,10 @@ which ``build``, ``predict`` and ``eval`` use as they are.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,25 +59,32 @@ class Vocabulary:
         return [self.index.get(t, UNK_ID) for t in tokens]
 
 
-def build_vocabulary(corpus: Iterable[str], max_size: int) -> Vocabulary:
-    """Build a vocabulary of the most frequent tokens.
+def tokenize_corpus(lines: Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Tokenize a plain-text corpus, one sentence per line, in one pass, into columns.
 
-    Keeps the unknown token plus the ``max_size - 1`` most frequent corpus
-    tokens; frequency ties break lexicographically. Ids are assigned by
-    descending frequency (then token order), starting at 1.
+    Returns its distinct tokens in first-use order, the int32 code (place in that list) of
+    each token, and the lines' intp offsets: line i's codes are ``codes[offsets[i]:offsets[i + 1]]``.
+    """
+    types: defaultdict[str, int] = defaultdict(itertools.count().__next__)  # token -> code, in first-use order
+    codes, ends = [], []
+    for line in lines:
+        codes.extend(map(types.__getitem__, tokenize_line(line)))
+        ends.append(len(codes))
+    return list(types), np.fromiter(codes, dtype=np.int32, count=len(codes)), np.array([0, *ends], dtype=np.intp)
+
+
+def build_vocabulary(types: Sequence[str], codes: np.ndarray, max_size: int) -> Vocabulary:
+    """The unknown token and the ``max_size - 1`` most frequent tokens of a ``tokenize_corpus`` corpus.
+
+    Ids go by descending count from 1, ties in token order; a ``<unk>`` in the corpus is no word.
     """
     if max_size < 2:
         raise ValueError("max_size must be at least 2 (unknown token plus one word)")
-    counts: Counter[str] = Counter()
-    for line in corpus:
-        counts.update(tokenize_line(line))
-    # The reserved token is never treated as a corpus word.
-    counts.pop(UNK_TOKEN, None)
-    if not counts:
+    counts = np.bincount(codes, minlength=len(types)).tolist()
+    ranked = sorted((-n, token) for token, n in zip(types, counts) if token != UNK_TOKEN)
+    if not ranked:
         raise DataError("empty corpus")
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [token for token, _ in ranked[: max_size - 1]]
-    return Vocabulary.from_tokens([UNK_TOKEN, *kept])
+    return Vocabulary.from_tokens([UNK_TOKEN, *(token for _, token in ranked[: max_size - 1])])
 
 
 @dataclass

@@ -1,12 +1,12 @@
 """Pseudo language model: predict each word from its encoded surroundings.
 
-Training builds a vocabulary over the unlabelled corpus, turns every
-sentence position into one example (target word, encoded bidirectional
-context), and minimizes mean softmax cross-entropy of target prediction.
-After training, the activation of the second-last layer (the held-out
-layer) for a target occurrence is its context embedding; the output layer
-plays no further role. ``context_embeddings`` takes its contexts in the
-form ``training_examples`` gives: model-id arrays, not token strings.
+Training tokenizes the unlabelled corpus once into columns, ranks a vocabulary
+from their codes, turns every sentence position into one example (target word,
+encoded bidirectional context), and minimizes mean softmax cross-entropy of
+target prediction. After training, the activation of the second-last layer
+(the held-out layer) for a target occurrence is its context embedding; the
+output layer plays no further role. ``context_embeddings`` takes its contexts
+as ``training_examples`` gives them: model-id arrays, not token strings.
 
 A model holds its parameters in float32, the precision the checkpoint
 keeps, whether ``train_lm`` trained them or ``load_checkpoint`` read them.
@@ -28,17 +28,16 @@ version 1 with its byte-sum checksum, is incompatible.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import fofe, nn
 from ._files import Reader, Writer
-from .corpus import Vocabulary, build_vocabulary, tokenize_line
+from .corpus import Vocabulary, build_vocabulary, tokenize_corpus
 from .errors import DataError, NumericalError, UsageError
 
 CHECKPOINT_MAGIC = b"FOFE"
@@ -117,18 +116,14 @@ def with_run_settings(model: LmModel, config: LmConfig) -> LmModel:
     return LmModel(vocab=model.vocab, config=replace(config, **fixed), params=model.params)
 
 
-def training_examples(
-    sentences: Sequence[Sequence[int]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One example per sentence position, as index arrays.
+def training_examples(tokens: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One example per position of the sentences at ``tokens[offsets[i]:offsets[i + 1]]``, as index arrays.
 
-    Returns all sentences back to back as one id array, and for every
-    example the start and length of its sentence and its target position,
-    sentence by sentence in position order. Memory is linear in the tokens.
+    Returns ``tokens``, and for every example the start and length of its
+    sentence and its target position, sentence by sentence in position order.
     """
-    lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
-    tokens = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.intp, count=int(lengths.sum()))
-    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    lengths = np.diff(offsets)
+    starts = np.repeat(offsets[:-1], lengths)
     return tokens, starts, np.repeat(lengths, lengths), np.arange(len(tokens)) - starts
 
 
@@ -192,7 +187,7 @@ def train_lm(
     model: LmModel | None = None,
     progress: Callable[[int, float], None] | None = None,
 ) -> LmModel:
-    """Train on unlabelled sentences (one per line), deterministically per seed.
+    """Train on unlabelled sentences (one per line, read in one pass), deterministically per seed.
 
     Pass an existing ``model`` to continue training it (its vocabulary and
     architecture are kept, as in ``with_run_settings``; optimizer moments
@@ -202,10 +197,12 @@ def train_lm(
     the returned model holds them. A network too large to allocate is a
     ``UsageError``.
     """
-    lines = corpus if isinstance(corpus, list) else list(corpus)
+    types, codes, offsets = tokenize_corpus(corpus)
+    if not len(codes):
+        raise DataError("empty corpus")
     init_seed, shuffle_seed = np.random.SeedSequence(config.seed).spawn(2)
     if model is None:
-        vocab = build_vocabulary(lines, config.max_vocab)
+        vocab = build_vocabulary(types, codes, config.max_vocab)
         try:
             params = nn.init_network(
                 config.layer_dims(len(vocab)), init_seed, (len(vocab), config.embed_dim), _TRAIN_DTYPE
@@ -215,15 +212,10 @@ def train_lm(
             raise UsageError(f"cannot allocate a network of {count:,} parameters") from exc
         model = LmModel(vocab=vocab, config=config, params=params)
     else:
-        model = with_run_settings(model, config)
-        model = replace(model, params=model.params.astype(_TRAIN_DTYPE))
+        model = replace(with_run_settings(model, config), params=model.params.astype(_TRAIN_DTYPE))
 
-    tokens, starts, lengths, positions = training_examples(
-        [model.vocab.encode(tokenize_line(line)) for line in lines]
-    )
-    if not len(tokens):
-        raise DataError("empty corpus")
-    _fit(model, (tokens, starts, lengths, positions), np.random.default_rng(shuffle_seed), progress)
+    tokens = np.array(model.vocab.encode(types), dtype=np.intp).take(codes)
+    _fit(model, training_examples(tokens, offsets), np.random.default_rng(shuffle_seed), progress)
     return model
 
 

@@ -4,9 +4,9 @@ optimizer step, finite-difference gradient verification.
 Arithmetic runs in the wider of the input's and the tensors' dtype: the
 language model's float32, in training and in its context embeddings alike.
 Hidden layers apply an affine map followed by a rectifier max(0, x); the
-final layer is affine only and produces logits. A trace keeps only the
-activations: a hidden one is > 0 exactly where its pre-activation is, so
-it gives the backward pass the rectifier's mask.
+final layer is affine only and produces logits. ``forward`` returns only
+the activations, the list ``backward`` takes: a hidden one is > 0 exactly
+where its pre-activation is, so it gives the backward pass the rectifier's mask.
 Inputs may be a single vector ``(d,)`` or a batch ``(n, d)``; batch losses
 and gradients are means over the batch. A training step's arrays hold a few KB, so
 it calls ufuncs, their ``reduce`` and ndarray methods, not wrappers such as ``np.sum``
@@ -108,21 +108,6 @@ class NetworkParams:
         return NetworkParams(self.flat.astype(dtype), self.layout)
 
 
-@dataclass
-class ForwardTrace:
-    """The per-layer activations of one forward pass.
-
-    ``activations[0]`` is the input, ``activations[-1]`` the logits and
-    ``activations[-2]`` the held-out layer's activation.
-    """
-
-    activations: list[np.ndarray]
-
-    @property
-    def logits(self) -> np.ndarray:
-        return self.activations[-1]
-
-
 class Gradients(NetworkParams):
     """Loss gradients laid out as NetworkParams, plus ``input``, the network input's gradient, and ``loss``."""
 
@@ -165,8 +150,8 @@ def _network_input(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward(params: NetworkParams, x: np.ndarray) -> ForwardTrace:
-    """Affine + rectifier through the hidden layers, affine logits at the end."""
+def forward(params: NetworkParams, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's activation, input first: affine + rectifier through the hidden layers, affine logits last."""
     a = _network_input(params, x)
     activations = [a]
     last = len(params.layers) - 1
@@ -176,11 +161,11 @@ def forward(params: NetworkParams, x: np.ndarray) -> ForwardTrace:
         if li < last:
             np.maximum(a, 0.0, out=a)
         activations.append(a)
-    return ForwardTrace(activations=activations)
+    return activations
 
 
 def held_out(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """``forward(params, x).activations[-2]`` without evaluating the output layer."""
+    """``forward(params, x)[-2]`` without evaluating the output layer."""
     a = _network_input(params, x)
     for w, b in params.layers[:-1]:
         a = a @ w
@@ -225,12 +210,12 @@ def loss_softmax_xent(logits: np.ndarray, target: int | np.ndarray) -> float:
 
 def backward(
     params: NetworkParams,
-    trace: ForwardTrace,
+    activations: list[np.ndarray],
     target: int | np.ndarray,
     *,
     out: Gradients | None = None,
 ) -> Gradients:
-    """Exact gradients of ``loss_softmax_xent`` for every layer and the input.
+    """Exact gradients of ``loss_softmax_xent`` for every layer and the input, from ``forward``'s activations.
 
     The layer gradients are written into ``out``, a ``Gradients`` of the
     parameters' layout that the caller keeps (training reuses one per run),
@@ -240,8 +225,8 @@ def backward(
     embedding rows propagate ``Gradients.input`` into it through that
     linear map themselves, and zero it again before the next step.
     """
-    single = trace.logits.ndim == 1
-    activations = [np.atleast_2d(a) for a in trace.activations] if single else trace.activations
+    single = activations[-1].ndim == 1
+    activations = [np.atleast_2d(a) for a in activations] if single else activations
     if out is None:
         out = Gradients(np.zeros_like(params.flat), params.layout)
 
@@ -249,7 +234,7 @@ def backward(
     for li in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[li]
         if activations[li].shape[-1] != w.shape[0]:
-            raise ValueError("trace does not match parameters (dimension mismatch)")
+            raise ValueError("activations do not match parameters (dimension mismatch)")
         grad_w, grad_b = out.layers[li]
         np.matmul(activations[li].T, delta, out=grad_w)
         np.add.reduce(delta, axis=0, out=grad_b)
@@ -338,9 +323,9 @@ def gradient_check(
     def numeric(arr: np.ndarray, idx: tuple) -> float:
         orig = arr[idx]
         arr[idx] = orig + epsilon
-        plus = loss_softmax_xent(forward(params, x).logits, target)
+        plus = loss_softmax_xent(forward(params, x)[-1], target)
         arr[idx] = orig - epsilon
-        minus = loss_softmax_xent(forward(params, x).logits, target)
+        minus = loss_softmax_xent(forward(params, x)[-1], target)
         arr[idx] = orig
         return (plus - minus) / (2.0 * epsilon)
 

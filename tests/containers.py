@@ -10,11 +10,12 @@ it: the whole file built in one ``bytearray``, each array appended with
 from __future__ import annotations
 
 import struct
+import zlib
 
 import numpy as np
 
 from fofe_wsd import lm, wsd
-from fofe_wsd._files import checksum, write_file
+from fofe_wsd._files import write_file
 from fofe_wsd.errors import DataError
 
 
@@ -56,7 +57,7 @@ def put_tensor(out: bytearray, arr: np.ndarray) -> None:
 
 def sealed(out: bytearray) -> bytearray:
     """``out`` with its CRC32 trailer appended."""
-    out += struct.pack("<Q", checksum(out))
+    out += struct.pack("<Q", zlib.crc32(out))
     return out
 
 
@@ -65,15 +66,16 @@ def write_container(path, out: bytearray) -> None:
     write_file(path, sealed(out))
 
 
-def checkpoint_bytes(model: lm.LmModel, tensors=None, dims=None) -> bytearray:
-    """The checkpoint of ``model``, storing ``tensors`` (default its own) and ``dims`` (default its layer dims)."""
+def checkpoint_bytes(model: lm.LmModel, tensors=None, dims=None, tokens=None) -> bytearray:
+    """The checkpoint of ``model``, storing ``tensors``, layer ``dims`` and vocabulary ``tokens``, by default its own."""
     out = container(lm.CHECKPOINT_MAGIC, lm.CHECKPOINT_VERSION)
     put_f64(out, model.config.fofe.alpha)
     put_u32(out, model.config.fofe.order)
     dims = dims or model.config.layer_dims(len(model.vocab))
     put_u32(out, len(dims), *dims)
-    put_u32(out, len(model.vocab))
-    for token in model.vocab.tokens:
+    tokens = model.vocab.tokens if tokens is None else tokens
+    put_u32(out, len(tokens))
+    for token in tokens:
         put_str(out, token)
     for tensor in model.params.tensors() if tensors is None else tensors:
         put_tensor(out, tensor)

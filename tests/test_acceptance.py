@@ -150,7 +150,7 @@ def test_criterion_05_gradient_check_100_seeds():
         target = int(rng.integers(0, dims[-1]))
         for _ in range(100):
             x = rng.normal(size=dims[0])
-            activations = nn.forward(params, x).activations
+            activations = nn.forward(params, x)
             preacts = [a @ w + b for a, (w, b) in zip(activations, params.layers[:-1])]
             if all(np.min(np.abs(p), initial=np.inf) > 1e-3 for p in preacts):
                 break

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +19,6 @@ import pytest
 
 import fofe_wsd
 from fofe_wsd import _files, cli, lm, synthetic, wsd
-from fofe_wsd._files import checksum
 from fofe_wsd.cli import main
 from fofe_wsd.fofe import FofeConfig
 from labeled import embed, instances_of
@@ -308,6 +308,32 @@ class TestTrainCommand:
         assert lines[0] == "# resumed"
         assert len(lines) == 2 and lines[1].startswith("1\t")
 
+    @pytest.mark.parametrize("resume", [False, True], ids=["new", "resumed"])
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["no-lines", "blank-lines"])
+    def test_empty_corpus_exits_2(self, workspace, capsys, resume, text):
+        tmp_path, config = workspace
+        assert main(["train", "-c", str(config), "--epochs", "1"]) == 0
+        before = (tmp_path / "model.fofe").read_bytes()
+        _write(tmp_path / "corpus.txt", text)
+        assert main(["train", "-c", str(config), *(["--resume"] if resume else [])]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: empty corpus"
+        assert (tmp_path / "model.fofe").read_bytes() == before
+
+    def test_corpus_of_unknown_tokens_trains_only_a_resumed_model(self, workspace, capsys):
+        # ``<unk>`` is no corpus word, so no vocabulary can be ranked from it; a
+        # resumed model keeps its vocabulary and learns to predict id 0
+        tmp_path, config = workspace
+        assert main(["train", "-c", str(config), "--epochs", "1"]) == 0
+        _write(tmp_path / "corpus.txt", "<unk> <UNK>\n\n<unk>\n")
+        assert main(["train", "-c", str(config)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: empty corpus"
+        before = lm.load_checkpoint(tmp_path / "model.fofe")
+        assert main(["train", "-c", str(config), "--resume", "--epochs", "1"]) == 0
+        after = lm.load_checkpoint(tmp_path / "model.fofe")
+        assert after.vocab.tokens == before.vocab.tokens
+        assert not np.array_equal(after.params.flat, before.params.flat)
+        assert (tmp_path / "model.fofe.log").read_text().splitlines()[-2:-1] == ["# resumed"]
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -455,7 +481,7 @@ class TestBuildPredictEval:
         path = tmp_path / name
         raw = bytearray(path.read_bytes())
         raw[-12:-8] = struct.pack("<f", value)  # the last f32 value, with a valid checksum after it
-        raw[-8:] = struct.pack("<Q", checksum(raw[:-8]))
+        raw[-8:] = struct.pack("<Q", zlib.crc32(raw[:-8]))
         path.write_bytes(raw)
         assert main(["predict", "-c", str(config)]) == 2
         assert f"corrupt {what}: {path} (non-finite value)" in capsys.readouterr().err
@@ -613,7 +639,7 @@ def _three_lemmas(tmp_path):
 
 
 def _with_checksum(raw):
-    raw[-8:] = struct.pack("<Q", checksum(raw[:-8]))
+    raw[-8:] = struct.pack("<Q", zlib.crc32(raw[:-8]))
     return raw
 
 

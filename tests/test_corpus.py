@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,17 @@ from fofe_wsd.corpus import (
     build_vocabulary,
     read_labeled_corpus,
     read_sense_inventory,
+    tokenize_corpus,
     tokenize_line,
 )
 from fofe_wsd.errors import DataError
 from labeled import instances_of, read_reference
+
+
+def vocabulary_of(lines, max_size):
+    """``build_vocabulary`` of the plain-text ``lines``."""
+    types, codes, _ = tokenize_corpus(lines)
+    return build_vocabulary(types, codes, max_size)
 
 
 class TestTokenize:
@@ -28,26 +37,52 @@ class TestTokenize:
         assert tokenize_line("a b\tc") == ["a", "b", "c"]
 
 
+class TestTokenizeCorpus:
+    def test_columns(self):
+        types, codes, offsets = tokenize_corpus(["The bank", "", "  ", "bank of THE river", UNK_TOKEN])
+        assert types == ["the", "bank", "of", "river", UNK_TOKEN]
+        assert codes.dtype == np.int32 and codes.tolist() == [0, 1, 1, 2, 0, 3, 4]
+        assert offsets.dtype == np.intp and offsets.tolist() == [0, 2, 2, 2, 6, 7]
+
+    def test_no_lines(self):
+        types, codes, offsets = tokenize_corpus(iter([]))
+        assert types == [] and codes.tolist() == [] and offsets.tolist() == [0]
+
+
 class TestBuildVocabulary:
+    def test_ranked_as_counted_tokens(self):
+        # the order of a Counter over every token, <unk> left out, sorted by (-count, token),
+        # with frequency ties at the cut and literal <unk> tokens
+        rng = np.random.default_rng(7)
+        words = [UNK_TOKEN, "a", "B", "c", "ä", "a0", "zz", "Zz"]
+        for _ in range(50):
+            lines = [" ".join(rng.choice(words, int(rng.integers(0, 6)))) for _ in range(int(rng.integers(1, 8)))]
+            counts = Counter(token for line in lines for token in tokenize_line(line) if token != UNK_TOKEN)
+            if not counts:
+                continue
+            ranked = [t for t, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
+            for cap in range(2, len(words) + 2):
+                assert vocabulary_of(lines, cap).tokens == [UNK_TOKEN, *ranked[: cap - 1]]
+
     def test_frequency_cutoff(self):
-        vocab = build_vocabulary(["a b a c a b"], max_size=3)
+        vocab = vocabulary_of(["a b a c a b"], max_size=3)
         assert vocab.tokens == [UNK_TOKEN, "a", "b"]
 
     def test_tie_broken_lexicographically(self):
-        vocab = build_vocabulary(["x y"], max_size=10)
+        vocab = vocabulary_of(["x y"], max_size=10)
         assert vocab.tokens == [UNK_TOKEN, "x", "y"]
 
     def test_empty_corpus(self):
         with pytest.raises(DataError, match="empty corpus"):
-            build_vocabulary([""], max_size=5)
+            vocabulary_of([""], max_size=5)
 
     def test_max_size_too_small(self):
         with pytest.raises(ValueError):
-            build_vocabulary(["a"], max_size=1)
+            vocabulary_of(["a"], max_size=1)
 
     def test_deterministic(self):
         lines = ["b a c", "c b", "a a"]
-        assert build_vocabulary(lines, 4).tokens == build_vocabulary(lines, 4).tokens
+        assert vocabulary_of(lines, 4).tokens == vocabulary_of(lines, 4).tokens
 
     def test_size_capped(self):
         rng = np.random.default_rng(3)
@@ -55,10 +90,10 @@ class TestBuildVocabulary:
             n_words = int(rng.integers(1, 40))
             lines = [" ".join(f"w{rng.integers(0, 30)}" for _ in range(n_words))]
             cap = int(rng.integers(2, 10))
-            assert len(build_vocabulary(lines, cap)) <= cap
+            assert len(vocabulary_of(lines, cap)) <= cap
 
     def test_reserved_token_never_counted(self):
-        vocab = build_vocabulary([f"{UNK_TOKEN} {UNK_TOKEN} a"], max_size=5)
+        vocab = vocabulary_of([f"{UNK_TOKEN} {UNK_TOKEN} a"], max_size=5)
         assert vocab.tokens == [UNK_TOKEN, "a"]
 
 
@@ -76,7 +111,7 @@ class TestLookup:
         assert vocab.encode(tokenize_line("A")) == [1]
 
     def test_roundtrip_every_token(self):
-        vocab = build_vocabulary(["the bank rose over the river bank"], max_size=10)
+        vocab = vocabulary_of(["the bank rose over the river bank"], max_size=10)
         assert vocab.encode(vocab.tokens) == list(range(len(vocab)))
 
 

@@ -4,6 +4,7 @@ import errno
 import os
 import re
 import tracemalloc
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 import fofe_wsd
 from fofe_wsd import _files, nn
-from fofe_wsd._files import Reader, checksum, read_lines, write_file
+from fofe_wsd._files import Reader, read_lines, write_file
 from fofe_wsd.corpus import UNK_TOKEN, SenseInventory, Vocabulary, read_labeled_corpus
 from fofe_wsd.errors import DataError
 from fofe_wsd.fofe import FofeConfig
@@ -136,7 +137,7 @@ class TestContainerChecks:
         raw = bytearray(path.read_bytes())
         # the last f32 value: the output layer's last bias, or the store's last pair's last value
         raw[-12:-8] = np.float32(value).tobytes()
-        raw[-8:] = checksum(raw[:-8]).to_bytes(8, "little")
+        raw[-8:] = zlib.crc32(raw[:-8]).to_bytes(8, "little")
         path.write_bytes(raw)
         with pytest.raises(DataError, match=rf"corrupt {what}: .* \(non-finite value\)"):
             load(path)

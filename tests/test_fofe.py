@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fofe_wsd import fofe, lm, nn
-from fofe_wsd.corpus import build_vocabulary, tokenize_line
+from fofe_wsd.corpus import build_vocabulary, tokenize_corpus, tokenize_line
 from fofe_wsd.fofe import (
     FofeConfig,
     context_code,
@@ -133,7 +133,8 @@ def oracle_update(params, grads, moments, step, config):
 def oracle_train(lines, config, dtype):
     """The training loop of ``train_lm`` in ``dtype``, with the oracle encoder and optimizer step."""
     init_seed, shuffle_seed = np.random.SeedSequence(config.seed).spawn(2)
-    vocab = build_vocabulary(lines, config.max_vocab)
+    types, codes, _ = tokenize_corpus(lines)
+    vocab = build_vocabulary(types, codes, config.max_vocab)
     params = nn.init_network(
         config.layer_dims(len(vocab)), init_seed, embed_shape=(len(vocab), config.embed_dim)
     ).astype(dtype)

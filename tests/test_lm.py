@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fofe_wsd import fofe, lm, nn, synthetic
-from fofe_wsd._files import checksum, write_file
+from fofe_wsd import corpus, fofe, lm, nn, synthetic
+from fofe_wsd._files import write_file
 from fofe_wsd.corpus import UNK_ID, UNK_TOKEN, Vocabulary
 from fofe_wsd.errors import DataError, NumericalError
 from fofe_wsd.fofe import context_code, context_ids
@@ -27,16 +27,22 @@ from containers import checkpoint_bytes
 from labeled import embed
 
 
+def examples_of(sentences):
+    """``training_examples`` of sentences given as lists of model ids."""
+    tokens = np.array([i for sentence in sentences for i in sentence], dtype=np.intp)
+    return training_examples(tokens, np.cumsum([0, *map(len, sentences)], dtype=np.intp))
+
+
 class TestMakeTrainingExamples:
     def test_one_example_per_position(self):
-        tokens, starts, lengths, positions = training_examples([[5, 6, 7, 8, 9]])
+        tokens, starts, lengths, positions = examples_of([[5, 6, 7, 8, 9]])
         assert positions.tolist() == [0, 1, 2, 3, 4]
         assert starts.tolist() == [0] * 5 and lengths.tolist() == [5] * 5
         assert tokens.tolist() == [5, 6, 7, 8, 9]
 
     def test_window_cap_clips_both_sides(self):
         cfg = LmConfig(window_cap=2)
-        tokens, starts, lengths, positions = training_examples([[10, 11, 12, 13, 14, 15, 16]])
+        tokens, starts, lengths, positions = examples_of([[10, 11, 12, 13, 14, 15, 16]])
         example = [4]
         ids = context_ids(
             tokens, starts[example], lengths[example], positions[example], 1, cfg.window_cap
@@ -45,11 +51,11 @@ class TestMakeTrainingExamples:
         assert ids.tolist() == [[12, 13], [16, 15]]
 
     def test_empty_sentence(self):
-        examples = training_examples([[]])
+        examples = examples_of([[]])
         assert [a.tolist() for a in examples] == [[], [], [], []]
 
     def test_sentences_back_to_back(self):
-        tokens, starts, lengths, positions = training_examples([[5, 6, 7], [], [8]])
+        tokens, starts, lengths, positions = examples_of([[5, 6, 7], [], [8]])
         assert tokens.tolist() == [5, 6, 7, 8]
         assert starts.tolist() == [0, 0, 0, 3]
         assert lengths.tolist() == [3, 3, 3, 1]
@@ -74,6 +80,34 @@ class TestTrainLm:
     def test_empty_corpus(self):
         with pytest.raises(DataError, match="empty corpus"):
             train_lm([], LmConfig())
+
+    def test_tokenizes_each_line_once(self, toy_lines, tiny_config, monkeypatch):
+        calls = []
+        for module in (corpus, lm):
+            if hasattr(module, "tokenize_line"):
+                wrapped = getattr(module, "tokenize_line")
+                monkeypatch.setattr(module, "tokenize_line", lambda text, _f=wrapped: calls.append(text) or _f(text))
+        lines = toy_lines[:12] + ["", f"{UNK_TOKEN} Time"]
+        train_lm(lines, replace(tiny_config, epochs=1))
+        assert calls == lines
+        calls.clear()
+        train_lm(lines, replace(tiny_config, epochs=1), model=train_lm(lines[:3], replace(tiny_config, epochs=0)))
+        assert calls == lines[:3] + lines
+
+    def test_one_pass_over_the_corpus(self, toy_lines, tiny_config, tmp_path):
+        # a one-shot generator and an open file, whose lines keep their line ends,
+        # train the model a list does
+        lines = toy_lines[:20] + ["", f"{UNK_TOKEN} The  TIME\t", "time"]
+        text = tmp_path / "corpus.txt"
+        text.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        for config in (tiny_config, replace(tiny_config, max_vocab=5)):
+            save_checkpoint(train_lm(lines, config), tmp_path / "list.fofe")
+            save_checkpoint(train_lm((line for line in lines), config), tmp_path / "generator.fofe")
+            with open(text, encoding="utf-8") as fh:
+                save_checkpoint(train_lm(fh, config), tmp_path / "file.fofe")
+            want = (tmp_path / "list.fofe").read_bytes()
+            assert (tmp_path / "generator.fofe").read_bytes() == want
+            assert (tmp_path / "file.fofe").read_bytes() == want
 
     def test_same_seed_same_checkpoint_bytes(self, toy_lines, tiny_config, tmp_path):
         a = tmp_path / "a.fofe"
@@ -234,7 +268,7 @@ class TestContextEmbedding:
     def test_rows_are_the_training_forward_pass(self, tiny_model, toy_lines, monkeypatch):
         # the held-out activations of one training step's forward pass, with the update skipped
         # so the parameters stay as they were, are the context embeddings of its examples
-        examples = training_examples([tiny_model.vocab.encode(line.split()) for line in toy_lines[:8]])
+        examples = examples_of([tiny_model.vocab.encode(line.split()) for line in toy_lines[:8]])
         batch = np.random.default_rng(4).permutation(len(examples[0]))[:40]
         seen = []
         forward = nn.forward
@@ -243,10 +277,10 @@ class TestContextEmbedding:
         grads = nn.Gradients(np.zeros_like(tiny_model.params.flat), tiny_model.params.layout)
         args = examples[0], *(column[batch] for column in examples[1:])
         lm._train_step(tiny_model, *args, nn.OptimizerState(), grads)
-        (trace,) = seen
+        (activations,) = seen
         got = context_embeddings(tiny_model, *args)
-        assert got.dtype == trace.activations[-2].dtype == np.float32
-        assert got.tobytes() == trace.activations[-2].tobytes()
+        assert got.dtype == activations[-2].dtype == np.float32
+        assert got.tobytes() == activations[-2].tobytes()
 
     def test_contexts_index_one_token_array(self, tiny_model, monkeypatch):
         # contexts picked out of one array of sentences, out of order and repeated,
@@ -285,7 +319,7 @@ class TestVocabularyWideMemory:
         params = nn.init_network(config.layer_dims(len(vocab)), 0, (len(vocab), config.embed_dim), np.float32)
         model = LmModel(vocab, config, params)
         rng = np.random.default_rng(0)
-        contexts = training_examples([rng.integers(0, len(vocab), n).tolist() for n in (5, 12, 1, 30)])
+        contexts = examples_of([rng.integers(0, len(vocab), n).tolist() for n in (5, 12, 1, 30)])
         assert peak_bytes(lambda: context_embeddings(model, *contexts)) < 512 << 10
         # the rows of one product over the table as it is, bit for bit
         layout = context_ids(*contexts, config.fofe.order)
@@ -331,7 +365,7 @@ class TestLongSentenceMemory:
         vocab, config, contexts = inputs
         params = nn.init_network(config.layer_dims(len(vocab)), 0, (len(vocab), config.embed_dim), np.float32)
         model = LmModel(vocab, config, params)
-        tokens, starts, lengths, positions = training_examples(
+        tokens, starts, lengths, positions = examples_of(
             [vocab.encode(words) for words, _ in contexts[:31] + contexts[-1:]]
         )
         batch = np.array([8 * i + 3 for i in range(31)] + [8 * 31 + 500])
@@ -345,9 +379,9 @@ class TestLongSentenceMemory:
         assert peak_bytes(step) < 3.3e6
 
 
-def write_checkpoint(model, path, tensors, dims=None):
-    """A checkpoint of ``model`` that stores ``tensors`` (and ``dims``), with a valid checksum."""
-    write_file(path, checkpoint_bytes(model, tensors, dims))
+def write_checkpoint(model, path, tensors, dims=None, tokens=None):
+    """A checkpoint of ``model`` that stores ``tensors`` (and ``dims``, ``tokens``), with a valid checksum."""
+    write_file(path, checkpoint_bytes(model, tensors, dims, tokens))
 
 
 class TestCheckpoint:
@@ -399,7 +433,7 @@ class TestCheckpoint:
         assert raw[at : at + 4] == len(tiny_model.vocab).to_bytes(4, "little")
         raw[at : at + 4] = (len(raw) // 4).to_bytes(4, "little")
         raw[at + 8] ^= 0xFF  # the first token's first byte
-        raw[-8:] = checksum(raw[:-8]).to_bytes(8, "little")
+        raw[-8:] = zlib.crc32(raw[:-8]).to_bytes(8, "little")
         path.write_bytes(raw)
         with pytest.raises(DataError, match=r"^truncated checkpoint: "):
             load_checkpoint(path)
@@ -489,12 +523,21 @@ class TestCheckpoint:
         assert ours.read_bytes() == theirs.read_bytes()
 
     @pytest.mark.parametrize(
-        "case", ["weight transposed", "embedding row too many", "bias element too many", "huge dims"]
+        "case",
+        [
+            "weight transposed",
+            "embedding row too many",
+            "bias element too many",
+            "huge dims",
+            "repeated token",
+            "first token not unk",
+            "one layer dim",
+        ],
     )
     def test_well_framed_wrong_shapes(self, tiny_model, tmp_path, case):
         embedding = tiny_model.params.embedding
         (w0, b0), (w1, b1) = tiny_model.params.layers
-        dims = None
+        dims, tokens = None, list(tiny_model.vocab.tokens)
         if case == "weight transposed":
             assert w0.shape[0] != w0.shape[1]
             w0 = w0.T
@@ -502,10 +545,16 @@ class TestCheckpoint:
             embedding = np.vstack([embedding, embedding[:1]])
         elif case == "bias element too many":
             b1 = np.append(b1, 0.0)
-        else:  # a hidden width whose weights no memory could hold
+        elif case == "huge dims":  # a hidden width whose weights no memory could hold
             dims = tiny_model.config.layer_dims(len(tiny_model.vocab))
             dims[1:-1] = [2**32 - 1, 2**32 - 1]
+        elif case == "repeated token":  # the count, and so every shape, still fits
+            tokens[-1] = tokens[1]
+        elif case == "first token not unk":
+            tokens[0], tokens[1] = tokens[1], tokens[0]
+        else:  # the input width alone: no output layer
+            dims = tiny_model.config.layer_dims(len(tiny_model.vocab))[:1]
         path = tmp_path / "m.fofe"
-        write_checkpoint(tiny_model, path, [embedding, w0, b0, w1, b1], dims)
+        write_checkpoint(tiny_model, path, [embedding, w0, b0, w1, b1], dims, tokens)
         with pytest.raises(DataError, match="corrupt checkpoint"):
             load_checkpoint(path)

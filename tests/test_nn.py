@@ -137,26 +137,26 @@ class TestInit:
 class TestForward:
     def test_zero_params_zero_logits(self):
         params = _net(([[0.0, 0.0]] * 3, [0.0, 0.0]))
-        trace = nn.forward(params, np.array([1.0, -2.0, 3.0]))
-        assert_array_equal(trace.logits, [0.0, 0.0])
+        activations = nn.forward(params, np.array([1.0, -2.0, 3.0]))
+        assert_array_equal(activations[-1], [0.0, 0.0])
 
     def test_single_layer_is_affine_only(self):
         params = _net((np.eye(2), [0.0, 0.0]))
-        trace = nn.forward(params, np.array([1.0, -2.0]))
-        assert_array_equal(trace.logits, [1.0, -2.0])  # no rectifier on the output
+        activations = nn.forward(params, np.array([1.0, -2.0]))
+        assert_array_equal(activations[-1], [1.0, -2.0])  # no rectifier on the output
 
     def test_hidden_layer_rectifies(self):
         params = _net((np.eye(2), [0.0, 0.0]), (np.eye(2), [0.0, 0.0]))
-        trace = nn.forward(params, np.array([1.0, -2.0]))
-        assert_array_equal(trace.activations[1], [1.0, 0.0])
-        assert_array_equal(trace.logits, [1.0, 0.0])
+        activations = nn.forward(params, np.array([1.0, -2.0]))
+        assert_array_equal(activations[1], [1.0, 0.0])
+        assert_array_equal(activations[-1], [1.0, 0.0])
 
     def test_trace_shape_contract(self):
         params = nn.init_network([3, 5, 4, 2], 1)
-        trace = nn.forward(params, np.zeros(3))
-        assert len(trace.activations) == len(params.layers) + 1
-        assert not hasattr(trace, "preacts")  # the backward pass reads the activations alone
-        assert [a.shape for a in trace.activations] == [(3,), (5,), (4,), (2,)]  # held out: (4,)
+        activations = nn.forward(params, np.zeros(3))
+        assert len(activations) == len(params.layers) + 1
+        assert isinstance(activations, list)  # the activations alone, which the backward pass reads
+        assert [a.shape for a in activations] == [(3,), (5,), (4,), (2,)]  # held out: (4,)
 
     def test_dimension_mismatch(self):
         params = nn.init_network([3, 2], 1)
@@ -166,20 +166,20 @@ class TestForward:
     def test_deterministic(self):
         params = nn.init_network([3, 4, 2], 5)
         x = np.random.default_rng(0).normal(size=3)
-        assert_array_equal(nn.forward(params, x).logits, nn.forward(params, x).logits)
+        assert_array_equal(nn.forward(params, x)[-1], nn.forward(params, x)[-1])
 
     def test_holds_each_hidden_activation_once(self):
-        # a 256-row float32 batch at a 768-wide input and hidden 512,512: the trace keeps two
+        # a 256-row float32 batch at a 768-wide input and hidden 512,512: the forward pass keeps two
         # hidden activations and 8-wide logits; a pre-activation kept beside each would make four
         params = nn.init_network([768, 512, 512, 8], 3, dtype=np.float32)
         x = np.random.default_rng(9).normal(size=(256, 768)).astype(np.float32)
         tracemalloc.start()
         try:
-            trace = nn.forward(params, x)
+            activations = nn.forward(params, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        hidden = trace.activations[1].nbytes
+        hidden = activations[1].nbytes
         assert peak < 2.5 * hidden, peak / hidden
 
 
@@ -189,7 +189,7 @@ class TestHeldOut:
         for dims in ([3, 2], [3, 5, 2], [6, 4, 5, 7]):
             params = nn.init_network(dims, 2)
             for x in (rng.normal(size=dims[0]), rng.normal(size=(4, dims[0]))):
-                assert np.array_equal(nn.held_out(params, x), nn.forward(params, x).activations[-2])
+                assert np.array_equal(nn.held_out(params, x), nn.forward(params, x)[-2])
 
     def test_keeps_the_rectifier(self):
         params = _net((np.eye(2), [0.0, 0.0]), (np.eye(2), [0.0, 0.0]))
@@ -209,7 +209,7 @@ class TestHeldOut:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(rows, nn.forward(params, x).activations[-2])
+        assert np.array_equal(rows, nn.forward(params, x)[-2])
         # the layer's input and its result; ``np.maximum(a @ w + b, 0.0)`` also held ``a @ w + b``
         assert peak < 2.5 * rows.nbytes, peak / rows.nbytes
 
@@ -253,9 +253,9 @@ class TestStepLoss:
         logits = np.asarray(logits)
         params = nn.NetworkParams.zeros([logits.shape[-1]] * 2, dtype=logits.dtype)
         params.layers[0][0][...] = np.eye(logits.shape[-1])
-        trace = nn.forward(params, logits)
-        assert np.array_equal(trace.logits, logits)
-        return trace.logits, nn.backward(params, trace, target)
+        activations = nn.forward(params, logits)
+        assert np.array_equal(activations[-1], logits)
+        return activations[-1], nn.backward(params, activations, target)
 
     @staticmethod
     def softmax_minus_onehot(logits, targets):
@@ -288,16 +288,16 @@ class TestStepLoss:
         assert_array_equal(grads.input, [0.0, 0.0])
 
 
-def reference_backward(params, trace, target):
+def reference_backward(params, forward_activations, target):
     """Loss, layer gradients and input gradient by the formulas ``backward`` started from, written out here.
 
-    Each hidden pre-activation is recomputed as ``a @ w + b`` from the trace's activations.
+    Each hidden pre-activation is recomputed as ``a @ w + b`` from ``forward``'s activations.
     ``np.max``, ``np.take_along_axis``, ``np.mean`` and ``np.sum(axis=0)``, each on its own
     array, with none of the kernel's helpers.
     """
-    single = trace.logits.ndim == 1
-    activations = [np.atleast_2d(a) for a in trace.activations]
-    preacts = [np.atleast_2d(a @ w + b) for a, (w, b) in zip(trace.activations, params.layers[:-1])]
+    single = forward_activations[-1].ndim == 1
+    activations = [np.atleast_2d(a) for a in forward_activations]
+    preacts = [np.atleast_2d(a @ w + b) for a, (w, b) in zip(forward_activations, params.layers[:-1])]
     logits = activations[-1]
     targets = np.atleast_1d(np.asarray(target, dtype=np.intp))
     n = len(targets)
@@ -331,11 +331,11 @@ class TestBackwardEqualsReference:
         shape = (12,) if batch is None else (batch, 12)
         x = rng.normal(size=shape).astype(dtype)
         target = int(rng.integers(0, 40)) if batch is None else rng.integers(0, 40, batch)
-        trace = nn.forward(params, x)
-        preacts = [a @ w + b for a, (w, b) in zip(trace.activations, params.layers[:-1])]
+        activations = nn.forward(params, x)
+        preacts = [a @ w + b for a, (w, b) in zip(activations, params.layers[:-1])]
         assert any(np.any(h <= 0.0) for h in preacts)  # the rectifier masks some units
-        grads = nn.backward(params, trace, target)
-        loss, layers, input_grad = reference_backward(params, trace, target)
+        grads = nn.backward(params, activations, target)
+        loss, layers, input_grad = reference_backward(params, activations, target)
         assert grads.loss == loss
         assert len(grads.layers) == len(layers)
         for (grad_w, grad_b), (want_w, want_b) in zip(grads.layers, layers, strict=True):
@@ -362,11 +362,11 @@ class TestBackwardEqualsReference:
 class TestSingleInput:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_vector_is_a_batch_of_one(self, dtype):
-        """A ``(d,)`` trace and the ``(1, d)`` trace of the same row give bit-equal gradients."""
+        """The activations of a ``(d,)`` input and of the ``(1, d)`` batch of it give bit-equal gradients."""
         rng = np.random.default_rng(13)
         params = nn.init_network([6, 8, 5, 4], 2).astype(dtype)
         batch = nn.forward(params, rng.normal(size=(1, 6)).astype(dtype))
-        vector = nn.ForwardTrace([a[0] for a in batch.activations])
+        vector = [a[0] for a in batch]
         from_batch = nn.backward(params, batch, [3])
         from_vector = nn.backward(params, vector, 3)
         assert from_batch.input.shape == (1, 6)
@@ -398,9 +398,9 @@ class TestBackward:
     def test_logit_gradient_is_softmax_minus_one_hot(self):
         params = _net((np.eye(3), [0.0, 0.0, 0.0]))
         x = np.array([0.3, -0.2, 0.9])
-        trace = nn.forward(params, x)
-        grads = nn.backward(params, trace, 1)
-        expected = softmax(trace.logits).copy()
+        activations = nn.forward(params, x)
+        grads = nn.backward(params, activations, 1)
+        expected = softmax(activations[-1]).copy()
         expected[1] -= 1.0
         # the last layer's bias gradient equals the logit gradient
         assert_allclose(grads.layers[-1][1], expected, atol=1e-15)
@@ -410,8 +410,8 @@ class TestBackward:
         # grad; positive first-layer biases keep the rectifier mask open.
         params = nn.init_network([3, 4, 2], 2)
         params.layers[0][1][:] = 1.0
-        trace = nn.forward(params, np.zeros(3))
-        grads = nn.backward(params, trace, 0)
+        activations = nn.forward(params, np.zeros(3))
+        grads = nn.backward(params, activations, 0)
         assert_array_equal(grads.layers[0][0], np.zeros((3, 4)))
         assert np.any(grads.layers[0][1] != 0.0)
 
@@ -449,9 +449,9 @@ class TestBackward:
     def test_stale_trace_rejected(self):
         params = nn.init_network([3, 4, 2], 0)
         other = nn.init_network([5, 4, 2], 0)
-        trace = nn.forward(other, np.zeros(5))
+        activations = nn.forward(other, np.zeros(5))
         with pytest.raises(ValueError, match="mismatch"):
-            nn.backward(params, trace, 0)
+            nn.backward(params, activations, 0)
 
 
 class TestApplyUpdate:
@@ -506,9 +506,9 @@ class TestApplyUpdate:
         state = nn.OptimizerState(rule="sgd", learning_rate=0.05)
         losses = []
         for _ in range(50):
-            trace = nn.forward(params, x)
-            losses.append(nn.loss_softmax_xent(trace.logits, target))
-            nn.apply_update(params, nn.backward(params, trace, target), state)
+            activations = nn.forward(params, x)
+            losses.append(nn.loss_softmax_xent(activations[-1], target))
+            nn.apply_update(params, nn.backward(params, activations, target), state)
         diffs = np.diff(losses)
         assert np.all(diffs < 0.0)
 
@@ -675,8 +675,8 @@ class TestGradientCheck:
         x = np.random.default_rng(11).normal(size=4)
         true_backward = nn.backward
 
-        def scaled_backward(p, trace, target):
-            grads = true_backward(p, trace, target)
+        def scaled_backward(p, activations, target):
+            grads = true_backward(p, activations, target)
             scaled = [(w * 1.01, b * 1.01) for w, b in grads.layers]
             return _built(nn.Gradients, scaled, grads.embedding, input=grads.input)
 
